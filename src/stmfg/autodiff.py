@@ -27,17 +27,20 @@ from .errors import ContractError, DimensionError, DomainError
 # expression.
 NORM_EPS = 1e-12
 
+# Rows per step of the fused pairwise ops: one step holds a
+# PAIRWISE_TILE-by-n block of similarities (by 2n for the contrastive op),
+# never the whole matrix.
+PAIRWISE_TILE = 256
+
 __all__ = [
     "NORM_EPS",
     "Tensor",
     "SparseMatrix",
     "matmul",
     "spmm",
-    "transpose",
     "add",
     "sub",
     "hadamard",
-    "div",
     "scale",
     "neg",
     "relu",
@@ -48,17 +51,15 @@ __all__ = [
     "softplus",
     "lgamma",
     "clip",
-    "maximum",
     "concat_cols",
     "slice_cols",
-    "row_sums",
     "sum_all",
     "mean_all",
     "col_broadcast_mul",
-    "diag_part",
     "row_l2_normalize",
     "softmax_rows",
-    "cosine_similarity_matrix",
+    "cross_view_contrastive",
+    "cosine_link_loss",
     "backward",
     "zero_grad",
     "grad_check",
@@ -191,15 +192,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out_data, (a, b), backward_fn)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out_data = np.ascontiguousarray(a.data.T)
-
-    def backward_fn(g, accum):
-        accum(a, g.T)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
 def spmm(s: "SparseMatrix", d: Tensor) -> Tensor:
     """Sparse-operator times dense tensor; the operator is a constant."""
     if s.n != d.rows:
@@ -253,22 +245,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
             accum(a, g * b.data)
         if b.requires_grad:
             accum(b, g * a.data)
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape and b.data.shape != (1, 1):
-        raise DimensionError(f"div: shapes {a.data.shape} and {b.data.shape}")
-    if np.any(b.data == 0.0):
-        raise DomainError("div: zero divisor")
-    out_data = a.data / b.data
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            accum(b, _unbroadcast(-g * out_data / b.data, b.data.shape))
 
     return _from_op(out_data, (a, b), backward_fn)
 
@@ -379,22 +355,6 @@ def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
     return _from_op(out_data, (a,), backward_fn)
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    if a.data.shape != b.data.shape and b.data.shape != (1, 1):
-        raise DimensionError(f"maximum: shapes {a.data.shape} and {b.data.shape}")
-    take_a = a.data >= b.data
-    out_data = np.where(take_a, a.data, b.data)
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, g * take_a)
-        if b.requires_grad:
-            accum(b, _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # structure
 
@@ -427,15 +387,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _from_op(out_data, (a,), backward_fn)
 
 
-def row_sums(a: Tensor) -> Tensor:
-    out_data = a.data.sum(axis=1, keepdims=True)
-
-    def backward_fn(g, accum):
-        accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.array([[a.data.sum()]])
 
@@ -464,32 +415,28 @@ def col_broadcast_mul(col: Tensor, mat: Tensor) -> Tensor:
     return _from_op(out_data, (col, mat), backward_fn)
 
 
-def diag_part(a: Tensor) -> Tensor:
-    if a.rows != a.cols:
-        raise DimensionError(f"diag_part: matrix is {a.data.shape}, not square")
-    out_data = np.diag(a.data).reshape(-1, 1).copy()
-
-    def backward_fn(g, accum):
-        full = np.zeros_like(a.data)
-        np.fill_diagonal(full, g[:, 0])
-        accum(a, full)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # row-normalizing ops
 
 
+def _guarded_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=1, keepdims=True) + NORM_EPS)
+
+
+def _through_row_norm(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient with respect to ``x`` given gradient ``g`` with respect to
+    ``x / norm``, with ``norm`` the guarded row norms of ``x``."""
+    gx = (g * x).sum(axis=1, keepdims=True)
+    return g / norm - x * gx / (norm ** 3)
+
+
 def row_l2_normalize(a: Tensor) -> Tensor:
     """Divide each row by its guarded Euclidean norm; zero rows stay zero."""
-    sq = (a.data * a.data).sum(axis=1, keepdims=True)
-    norm = np.sqrt(sq + NORM_EPS)
+    norm = _guarded_norms(a.data)
     out_data = a.data / norm
 
     def backward_fn(g, accum):
-        gx = (g * a.data).sum(axis=1, keepdims=True)
-        accum(a, g / norm - a.data * gx / (norm ** 3))
+        accum(a, _through_row_norm(g, a.data, norm))
 
     return _from_op(out_data, (a,), backward_fn)
 
@@ -504,14 +451,6 @@ def softmax_rows(a: Tensor) -> Tensor:
         accum(a, out_data * (g - dot))
 
     return _from_op(out_data, (a,), backward_fn)
-
-
-def cosine_similarity_matrix(z: Tensor) -> Tensor:
-    """All-pairs cosine similarity of the rows of ``z`` (guarded norms)."""
-    if z.cols < 1:
-        raise DimensionError("cosine_similarity_matrix: need at least one column")
-    zn = row_l2_normalize(z)
-    return matmul(zn, transpose(zn))
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +517,149 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
+
+
+# ---------------------------------------------------------------------------
+# fused pairwise losses
+#
+# Both ops reduce all-pairs cosine similarities of row-normalized
+# embeddings to a 1x1 loss, walking PAIRWISE_TILE rows at a time. The
+# closed-form gradient is formed in the same pass (only when an input
+# requires it), so memory stays O(tile * n) and backward is one scaling.
+
+
+def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
+    """Inter-view contrastive loss of the paired rows of ``a`` and ``b``.
+
+    With y = [a; b] row-normalized (guarded norms) and s = y y^T, item r
+    of the 2n items has the other view's row of the same spot as its
+    positive p(r), and
+
+        loss = -1/(2n) sum_r log(exp(s_rp / tau) / max(den_r, exp(s_rp / tau)))
+        den_r = sum_k exp(s_rk / tau) - exp(1 / tau),
+
+    which removes the self-similarity exp(1/tau) of a unit row; a floored
+    item contributes zero value and zero gradient. Each row is evaluated
+    in log space relative to its largest non-self similarity m_r, so no
+    temperature overflows and no underflowed sum reaches a log. The self
+    term exp(s_rr/tau) - exp(1/tau) = exp(1/tau) * expm1(-gap_r/tau) uses
+    the closed form gap_r = 1 - s_rr = NORM_EPS / (|y_r|^2 + NORM_EPS) of
+    the guarded norm, not the rounded product y_r . y_r.
+    """
+    _same_shape(a, b, "cross_view_contrastive")
+    n = a.rows
+    items = 2 * n
+    inv_tau = 1.0 / float(tau)
+    coef = 1.0 / items
+    norms = np.concatenate([_guarded_norms(a.data), _guarded_norms(b.data)])
+    y = np.concatenate([a.data, b.data]) / norms
+    y_t = np.ascontiguousarray(y.T)
+    gap = NORM_EPS / norms[:, 0] ** 2
+    pos = np.roll(np.arange(items), n)  # p(r)
+    want_grad = a.requires_grad or b.requires_grad
+    # dL/dy = G y + G^T y for G = dL/ds off the diagonal; the G^T y half is
+    # accumulated transposed, which keeps both products on contiguous
+    # operands. dL/ds_rr goes through gap_r instead.
+    gy = np.zeros_like(y) if want_grad else None
+    gy_t = np.zeros_like(y_t) if want_grad else None
+    kept = np.zeros(items, dtype=bool)  # False: floored at the numerator
+    self_weight = np.zeros(items)  # exp(s_rr / tau) / (tau den_r) if kept
+
+    total = 0.0
+    for r0 in range(0, items, PAIRWISE_TILE):
+        rows = np.arange(min(PAIRWISE_TILE, items - r0))
+        own = rows + r0
+        span = slice(r0, r0 + rows.size)
+        tile = y[span]
+        block = (tile * inv_tau) @ y_t  # s / tau
+        s_pos = block[rows, pos[own]]
+        block[rows, own] = -np.inf
+        m = block.max(axis=1)
+        log_num = s_pos - m
+        block -= m[:, None]
+        np.exp(block, out=block)
+        log_rest = np.log(block.sum(axis=1))
+        # the self term relative to exp(m) is -exp(log_self)
+        with np.errstate(divide="ignore"):
+            log_self = inv_tau - m + np.log(-np.expm1(-gap[own] * inv_tau))
+        log_den = np.full(rows.size, -np.inf)  # -inf: den <= 0
+        positive = log_self < log_rest
+        log_den[positive] = log_rest[positive] + np.log1p(
+            -np.exp(log_self[positive] - log_rest[positive]))
+        keep = log_den > log_num
+        kept[span] = keep
+        total += np.sum(log_den[keep] - log_num[keep])
+
+        if want_grad:
+            # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
+            # block holds exp(s_rk/tau) / exp(m_r), so the row scale is
+            # exp(-log_den_r) / tau; the positive entries are added below.
+            w = np.zeros(rows.size)
+            w[keep] = inv_tau * np.exp(-log_den[keep])
+            self_weight[own[keep]] = inv_tau * np.exp(
+                inv_tau - m[keep] - gap[own[keep]] * inv_tau - log_den[keep])
+            gy[span] += w[:, None] * (block @ y)
+            gy_t += (tile * w[:, None]).T @ block
+
+    out_data = np.array([[coef * total]])
+    if want_grad:
+        gy += gy_t.T
+        gy[kept] -= inv_tau * y[pos[kept]]
+        gy[pos[kept]] -= inv_tau * y[kept]
+        x = np.concatenate([a.data, b.data])
+        # s_rr = 1 - NORM_EPS / norm_r^2, so ds_rr/dx_r = 2 NORM_EPS x_r / norm_r^4
+        grad = coef * (_through_row_norm(gy, x, norms)
+                       + (2.0 * NORM_EPS * self_weight)[:, None] * x / norms ** 4)
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, g[0, 0] * grad[:n])
+        if b.requires_grad:
+            accum(b, g[0, 0] * grad[n:])
+
+    return _from_op(out_data, (a, b), backward_fn)
+
+
+def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
+    """Logistic link loss of the guarded cosine similarities s of the rows
+    of ``z`` against the constant weights ``adj`` (zero diagonal):
+
+        sum_{i != j} [-adj_ij log sigmoid(s_ij) - (1 - adj_ij) log(1 - sigmoid(s_ij))]
+        = sum_{i != j} softplus(s_ij) - sum_ij adj_ij s_ij.
+
+    |s| < 1, so softplus(s) = log1p(exp(s)) needs no guard; the edge sum
+    runs over the stored entries of ``adj``.
+    """
+    if adj.n != z.rows:
+        raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
+    n = z.rows
+    norm = _guarded_norms(z.data)
+    u = z.data / norm
+    u_t = np.ascontiguousarray(u.T)
+    gu = np.zeros_like(u) if z.requires_grad else None
+
+    total = 0.0
+    for r0 in range(0, n, PAIRWISE_TILE):
+        rows = np.arange(min(PAIRWISE_TILE, n - r0))
+        block = np.exp(u[r0:r0 + rows.size] @ u_t)
+        block[rows, rows + r0] = 0.0  # log1p(0) = 0: self pairs drop out
+        total += np.log1p(block).sum()
+        if gu is not None:
+            block /= 1.0 + block  # sigmoid(s), still zero on the diagonal
+            gu[r0:r0 + rows.size] += block @ u
+
+    csr = adj.csr()
+    adj_u = csr @ u
+    total -= np.sum(u * adj_u)
+    out_data = np.array([[total]])
+    if gu is not None:
+        # sigmoid(s) is symmetric, so its half of dL/du is 2 sigmoid(s) u
+        grad = _through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
+
+    def backward_fn(g, accum):
+        accum(z, g[0, 0] * grad)
+
+    return _from_op(out_data, (z,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, OverflowError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 4
     except StmfgError as exc:

@@ -1,10 +1,17 @@
 """The three loss terms and their weighted combination.
 
-All terms are built from engine ops so gradients flow to the model
-parameters. Cosine similarities use the engine's guarded row norms, so a
-spot's self-similarity can sit marginally below one; the contrastive
-denominator is floored at its numerator to keep every log argument
-positive (and to make the single-spot case collapse to exactly zero).
+All terms are engine nodes, so gradients flow to the model parameters.
+The two pairwise terms are single fused nodes
+(``cross_view_contrastive``, ``cosine_link_loss``) that walk row tiles of
+the similarity matrix and form their closed-form gradients in the same
+pass: memory is O(tile * n), never n by n. Cosine similarities use the
+engine's guarded row norms, so a spot's self-similarity can sit
+marginally below one; the contrastive denominator is floored at its
+numerator to keep every log argument positive (and to make the
+single-spot case collapse to exactly zero). It is evaluated in log space,
+shifted by each anchor's largest similarity, with the self-similarity
+term through ``expm1`` of its closed-form distance from one, so small
+temperatures neither overflow nor take the log of an underflowed sum.
 """
 
 from __future__ import annotations
@@ -21,10 +28,6 @@ from .errors import ContractError, DataError
 
 DEFAULT_TAU = 0.5
 
-# sigmoid outputs are clamped this far from {0, 1} before the logs in the
-# spatial regularizer.
-SIGMOID_CLAMP = 1e-12
-
 
 def contrastive_loss(z_spatial: Tensor, z_feature: Tensor, tau: float) -> Tensor:
     """Inter-view contrastive loss over paired spot embeddings.
@@ -39,53 +42,25 @@ def contrastive_loss(z_spatial: Tensor, z_feature: Tensor, tau: float) -> Tensor
     if z_spatial.data.shape != z_feature.data.shape:
         raise ContractError(
             f"view shapes differ: {z_spatial.data.shape} vs {z_feature.data.shape}")
-    n = z_spatial.rows
-    inv_tau = 1.0 / float(tau)
-
-    zs = ad.row_l2_normalize(z_spatial)
-    zf = ad.row_l2_normalize(z_feature)
-    sim_ss = ad.matmul(zs, ad.transpose(zs))
-    sim_sf = ad.matmul(zs, ad.transpose(zf))
-    sim_ff = ad.matmul(zf, ad.transpose(zf))
-    sim_fs = ad.transpose(sim_sf)
-
-    self_term = Tensor([[math.exp(inv_tau)]])
-
-    def anchor_term(sim_own, sim_cross):
-        pos = ad.scale(ad.diag_part(sim_cross), inv_tau)
-        pos_exp = ad.exp(pos)
-        den = ad.sub(
-            ad.add(ad.row_sums(ad.exp(ad.scale(sim_own, inv_tau))),
-                   ad.row_sums(ad.exp(ad.scale(sim_cross, inv_tau)))),
-            self_term,
-        )
-        den = ad.maximum(den, pos_exp)
-        return ad.log(ad.div(pos_exp, den))
-
-    total = ad.sum_all(ad.add(anchor_term(sim_ss, sim_sf), anchor_term(sim_ff, sim_fs)))
-    return ad.scale(total, -1.0 / (2.0 * n))
+    return ad.cross_view_contrastive(z_spatial, z_feature, tau)
 
 
 def spatial_reg_loss(z: Tensor, spatial_adj: SparseMatrix) -> Tensor:
     """Push latent similarity toward the spatial neighbor structure.
 
     Neighbor pairs pay -log sigmoid(similarity), non-neighbor ordered
-    pairs (excluding self) pay -log(1 - sigmoid(similarity)); evaluated
-    over the full n-by-n similarity matrix.
+    pairs (excluding self) pay -log(1 - sigmoid(similarity)), summed over
+    all n^2 - n ordered pairs. Cosine similarities lie in (-1, 1), so this
+    equals sum softplus(similarity) over the pairs minus the
+    adjacency-weighted similarity sum over the graph's edges, which is how
+    it is evaluated.
     """
     if spatial_adj.n != z.rows:
         raise ContractError(f"adjacency n={spatial_adj.n} vs embedding rows={z.rows}")
-    adj = spatial_adj.to_dense()
-    if np.any(np.diag(adj) != 0):
+    on_diagonal = spatial_adj.row_idx == spatial_adj.col_idx
+    if np.any(spatial_adj.values[on_diagonal] != 0):
         raise ContractError("spatial adjacency must have a zero diagonal")
-    neighbor = Tensor(adj)
-    non_neighbor = Tensor(1.0 - adj - np.eye(spatial_adj.n))
-
-    sims = ad.cosine_similarity_matrix(z)
-    edge_prob = ad.clip(ad.sigmoid(sims), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-    attract = ad.hadamard(neighbor, ad.log(edge_prob))
-    repel = ad.hadamard(non_neighbor, ad.log(ad.sub(Tensor([[1.0]]), edge_prob)))
-    return ad.neg(ad.sum_all(ad.add(attract, repel)))
+    return ad.cosine_link_loss(z, spatial_adj)
 
 
 def zinb_pmf(x: int, pi: float, mu: float, theta: float) -> float:

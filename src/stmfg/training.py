@@ -73,6 +73,8 @@ class TrainConfig:
         if self.zinb_target not in ("preprocessed", "counts"):
             raise ContractError(f"zinb_target must be preprocessed|counts, got {self.zinb_target}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
+        if any(d < 1 for d in self.hidden_dims):
+            raise ContractError(f"hidden widths must be >= 1, got {self.hidden_dims}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -195,19 +197,26 @@ def _reconstruction_target(dataset, cfg: TrainConfig) -> tuple[np.ndarray, bool]
     return dataset.preprocessed, False
 
 
+def forward(x: Tensor, graphs: GraphPair, params: ModelParams,
+            cfg: TrainConfig) -> ForwardTrace:
+    """Encode, and decode unless the reconstruction term is disabled."""
+    trace = encode(x, graphs.spatial_norm, graphs.feature_norm, params,
+                   slope=cfg.leaky_slope, l2_after_softmax=cfg.fusion_l2,
+                   per_layer_fusion=not cfg.disable_fusion)
+    if not cfg.disable_zinb:
+        trace.dropout, trace.mean, trace.dispersion = zinb_decode(trace.embedding, params)
+    return trace
+
+
 def run_epoch(x: Tensor, target: np.ndarray, target_is_counts: bool,
               graphs: GraphPair, params: ModelParams,
               cfg: TrainConfig) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
     """One forward pass and loss assembly (no optimizer side effects)."""
-    trace = encode(x, graphs.spatial_norm, graphs.feature_norm, params,
-                   slope=cfg.leaky_slope, l2_after_softmax=cfg.fusion_l2,
-                   per_layer_fusion=not cfg.disable_fusion)
+    trace = forward(x, graphs, params, cfg)
 
     zinb_term = None
     if not cfg.disable_zinb:
-        dropout, mean, dispersion = zinb_decode(trace.embedding, params)
-        trace.dropout, trace.mean, trace.dispersion = dropout, mean, dispersion
-        zinb_term = zinb_nll(target, dropout, mean, dispersion,
+        zinb_term = zinb_nll(target, trace.dropout, trace.mean, trace.dispersion,
                              require_integer=target_is_counts)
 
     cl_term = None
@@ -272,7 +281,7 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
         if checkpoint_dir is not None and checkpoint_every > 0 and epoch % checkpoint_every == 0:
             save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
 
-    _, _, trace = run_epoch(x, target, target_is_counts, graphs, params, cfg)
+    trace = forward(x, graphs, params, cfg)
     if checkpoint_dir is not None:
         save_checkpoint(params, Path(checkpoint_dir) / "params_final.txt")
     return TrainResult(params=params, trace=trace, log=log)

@@ -130,27 +130,6 @@ class TestElementwise:
         np.testing.assert_allclose(np.linalg.norm(out.data[1]), 1.0, atol=1e-12)
 
 
-class TestCosineSimilarity:
-    def test_orthogonal_rows(self):
-        c = ad.cosine_similarity_matrix(tensor([[1.0, 0.0], [0.0, 1.0]]))
-        assert abs(c.data[0, 1]) < 1e-15
-
-    def test_positive_scale_invariance(self):
-        c = ad.cosine_similarity_matrix(tensor([[1.0, 0.0], [2.0, 0.0]]))
-        assert c.data[0, 1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_range_and_gradient(self):
-        rng = np.random.default_rng(5)
-        z = tensor(rng.uniform(-2, 2, (5, 3)))
-        c = ad.cosine_similarity_matrix(z)
-        assert (np.abs(c.data) <= 1.0 + 1e-12).all()
-        w = Tensor(rng.uniform(-1, 1, (5, 5)))
-        err = ad.grad_check(
-            lambda x: ad.sum_all(ad.hadamard(w, ad.cosine_similarity_matrix(x))), z, 1e-5
-        )
-        assert err < 1e-5
-
-
 class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones((2, 2)))
@@ -225,11 +204,9 @@ def _op_cases():
     pos = lambda x: ad.add(x, Tensor(np.full(x.data.shape, 2.5)))
 
     case("matmul")(lambda rng, x: wsum(rng, ad.matmul(x, Tensor(rng.uniform(-2, 2, (x.cols, 3))))))
-    case("transpose")(lambda rng, x: wsum(rng, ad.transpose(x)))
     case("add")(lambda rng, x: wsum(rng, ad.add(x, Tensor(rng.uniform(-2, 2, (1, x.cols))))))
     case("sub")(lambda rng, x: wsum(rng, ad.sub(Tensor([[1.5]]), x)))
     case("hadamard")(lambda rng, x: wsum(rng, ad.hadamard(x, Tensor(rng.uniform(-2, 2, x.data.shape)))))
-    case("div")(lambda rng, x: wsum(rng, ad.div(x, Tensor(rng.uniform(1.0, 3.0, x.data.shape)))))
     case("scale")(lambda rng, x: wsum(rng, ad.scale(x, -1.7)))
     case("neg")(lambda rng, x: wsum(rng, ad.neg(x)))
     case("relu")(lambda rng, x: wsum(rng, ad.relu(x)))
@@ -240,19 +217,19 @@ def _op_cases():
     case("softplus")(lambda rng, x: wsum(rng, ad.softplus(x)))
     case("lgamma")(lambda rng, x: wsum(rng, ad.lgamma(pos(x))))
     case("clip")(lambda rng, x: wsum(rng, ad.clip(x, -1.5, 1.5)))
-    case("maximum")(lambda rng, x: wsum(rng, ad.maximum(x, Tensor(np.zeros(x.data.shape)))))
     case("concat_cols")(lambda rng, x: wsum(rng, ad.concat_cols(x, ad.hadamard(x, x))))
     case("slice_cols")(lambda rng, x: wsum(rng, ad.slice_cols(x, 1, x.cols)))
-    case("row_sums")(lambda rng, x: wsum(rng, ad.row_sums(x)))
     case("sum_all")(lambda rng, x: ad.sum_all(ad.hadamard(x, x)))
     case("mean_all")(lambda rng, x: ad.mean_all(ad.hadamard(x, x)))
     case("col_broadcast_mul")(
-        lambda rng, x: wsum(rng, ad.col_broadcast_mul(ad.row_sums(x), x)))
-    case("diag_part")(lambda rng, x: wsum(rng, ad.diag_part(ad.matmul(x, ad.transpose(x)))))
+        lambda rng, x: wsum(rng, ad.col_broadcast_mul(ad.slice_cols(x, 0, 1), x)))
     case("row_l2_normalize")(lambda rng, x: wsum(rng, ad.row_l2_normalize(x)))
     case("softmax_rows")(lambda rng, x: wsum(rng, ad.softmax_rows(x)))
-    case("cosine_similarity_matrix")(
-        lambda rng, x: wsum(rng, ad.cosine_similarity_matrix(x)))
+    # both views depend on x, so the check covers both gradient paths
+    case("cross_view_contrastive")(
+        lambda rng, x: ad.cross_view_contrastive(x, ad.hadamard(x, x), 0.5))
+    case("cosine_link_loss")(
+        lambda rng, x: ad.cosine_link_loss(x, random_sparse_symmetric(x.rows, rng)))
 
     def spmm_case(rng, x):
         s = random_sparse_symmetric(x.rows, rng)
@@ -264,7 +241,7 @@ def _op_cases():
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "leaky_relu": [0.0], "maximum": [0.0], "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():

@@ -90,6 +90,24 @@ class TestRun:
         # the manifest must have been written before training started
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+    def test_stray_float_error_is_numeric_abort(self, synth_dir, tmp_path, monkeypatch, error):
+        def overflowing(*args, **kwargs):
+            raise error("math range error")
+
+        monkeypatch.setattr("stmfg.training.contrastive_loss", overflowing)
+        code = main(["run", *data_flags(synth_dir), "--out", str(tmp_path / "run"), *FAST])
+        assert code == 4
+
+    def test_small_temperature_runs(self, synth_dir, tmp_path):
+        # exp(1/tau) overflows a float at tau = 0.001; the loss never forms it
+        out = tmp_path / "run"
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--tau", "0.001"])
+        assert code == 0
+        rows = (out / "loss_log.csv").read_text().splitlines()[1:]
+        assert rows and all(np.isfinite(float(v)) for r in rows for v in r.split(","))
+
     def test_manifest_replay_reproduces_outputs(self, synth_dir, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -2,6 +2,7 @@
 oracles, plus finite-difference gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,33 @@ def contrastive_oracle(zs, zf, tau, eps=0.0):
     return -total / (2.0 * n)
 
 
+def contrastive_oracle_exact(zs, zf, tau, eps, digits=50):
+    """The double loop in 50-digit arithmetic on the same float inputs,
+    with the guarded cosine: the reference where the float double loop
+    loses digits to the exp(1/tau) cancellation at small tau."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        def unit(rows):
+            out = []
+            for row in rows:
+                norm = mpmath.sqrt(sum(mpmath.mpf(v) ** 2 for v in row) + mpmath.mpf(eps))
+                out.append([mpmath.mpf(v) / norm for v in row])
+            return out
+
+        us, uf = unit(zs), unit(zf)
+        n = len(us)
+        inv_tau = 1 / mpmath.mpf(tau)
+        total = mpmath.mpf(0)
+        for i in range(n):
+            for anchor, other in ((us, uf), (uf, us)):
+                dot = lambda v: sum(a * b for a, b in zip(anchor[i], v))
+                num = mpmath.exp(dot(other[i]) * inv_tau)
+                den = sum(mpmath.exp(dot(us[k]) * inv_tau) + mpmath.exp(dot(uf[k]) * inv_tau)
+                          for k in range(n)) - mpmath.exp(inv_tau)
+                total += mpmath.log(num / max(den, num))
+        return float(-total / (2 * n))
+
+
 def spatial_reg_oracle(z, adj):
     n = len(z)
     total = 0.0
@@ -55,14 +83,31 @@ def spatial_reg_oracle(z, adj):
     return -total
 
 
-def random_adjacency(n, rng, p=0.3):
+def random_adjacency(n, rng, p=0.3, weighted=False):
+    """Random symmetric adjacency with zero diagonal: binary, or with
+    weights drawn from [0.1, 2) when ``weighted``."""
     dense = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p:
-                dense[i, j] = dense[j, i] = 1.0
+                dense[i, j] = dense[j, i] = rng.uniform(0.1, 2.0) if weighted else 1.0
     rows, cols = np.nonzero(dense)
-    return SparseMatrix(n, rows, cols, np.ones(rows.size), symmetric=True), dense
+    return SparseMatrix(n, rows, cols, dense[rows, cols], symmetric=True), dense
+
+
+def weighted_spatial_reg_oracle(z, adj):
+    """Double loop over ordered pairs with weighted neighbor terms:
+    -a log p - (1 - a) log(1 - p), the form the regularizer takes for
+    non-binary adjacency."""
+    n = len(z)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            p = 1.0 / (1.0 + math.exp(-cosine(z[i], z[j])))
+            total -= adj[i][j] * math.log(p) + (1.0 - adj[i][j]) * math.log(1.0 - p)
+    return total
 
 
 class TestContrastiveLoss:
@@ -83,6 +128,17 @@ class TestContrastiveLoss:
         loss = contrastive_loss(Tensor(zs), Tensor(zf), 0.5)
         assert loss.item() == pytest.approx(
             contrastive_oracle(zs.tolist(), zf.tolist(), 0.5), abs=1e-10)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.02, 0.05])
+    def test_small_temperature_matches_exact_oracle(self, tau):
+        rng = np.random.default_rng(int(1000 * tau))
+        for _ in range(3):
+            n = int(rng.integers(2, 9))
+            zs = rng.normal(size=(n, 4))
+            zf = rng.normal(size=(n, 4))
+            got = contrastive_loss(Tensor(zs), Tensor(zf), tau).item()
+            want = contrastive_oracle_exact(zs.tolist(), zf.tolist(), tau, ad.NORM_EPS)
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_row_scaling_invariance(self):
         rng = np.random.default_rng(3)
@@ -157,6 +213,147 @@ class TestSpatialRegLoss:
         assert spatial_reg_loss(z, adj).item() >= 0.0
         err = ad.grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5)
         assert err < 1e-5
+
+
+class TestCosineSimilarity:
+    """The pairwise terms see guarded cosine similarities; with no edges a
+    pair's regularizer value is 2 softplus(s), which exposes s."""
+
+    @staticmethod
+    def pair_similarity(z):
+        reg = spatial_reg_loss(Tensor(z), SparseMatrix(2, [], [], [], symmetric=True))
+        return math.log(math.expm1(reg.item() / 2.0))
+
+    def test_orthogonal_rows(self):
+        assert abs(self.pair_similarity([[1.0, 0.0], [0.0, 1.0]])) < 1e-15
+
+    def test_positive_scale_invariance(self):
+        assert self.pair_similarity([[1.0, 0.0], [2.0, 0.0]]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_range_and_gradient(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            assert abs(self.pair_similarity(rng.uniform(-2, 2, (2, 3)))) <= 1.0 + 1e-12
+        z = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+        adj, _ = random_adjacency(5, rng, p=0.5, weighted=True)
+        assert ad.grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5) < 1e-5
+
+
+class TestFusedPairwiseLosses:
+    """The fused nodes walk row tiles; tile edges, small temperatures,
+    both gradient paths and the memory bound are checked here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+    def test_tile_boundaries_match_oracles(self, n, monkeypatch):
+        monkeypatch.setattr(ad, "PAIRWISE_TILE", 3)
+        rng = np.random.default_rng(600 + n)
+        zs = rng.normal(size=(n, 4))
+        zf = rng.normal(size=(n, 4))
+        for tau in (0.1, 0.5):
+            got = contrastive_loss(Tensor(zs), Tensor(zf), tau).item()
+            want = contrastive_oracle(zs.tolist(), zf.tolist(), tau, eps=ad.NORM_EPS)
+            if n == 1:
+                assert got == 0.0
+            else:
+                assert got == pytest.approx(want, abs=1e-10)
+        adj, dense = random_adjacency(n, rng, p=0.4)
+        assert spatial_reg_loss(Tensor(zs), adj).item() == pytest.approx(
+            spatial_reg_oracle(zs.tolist(), dense.tolist()), abs=1e-10)
+
+    def test_tiled_gradients_match_single_tile(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        zs = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
+        zf = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
+        adj, _ = random_adjacency(10, rng, weighted=True)
+        grads = []
+        for tile in (3, 256):
+            monkeypatch.setattr(ad, "PAIRWISE_TILE", tile)
+            ad.zero_grad([zs, zf])
+            ad.backward(ad.add(contrastive_loss(zs, zf, 0.5), spatial_reg_loss(zs, adj)))
+            grads.append((zs.grad, zf.grad))
+        for tiled, whole in zip(*grads):
+            np.testing.assert_allclose(tiled, whole, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0])
+    def test_contrastive_gradient_in_both_views(self, tau):
+        rng = np.random.default_rng(9)
+        zs = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        zf = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        assert ad.grad_check(lambda t: contrastive_loss(t, zf, tau), zs, 1e-5) < 1e-5
+        assert ad.grad_check(lambda t: contrastive_loss(zs, t, tau), zf, 1e-5) < 1e-5
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_adjacency_oracle_and_gradient(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = 8
+        z = rng.normal(size=(n, 3))
+        adj, dense = random_adjacency(n, rng, p=0.4, weighted=True)
+        assert spatial_reg_loss(Tensor(z), adj).item() == pytest.approx(
+            weighted_spatial_reg_oracle(z.tolist(), dense.tolist()), abs=1e-10)
+        zt = Tensor(z, requires_grad=True)
+        assert ad.grad_check(lambda t: spatial_reg_loss(t, adj), zt, 1e-5) < 1e-5
+
+    def test_nonzero_diagonal_rejected(self):
+        adj = SparseMatrix(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ContractError):
+            spatial_reg_loss(Tensor(np.eye(2)), adj)
+        # an explicitly stored zero on the diagonal is no self edge
+        stored_zero = SparseMatrix(2, [0, 0, 1], [0, 1, 0], [0.0, 1.0, 1.0])
+        plain = SparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0])
+        z = Tensor([[1.0, 0.5], [0.2, 1.0]])
+        assert spatial_reg_loss(z, stored_zero).item() == spatial_reg_loss(z, plain).item()
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 2e-3, 5e-3])
+    def test_small_temperature_is_finite(self, tau):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 10):
+            zs = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+            zf = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+            loss = contrastive_loss(zs, zf, tau)
+            ad.backward(loss)
+            assert np.isfinite(loss.item()) and loss.item() >= 0.0
+            assert np.isfinite(zs.grad).all() and np.isfinite(zf.grad).all()
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 2e-3, 5e-3])
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_small_temperature_with_underflowing_terms(self, tau, scale):
+        # Orthogonal rows: shifted by the largest possible similarity 1,
+        # every term exp((s - 1)/tau) = exp(-1/tau) of each denominator
+        # underflows, leaving only the self term's residual. That residual
+        # exp(1/tau) * expm1(-gap/tau) outweighs the 2n - 1 unit terms, so
+        # every anchor is floored: value 0, gradient 0. At scale 1e4 the
+        # gap 1e-20 rounds the product y_r . y_r to exactly 1.
+        n = 3
+        basis = scale * np.eye(2 * n)
+        zs = Tensor(basis[:n], requires_grad=True)
+        zf = Tensor(basis[n:], requires_grad=True)
+        loss = contrastive_loss(zs, zf, tau)
+        ad.backward(loss)
+        assert loss.item() == 0.0
+        assert np.array_equal(zs.grad, np.zeros_like(zs.grad))
+        assert np.array_equal(zf.grad, np.zeros_like(zf.grad))
+
+    @pytest.mark.parametrize("which", ["contrastive", "spatial_reg"])
+    def test_memory_stays_linear_in_n(self, which):
+        # Dense n x n intermediates at n = 2500 would take ~1 GiB.
+        rng = np.random.default_rng(12)
+        n, d = 2500, 64
+        zs = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        zf = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        side = np.arange(n)
+        adj = SparseMatrix(n, np.r_[side[:-1], side[1:]], np.r_[side[1:], side[:-1]],
+                           np.ones(2 * n - 2), symmetric=True)
+        tracemalloc.start()
+        try:
+            if which == "contrastive":
+                loss = contrastive_loss(zs, zf, 0.5)
+            else:
+                loss = spatial_reg_loss(zs, adj)
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestZinbPmf:

@@ -11,7 +11,7 @@ from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError, NumericError
 from stmfg.graphs import build_graph_pair
 from stmfg.model import ModelParams
-from stmfg.training import Adam, TrainConfig, run_epoch, train
+from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
 
 def small_problem(seed=0, n_side=8, k=2, genes=12):
@@ -98,6 +98,12 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(zinb_target="nonsense")
 
+    def test_zero_width_layer_rejected(self):
+        # the fused pairwise losses accept zero-width embeddings, so the
+        # width is checked where the configuration is built
+        with pytest.raises(ContractError, match="hidden widths"):
+            TrainConfig(hidden_dims=(8, 0))
+
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=7, hidden_dims=(16, 8), disable_reg=True)
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -167,6 +173,22 @@ class TestTrain:
         assert (tmp_path / "params_epoch00002.txt").exists()
         assert (tmp_path / "params_epoch00004.txt").exists()
         assert (tmp_path / "params_final.txt").exists()
+
+
+class TestContrastiveAllLayers:
+    def test_gradients_match_finite_differences(self):
+        ds, graphs = small_problem(n_side=5)
+        cfg = small_config(hidden_dims=(5, 4), contrastive_layers="all", lam=1.0,
+                           disable_zinb=True, disable_reg=True)
+        x = Tensor(ds.preprocessed)
+        params = ModelParams.initialize(np.random.default_rng(cfg.seed),
+                                        [x.cols, *cfg.hidden_dims], recon_width=x.cols,
+                                        decoder_hidden=cfg.decoder_hidden)
+        for tensor in trainable_tensors(params, cfg):
+            err = ad.grad_check(
+                lambda t: run_epoch(x, ds.preprocessed, False, graphs, params, cfg)[0],
+                tensor, 1e-5)
+            assert err < 1e-5
 
 
 class TestAblations:
