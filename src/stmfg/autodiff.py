@@ -32,6 +32,14 @@ NORM_EPS = 1e-12
 # never the whole matrix.
 PAIRWISE_TILE = 256
 
+# Rows per step of the fused ZINB likelihood: its temporaries hold at most
+# ZINB_ROW_BLOCK rows of genes, never a whole graph of n-by-genes nodes.
+ZINB_ROW_BLOCK = 256
+
+# Floor on the zero-count mixture probability before its log: a floored
+# entry contributes log(ZINB_PROB_FLOOR) and no gradient.
+ZINB_PROB_FLOOR = 1e-300
+
 __all__ = [
     "NORM_EPS",
     "Tensor",
@@ -47,9 +55,7 @@ __all__ = [
     "leaky_relu",
     "sigmoid",
     "exp",
-    "log",
     "softplus",
-    "lgamma",
     "clip",
     "concat_cols",
     "slice_cols",
@@ -60,6 +66,7 @@ __all__ = [
     "softmax_rows",
     "cross_view_contrastive",
     "cosine_link_loss",
+    "zinb_mean_nll",
     "backward",
     "zero_grad",
     "grad_check",
@@ -306,17 +313,6 @@ def exp(a: Tensor) -> Tensor:
     return _from_op(out_data, (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: inputs must be strictly positive")
-    out_data = np.log(a.data)
-
-    def backward_fn(g, accum):
-        accum(a, g / a.data)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))),
@@ -326,17 +322,6 @@ def softplus(a: Tensor) -> Tensor:
         s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         accum(a, g * s)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def lgamma(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("lgamma: inputs must be strictly positive")
-    out_data = _gammaln(a.data)
-
-    def backward_fn(g, accum):
-        accum(a, g * _digamma(a.data))
 
     return _from_op(out_data, (a,), backward_fn)
 
@@ -660,6 +645,101 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         accum(z, g[0, 0] * grad)
 
     return _from_op(out_data, (z,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused ZINB likelihood
+
+
+ZinbBlock = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+
+
+# Kept out of __all__, the registry of tensor operations: it builds
+# constants once per run and returns no tensor.
+def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
+    """The count constants of ``zinb_mean_nll`` for a finite, nonnegative
+    count matrix: per run of ZINB_ROW_BLOCK rows, ``(start, stop, pos,
+    x_pos, zero)`` with the flat indices within rows start:stop of the
+    positive and of the zero counts and the positive counts themselves;
+    and sum lgamma(x + 1), which a zero count adds nothing to."""
+    blocks = []
+    log_x_fact = 0.0
+    for start in range(0, counts.shape[0], ZINB_ROW_BLOCK):
+        stop = min(start + ZINB_ROW_BLOCK, counts.shape[0])
+        flat = np.ravel(counts[start:stop])
+        pos = np.flatnonzero(flat)
+        x_pos = flat[pos]
+        log_x_fact += _gammaln(x_pos + 1.0).sum()
+        blocks.append((start, stop, pos, x_pos, np.flatnonzero(flat == 0)))
+    return blocks, log_x_fact
+
+
+def zinb_mean_nll(pi: Tensor, mu: Tensor, theta: Tensor,
+                  blocks: Sequence[ZinbBlock], log_x_fact: float) -> Tensor:
+    """Mean negative log-likelihood of constant counts x under per-entry
+    zero-inflated negative binomials ZINB(pi, mu, theta). With
+    r = log(theta / (theta + mu)) an entry's log-likelihood is
+
+        x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
+        x > 0:  log(1 - pi) + lgamma(x + theta) - lgamma(theta) - lgamma(x + 1)
+                + theta r + x log(mu / (theta + mu)).
+
+    The counts enter only through ``zinb_count_blocks(x)``, so lgamma and
+    digamma run on positive entries only and the mixture on zero entries
+    only, one block of rows at a time; the closed-form gradients are
+    formed in the same pass when an input requires them (zero for a
+    floored entry).
+    """
+    _same_shape(pi, mu, "zinb_mean_nll")
+    _same_shape(pi, theta, "zinb_mean_nll")
+    coef = -1.0 / pi.data.size
+    want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
+    grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
+
+    total = 0.0
+    for start, stop, pos, x, zero in blocks:
+        p_blk, m_blk, t_blk = (np.ravel(t.data[start:stop]) for t in (pi, mu, theta))
+        if want_grad:
+            g_p, g_m, g_t = (g[start:stop].reshape(-1) for g in grads)
+
+        p, m, t = p_blk[pos], m_blk[pos], t_blk[pos]
+        r = -np.log1p(m / t)
+        xt = x + t
+        ll = _gammaln(xt)
+        ll -= _gammaln(t)
+        ll += t * r
+        ll -= x * np.log1p(t / m)  # x log(mu / (theta + mu))
+        ll += np.log1p(-p)
+        total += ll.sum()
+        if want_grad:
+            inv_tm = 1.0 / (t + m)
+            g_p[pos] = -coef / (1.0 - p)
+            g_m[pos] = coef * (x / m - xt * inv_tm)
+            g_t[pos] = coef * (_digamma(xt) - _digamma(t) + r + (m - x) * inv_tm)
+
+        p, m, t = p_blk[zero], m_blk[zero], t_blk[zero]
+        r = -np.log1p(m / t)
+        p0 = np.exp(t * r)  # NB probability of a zero
+        mix = p + (1.0 - p) * p0
+        floored = np.maximum(mix, ZINB_PROB_FLOOR)
+        total += np.log(floored).sum()
+        if want_grad:
+            w = coef / floored
+            w *= mix >= ZINB_PROB_FLOOR  # a floored entry has no gradient
+            g_p[zero] = w * (1.0 - p0)
+            w *= (1.0 - p) * p0
+            inv_tm = 1.0 / (t + m)
+            g_t[zero] = w * (r + m * inv_tm)
+            g_m[zero] = -w * t * inv_tm
+
+    out_data = np.array([[coef * (total - log_x_fact)]])
+
+    def backward_fn(g, accum):
+        for t, grad in zip((pi, mu, theta), grads):
+            if t.requires_grad:
+                accum(t, g[0, 0] * grad)
+
+    return _from_op(out_data, (pi, mu, theta), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ single-spot case collapse to exactly zero). It is evaluated in log space,
 shifted by each anchor's largest similarity, with the self-similarity
 term through ``expm1`` of its closed-form distance from one, so small
 temperatures neither overflow nor take the log of an underflowed sum.
+
+The ZINB reconstruction term is one fused node too (``zinb_mean_nll``):
+it walks ``ZINB_ROW_BLOCK`` rows at a time, runs lgamma and digamma on
+the positive counts only and the zero-inflation mixture on the zero
+counts only, and forms the closed-form gradients in pi, mu and theta in
+the same pass. The count constants it needs (the matrix checks, each
+block's positive and zero indices, sum lgamma(x + 1)) live in a
+``ZinbTarget``, which training builds once per run.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import autodiff as ad
 from .autodiff import SparseMatrix, Tensor
@@ -83,52 +90,53 @@ def zinb_pmf(x: int, pi: float, mu: float, theta: float) -> float:
     return pi * (1.0 if x == 0 else 0.0) + (1.0 - pi) * nb
 
 
+class ZinbTarget:
+    """A validated reconstruction target and its count constants, built
+    once per run: the matrix's shape, whether every count is an integer,
+    and the ``ad.zinb_count_blocks`` that ``ad.zinb_mean_nll`` reads. With
+    ``require_integer=False`` the factorial term generalizes to
+    lgamma(x + 1), which admits the non-integer reconstruction targets
+    produced by preprocessing.
+    """
+
+    __slots__ = ("shape", "integer", "blocks", "log_x_fact")
+
+    def __init__(self, x, require_integer: bool = True):
+        counts = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        if counts.ndim != 2:
+            raise DataError(f"counts must be a matrix, got shape {counts.shape}")
+        if counts.size == 0:
+            raise DataError(f"counts must have at least one entry, got shape {counts.shape}")
+        if not np.isfinite(counts).all():
+            raise DataError("counts must be finite")
+        if np.any(counts < 0):
+            raise DataError("counts must be nonnegative")
+        self.integer = bool(np.all(counts == np.floor(counts)))
+        if require_integer and not self.integer:
+            raise DataError("counts must be integers")
+        self.shape = counts.shape
+        self.blocks, self.log_x_fact = ad.zinb_count_blocks(counts)
+
+
 def zinb_nll(x, pi: Tensor, mu: Tensor, theta: Tensor,
              require_integer: bool = True) -> Tensor:
     """Mean negative log-likelihood of counts ``x`` under per-entry ZINB
     parameters, differentiable in all three parameter tensors.
 
-    ``x`` is a constant. With ``require_integer=False`` the factorial term
-    generalizes to lgamma(x + 1), which admits the non-integer
-    reconstruction targets produced by preprocessing.
+    ``x`` is a constant: a count matrix, or a ``ZinbTarget`` prepared from
+    one (the same result, without rebuilding the count constants).
     """
-    counts = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if counts.ndim != 2:
-        raise DataError(f"counts must be a matrix, got shape {counts.shape}")
-    if np.any(counts < 0):
-        raise DataError("counts must be nonnegative")
-    if require_integer and np.any(counts != np.floor(counts)):
+    target = x if isinstance(x, ZinbTarget) else ZinbTarget(x, require_integer)
+    if require_integer and not target.integer:
         raise DataError("counts must be integers")
-    for name, t, lo_ok in (("pi", pi, lambda v: (v >= 0).all() and (v < 1).all()),
-                           ("mu", mu, lambda v: (v > 0).all()),
-                           ("theta", theta, lambda v: (v > 0).all())):
-        if t.data.shape != counts.shape:
-            raise ContractError(f"{name} shape {t.data.shape} vs counts {counts.shape}")
-        if not lo_ok(t.data):
+    for name, t, in_domain in (("pi", pi, lambda v: v.min() >= 0 and v.max() < 1),
+                               ("mu", mu, lambda v: v.min() > 0),
+                               ("theta", theta, lambda v: v.min() > 0)):
+        if t.data.shape != target.shape:
+            raise ContractError(f"{name} shape {t.data.shape} vs counts {target.shape}")
+        if not in_domain(t.data):
             raise ContractError(f"{name} outside its domain")
-
-    n_entries = counts.size
-    x_t = Tensor(counts)
-    is_zero = Tensor((counts == 0).astype(np.float64))
-    is_pos = Tensor((counts > 0).astype(np.float64))
-    # constant lgamma(x + 1); no gradient needed
-    log_x_fact = Tensor(gammaln(counts + 1.0))
-    one = Tensor([[1.0]])
-
-    log_ratio_theta = ad.sub(ad.log(theta), ad.log(ad.add(theta, mu)))
-    log_ratio_mu = ad.sub(ad.log(mu), ad.log(ad.add(theta, mu)))
-    log_nb = ad.add(
-        ad.sub(ad.sub(ad.lgamma(ad.add(x_t, theta)), ad.lgamma(theta)), log_x_fact),
-        ad.add(ad.hadamard(theta, log_ratio_theta), ad.hadamard(x_t, log_ratio_mu)),
-    )
-
-    nb_zero_prob = ad.exp(ad.hadamard(theta, log_ratio_theta))
-    zero_mix = ad.add(pi, ad.hadamard(ad.sub(one, pi), nb_zero_prob))
-    zero_branch = ad.log(ad.clip(zero_mix, 1e-300, None))
-    pos_branch = ad.add(ad.log(ad.sub(one, pi)), log_nb)
-
-    log_pmf = ad.add(ad.hadamard(is_zero, zero_branch), ad.hadamard(is_pos, pos_branch))
-    return ad.scale(ad.sum_all(log_pmf), -1.0 / n_entries)
+    return ad.zinb_mean_nll(pi, mu, theta, target.blocks, target.log_x_fact)
 
 
 @dataclass(frozen=True)

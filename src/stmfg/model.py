@@ -227,8 +227,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
     lines = [CHECKPOINT_MAGIC]
     for name, t in params.named_tensors():
         lines.append(f"tensor {name} {t.rows} {t.cols}")
-        for row in t.data:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        for row in t.data.tolist():
+            lines.append(" ".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

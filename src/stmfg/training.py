@@ -8,6 +8,7 @@ swap per-layer fusion for a single output-level fusion.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,7 +20,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, NumericError
 from .graphs import DEFAULT_KNN_K, DEFAULT_RADIUS, GraphPair
-from .losses import LossBreakdown, contrastive_loss, spatial_reg_loss, total_loss, zinb_nll
+from .losses import (
+    LossBreakdown,
+    ZinbTarget,
+    contrastive_loss,
+    spatial_reg_loss,
+    total_loss,
+    zinb_nll,
+)
 from .model import (
     DEFAULT_DECODER_HIDDEN,
     DEFAULT_HIDDEN_DIMS,
@@ -60,6 +68,11 @@ class TrainConfig:
     disable_zinb: bool = False
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "alpha", "lam", "gamma", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.tau <= 0:
+            raise ContractError(f"tau must be positive, got {self.tau}")
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -208,10 +221,11 @@ def forward(x: Tensor, graphs: GraphPair, params: ModelParams,
     return trace
 
 
-def run_epoch(x: Tensor, target: np.ndarray, target_is_counts: bool,
+def run_epoch(x: Tensor, target: np.ndarray | ZinbTarget, target_is_counts: bool,
               graphs: GraphPair, params: ModelParams,
               cfg: TrainConfig) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
-    """One forward pass and loss assembly (no optimizer side effects)."""
+    """One forward pass and loss assembly (no optimizer side effects).
+    ``target`` is the reconstruction matrix or a ``ZinbTarget`` built from it."""
     trace = forward(x, graphs, params, cfg)
 
     zinb_term = None
@@ -265,6 +279,9 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
     optimizer = Adam(trainable_tensors(params, cfg), lr=cfg.lr,
                      weight_decay=cfg.weight_decay)
     log = TrainLog()
+    if not cfg.disable_zinb:
+        # count constants once per run, not once per epoch
+        target = ZinbTarget(target, require_integer=target_is_counts)
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()

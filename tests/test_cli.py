@@ -108,6 +108,26 @@ class TestRun:
         rows = (out / "loss_log.csv").read_text().splitlines()[1:]
         assert rows and all(np.isfinite(float(v)) for r in rows for v in r.split(","))
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--disable-cl", "--tau", "0"], "tau"),
+        (["--disable-cl", "--tau", "-1"], "tau"),
+        (["--lr", "nan"], "lr"),
+        (["--lr", "inf"], "lr"),
+        (["--weight-decay", "inf"], "weight_decay"),
+        (["--gamma", "nan"], "gamma"),
+        (["--tau", "inf"], "tau"),
+        (["--tau", "nan"], "tau"),
+        (["--alpha", "nan"], "alpha"),
+        (["--lambda", "inf"], "lam"),
+    ])
+    def test_bad_hyperparameter_fails_before_training(self, synth_dir, tmp_path, capsys,
+                                                      flags, field):
+        out = tmp_path / "run"
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST, *flags])
+        assert code == 3
+        assert f"contract error: {field} must be" in capsys.readouterr().err
+        assert not (out / "loss_log.csv").exists()
+
     def test_manifest_replay_reproduces_outputs(self, synth_dir, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

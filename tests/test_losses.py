@@ -12,6 +12,7 @@ from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DataError
 from stmfg.losses import (
     LossBreakdown,
+    ZinbTarget,
     contrastive_loss,
     spatial_reg_loss,
     total_loss,
@@ -429,6 +430,131 @@ class TestZinbNll:
         # continuous targets allowed when integer validation is waived
         loss = zinb_nll(np.array([[1.5]]), *good, require_integer=False)
         assert np.isfinite(loss.item())
+
+
+def zinb_oracle(counts, pi, mu, theta):
+    """Mean NLL by composing the scalar pmf entry by entry."""
+    return float(np.mean([
+        -math.log(zinb_pmf(int(counts[i, j]), pi[i, j], mu[i, j], theta[i, j]))
+        for i in range(counts.shape[0]) for j in range(counts.shape[1])]))
+
+
+def zinb_params(rng, shape, grad=False):
+    return (Tensor(rng.uniform(0.05, 0.9, shape), requires_grad=grad),
+            Tensor(rng.uniform(0.2, 6.0, shape), requires_grad=grad),
+            Tensor(rng.uniform(0.3, 4.0, shape), requires_grad=grad))
+
+
+def zinb_grads(x, params, **kwargs):
+    for t in params:
+        t.grad = None
+    loss = zinb_nll(x, *params, **kwargs)
+    ad.backward(loss)
+    return loss.item(), [t.grad.copy() for t in params]
+
+
+class TestFusedZinb:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10])
+    def test_row_blocks_match_oracle(self, n, monkeypatch):
+        monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", 3)
+        rng = np.random.default_rng(600 + n)
+        counts = rng.poisson(1.5, size=(n, 5)).astype(float)
+        params = zinb_params(rng, (n, 5))
+        got = zinb_nll(counts, *params).item()
+        assert got == pytest.approx(zinb_oracle(counts, *(t.data for t in params)), abs=1e-10)
+
+    def test_blocked_gradients_match_single_block(self, monkeypatch):
+        rng = np.random.default_rng(610)
+        counts = rng.poisson(1.5, size=(10, 6)).astype(float)
+        params = zinb_params(rng, (10, 6), grad=True)
+        results = []
+        for block in (3, 256):
+            monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
+            results.append(zinb_grads(counts, params))
+        (v_small, g_small), (v_big, g_big) = results
+        assert v_small == pytest.approx(v_big, abs=1e-14)
+        for a, b in zip(g_small, g_big):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("fill", ["zeros", "positives"])
+    def test_single_branch_targets(self, fill):
+        rng = np.random.default_rng(620)
+        shape = (4, 3)
+        counts = (np.zeros(shape) if fill == "zeros"
+                  else rng.integers(1, 6, size=shape).astype(float))
+        params = zinb_params(rng, shape, grad=True)
+        got = zinb_nll(counts, *params).item()
+        assert got == pytest.approx(zinb_oracle(counts, *(t.data for t in params)), abs=1e-10)
+        for i, t in enumerate(params):
+            def f(v, i=i):
+                args = list(params)
+                args[i] = v
+                return zinb_nll(counts, *args)
+            assert ad.grad_check(f, t, 1e-6) < 1e-4
+
+    def test_probability_floor(self):
+        # NB zero probability (1000 / 1001000)^1000 underflows and pi = 0
+        shape = (2, 3)
+        pi = Tensor(np.zeros(shape), requires_grad=True)
+        mu = Tensor(np.full(shape, 1e6), requires_grad=True)
+        theta = Tensor(np.full(shape, 1000.0), requires_grad=True)
+        loss = zinb_nll(np.zeros(shape), pi, mu, theta)
+        assert loss.item() == pytest.approx(-math.log(1e-300), rel=1e-15)
+        ad.backward(loss)
+        for t in (pi, mu, theta):
+            np.testing.assert_array_equal(t.grad, np.zeros(shape))
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_prepared_target_is_bitwise_equal(self, integer):
+        rng = np.random.default_rng(630)
+        counts = rng.poisson(2.0, size=(7, 5)).astype(float)
+        if not integer:
+            counts = np.log1p(counts * 1.37)
+        params = zinb_params(rng, counts.shape, grad=True)
+        raw_loss, raw_grads = zinb_grads(counts, params, require_integer=integer)
+        target = ZinbTarget(counts, require_integer=integer)
+        loss, grads = zinb_grads(target, params, require_integer=integer)
+        assert loss == raw_loss
+        for g, raw in zip(grads, raw_grads):
+            np.testing.assert_array_equal(g, raw)
+
+    def test_parameter_contracts(self):
+        counts = np.array([[0.0, 2.0]])
+        good = [Tensor([[0.2, 0.2]]), Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]])]
+        for i, bad in ((0, [[0.2, 1.0]]), (0, [[-0.1, 0.2]]), (1, [[1.0, 0.0]]),
+                       (2, [[0.0, 1.0]]), (1, [[1.0, 1.0, 1.0]])):
+            args = list(good)
+            args[i] = Tensor(bad)
+            with pytest.raises(ContractError):
+                zinb_nll(counts, *args)
+
+    def test_target_contracts(self):
+        good = (Tensor([[0.2]]), Tensor([[1.0]]), Tensor([[1.0]]))
+        for bad in (np.array([[np.nan]]), np.array([[np.inf]]), np.zeros((0, 1)),
+                    np.zeros(3)):
+            with pytest.raises(DataError):
+                zinb_nll(bad, *good, require_integer=False)
+        # a target prepared without the integer check cannot skip it later
+        target = ZinbTarget(np.array([[1.5]]), require_integer=False)
+        assert np.isfinite(zinb_nll(target, *good, require_integer=False).item())
+        with pytest.raises(DataError):
+            zinb_nll(target, *good)
+
+    def test_memory_stays_within_eight_count_buffers(self):
+        # 900 x 3000, 58% zeros: forward plus backward into the three leaves
+        rng = np.random.default_rng(640)
+        n, genes = 900, 3000
+        counts = rng.poisson(2.0, size=(n, genes)).astype(float)
+        counts[rng.random((n, genes)) < 0.514] = 0.0
+        assert abs((counts == 0).mean() - 0.58) < 0.01
+        params = zinb_params(rng, (n, genes), grad=True)
+        tracemalloc.start()
+        try:
+            ad.backward(zinb_nll(counts, *params))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * counts.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestTotalLoss:

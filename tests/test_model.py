@@ -258,6 +258,20 @@ class TestCheckpoint:
             np.testing.assert_array_equal(t_a.data, t_b.data)
             assert t_b.requires_grad
 
+    def test_text_matches_float_repr_per_value(self, tmp_path):
+        rng = np.random.default_rng(15)
+        params = make_params(rng, [6, 3], 4, decoder_hidden=3)
+        params.mean_b.data[0] = [5e-324, -0.0, 0.1, 1.0 / 3.0]
+        params.dispersion_b.data[0] = [1e300, -1e-300, -2.5, 0.0]
+        expected = ["stmfg-params v1"]
+        for name, t in params.named_tensors():
+            expected.append(f"tensor {name} {t.rows} {t.cols}")
+            expected += [" ".join(repr(float(v)) for v in row) for row in t.data]
+        path = tmp_path / "params.txt"
+        save_checkpoint(params, path)
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+        assert "5e-324 -0.0 0.1 0.3333333333333333" in path.read_text(encoding="utf-8")
+
     def test_rejects_garbage(self, tmp_path):
         from stmfg.errors import DataError
 
