@@ -181,6 +181,12 @@ def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
 
 
+def _scaled(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """A fused op's stored gradient times its 1x1 upstream gradient; handed
+    over as is when that is exactly one (backward never writes it)."""
+    return grad if g[0, 0] == 1.0 else g[0, 0] * grad
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -443,16 +449,15 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 class SparseMatrix:
-    """Constant n-by-n sparse matrix in coordinate form.
+    """Constant n-by-n sparse matrix from unique (row, col, value) entries,
+    held as a canonical scipy CSR (sorted indices, stored zeros kept).
 
     Used for graph adjacency and its normalized form; never differentiated.
-    Entries are unique (row, col) pairs; when ``symmetric`` is set the entry
-    list must contain the exact mirror of every entry.
     """
 
-    __slots__ = ("n", "row_idx", "col_idx", "values", "symmetric", "_csr")
+    __slots__ = ("n", "_csr")
 
-    def __init__(self, n: int, rows, cols, values, symmetric: bool = False):
+    def __init__(self, n: int, rows, cols, values):
         if n < 1:
             raise ContractError(f"SparseMatrix: n must be >= 1, got {n}")
         row_idx = np.asarray(rows, dtype=np.int64).ravel()
@@ -465,43 +470,24 @@ class SparseMatrix:
             raise ContractError("SparseMatrix: index out of range")
         if not np.isfinite(vals).all():
             raise DomainError("SparseMatrix: values must be finite")
-        keys = row_idx * n + col_idx
-        if np.unique(keys).size != keys.size:
-            raise ContractError("SparseMatrix: duplicate (row, col) entries")
-        if symmetric:
-            mirror = {(int(r), int(c)): v for r, c, v in zip(row_idx, col_idx, vals)}
-            for (r, c), v in mirror.items():
-                if mirror.get((c, r)) != v:
-                    raise ContractError("SparseMatrix: symmetric flag set but entries are not")
-        order = np.argsort(keys)
         self.n = int(n)
-        self.row_idx = row_idx[order]
-        self.col_idx = col_idx[order]
-        self.values = vals[order]
-        self.symmetric = bool(symmetric)
-        self._csr = None
+        # the conversion sums duplicate entries, so a merged entry shows as a lost one
+        self._csr = scipy.sparse.csr_matrix((vals, (row_idx, col_idx)), shape=(n, n))
+        if self._csr.nnz != vals.size:
+            raise ContractError("SparseMatrix: duplicate (row, col) entries")
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
-
-    def entries(self) -> Iterable[tuple[int, int, float]]:
-        return zip(self.row_idx.tolist(), self.col_idx.tolist(), self.values.tolist())
+        return int(self._csr.nnz)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        dense[self.row_idx, self.col_idx] = self.values
-        return dense
+        return self._csr.toarray()
 
     def csr(self) -> scipy.sparse.csr_matrix:
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.values, (self.row_idx, self.col_idx)), shape=(self.n, self.n)
-            )
         return self._csr
 
     def __repr__(self) -> str:
-        return f"SparseMatrix(n={self.n}, nnz={self.nnz}, symmetric={self.symmetric})"
+        return f"SparseMatrix(n={self.n}, nnz={self.nnz})"
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +584,9 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
 
     def backward_fn(g, accum):
         if a.requires_grad:
-            accum(a, g[0, 0] * grad[:n])
+            accum(a, _scaled(g, grad[:n]))
         if b.requires_grad:
-            accum(b, g[0, 0] * grad[n:])
+            accum(b, _scaled(g, grad[n:]))
 
     return _from_op(out_data, (a, b), backward_fn)
 
@@ -642,7 +628,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         grad = _through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
 
     def backward_fn(g, accum):
-        accum(z, g[0, 0] * grad)
+        accum(z, _scaled(g, grad))
 
     return _from_op(out_data, (z,), backward_fn)
 
@@ -737,7 +723,7 @@ def zinb_mean_nll(pi: Tensor, mu: Tensor, theta: Tensor,
     def backward_fn(g, accum):
         for t, grad in zip((pi, mu, theta), grads):
             if t.requires_grad:
-                accum(t, g[0, 0] * grad)
+                accum(t, _scaled(g, grad))
 
     return _from_op(out_data, (pi, mu, theta), backward_fn)
 
@@ -770,12 +756,11 @@ def backward(loss: Tensor) -> None:
     pending: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
 
     def accum(t: Tensor, contribution: np.ndarray) -> None:
+        # Out of place: a contribution may be an op's own array or a view,
+        # so no array handed in here is ever written.
         key = id(t)
         buf = pending.get(key)
-        if buf is None:
-            pending[key] = np.array(contribution, dtype=np.float64)
-        else:
-            buf += contribution
+        pending[key] = contribution if buf is None else buf + contribution
 
     for node in reversed(topo):
         g = pending.pop(id(node), None)

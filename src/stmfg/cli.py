@@ -14,10 +14,11 @@ Exit codes: 2 malformed data, 3 contract violation, 4 numerical abort.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -146,29 +147,27 @@ def _resolve(args, train_keys_from=None) -> tuple[TrainConfig, PipelineSettings]
     return TrainConfig.from_dict(merged), pipeline
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict,
-                    cfg: TrainConfig, pipeline: PipelineSettings,
-                    extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, **fields) -> None:
     manifest = {
         "tool": "stmfg",
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "command": command,
-        "inputs": {k: (str(Path(v).resolve()) if v else None) for k, v in inputs.items()},
         "out_dir": str(out_dir.resolve()),
-        "pipeline": {
-            "clusters": pipeline.clusters,
-            "restarts": pipeline.restarts,
-            "min_spots": pipeline.min_spots,
-            "n_hvg": pipeline.n_hvg,
-            "checkpoint_every": pipeline.checkpoint_every,
-        },
-        "train": cfg.to_dict(),
+        **fields,
     }
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _pipeline_manifest(args, cfg: TrainConfig, pipeline: PipelineSettings) -> dict:
+    """The manifest fields of a command that trains: inputs and settings."""
+    inputs = {"expression": args.expression, "coords": args.coords, "labels": args.labels}
+    return {
+        "inputs": {k: (str(Path(v).resolve()) if v else None) for k, v in inputs.items()},
+        "pipeline": asdict(pipeline),
+        "train": cfg.to_dict(),
+    }
 
 
 def _prepare(args, cfg: TrainConfig, pipeline: PipelineSettings):
@@ -207,19 +206,10 @@ def cmd_synth(args) -> int:
     ds = generate_synthetic(args.n_side, args.domains, args.genes,
                             seed=args.seed, dropout=args.dropout,
                             dispersion=args.dispersion)
-    manifest = {
-        "tool": "stmfg",
-        "version": __version__,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "command": "synth",
-        "out_dir": str(out_dir.resolve()),
-        "params": {
-            "n_side": args.n_side, "domains": args.domains, "genes": args.genes,
-            "seed": args.seed, "dropout": args.dropout, "dispersion": args.dispersion,
-        },
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_manifest(out_dir, "synth", params={
+        "n_side": args.n_side, "domains": args.domains, "genes": args.genes,
+        "seed": args.seed, "dropout": args.dropout, "dispersion": args.dispersion,
+    })
     write_expression_csv(ds, out_dir / "expression.csv")
     write_coords_csv(ds, out_dir / "coords.csv")
     write_labels_csv(ds, out_dir / "labels.csv")
@@ -243,9 +233,7 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "run",
-                    {"expression": args.expression, "coords": args.coords,
-                     "labels": args.labels}, cfg, pipeline)
+    _write_manifest(out_dir, "run", **_pipeline_manifest(args, cfg, pipeline))
 
     dataset, graphs = _prepare(args, cfg, pipeline)
     k = _resolve_clusters(dataset, pipeline)
@@ -266,78 +254,73 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg, pipeline = _resolve(args)
+def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
+                cells: list[dict], **manifest_extra):
+    """Write the manifest and prepare the data once; the returned iterator
+    trains and scores one run per cell of config overrides, in order."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "ablate",
-                    {"expression": args.expression, "coords": args.coords,
-                     "labels": args.labels}, cfg, pipeline,
-                    extra={"seeds": args.seeds, "variants": list(ABLATION_VARIANTS)})
+    _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline),
+                    **manifest_extra)
 
     dataset, graphs = _prepare(args, cfg, pipeline)
     if dataset.truth_labels is None:
-        raise ContractError("ablate needs a labels file to score variants")
+        raise ContractError(f"{args.command} needs a labels file to score its runs")
     k = _resolve_clusters(dataset, pipeline)
 
+    def score(cell: dict) -> dict:
+        cell_cfg = TrainConfig.from_dict({**cfg.to_dict(), **cell})
+        return _train_and_score(dataset, graphs, cell_cfg, k, pipeline.restarts)[2]
+
+    return map(score, cells)
+
+
+def _write_table(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
+def cmd_ablate(args) -> int:
+    cfg, pipeline = _resolve(args)
+    cells = [(variant, seed) for variant in ABLATION_VARIANTS for seed in args.seeds]
+    runs = _score_grid(args, cfg, pipeline,
+                       [{**ABLATION_VARIANTS[v], "seed": seed} for v, seed in cells],
+                       seeds=args.seeds, variants=list(ABLATION_VARIANTS))
+
     lines = ["variant,seed,ari,nmi"]
-    means = []
-    for variant, overrides in ABLATION_VARIANTS.items():
-        per_seed = []
-        for seed in args.seeds:
-            vcfg = TrainConfig.from_dict({**cfg.to_dict(), **overrides, "seed": seed})
-            _, _, scores = _train_and_score(dataset, graphs, vcfg, k, pipeline.restarts)
-            per_seed.append((scores["ari"], scores["nmi"]))
-            lines.append(f"{variant},{seed},{scores['ari']:.6f},{scores['nmi']:.6f}")
-            print(f"ablate {variant} seed={seed} ari={scores['ari']:.4f} "
-                  f"nmi={scores['nmi']:.4f}")
-        mean_ari = float(np.mean([s[0] for s in per_seed]))
-        mean_nmi = float(np.mean([s[1] for s in per_seed]))
-        means.append(f"{variant},mean,{mean_ari:.6f},{mean_nmi:.6f}")
-    (out_dir / "ablation.csv").write_text("\n".join(lines + means) + "\n",
-                                          encoding="utf-8")
-    print(f"wrote {out_dir / 'ablation.csv'}")
+    per_variant = {variant: [] for variant in ABLATION_VARIANTS}
+    for (variant, seed), scores in zip(cells, runs):
+        per_variant[variant].append(scores)
+        lines.append(f"{variant},{seed},{scores['ari']:.6f},{scores['nmi']:.6f}")
+        print(f"ablate {variant} seed={seed} ari={scores['ari']:.4f} "
+              f"nmi={scores['nmi']:.4f}")
+    for variant, scores in per_variant.items():
+        mean_ari = float(np.mean([s["ari"] for s in scores]))
+        mean_nmi = float(np.mean([s["nmi"] for s in scores]))
+        lines.append(f"{variant},mean,{mean_ari:.6f},{mean_nmi:.6f}")
+    _write_table(Path(args.out) / "ablation.csv", lines)
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg, pipeline = _resolve(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grids = {
         "alpha": args.alpha_grid or [cfg.alpha],
         "lam": args.lambda_grid or [cfg.lam],
         "gamma": args.gamma_grid or [cfg.gamma],
         "tau": args.tau_grid or [cfg.tau],
     }
-    _write_manifest(out_dir, "sweep",
-                    {"expression": args.expression, "coords": args.coords,
-                     "labels": args.labels}, cfg, pipeline,
-                    extra={"seeds": args.seeds, "grids": grids})
-
-    dataset, graphs = _prepare(args, cfg, pipeline)
-    if dataset.truth_labels is None:
-        raise ContractError("sweep needs a labels file to score grid cells")
-    k = _resolve_clusters(dataset, pipeline)
+    cells = [dict(zip((*grids, "seed"), values))
+             for values in itertools.product(*grids.values(), args.seeds)]
+    runs = _score_grid(args, cfg, pipeline, cells, seeds=args.seeds, grids=grids)
 
     lines = ["alpha,lambda,gamma,tau,seed,ari,nmi"]
-    for alpha in grids["alpha"]:
-        for lam in grids["lam"]:
-            for gamma in grids["gamma"]:
-                for tau in grids["tau"]:
-                    for seed in args.seeds:
-                        cell = TrainConfig.from_dict({
-                            **cfg.to_dict(), "alpha": alpha, "lam": lam,
-                            "gamma": gamma, "tau": tau, "seed": seed,
-                        })
-                        _, _, scores = _train_and_score(dataset, graphs, cell, k,
-                                                        pipeline.restarts)
-                        lines.append(f"{alpha},{lam},{gamma},{tau},{seed},"
-                                     f"{scores['ari']:.6f},{scores['nmi']:.6f}")
-                        print(f"sweep a={alpha} l={lam} g={gamma} t={tau} "
-                              f"seed={seed} ari={scores['ari']:.4f}")
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out_dir / 'sweep.csv'}")
+    for c, scores in zip(cells, runs):
+        lines.append(f"{c['alpha']},{c['lam']},{c['gamma']},{c['tau']},{c['seed']},"
+                     f"{scores['ari']:.6f},{scores['nmi']:.6f}")
+        print(f"sweep a={c['alpha']} l={c['lam']} g={c['gamma']} t={c['tau']} "
+              f"seed={c['seed']} ari={scores['ari']:.4f}")
+    _write_table(Path(args.out) / "sweep.csv", lines)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Spatial radius graph, expression-similarity KNN graph, and the
 symmetric GCN normalization of both.
 
-Neighbor search is exact O(n^2); at the spot counts this package targets
-that is cheaper and simpler than a spatial index.
+The radius graph comes from a k-d tree (``scipy.spatial.cKDTree``), so
+no n-by-n distance array is formed. The KNN graph is exact: it ranks the
+full n-by-n cosine similarity matrix row by row.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .autodiff import NORM_EPS, SparseMatrix, Tensor
 from .errors import ContractError
@@ -39,9 +41,10 @@ def _as_coords(coords) -> np.ndarray:
     return arr
 
 
-def _binary_symmetric(n: int, mask: np.ndarray) -> SparseMatrix:
-    rows, cols = np.nonzero(mask)
-    return SparseMatrix(n, rows, cols, np.ones(rows.size), symmetric=True)
+def _binary_symmetric(n: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatrix:
+    """Binary adjacency with every edge (rows[e], cols[e]) and its mirror."""
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    return SparseMatrix(n, keys // n, keys % n, np.ones(keys.size))
 
 
 def build_spatial_graph(coords, radius: float) -> SparseMatrix:
@@ -49,12 +52,8 @@ def build_spatial_graph(coords, radius: float) -> SparseMatrix:
     pts = _as_coords(coords)
     if radius <= 0:
         raise ContractError(f"radius must be positive, got {radius}")
-    n = pts.shape[0]
-    dx = pts[:, 0:1] - pts[:, 0:1].T
-    dy = pts[:, 1:2] - pts[:, 1:2].T
-    within = dx * dx + dy * dy <= radius * radius
-    np.fill_diagonal(within, False)
-    return _binary_symmetric(n, within)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    return _binary_symmetric(pts.shape[0], pairs[:, 0], pairs[:, 1])
 
 
 def build_feature_graph(x, k: int) -> SparseMatrix:
@@ -76,37 +75,32 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     np.fill_diagonal(sims, -np.inf)
     # Stable sort on descending similarity keeps ascending-index tie order.
     ranked = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-
-    pairs = set()
-    for i in range(n):
-        for j in ranked[i]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    rows = [p for a, b in pairs for p in (a, b)]
-    cols = [p for a, b in pairs for p in (b, a)]
-    return SparseMatrix(n, rows, cols, np.ones(len(rows)), symmetric=True)
+    return _binary_symmetric(n, np.repeat(np.arange(n), k), ranked.ravel())
 
 
 def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
-    """Symmetric GCN normalization of a binary adjacency.
+    """Symmetric GCN normalization of a symmetric adjacency with no
+    stored diagonal entries.
 
     Adds self-loops, then rescales entry (i, j) by the inverse square roots
     of the self-loop-augmented degrees of i and j.
     """
-    if not a.symmetric:
-        raise ContractError("adjacency must be flagged symmetric")
-    if np.any(a.row_idx == a.col_idx):
+    csr = a.csr()
+    if (csr != csr.T).nnz:
+        raise ContractError("adjacency must be symmetric")
+    rows = np.repeat(np.arange(a.n), np.diff(csr.indptr))
+    if np.any(rows == csr.indices):
         raise ContractError("adjacency must have a zero diagonal")
 
-    degree = np.bincount(a.row_idx, weights=a.values, minlength=a.n) + 1.0
+    degree = np.bincount(rows, weights=csr.data, minlength=a.n) + 1.0
     inv_sqrt = 1.0 / np.sqrt(degree)
 
     # Grouped so mirror entries are bitwise equal (scalar * is commutative).
-    off_vals = a.values * (inv_sqrt[a.row_idx] * inv_sqrt[a.col_idx])
+    off_vals = csr.data * (inv_sqrt[rows] * inv_sqrt[csr.indices])
     diag = np.arange(a.n)
-    rows = np.concatenate([a.row_idx, diag])
-    cols = np.concatenate([a.col_idx, diag])
-    vals = np.concatenate([off_vals, inv_sqrt * inv_sqrt])
-    return SparseMatrix(a.n, rows, cols, vals, symmetric=True)
+    return SparseMatrix(a.n, np.concatenate([rows, diag]),
+                        np.concatenate([csr.indices, diag]),
+                        np.concatenate([off_vals, inv_sqrt * inv_sqrt]))
 
 
 def build_graph_pair(coords, features, radius: float = DEFAULT_RADIUS,

@@ -64,8 +64,7 @@ def spatial_reg_loss(z: Tensor, spatial_adj: SparseMatrix) -> Tensor:
     """
     if spatial_adj.n != z.rows:
         raise ContractError(f"adjacency n={spatial_adj.n} vs embedding rows={z.rows}")
-    on_diagonal = spatial_adj.row_idx == spatial_adj.col_idx
-    if np.any(spatial_adj.values[on_diagonal] != 0):
+    if np.any(spatial_adj.csr().diagonal() != 0):
         raise ContractError("spatial adjacency must have a zero diagonal")
     return ad.cosine_link_loss(z, spatial_adj)
 

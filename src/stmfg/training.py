@@ -9,6 +9,7 @@ swap per-layer fusion for a single output-level fusion.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,6 +69,7 @@ class TrainConfig:
     disable_zinb: bool = False
 
     def __post_init__(self):
+        self._check_types()
         for name in ("lr", "weight_decay", "alpha", "lam", "gamma", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
@@ -89,6 +91,31 @@ class TrainConfig:
         if any(d < 1 for d in self.hidden_dims):
             raise ContractError(f"hidden widths must be >= 1, got {self.hidden_dims}")
 
+    def _check_types(self) -> None:
+        """Values from a config file arrive untyped. A field whose default
+        is a float takes any real number but a bool, one whose default is an
+        int takes an integer but a bool, and a bool field takes a bool only.
+        The str fields are checked against their choices in ``__post_init__``."""
+        def is_int(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if f.name == "hidden_dims":
+                ok = isinstance(value, (list, tuple)) and all(map(is_int, value))
+                want = "a list of integers"
+            elif kind is float:
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                want = "a number"
+            elif kind is int:
+                ok, want = is_int(value), "an integer"
+            elif kind is bool:
+                ok, want = isinstance(value, bool), "true or false"
+            else:
+                continue
+            if not ok:
+                raise ContractError(f"{f.name} must be {want}, got {value!r}")
+
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
@@ -102,10 +129,7 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 @dataclass

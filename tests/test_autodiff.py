@@ -30,7 +30,7 @@ def random_sparse_symmetric(n, rng, density=0.3):
                 rows += [i, j]
                 cols += [j, i]
                 vals += [v, v]
-    return SparseMatrix(n, rows, cols, vals, symmetric=True)
+    return SparseMatrix(n, rows, cols, vals)
 
 
 class TestMatmul:
@@ -62,13 +62,13 @@ class TestMatmul:
 
 class TestSpmm:
     def test_identity_operator(self):
-        s = SparseMatrix(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], symmetric=True)
+        s = SparseMatrix(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
         d = tensor(np.arange(6.0).reshape(3, 2))
         out = ad.spmm(s, d)
         np.testing.assert_array_equal(out.data, d.data)
 
     def test_empty_operator_gives_zero(self):
-        s = SparseMatrix(3, [], [], [], symmetric=True)
+        s = SparseMatrix(3, [], [], [])
         d = tensor(np.ones((3, 2)))
         out = ad.spmm(s, d)
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
@@ -305,9 +305,13 @@ class TestSparseMatrixContracts:
         with pytest.raises(ContractError):
             SparseMatrix(2, [0], [2], [1.0])
 
-    def test_asymmetric_entries_rejected_when_flagged(self):
-        with pytest.raises(ContractError):
-            SparseMatrix(2, [0], [1], [1.0], symmetric=True)
+    def test_csr_is_canonical(self):
+        s = SparseMatrix(3, [2, 0, 2, 1], [0, 2, 1, 1], [1.0, 2.0, 0.0, 3.0])
+        csr = s.csr()
+        assert csr.has_canonical_format and s.nnz == 4  # the stored zero is kept
+        np.testing.assert_array_equal(csr.indptr, [0, 1, 2, 4])
+        np.testing.assert_array_equal(csr.indices, [2, 1, 0, 1])
+        np.testing.assert_array_equal(csr.data, [2.0, 3.0, 1.0, 0.0])
 
     def test_round_trip_dense(self):
         rng = np.random.default_rng(2)

@@ -151,6 +151,22 @@ class TestRun:
         assert manifest["train"]["epochs"] == 1  # flag wins
         assert manifest["train"]["hidden_dims"] == [8, 4]  # from file
 
+    @pytest.mark.parametrize("value", [{"lr": "0.1"}, {"epochs": 1.5},
+                                       {"disable_cl": "false"}, {"hidden_dims": [8.7]}],
+                             ids=["lr", "epochs", "disable_cl", "hidden_dims"])
+    def test_mistyped_config_value_is_contract_error(self, synth_dir, tmp_path, capsys,
+                                                     value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"epochs": 2, "hidden_dims": [8, 4], **value}))
+        out = tmp_path / "run"
+        # FAST minus --epochs and --dims, which the file sets
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST[4:],
+                     "--config", str(cfg_file)])
+        assert code == 3
+        field = next(iter(value))
+        assert f"contract error: {field} must be" in capsys.readouterr().err
+        assert not (out / "loss_log.csv").exists()
+
     def test_unknown_config_key_is_contract_error(self, synth_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"learning_rate": 0.1}))

@@ -16,7 +16,8 @@ from stmfg.graphs import (
 
 
 def edge_set(sparse):
-    return {(int(r), int(c)) for r, c in zip(sparse.row_idx, sparse.col_idx)}
+    coo = sparse.csr().tocoo()
+    return {(int(r), int(c)) for r, c in zip(coo.row, coo.col)}
 
 
 def brute_force_radius_edges(coords, radius):
@@ -76,6 +77,28 @@ class TestSpatialGraph:
         a = build_spatial_graph(coords, 550)
         assert edge_set(a) == brute_force_radius_edges(coords.tolist(), 550)
 
+    def test_exact_ties_and_duplicate_coordinates(self):
+        # integer grid: 3-4-5 triangles sit exactly on radius 5, and the
+        # first points repeat as duplicate coordinates
+        grid = [(x, y) for x in range(0, 13, 3) for y in range(0, 13, 4)]
+        coords = np.array(grid + grid[:4] + [(3, 4), (3, 4)], dtype=float)
+        a = build_spatial_graph(coords, 5.0)
+        edges = brute_force_radius_edges(coords.tolist(), 5.0)
+        assert edge_set(a) == edges
+        assert (0, 5) in edges  # (0, 0) to (3, 4): distance exactly 5
+        assert a.nnz == len(edges)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_radius_equal_to_a_pair_distance(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        coords = rng.uniform(0, 100, (40, 2))
+        for i, j in rng.integers(0, 40, (5, 2)):
+            dist = float(np.hypot(*(coords[i] - coords[j])))
+            for radius in (np.nextafter(dist, 0.0), dist, np.nextafter(dist, np.inf)):
+                if radius > 0:
+                    assert edge_set(build_spatial_graph(coords, radius)) == \
+                        brute_force_radius_edges(coords.tolist(), radius)
+
     def test_translation_and_rotation_invariance(self):
         rng = np.random.default_rng(17)
         coords = rng.uniform(0, 1000, (60, 2))
@@ -99,7 +122,7 @@ class TestFeatureGraph:
 
     def test_identical_features_tie_case(self):
         a = build_feature_graph(np.ones((5, 3)), 1)
-        degrees = np.bincount(a.row_idx, minlength=5)
+        degrees = np.diff(a.csr().indptr)
         assert (degrees >= 1).all()
         assert edge_set(a) == {(c, r) for r, c in edge_set(a)}
 
@@ -133,13 +156,13 @@ class TestNormalizeAdjacency:
     def test_single_isolated_node(self):
         from stmfg.autodiff import SparseMatrix
 
-        norm = normalize_adjacency(SparseMatrix(1, [], [], [], symmetric=True))
+        norm = normalize_adjacency(SparseMatrix(1, [], [], []))
         np.testing.assert_array_equal(norm.to_dense(), [[1.0]])
 
     def test_two_nodes_one_edge(self):
         from stmfg.autodiff import SparseMatrix
 
-        a = SparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0], symmetric=True)
+        a = SparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0])
         np.testing.assert_allclose(normalize_adjacency(a).to_dense(),
                                    [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
@@ -155,10 +178,18 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(out, oracle, atol=1e-12)
         np.testing.assert_allclose(out, out.T, atol=1e-15)
 
+    def test_asymmetric_input_rejected(self):
+        from stmfg.autodiff import SparseMatrix
+
+        with pytest.raises(ContractError, match="symmetric"):
+            normalize_adjacency(SparseMatrix(2, [0], [1], [1.0]))
+        with pytest.raises(ContractError, match="symmetric"):
+            normalize_adjacency(SparseMatrix(2, [0, 1], [1, 0], [1.0, 0.5]))
+
     def test_nonzero_diagonal_rejected(self):
         from stmfg.autodiff import SparseMatrix
 
-        a = SparseMatrix(2, [0], [0], [1.0], symmetric=True)
+        a = SparseMatrix(2, [0], [0], [1.0])
         with pytest.raises(ContractError):
             normalize_adjacency(a)
 

@@ -93,7 +93,7 @@ def random_adjacency(n, rng, p=0.3, weighted=False):
             if rng.random() < p:
                 dense[i, j] = dense[j, i] = rng.uniform(0.1, 2.0) if weighted else 1.0
     rows, cols = np.nonzero(dense)
-    return SparseMatrix(n, rows, cols, dense[rows, cols], symmetric=True), dense
+    return SparseMatrix(n, rows, cols, dense[rows, cols]), dense
 
 
 def weighted_spatial_reg_oracle(z, adj):
@@ -182,12 +182,12 @@ class TestContrastiveLoss:
 class TestSpatialRegLoss:
     def test_two_spots_one_edge_closed_form(self):
         z = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        adj = SparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0], symmetric=True)
+        adj = SparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0])
         assert spatial_reg_loss(z, adj).item() == pytest.approx(-2 * math.log(0.5), abs=1e-12)
 
     def test_two_spots_no_edge_same_value(self):
         z = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        adj = SparseMatrix(2, [], [], [], symmetric=True)
+        adj = SparseMatrix(2, [], [], [])
         assert spatial_reg_loss(z, adj).item() == pytest.approx(-2 * math.log(0.5), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -222,7 +222,7 @@ class TestCosineSimilarity:
 
     @staticmethod
     def pair_similarity(z):
-        reg = spatial_reg_loss(Tensor(z), SparseMatrix(2, [], [], [], symmetric=True))
+        reg = spatial_reg_loss(Tensor(z), SparseMatrix(2, [], [], []))
         return math.log(math.expm1(reg.item() / 2.0))
 
     def test_orthogonal_rows(self):
@@ -343,7 +343,7 @@ class TestFusedPairwiseLosses:
         zf = Tensor(rng.normal(size=(n, d)), requires_grad=True)
         side = np.arange(n)
         adj = SparseMatrix(n, np.r_[side[:-1], side[1:]], np.r_[side[1:], side[:-1]],
-                           np.ones(2 * n - 2), symmetric=True)
+                           np.ones(2 * n - 2))
         tracemalloc.start()
         try:
             if which == "contrastive":
@@ -555,6 +555,24 @@ class TestFusedZinb:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * counts.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_backward_holds_no_gradient_copies(self):
+        # a prepared target (1.42 buffers here) and the op's three gradients,
+        # which backward hands to the leaves without copying them
+        rng = np.random.default_rng(641)
+        n, genes = 900, 3000
+        counts = rng.poisson(2.0, size=(n, genes)).astype(float)
+        counts[rng.random((n, genes)) < 0.514] = 0.0
+        params = zinb_params(rng, (n, genes), grad=True)
+        tracemalloc.start()
+        try:
+            target = ZinbTarget(counts)
+            loss = zinb_nll(target, *params)
+            ad.backward(loss)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5 * counts.nbytes, f"held {held / counts.nbytes:.2f} buffers"
 
 
 class TestTotalLoss:

@@ -22,7 +22,7 @@ from stmfg.model import (
 
 
 def identity_sparse(n):
-    return SparseMatrix(n, range(n), range(n), np.ones(n), symmetric=True)
+    return SparseMatrix(n, range(n), range(n), np.ones(n))
 
 
 def make_params(rng, dims, recon_width, decoder_hidden=6):
