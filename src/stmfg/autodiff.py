@@ -52,18 +52,13 @@ __all__ = [
     "scale",
     "neg",
     "relu",
-    "leaky_relu",
     "sigmoid",
     "exp",
     "softplus",
     "clip",
-    "concat_cols",
-    "slice_cols",
     "sum_all",
     "mean_all",
-    "col_broadcast_mul",
-    "row_l2_normalize",
-    "softmax_rows",
+    "view_attention",
     "cross_view_contrastive",
     "cosine_link_loss",
     "zinb_mean_nll",
@@ -289,16 +284,6 @@ def relu(a: Tensor) -> Tensor:
     return _from_op(out_data, (a,), backward_fn)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    slope = float(slope)
-    out_data = np.where(a.data > 0.0, a.data, slope * a.data)
-
-    def backward_fn(g, accum):
-        accum(a, g * np.where(a.data > 0.0, 1.0, slope))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -347,35 +332,7 @@ def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.rows != b.rows:
-        raise DimensionError(f"concat_cols: row counts {a.rows} and {b.rows}")
-    out_data = np.concatenate([a.data, b.data], axis=1)
-    split = a.cols
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, g[:, :split])
-        if b.requires_grad:
-            accum(b, g[:, split:])
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= a.cols):
-        raise DimensionError(f"slice_cols: [{start}:{stop}] of width {a.cols}")
-    out_data = a.data[:, start:stop].copy()
-
-    def backward_fn(g, accum):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        accum(a, full)
-
-    return _from_op(out_data, (a,), backward_fn)
+# reductions
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -391,23 +348,8 @@ def mean_all(a: Tensor) -> Tensor:
     return scale(sum_all(a), 1.0 / a.data.size)
 
 
-def col_broadcast_mul(col: Tensor, mat: Tensor) -> Tensor:
-    """Scale every row of ``mat`` by the matching entry of column ``col``."""
-    if col.cols != 1 or col.rows != mat.rows:
-        raise DimensionError(f"col_broadcast_mul: {col.data.shape} vs {mat.data.shape}")
-    out_data = col.data * mat.data
-
-    def backward_fn(g, accum):
-        if col.requires_grad:
-            accum(col, (g * mat.data).sum(axis=1, keepdims=True))
-        if mat.requires_grad:
-            accum(mat, g * col.data)
-
-    return _from_op(out_data, (col, mat), backward_fn)
-
-
 # ---------------------------------------------------------------------------
-# row-normalizing ops
+# guarded row norms
 
 
 def _guarded_norms(x: np.ndarray) -> np.ndarray:
@@ -421,27 +363,52 @@ def _through_row_norm(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndar
     return g / norm - x * gx / (norm ** 3)
 
 
-def row_l2_normalize(a: Tensor) -> Tensor:
-    """Divide each row by its guarded Euclidean norm; zero rows stay zero."""
-    norm = _guarded_norms(a.data)
-    out_data = a.data / norm
+# ---------------------------------------------------------------------------
+# fused view attention
+
+
+def view_attention(zs: Tensor, zf: Tensor, w: Tensor, slope: float,
+                   l2: bool) -> tuple[Tensor, Tensor]:
+    """Row-wise attention over two n-by-d views: the weights m are a row
+    softmax of LeakyReLU(``slope``) logits [zs, zf] w, then divided by their
+    guarded row norms when ``l2``, and the fused rows are
+    m_0 zs + m_1 zf. Returns (fused, m); m is a constant tensor, so
+    gradients reach ``zs``, ``zf`` and ``w`` through the fused output only.
+    """
+    _same_shape(zs, zf, "view_attention")
+    if w.data.shape != (2 * zs.cols, 2):
+        raise DimensionError(f"view_attention: weight {w.data.shape} for width {zs.cols}")
+    slope = float(slope)
+    both = np.concatenate([zs.data, zf.data], axis=1)
+    logits = both @ w.data
+    act = np.where(logits > 0.0, logits, slope * logits)
+    e = np.exp(act - act.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    if l2:
+        norm = _guarded_norms(soft)
+        m = soft / norm
+    else:
+        m = soft
+    out_data = m[:, 0:1] * zs.data + m[:, 1:2] * zf.data
 
     def backward_fn(g, accum):
-        accum(a, _through_row_norm(g, a.data, norm))
+        gm = np.concatenate([(g * zs.data).sum(axis=1, keepdims=True),
+                             (g * zf.data).sum(axis=1, keepdims=True)], axis=1)
+        if l2:
+            gm = _through_row_norm(gm, soft, norm)
+        g_logits = soft * (gm - (gm * soft).sum(axis=1, keepdims=True))
+        g_logits *= np.where(logits > 0.0, 1.0, slope)
+        if w.requires_grad:
+            accum(w, both.T @ g_logits)
+        if zs.requires_grad or zf.requires_grad:
+            g_both = g_logits @ w.data.T
+            d = zs.cols
+            if zs.requires_grad:
+                accum(zs, g * m[:, 0:1] + g_both[:, :d])
+            if zf.requires_grad:
+                accum(zf, g * m[:, 1:2] + g_both[:, d:])
 
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def backward_fn(g, accum):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        accum(a, out_data * (g - dot))
-
-    return _from_op(out_data, (a,), backward_fn)
+    return _from_op(out_data, (zs, zf, w), backward_fn), _from_op(m, (), None)
 
 
 # ---------------------------------------------------------------------------

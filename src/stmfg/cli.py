@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .data import (
 )
 from .errors import ContractError, DataError, NumericError, StmfgError
 from .graphs import build_graph_pair
-from .training import TrainConfig, train
+from .training import TrainConfig, check_field_types, train
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -51,17 +51,27 @@ ABLATION_VARIANTS = {
     "no_zinb": {"disable_zinb": True},
 }
 
-# keys the config file may set beyond TrainConfig
-PIPELINE_KEYS = ("clusters", "restarts", "min_spots", "n_hvg", "checkpoint_every")
-
 
 @dataclass
 class PipelineSettings:
-    clusters: int | None
-    restarts: int
-    min_spots: int
-    n_hvg: int
-    checkpoint_every: int
+    """The settings a config file may hold beyond TrainConfig."""
+
+    clusters: int | None = None  # None: the number of labelled domains
+    restarts: int = DEFAULT_RESTARTS
+    min_spots: int = DEFAULT_MIN_SPOTS
+    n_hvg: int = DEFAULT_N_HVG
+    checkpoint_every: int = 0
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.clusters is not None and self.clusters < 2:
+            raise ContractError(f"clusters must be >= 2, got {self.clusters}")
+        for name, least in (("restarts", 1), ("n_hvg", 1), ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
+
+PIPELINE_KEYS = tuple(f.name for f in fields(PipelineSettings))
 
 
 def _comma_ints(text: str) -> list[int]:
@@ -134,13 +144,7 @@ def _resolve(args, train_keys_from=None) -> tuple[TrainConfig, PipelineSettings]
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    pipeline = PipelineSettings(
-        clusters=merged.pop("clusters", None),
-        restarts=merged.pop("restarts", DEFAULT_RESTARTS),
-        min_spots=merged.pop("min_spots", DEFAULT_MIN_SPOTS),
-        n_hvg=merged.pop("n_hvg", DEFAULT_N_HVG),
-        checkpoint_every=merged.pop("checkpoint_every", 0),
-    )
+    pipeline = PipelineSettings(**{k: merged.pop(k) for k in PIPELINE_KEYS if k in merged})
     unknown = set(merged) - train_fields
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
@@ -258,6 +262,8 @@ def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
                 cells: list[dict], **manifest_extra):
     """Write the manifest and prepare the data once; the returned iterator
     trains and scores one run per cell of config overrides, in order."""
+    if not cells:
+        raise ContractError(f"{args.command} needs at least one seed (--seeds)")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline),

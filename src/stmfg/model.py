@@ -3,7 +3,8 @@ decoder heads that parameterize reconstruction.
 
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
-embeddings row-wise into the next layer's input. A late-fusion variant
+embeddings row-wise into the next layer's input; that step is one fused
+engine op (``autodiff.view_attention``). A late-fusion variant
 (each view encoded independently, one fusion at the output) backs the
 "w/o mf" ablation.
 """
@@ -133,11 +134,13 @@ def gcn_layer(a_norm: SparseMatrix, z: Tensor, w: Tensor) -> Tensor:
 def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
                    slope: float = DEFAULT_LEAKY_SLOPE,
                    l2_after_softmax: bool = True) -> tuple[Tensor, Tensor]:
-    """Row-wise attention over the two views.
+    """Row-wise attention over the two views, one fused engine node with a
+    closed-form gradient.
 
-    Returns the fused embedding and the n-by-2 weight matrix. The weights
-    are a row softmax of LeakyReLU logits; by default each weight row is
-    then l2-normalized, which trades the sum-to-one property for unit norm.
+    Returns the fused embedding and the n-by-2 weight matrix, a constant.
+    The weights are a row softmax of LeakyReLU logits; by default each
+    weight row is then l2-normalized, which trades the sum-to-one property
+    for unit norm.
     """
     if z_spatial.data.shape != z_feature.data.shape:
         raise ContractError(
@@ -146,15 +149,7 @@ def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
         raise ContractError(
             f"attention weight must be ({2 * z_spatial.cols}, 2), "
             f"got {w_attention.data.shape}")
-    logits = ad.matmul(ad.concat_cols(z_spatial, z_feature), w_attention)
-    weights = ad.softmax_rows(ad.leaky_relu(logits, slope))
-    if l2_after_softmax:
-        weights = ad.row_l2_normalize(weights)
-    fused = ad.add(
-        ad.col_broadcast_mul(ad.slice_cols(weights, 0, 1), z_spatial),
-        ad.col_broadcast_mul(ad.slice_cols(weights, 1, 2), z_feature),
-    )
-    return fused, weights
+    return ad.view_attention(z_spatial, z_feature, w_attention, slope, l2_after_softmax)
 
 
 def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,

@@ -41,6 +41,34 @@ from .model import (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Declared field type, as annotation text (the settings modules postpone
+# annotations) -> (accepts, what it asks for). A number is never a bool;
+# str fields are checked against their choices by their owners.
+_TYPE_RULES = {
+    "str": None,
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
+}
+
+
+def check_field_types(settings) -> None:
+    """Values from a config file arrive untyped: check every field of the
+    dataclass instance ``settings`` against the rule of its declared type."""
+    for f in fields(settings):
+        rule = _TYPE_RULES[f.type]
+        value = getattr(settings, f.name)
+        if rule is not None and not rule[0](value):
+            raise ContractError(f"{f.name} must be {rule[1]}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for one training run. Defaults follow the method's
@@ -69,12 +97,17 @@ class TrainConfig:
     disable_zinb: bool = False
 
     def __post_init__(self):
-        self._check_types()
-        for name in ("lr", "weight_decay", "alpha", "lam", "gamma", "tau"):
+        check_field_types(self)
+        for name in ("lr", "weight_decay", "alpha", "lam", "gamma", "tau", "radius",
+                     "leaky_slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ContractError(f"tau must be positive, got {self.tau}")
+        if self.radius <= 0:
+            raise ContractError(f"radius must be positive, got {self.radius}")
+        if self.knn_k < 1:
+            raise ContractError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -88,33 +121,11 @@ class TrainConfig:
         if self.zinb_target not in ("preprocessed", "counts"):
             raise ContractError(f"zinb_target must be preprocessed|counts, got {self.zinb_target}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d < 1 for d in self.hidden_dims):
-            raise ContractError(f"hidden widths must be >= 1, got {self.hidden_dims}")
-
-    def _check_types(self) -> None:
-        """Values from a config file arrive untyped. A field whose default
-        is a float takes any real number but a bool, one whose default is an
-        int takes an integer but a bool, and a bool field takes a bool only.
-        The str fields are checked against their choices in ``__post_init__``."""
-        def is_int(v):
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if f.name == "hidden_dims":
-                ok = isinstance(value, (list, tuple)) and all(map(is_int, value))
-                want = "a list of integers"
-            elif kind is float:
-                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-                want = "a number"
-            elif kind is int:
-                ok, want = is_int(value), "an integer"
-            elif kind is bool:
-                ok, want = isinstance(value, bool), "true or false"
-            else:
-                continue
-            if not ok:
-                raise ContractError(f"{f.name} must be {want}, got {value!r}")
+        if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
+            raise ContractError(f"hidden widths must be one or more integers >= 1, "
+                                f"got {self.hidden_dims}")
+        if self.decoder_hidden < 1:
+            raise ContractError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
 
     def to_dict(self) -> dict:
         out = {}

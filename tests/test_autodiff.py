@@ -107,21 +107,6 @@ class TestElementwise:
         ad.backward(out)
         assert x.grad[0, 0] == 0.25
 
-    def test_softmax_uniform(self):
-        out = ad.softmax_rows(tensor([[0.0, 0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
-
-    def test_softmax_rows_sum_to_one_and_positive(self):
-        rng = np.random.default_rng(3)
-        out = ad.softmax_rows(tensor(rng.uniform(-2, 2, (20, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-        assert (out.data > 0).all()
-
-    def test_row_l2_normalize_keeps_zero_rows(self):
-        out = ad.row_l2_normalize(tensor([[0.0, 0.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
-        np.testing.assert_allclose(np.linalg.norm(out.data[1]), 1.0, atol=1e-12)
-
 
 class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
@@ -201,20 +186,15 @@ def _op_cases():
     case("scale")(lambda rng, x: wsum(rng, ad.scale(x, -1.7)))
     case("neg")(lambda rng, x: wsum(rng, ad.neg(x)))
     case("relu")(lambda rng, x: wsum(rng, ad.relu(x)))
-    case("leaky_relu")(lambda rng, x: wsum(rng, ad.leaky_relu(x, 0.2)))
     case("sigmoid")(lambda rng, x: wsum(rng, ad.sigmoid(x)))
     case("exp")(lambda rng, x: wsum(rng, ad.exp(x)))
     case("softplus")(lambda rng, x: wsum(rng, ad.softplus(x)))
     case("clip")(lambda rng, x: wsum(rng, ad.clip(x, -1.5, 1.5)))
-    case("concat_cols")(lambda rng, x: wsum(rng, ad.concat_cols(x, ad.hadamard(x, x))))
-    case("slice_cols")(lambda rng, x: wsum(rng, ad.slice_cols(x, 1, x.cols)))
     case("sum_all")(lambda rng, x: ad.sum_all(ad.hadamard(x, x)))
     case("mean_all")(lambda rng, x: ad.mean_all(ad.hadamard(x, x)))
-    case("col_broadcast_mul")(
-        lambda rng, x: wsum(rng, ad.col_broadcast_mul(ad.slice_cols(x, 0, 1), x)))
-    case("row_l2_normalize")(lambda rng, x: wsum(rng, ad.row_l2_normalize(x)))
-    case("softmax_rows")(lambda rng, x: wsum(rng, ad.softmax_rows(x)))
-    # both views depend on x, so the check covers both gradient paths
+    # both views depend on x, so the checks cover both gradient paths
+    case("view_attention")(lambda rng, x: wsum(rng, ad.view_attention(
+        x, ad.hadamard(x, x), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2, True)[0]))
     case("cross_view_contrastive")(
         lambda rng, x: ad.cross_view_contrastive(x, ad.hadamard(x, x), 0.5))
     case("cosine_link_loss")(
@@ -233,7 +213,7 @@ def _op_cases():
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():
@@ -256,6 +236,33 @@ def test_op_gradients_match_finite_differences(name):
         # direction never aligns with a scale-invariance null direction.
         err = ad.grad_check(lambda t: builder(np.random.default_rng(5177 + seed), t), x, 1e-5)
         assert err < 1e-4, f"{name} seed {seed}: max relative error {err}"
+
+
+class TestViewAttention:
+    """Grad check of each input of the fused attention op on its own, with
+    the other two held constant, with and without the l2 step."""
+
+    @pytest.mark.parametrize("l2", [True, False])
+    @pytest.mark.parametrize("which", ["zs", "zf", "w"])
+    def test_gradients_match_finite_differences(self, which, l2):
+        rng = np.random.default_rng(31)
+        inputs = {"zs": rng.normal(size=(6, 3)), "zf": rng.normal(size=(6, 3)),
+                  "w": rng.normal(size=(6, 2))}
+        weight = Tensor(rng.uniform(-1, 1, (6, 3)))
+
+        def loss(x):
+            args = {k: x if k == which else Tensor(v) for k, v in inputs.items()}
+            fused, _ = ad.view_attention(args["zs"], args["zf"], args["w"], 0.2, l2)
+            return ad.sum_all(ad.hadamard(weight, fused))
+
+        assert ad.grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
+
+    def test_weights_are_constant(self):
+        rng = np.random.default_rng(32)
+        zs, zf, w = (tensor(rng.normal(size=s)) for s in ((5, 2), (5, 2), (4, 2)))
+        fused, m = ad.view_attention(zs, zf, w, 0.2, True)
+        assert fused.requires_grad and fused._parents == (zs, zf, w)
+        assert not m.requires_grad and m._parents == ()
 
 
 def _digamma_reference(x):

@@ -119,6 +119,18 @@ class TestRun:
         (["--tau", "nan"], "tau"),
         (["--alpha", "nan"], "alpha"),
         (["--lambda", "inf"], "lam"),
+        (["--radius", "nan"], "radius"),
+        (["--radius", "inf"], "radius"),
+        (["--radius", "0"], "radius"),
+        (["--radius", "-5"], "radius"),
+        (["--knn", "0"], "knn_k"),
+        (["--leaky-slope", "inf"], "leaky_slope"),
+        (["--decoder-hidden", "0"], "decoder_hidden"),
+        (["--dims", ","], "hidden widths"),
+        (["--restarts", "0"], "restarts"),
+        (["--clusters", "1"], "clusters"),
+        (["--hvg", "0", "--disable-zinb"], "n_hvg"),
+        (["--checkpoint-every", "-1"], "checkpoint_every"),
     ])
     def test_bad_hyperparameter_fails_before_training(self, synth_dir, tmp_path, capsys,
                                                       flags, field):
@@ -126,7 +138,7 @@ class TestRun:
         code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST, *flags])
         assert code == 3
         assert f"contract error: {field} must be" in capsys.readouterr().err
-        assert not (out / "loss_log.csv").exists()
+        assert not out.exists()  # refused before the manifest
 
     def test_manifest_replay_reproduces_outputs(self, synth_dir, tmp_path):
         out_a = tmp_path / "a"
@@ -152,15 +164,18 @@ class TestRun:
         assert manifest["train"]["hidden_dims"] == [8, 4]  # from file
 
     @pytest.mark.parametrize("value", [{"lr": "0.1"}, {"epochs": 1.5},
-                                       {"disable_cl": "false"}, {"hidden_dims": [8.7]}],
-                             ids=["lr", "epochs", "disable_cl", "hidden_dims"])
+                                       {"disable_cl": "false"}, {"hidden_dims": [8.7]},
+                                       {"restarts": "5"}, {"clusters": "3"},
+                                       {"n_hvg": 2.5}],
+                             ids=["lr", "epochs", "disable_cl", "hidden_dims",
+                                  "restarts", "clusters", "n_hvg"])
     def test_mistyped_config_value_is_contract_error(self, synth_dir, tmp_path, capsys,
                                                      value):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"epochs": 2, "hidden_dims": [8, 4], **value}))
         out = tmp_path / "run"
-        # FAST minus --epochs and --dims, which the file sets
-        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST[4:],
+        # FAST minus --epochs, --dims and --restarts, which the file sets
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST[4:8],
                      "--config", str(cfg_file)])
         assert code == 3
         field = next(iter(value))
@@ -208,6 +223,13 @@ class TestAblate:
         for v in variants:
             assert any(line.startswith(f"{v},mean,") for line in lines)
 
+    def test_empty_seeds_is_contract_error(self, synth_dir, tmp_path):
+        out = tmp_path / "ablate"
+        code = main(["ablate", *data_flags(synth_dir), "--out", str(out),
+                     "--seeds", "", *FAST])
+        assert code == 3
+        assert not out.exists()
+
     def test_labels_required(self, synth_dir, tmp_path):
         code = main(["ablate", *data_flags(synth_dir, labels=False),
                      "--out", str(tmp_path / "x"), "--seeds", "0",
@@ -225,3 +247,10 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "alpha,lambda,gamma,tau,seed,ari,nmi"
         assert len(lines) == 1 + 2 * 2
+
+    def test_empty_seeds_is_contract_error(self, synth_dir, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", *data_flags(synth_dir), "--out", str(out),
+                     "--seeds", "", "--tau-grid", "0.5,1", *FAST])
+        assert code == 3
+        assert not out.exists()

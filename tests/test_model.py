@@ -98,6 +98,8 @@ class TestAttentionFuse:
         zf = Tensor(rng.normal(size=(4, 3)))
         _, m = attention_fuse(zs, zf, Tensor(np.zeros((6, 2))))
         np.testing.assert_allclose(m.data, np.full((4, 2), 1 / np.sqrt(2)), atol=1e-12)
+        _, m = attention_fuse(zs, zf, Tensor(np.zeros((6, 2))), l2_after_softmax=False)
+        np.testing.assert_array_equal(m.data, np.full((4, 2), 0.5))
 
     def test_matches_entrywise_loop_oracle(self):
         rng = np.random.default_rng(4)
