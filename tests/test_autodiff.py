@@ -33,6 +33,97 @@ def random_sparse_symmetric(n, rng, density=0.3):
     return SparseMatrix(n, rows, cols, vals)
 
 
+# ---------------------------------------------------------------------------
+# Unfused reference of ad.view_attention: the six generic ops the attention
+# step was built from before it became one engine node. They are grad-checked
+# like the engine ops, and the ten-node graph they build is the oracle that
+# the fused op reproduces bitwise in the forward pass.
+
+
+def leaky_relu(a, slope=0.2):
+    slope = float(slope)
+    out_data = np.where(a.data > 0.0, a.data, slope * a.data)
+
+    def backward_fn(g, accum):
+        accum(a, g * np.where(a.data > 0.0, 1.0, slope))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def concat_cols(a, b):
+    out_data = np.concatenate([a.data, b.data], axis=1)
+    split = a.cols
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, g[:, :split])
+        if b.requires_grad:
+            accum(b, g[:, split:])
+
+    return ad._from_op(out_data, (a, b), backward_fn)
+
+
+def slice_cols(a, start, stop):
+    out_data = a.data[:, start:stop].copy()
+
+    def backward_fn(g, accum):
+        full = np.zeros_like(a.data)
+        full[:, start:stop] = g
+        accum(a, full)
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def col_broadcast_mul(col, mat):
+    """Scale every row of ``mat`` by the matching entry of column ``col``."""
+    out_data = col.data * mat.data
+
+    def backward_fn(g, accum):
+        if col.requires_grad:
+            accum(col, (g * mat.data).sum(axis=1, keepdims=True))
+        if mat.requires_grad:
+            accum(mat, g * col.data)
+
+    return ad._from_op(out_data, (col, mat), backward_fn)
+
+
+def row_l2_normalize(a):
+    """Divide each row by its guarded Euclidean norm; zero rows stay zero."""
+    norm = ad._guarded_norms(a.data)
+    out_data = a.data / norm
+
+    def backward_fn(g, accum):
+        accum(a, ad._through_row_norm(g, a.data, norm))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def softmax_rows(a):
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=1, keepdims=True)
+
+    def backward_fn(g, accum):
+        dot = (g * out_data).sum(axis=1, keepdims=True)
+        accum(a, out_data * (g - dot))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+REFERENCE_OPS = ("leaky_relu", "concat_cols", "slice_cols", "col_broadcast_mul",
+                 "row_l2_normalize", "softmax_rows")
+
+
+def unfused_view_attention(zs, zf, w, slope, l2):
+    """The ten-node graph that ad.view_attention replaces."""
+    weights = softmax_rows(leaky_relu(ad.matmul(concat_cols(zs, zf), w), slope))
+    if l2:
+        weights = row_l2_normalize(weights)
+    fused = ad.add(col_broadcast_mul(slice_cols(weights, 0, 1), zs),
+                   col_broadcast_mul(slice_cols(weights, 1, 2), zf))
+    return fused, weights
+
+
 class TestMatmul:
     def test_identity(self):
         out = ad.matmul(tensor([[1.0, 0.0], [0.0, 1.0]]), tensor([[3.0], [4.0]]))
@@ -106,6 +197,21 @@ class TestElementwise:
         assert out.item() == 0.5
         ad.backward(out)
         assert x.grad[0, 0] == 0.25
+
+    def test_softmax_uniform(self):
+        out = softmax_rows(tensor([[0.0, 0.0]]))
+        np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
+
+    def test_softmax_rows_sum_to_one_and_positive(self):
+        rng = np.random.default_rng(3)
+        out = softmax_rows(tensor(rng.uniform(-2, 2, (20, 7))))
+        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+        assert (out.data > 0).all()
+
+    def test_row_l2_normalize_keeps_zero_rows(self):
+        out = row_l2_normalize(tensor([[0.0, 0.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
+        np.testing.assert_allclose(np.linalg.norm(out.data[1]), 1.0, atol=1e-12)
 
 
 class TestBackwardContract:
@@ -192,6 +298,13 @@ def _op_cases():
     case("clip")(lambda rng, x: wsum(rng, ad.clip(x, -1.5, 1.5)))
     case("sum_all")(lambda rng, x: ad.sum_all(ad.hadamard(x, x)))
     case("mean_all")(lambda rng, x: ad.mean_all(ad.hadamard(x, x)))
+    case("leaky_relu")(lambda rng, x: wsum(rng, leaky_relu(x, 0.2)))
+    case("concat_cols")(lambda rng, x: wsum(rng, concat_cols(x, ad.hadamard(x, x))))
+    case("slice_cols")(lambda rng, x: wsum(rng, slice_cols(x, 1, x.cols)))
+    case("col_broadcast_mul")(
+        lambda rng, x: wsum(rng, col_broadcast_mul(slice_cols(x, 0, 1), x)))
+    case("row_l2_normalize")(lambda rng, x: wsum(rng, row_l2_normalize(x)))
+    case("softmax_rows")(lambda rng, x: wsum(rng, softmax_rows(x)))
     # both views depend on x, so the checks cover both gradient paths
     case("view_attention")(lambda rng, x: wsum(rng, ad.view_attention(
         x, ad.hadamard(x, x), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2, True)[0]))
@@ -213,19 +326,21 @@ def _op_cases():
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():
     registered = set(ad.__all__) - {
         "NORM_EPS", "Tensor", "SparseMatrix", "backward", "zero_grad", "grad_check",
     }
-    assert registered == set(OP_CASES)
+    assert not registered & set(REFERENCE_OPS)
+    assert registered == set(OP_CASES) - set(REFERENCE_OPS)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradients_match_finite_differences(name):
-    """Every registered op: FD check on 10 random seeds stays under 1e-4."""
+    """Every registered op and every reference op: FD check on 10 random
+    seeds stays under 1e-4."""
     builder = OP_CASES[name]
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
@@ -256,6 +371,23 @@ class TestViewAttention:
             return ad.sum_all(ad.hadamard(weight, fused))
 
         assert ad.grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
+
+    @pytest.mark.parametrize("l2", [True, False])
+    def test_matches_unfused_reference_graph(self, l2):
+        rng = np.random.default_rng(33)
+        inputs = [rng.normal(size=s) for s in ((7, 3), (7, 3), (6, 2))]
+        weight = Tensor(rng.uniform(-1, 1, (7, 3)))
+        outs, grads = [], []
+        for attend in (ad.view_attention, unfused_view_attention):
+            leaves = [tensor(v) for v in inputs]
+            fused, m = attend(*leaves, 0.2, l2)
+            ad.backward(ad.sum_all(ad.hadamard(weight, fused)))
+            outs.append((fused.data, m.data))
+            grads.append([t.grad for t in leaves])
+        np.testing.assert_array_equal(outs[0][0], outs[1][0])
+        np.testing.assert_array_equal(outs[0][1], outs[1][1])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_weights_are_constant(self):
         rng = np.random.default_rng(32)
