@@ -4,7 +4,10 @@ Everything is rank-2: scalars are 1x1, row vectors 1xd. The op set is
 exactly what the dual-view encoder, the ZINB decoder and the loss terms
 need; there is no broadcasting beyond scalar and row-vector patterns.
 Graph adjacency enters as a constant sparse operator (`SparseMatrix`),
-so no gradient ever flows into graph structure.
+so no gradient ever flows into graph structure. The attention step, the
+pairwise losses and the ZINB decoder heads with their likelihood are
+fused nodes with closed-form gradients that form no n-by-n or n-by-genes
+intermediate.
 
 `backward` computes one gradient total per tensor per pass and folds it
 into ``.grad`` with a single addition, which keeps repeated passes
@@ -32,13 +35,20 @@ NORM_EPS = 1e-12
 # never the whole matrix.
 PAIRWISE_TILE = 256
 
-# Rows per step of the fused ZINB likelihood: its temporaries hold at most
-# ZINB_ROW_BLOCK rows of genes, never a whole graph of n-by-genes nodes.
+# Rows per step of the fused ZINB decoder node: its temporaries hold at
+# most ZINB_ROW_BLOCK rows of genes, never a whole n-by-genes array.
 ZINB_ROW_BLOCK = 256
 
 # Floor on the zero-count mixture probability before its log: a floored
 # entry contributes log(ZINB_PROB_FLOOR) and no gradient.
 ZINB_PROB_FLOOR = 1e-300
+
+# Guards on the decoder heads: the dropout logit is clamped so its sigmoid
+# stays strictly inside (0, 1), the mean's pre-activation is clamped before
+# exponentiation, and dispersion gets an additive floor.
+DROPOUT_LOGIT_CLAMP = 30.0
+MEAN_LOGIT_CLAMP = 12.0
+DISPERSION_FLOOR = 1e-4
 
 __all__ = [
     "NORM_EPS",
@@ -52,16 +62,12 @@ __all__ = [
     "scale",
     "neg",
     "relu",
-    "sigmoid",
-    "exp",
-    "softplus",
-    "clip",
     "sum_all",
     "mean_all",
     "view_attention",
     "cross_view_contrastive",
     "cosine_link_loss",
-    "zinb_mean_nll",
+    "zinb_decoder_nll",
     "backward",
     "zero_grad",
     "grad_check",
@@ -280,53 +286,6 @@ def relu(a: Tensor) -> Tensor:
 
     def backward_fn(g, accum):
         accum(a, g * (a.data > 0.0))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward_fn(g, accum):
-        accum(a, g * out_data * (1.0 - out_data))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward_fn(g, accum):
-        accum(a, g * out_data)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def softplus(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))),
-                        np.log1p(np.exp(-np.abs(x))))
-
-    def backward_fn(g, accum):
-        s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        accum(a, g * s)
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def clip(a: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward_fn(g, accum):
-        mask = np.ones_like(a.data, dtype=bool)
-        if lo is not None:
-            mask &= a.data >= lo
-        if hi is not None:
-            mask &= a.data <= hi
-        accum(a, g * mask)
 
     return _from_op(out_data, (a,), backward_fn)
 
@@ -601,7 +560,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused ZINB likelihood
+# fused ZINB decoder and likelihood
 
 
 ZinbBlock = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
@@ -610,7 +569,7 @@ ZinbBlock = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 # Kept out of __all__, the registry of tensor operations: it builds
 # constants once per run and returns no tensor.
 def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
-    """The count constants of ``zinb_mean_nll`` for a finite, nonnegative
+    """The count constants of ``zinb_decoder_nll`` for a finite, nonnegative
     count matrix: per run of ZINB_ROW_BLOCK rows, ``(start, stop, pos,
     x_pos, zero)`` with the flat indices within rows start:stop of the
     positive and of the zero counts and the positive counts themselves;
@@ -627,72 +586,119 @@ def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
     return blocks, log_x_fact
 
 
-def zinb_mean_nll(pi: Tensor, mu: Tensor, theta: Tensor,
-                  blocks: Sequence[ZinbBlock], log_x_fact: float) -> Tensor:
-    """Mean negative log-likelihood of constant counts x under per-entry
-    zero-inflated negative binomials ZINB(pi, mu, theta). With
-    r = log(theta / (theta + mu)) an entry's log-likelihood is
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
+                pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
+                want_grad: bool) -> tuple[float, list[np.ndarray] | None]:
+    """Add the log-likelihood of one block of rows to ``total``: ``pi``,
+    ``mu``, ``theta`` are the block's parameters and ``pos``, ``x``, ``zero``
+    its count constants. Returns the new total and, when ``want_grad``,
+    coef times the gradients in pi, mu and theta, shaped like ``pi``.
+    With r = log(theta / (theta + mu)) an entry's log-likelihood is
 
         x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
         x > 0:  log(1 - pi) + lgamma(x + theta) - lgamma(theta) - lgamma(x + 1)
-                + theta r + x log(mu / (theta + mu)).
+                + theta r + x log(mu / (theta + mu)),
 
-    The counts enter only through ``zinb_count_blocks(x)``, so lgamma and
-    digamma run on positive entries only and the mixture on zero entries
-    only, one block of rows at a time; the closed-form gradients are
-    formed in the same pass when an input requires them (zero for a
-    floored entry).
+    summed without the lgamma(x + 1) terms, a run constant. lgamma and
+    digamma run on positive entries only, the mixture on zero entries only;
+    a floored entry has zero gradient.
     """
-    _same_shape(pi, mu, "zinb_mean_nll")
-    _same_shape(pi, theta, "zinb_mean_nll")
-    coef = -1.0 / pi.data.size
-    want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
-    grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
+    p, m, t = (np.ravel(a) for a in (pi, mu, theta))
+    if want_grad:
+        grads = [np.empty(pi.shape) for _ in range(3)]
+        g_p, g_m, g_t = (g.reshape(-1) for g in grads)
+    pp, mp, tp = p[pos], m[pos], t[pos]
+    r = -np.log1p(mp / tp)
+    xt = x + tp
+    ll = _gammaln(xt)
+    ll -= _gammaln(tp)
+    ll += tp * r
+    ll -= x * np.log1p(tp / mp)  # x log(mu / (theta + mu))
+    ll += np.log1p(-pp)
+    total += ll.sum()
+    if want_grad:
+        inv_tm = 1.0 / (tp + mp)
+        g_p[pos] = -coef / (1.0 - pp)
+        g_m[pos] = coef * (x / mp - xt * inv_tm)
+        g_t[pos] = coef * (_digamma(xt) - _digamma(tp) + r + (mp - x) * inv_tm)
+
+    pz, mz, tz = p[zero], m[zero], t[zero]
+    r = -np.log1p(mz / tz)
+    p0 = np.exp(tz * r)  # NB probability of a zero
+    mix = pz + (1.0 - pz) * p0
+    floored = np.maximum(mix, ZINB_PROB_FLOOR)
+    total += np.log(floored).sum()
+    if not want_grad:
+        return total, None
+    w = coef / floored
+    w *= mix >= ZINB_PROB_FLOOR  # a floored entry has no gradient
+    g_p[zero] = w * (1.0 - p0)
+    w *= (1.0 - pz) * p0
+    inv_tm = 1.0 / (tz + mz)
+    g_t[zero] = w * (r + mz * inv_tm)
+    g_m[zero] = -w * tz * inv_tm
+    return total, grads
+
+
+def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
+                     blocks: Sequence[ZinbBlock], log_x_fact: float) -> Tensor:
+    """Mean negative log-likelihood of constant counts x (given as
+    ``zinb_count_blocks(x)``) under the ZINB decoder: the dropout, mean and
+    dispersion ``heads`` ((w, b) each) over the hidden layer give
+
+        pi    = sigmoid(clamp(hidden w + b, +-DROPOUT_LOGIT_CLAMP))
+        mu    = exp(clamp(hidden w + b, +-MEAN_LOGIT_CLAMP))
+        theta = softplus(hidden w + b) + DISPERSION_FLOOR.
+
+    Each block of rows forms its pre-activations, the likelihood and, when
+    needed, its gradients chained through the activations (zero where the
+    unclamped pre-activation is past a clamp), folded into the hidden-row,
+    weight and bias gradients: no n-by-genes array is ever formed.
+    """
+    for w, b in heads:
+        if w.rows != hidden.cols or b.data.shape != (1, w.cols) or w.cols != heads[0][0].cols:
+            raise DimensionError(f"zinb_decoder_nll: head {w.data.shape} + {b.data.shape} "
+                                 f"on hidden {hidden.data.shape}")
+    (w_p, _), (w_m, _), (w_t, _) = heads
+    coef = -1.0 / (hidden.rows * w_p.cols)
+    leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
+    want_grad = any(tensor.requires_grad for tensor in leaves)
+    g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
     total = 0.0
     for start, stop, pos, x, zero in blocks:
-        p_blk, m_blk, t_blk = (np.ravel(t.data[start:stop]) for t in (pi, mu, theta))
-        if want_grad:
-            g_p, g_m, g_t = (g[start:stop].reshape(-1) for g in grads)
-
-        p, m, t = p_blk[pos], m_blk[pos], t_blk[pos]
-        r = -np.log1p(m / t)
-        xt = x + t
-        ll = _gammaln(xt)
-        ll -= _gammaln(t)
-        ll += t * r
-        ll -= x * np.log1p(t / m)  # x log(mu / (theta + mu))
-        ll += np.log1p(-p)
-        total += ll.sum()
-        if want_grad:
-            inv_tm = 1.0 / (t + m)
-            g_p[pos] = -coef / (1.0 - p)
-            g_m[pos] = coef * (x / m - xt * inv_tm)
-            g_t[pos] = coef * (_digamma(xt) - _digamma(t) + r + (m - x) * inv_tm)
-
-        p, m, t = p_blk[zero], m_blk[zero], t_blk[zero]
-        r = -np.log1p(m / t)
-        p0 = np.exp(t * r)  # NB probability of a zero
-        mix = p + (1.0 - p) * p0
-        floored = np.maximum(mix, ZINB_PROB_FLOOR)
-        total += np.log(floored).sum()
-        if want_grad:
-            w = coef / floored
-            w *= mix >= ZINB_PROB_FLOOR  # a floored entry has no gradient
-            g_p[zero] = w * (1.0 - p0)
-            w *= (1.0 - p) * p0
-            inv_tm = 1.0 / (t + m)
-            g_t[zero] = w * (r + m * inv_tm)
-            g_m[zero] = -w * t * inv_tm
-
-    out_data = np.array([[coef * (total - log_x_fact)]])
+        h = hidden.data[start:stop]
+        pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
+        p = _sigmoid(np.clip(pre_p, -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP))
+        m = np.exp(np.clip(pre_m, -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP))
+        t = np.where(pre_t > 0.0, pre_t + np.log1p(np.exp(-np.abs(pre_t))),
+                     np.log1p(np.exp(-np.abs(pre_t)))) + DISPERSION_FLOOR
+        total, grads = _zinb_block(total, p, m, t, pos, x, zero, coef, want_grad)
+        if not want_grad:
+            continue
+        g_p, g_m, g_t = grads
+        g_p *= p
+        g_p *= 1.0 - p
+        g_p *= np.abs(pre_p) <= DROPOUT_LOGIT_CLAMP
+        g_m *= m
+        g_m *= np.abs(pre_m) <= MEAN_LOGIT_CLAMP
+        g_t *= _sigmoid(pre_t)
+        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
+            g_w += h.T @ g
+            g_b += g.sum(axis=0, keepdims=True)
+        g_leaves[0][start:stop] = g_p @ w_p.data.T + g_m @ w_m.data.T + g_t @ w_t.data.T
 
     def backward_fn(g, accum):
-        for t, grad in zip((pi, mu, theta), grads):
-            if t.requires_grad:
-                accum(t, _scaled(g, grad))
+        for tensor, grad in zip(leaves, g_leaves):
+            if tensor.requires_grad:
+                accum(tensor, _scaled(g, grad))
 
-    return _from_op(out_data, (pi, mu, theta), backward_fn)
+    return _from_op(np.array([[coef * (total - log_x_fact)]]), leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------

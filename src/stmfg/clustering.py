@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ContractError, DomainError
 
 DEFAULT_RESTARTS = 20
 MAX_LLOYD_ITERATIONS = 300
@@ -94,6 +94,8 @@ def kmeans(z, k: int, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> Partit
         raise ContractError(f"k must be at least 2, got {k}")
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
+    if not np.isfinite(points).all():
+        raise DomainError("k-means needs finite points; the embedding has non-finite values")
 
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     best_labels, best_inertia = None, np.inf

@@ -13,11 +13,11 @@ shifted by each anchor's largest similarity, with the self-similarity
 term through ``expm1`` of its closed-form distance from one, so small
 temperatures neither overflow nor take the log of an underflowed sum.
 
-The ZINB reconstruction term is one fused node too (``zinb_mean_nll``):
-it walks ``ZINB_ROW_BLOCK`` rows at a time, runs lgamma and digamma on
-the positive counts only and the zero-inflation mixture on the zero
-counts only, and forms the closed-form gradients in pi, mu and theta in
-the same pass. The count constants it needs (the matrix checks, each
+The ZINB term is one fused node too (``zinb_decoder_nll``), from the
+decoder's hidden layer on: per ``ZINB_ROW_BLOCK`` rows it applies the
+three heads, runs lgamma and digamma on the positive counts only and the
+mixture on the zero counts only, and chains the closed-form gradients
+through the heads in the same pass. Its count constants (checks, each
 block's positive and zero indices, sum lgamma(x + 1)) live in a
 ``ZinbTarget``, which training builds once per run.
 """
@@ -92,7 +92,7 @@ def zinb_pmf(x: int, pi: float, mu: float, theta: float) -> float:
 class ZinbTarget:
     """A validated reconstruction target and its count constants, built
     once per run: the matrix's shape, whether every count is an integer,
-    and the ``ad.zinb_count_blocks`` that ``ad.zinb_mean_nll`` reads. With
+    and the ``ad.zinb_count_blocks`` that ``ad.zinb_decoder_nll`` reads. With
     ``require_integer=False`` the factorial term generalizes to
     lgamma(x + 1), which admits the non-integer reconstruction targets
     produced by preprocessing.
@@ -117,10 +117,10 @@ class ZinbTarget:
         self.blocks, self.log_x_fact = ad.zinb_count_blocks(counts)
 
 
-def zinb_nll(x, pi: Tensor, mu: Tensor, theta: Tensor,
-             require_integer: bool = True) -> Tensor:
-    """Mean negative log-likelihood of counts ``x`` under per-entry ZINB
-    parameters, differentiable in all three parameter tensors.
+def zinb_nll(x, hidden: Tensor, params, require_integer: bool = True) -> Tensor:
+    """Mean negative log-likelihood of counts ``x`` under the dropout, mean
+    and dispersion heads of ``params`` (its six head tensors are read) over
+    the decoder's hidden layer, differentiable in all seven tensors.
 
     ``x`` is a constant: a count matrix, or a ``ZinbTarget`` prepared from
     one (the same result, without rebuilding the count constants).
@@ -128,14 +128,12 @@ def zinb_nll(x, pi: Tensor, mu: Tensor, theta: Tensor,
     target = x if isinstance(x, ZinbTarget) else ZinbTarget(x, require_integer)
     if require_integer and not target.integer:
         raise DataError("counts must be integers")
-    for name, t, in_domain in (("pi", pi, lambda v: v.min() >= 0 and v.max() < 1),
-                               ("mu", mu, lambda v: v.min() > 0),
-                               ("theta", theta, lambda v: v.min() > 0)):
-        if t.data.shape != target.shape:
-            raise ContractError(f"{name} shape {t.data.shape} vs counts {target.shape}")
-        if not in_domain(t.data):
-            raise ContractError(f"{name} outside its domain")
-    return ad.zinb_mean_nll(pi, mu, theta, target.blocks, target.log_x_fact)
+    heads = ((params.dropout_w, params.dropout_b), (params.mean_w, params.mean_b),
+             (params.dispersion_w, params.dispersion_b))
+    decoded = (hidden.rows, params.dropout_w.cols)
+    if decoded != target.shape:
+        raise ContractError(f"decoder output {decoded} vs counts {target.shape}")
+    return ad.zinb_decoder_nll(hidden, heads, target.blocks, target.log_x_fact)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Dual-view GCN encoder with per-layer attention fusion, plus the ZINB
-decoder heads that parameterize reconstruction.
+"""Dual-view GCN encoder with per-layer attention fusion, plus the
+parameters of the ZINB decoder that drives reconstruction.
 
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
 embeddings row-wise into the next layer's input; that step is one fused
 engine op (``autodiff.view_attention``). A late-fusion variant
 (each view encoded independently, one fusion at the output) backs the
-"w/o mf" ablation.
+"w/o mf" ablation. The first layer's propagations A X of the constant
+input are run constants (``propagate_input``). The decoder's three heads
+have no nodes of their own: the likelihood node applies them to the
+hidden layer (``zinb_decode``) block by block, and a trace holds encoder
+outputs only.
 """
 
 from __future__ import annotations
@@ -23,14 +27,6 @@ from .errors import ContractError, DataError
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DEFAULT_DECODER_HIDDEN = 128
 DEFAULT_LEAKY_SLOPE = 0.2
-
-# Numerical guards on the decoder heads: the mean's pre-activation is
-# clamped before exponentiation, the dropout logit is clamped so its
-# sigmoid stays strictly inside (0, 1), and dispersion gets an additive
-# floor.
-MEAN_LOGIT_CLAMP = 12.0
-DROPOUT_LOGIT_CLAMP = 30.0
-DISPERSION_FLOOR = 1e-4
 
 CHECKPOINT_MAGIC = "stmfg-params v1"
 
@@ -114,21 +110,25 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """All intermediates from one encoder (and optionally decoder) pass."""
+    """All intermediates from one encoder pass."""
 
     embedding: Tensor
     spatial_embeddings: list[Tensor] = field(default_factory=list)
     feature_embeddings: list[Tensor] = field(default_factory=list)
     fusion_weights: list[Tensor] = field(default_factory=list)
-    dropout: Tensor | None = None
-    mean: Tensor | None = None
-    dispersion: Tensor | None = None
 
 
 def gcn_layer(a_norm: SparseMatrix, z: Tensor, w: Tensor) -> Tensor:
     """One graph convolution: propagate with the normalized adjacency,
     project with the layer weight, apply ReLU."""
     return ad.relu(ad.matmul(ad.spmm(a_norm, z), w))
+
+
+def propagate_input(x: Tensor, spatial_norm: SparseMatrix,
+                    feature_norm: SparseMatrix) -> tuple[Tensor, Tensor]:
+    """A_s X and A_f X of a constant input, bitwise equal to ``spmm``."""
+    x_rows = np.ascontiguousarray(x.data)
+    return Tensor(spatial_norm.csr() @ x_rows), Tensor(feature_norm.csr() @ x_rows)
 
 
 def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
@@ -154,59 +154,41 @@ def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
 
 def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
            params: ModelParams, slope: float = DEFAULT_LEAKY_SLOPE,
-           l2_after_softmax: bool = True, per_layer_fusion: bool = True) -> ForwardTrace:
+           l2_after_softmax: bool = True, per_layer_fusion: bool = True,
+           propagated: tuple[Tensor, Tensor] | None = None) -> ForwardTrace:
     """Run the stacked dual-view encoder.
 
     With ``per_layer_fusion`` the fused output of each layer feeds both
     next-layer view convolutions; without it each view is encoded
     independently from the input and a single fusion joins the outputs.
+    ``x`` is a constant; pass ``propagate_input`` of it as ``propagated``
+    to reuse it across passes.
     """
+    if propagated is None:
+        propagated = propagate_input(x, spatial_norm, feature_norm)
     trace = ForwardTrace(embedding=x)
-    if per_layer_fusion:
-        z = x
-        for i in range(params.n_layers):
-            z_s = gcn_layer(spatial_norm, z, params.spatial_weights[i])
-            z_f = gcn_layer(feature_norm, z, params.feature_weights[i])
+    z_s = ad.relu(ad.matmul(propagated[0], params.spatial_weights[0]))
+    z_f = ad.relu(ad.matmul(propagated[1], params.feature_weights[0]))
+    last = params.n_layers - 1
+    for i in range(params.n_layers):
+        if i > 0:
+            in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
+            z_s = gcn_layer(spatial_norm, in_s, params.spatial_weights[i])
+            z_f = gcn_layer(feature_norm, in_f, params.feature_weights[i])
+        trace.spatial_embeddings.append(z_s)
+        trace.feature_embeddings.append(z_f)
+        if per_layer_fusion or i == last:
             z, m = attention_fuse(z_s, z_f, params.attention_weights[i],
                                   slope=slope, l2_after_softmax=l2_after_softmax)
-            trace.spatial_embeddings.append(z_s)
-            trace.feature_embeddings.append(z_f)
             trace.fusion_weights.append(m)
-        trace.embedding = z
-    else:
-        z_s, z_f = x, x
-        for i in range(params.n_layers):
-            z_s = gcn_layer(spatial_norm, z_s, params.spatial_weights[i])
-            z_f = gcn_layer(feature_norm, z_f, params.feature_weights[i])
-            trace.spatial_embeddings.append(z_s)
-            trace.feature_embeddings.append(z_f)
-        z, m = attention_fuse(z_s, z_f, params.attention_weights[-1],
-                              slope=slope, l2_after_softmax=l2_after_softmax)
-        trace.fusion_weights.append(m)
-        trace.embedding = z
+    trace.embedding = z
     return trace
 
 
-def zinb_decode(z: Tensor, params: ModelParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Map the embedding to per-entry ZINB parameters.
-
-    Returns (dropout probability, mean, dispersion): sigmoid, exp and
-    softplus heads over a shared ReLU hidden layer, with the clamps and
-    floor described at module top.
-    """
-    hidden = ad.relu(ad.add(ad.matmul(z, params.decoder_hidden_w), params.decoder_hidden_b))
-
-    dropout_logit = ad.clip(ad.add(ad.matmul(hidden, params.dropout_w), params.dropout_b),
-                            -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP)
-    dropout = ad.sigmoid(dropout_logit)
-
-    mean_logit = ad.clip(ad.add(ad.matmul(hidden, params.mean_w), params.mean_b),
-                         -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP)
-    mean = ad.exp(mean_logit)
-
-    disp_raw = ad.softplus(ad.add(ad.matmul(hidden, params.dispersion_w), params.dispersion_b))
-    dispersion = ad.add(disp_raw, Tensor([[DISPERSION_FLOOR]]))
-    return dropout, mean, dispersion
+def zinb_decode(z: Tensor, params: ModelParams) -> Tensor:
+    """The decoder's shared ReLU hidden layer over the embedding. Its three
+    heads are applied inside the likelihood node (``losses.zinb_nll``)."""
+    return ad.relu(ad.add(ad.matmul(z, params.decoder_hidden_w), params.decoder_hidden_b))
 
 
 # ---------------------------------------------------------------------------

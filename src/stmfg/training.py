@@ -36,6 +36,7 @@ from .model import (
     ForwardTrace,
     ModelParams,
     encode,
+    propagate_input,
     save_checkpoint,
     zinb_decode,
 )
@@ -245,27 +246,26 @@ def _reconstruction_target(dataset, cfg: TrainConfig) -> tuple[np.ndarray, bool]
     return dataset.preprocessed, False
 
 
-def forward(x: Tensor, graphs: GraphPair, params: ModelParams,
-            cfg: TrainConfig) -> ForwardTrace:
-    """Encode, and decode unless the reconstruction term is disabled."""
-    trace = encode(x, graphs.spatial_norm, graphs.feature_norm, params,
-                   slope=cfg.leaky_slope, l2_after_softmax=cfg.fusion_l2,
-                   per_layer_fusion=not cfg.disable_fusion)
-    if not cfg.disable_zinb:
-        trace.dropout, trace.mean, trace.dispersion = zinb_decode(trace.embedding, params)
-    return trace
+def forward(x: Tensor, graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
+            propagated: tuple[Tensor, Tensor] | None = None) -> ForwardTrace:
+    """Encode; ``propagated`` is the run-constant first-layer input, if kept."""
+    return encode(x, graphs.spatial_norm, graphs.feature_norm, params,
+                  slope=cfg.leaky_slope, l2_after_softmax=cfg.fusion_l2,
+                  per_layer_fusion=not cfg.disable_fusion, propagated=propagated)
 
 
 def run_epoch(x: Tensor, target: np.ndarray | ZinbTarget, target_is_counts: bool,
-              graphs: GraphPair, params: ModelParams,
-              cfg: TrainConfig) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
+              graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
+              propagated: tuple[Tensor, Tensor] | None = None,
+              ) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
     """One forward pass and loss assembly (no optimizer side effects).
-    ``target`` is the reconstruction matrix or a ``ZinbTarget`` built from it."""
-    trace = forward(x, graphs, params, cfg)
+    ``target`` is the reconstruction matrix or a ``ZinbTarget`` built from
+    it; ``propagated`` is ``propagate_input`` of ``x``, if kept."""
+    trace = forward(x, graphs, params, cfg, propagated)
 
     zinb_term = None
     if not cfg.disable_zinb:
-        zinb_term = zinb_nll(target, trace.dropout, trace.mean, trace.dispersion,
+        zinb_term = zinb_nll(target, zinb_decode(trace.embedding, params), params,
                              require_integer=target_is_counts)
 
     cl_term = None
@@ -317,10 +317,13 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
     if not cfg.disable_zinb:
         # count constants once per run, not once per epoch
         target = ZinbTarget(target, require_integer=target_is_counts)
+    # X is a constant, so the first layer's graph propagations are too
+    propagated = propagate_input(x, graphs.spatial_norm, graphs.feature_norm)
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg)
+        total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg,
+                                        propagated)
         for name, value in (("zinb", breakdown.zinb), ("cl", breakdown.cl),
                             ("reg", breakdown.reg), ("total", breakdown.total)):
             if not np.isfinite(value):
@@ -333,7 +336,10 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
         if checkpoint_dir is not None and checkpoint_every > 0 and epoch % checkpoint_every == 0:
             save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
 
-    trace = forward(x, graphs, params, cfg)
+    trace = forward(x, graphs, params, cfg, propagated)
+    if not np.isfinite(trace.embedding.data).all():
+        raise NumericError(f"non-finite final embedding after epoch {cfg.epochs}: "
+                           "the last update left the finite range")
     if checkpoint_dir is not None:
         save_checkpoint(params, Path(checkpoint_dir) / "params_final.txt")
     return TrainResult(params=params, trace=trace, log=log)

@@ -27,6 +27,7 @@ from stmfg.losses import contrastive_loss, zinb_nll, zinb_pmf
 from stmfg.model import ModelParams, attention_fuse
 from stmfg.training import TrainConfig, run_epoch, train
 
+from test_autodiff import head_params, head_values
 from test_clustering import ari_pair_counting_oracle, nmi_entropy_oracle
 from test_graphs import brute_force_knn_edges, brute_force_radius_edges, edge_set
 from test_losses import contrastive_oracle
@@ -106,10 +107,14 @@ def test_criterion_3_zinb_oracle():
     for _ in range(20):
         shape = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         counts = rng.poisson(3.0, size=shape).astype(float)
-        pi = rng.uniform(0.05, 0.9, size=shape)
-        mu = rng.uniform(0.2, 6.0, size=shape)
-        theta = rng.uniform(0.3, 4.0, size=shape)
-        got = zinb_nll(counts, Tensor(pi), Tensor(mu), Tensor(theta)).item()
+        # hidden = I_n: the head weights are the chosen pre-activations, and
+        # the oracle takes pi, mu and theta from the reference heads
+        hidden = Tensor(np.eye(shape[0]))
+        params = head_params(rng.uniform(0.05, 0.9, size=shape),
+                             rng.uniform(0.2, 6.0, size=shape),
+                             rng.uniform(0.3, 4.0, size=shape))
+        got = zinb_nll(counts, hidden, params).item()
+        pi, mu, theta = head_values(hidden, params)
         want = float(np.mean([
             -math.log(zinb_pmf(int(counts[i, j]), pi[i, j], mu[i, j], theta[i, j]))
             for i in range(shape[0]) for j in range(shape[1])]))

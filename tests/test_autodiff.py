@@ -2,6 +2,7 @@
 the densify-and-multiply oracle for the sparse product."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ def tensor(data, grad=True):
 
 
 def zinb_of(counts, pi, mu, theta):
-    """The fused ZINB op on a constant count matrix."""
-    return ad.zinb_mean_nll(pi, mu, theta, *ad.zinb_count_blocks(np.asarray(counts, float)))
+    """The reference ZINB likelihood in (pi, mu, theta) on a constant count matrix."""
+    return zinb_mean_nll(pi, mu, theta, *ad.zinb_count_blocks(np.asarray(counts, float)))
 
 
 def random_sparse_symmetric(n, rng, density=0.3):
@@ -110,8 +111,120 @@ def softmax_rows(a):
     return ad._from_op(out_data, (a,), backward_fn)
 
 
+# ---------------------------------------------------------------------------
+# Unfused reference of ad.zinb_decoder_nll: the decoder-head ops and the
+# likelihood node in (pi, mu, theta) that the decoder was built from before
+# it became one engine node. The likelihood shares the engine's per-block
+# math (ad._zinb_block), so it is the same formula over whole parameter
+# matrices; it also reaches inputs the heads cannot produce (pi = 0).
+
+
+def sigmoid(a):
+    out_data = ad._sigmoid(a.data)
+
+    def backward_fn(g, accum):
+        accum(a, g * out_data * (1.0 - out_data))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def exp(a):
+    out_data = np.exp(a.data)
+
+    def backward_fn(g, accum):
+        accum(a, g * out_data)
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def softplus(a):
+    x = a.data
+    out_data = np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))),
+                        np.log1p(np.exp(-np.abs(x))))
+
+    def backward_fn(g, accum):
+        accum(a, g * ad._sigmoid(x))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def clip(a, lo, hi):
+    out_data = np.clip(a.data, lo, hi)
+
+    def backward_fn(g, accum):
+        accum(a, g * ((a.data >= lo) & (a.data <= hi)))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def zinb_mean_nll(pi, mu, theta, blocks, log_x_fact):
+    """Mean ZINB negative log-likelihood of the counts behind ``blocks``
+    under per-entry (pi, mu, theta), differentiable in all three."""
+    coef = -1.0 / pi.data.size
+    want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
+    grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
+    total = 0.0
+    for start, stop, pos, x, zero in blocks:
+        total, block_grads = ad._zinb_block(
+            total, *(t.data[start:stop] for t in (pi, mu, theta)), pos, x, zero, coef,
+            want_grad)
+        if want_grad:
+            for grad, block_grad in zip(grads, block_grads):
+                grad[start:stop] = block_grad
+
+    def backward_fn(g, accum):
+        for t, grad in zip((pi, mu, theta), grads):
+            if t.requires_grad:
+                accum(t, ad._scaled(g, grad))
+
+    return ad._from_op(np.array([[coef * (total - log_x_fact)]]), (pi, mu, theta),
+                       backward_fn)
+
+
+def unfused_heads(hidden, heads):
+    """(pi, mu, theta) of the decoder heads ((w, b) for dropout, mean and
+    dispersion) as the eleven generic nodes the fused op replaces."""
+    (w_p, b_p), (w_m, b_m), (w_t, b_t) = heads
+    pi = sigmoid(clip(ad.add(ad.matmul(hidden, w_p), b_p),
+                      -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
+    mu = exp(clip(ad.add(ad.matmul(hidden, w_m), b_m),
+                  -ad.MEAN_LOGIT_CLAMP, ad.MEAN_LOGIT_CLAMP))
+    theta = ad.add(softplus(ad.add(ad.matmul(hidden, w_t), b_t)),
+                   Tensor([[ad.DISPERSION_FLOOR]]))
+    return pi, mu, theta
+
+
+def unfused_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
+    return zinb_mean_nll(*unfused_heads(hidden, heads), blocks, log_x_fact)
+
+
+def head_params(pi, mu, theta, grad=False):
+    """Decoder heads that map hidden = I_n to about (pi, mu, theta): the
+    inverse activations as weights, zero biases. Only the six head tensors
+    of a ModelParams are set; ``head_values`` gives the exact outputs."""
+    width = np.shape(pi)[1]
+    pre = (np.log(pi / (1.0 - pi)), np.log(mu),
+           np.log(np.expm1(np.asarray(theta) - ad.DISPERSION_FLOOR)))
+    params = SimpleNamespace()
+    for name, w in zip(("dropout", "mean", "dispersion"), pre):
+        setattr(params, f"{name}_w", Tensor(w, requires_grad=grad))
+        setattr(params, f"{name}_b", Tensor(np.zeros((1, width)), requires_grad=grad))
+    return params
+
+
+def heads_of(params):
+    return ((params.dropout_w, params.dropout_b), (params.mean_w, params.mean_b),
+            (params.dispersion_w, params.dispersion_b))
+
+
+def head_values(hidden, params):
+    """(pi, mu, theta) arrays of the reference heads."""
+    return tuple(t.data for t in unfused_heads(hidden, heads_of(params)))
+
+
 REFERENCE_OPS = ("leaky_relu", "concat_cols", "slice_cols", "col_broadcast_mul",
-                 "row_l2_normalize", "softmax_rows")
+                 "row_l2_normalize", "softmax_rows", "sigmoid", "exp", "softplus", "clip",
+                 "zinb_mean_nll")
 
 
 def unfused_view_attention(zs, zf, w, slope, l2):
@@ -193,7 +306,7 @@ class TestElementwise:
 
     def test_sigmoid_at_zero(self):
         x = tensor([[0.0]])
-        out = ad.sigmoid(x)
+        out = sigmoid(x)
         assert out.item() == 0.5
         ad.backward(out)
         assert x.grad[0, 0] == 0.25
@@ -292,10 +405,10 @@ def _op_cases():
     case("scale")(lambda rng, x: wsum(rng, ad.scale(x, -1.7)))
     case("neg")(lambda rng, x: wsum(rng, ad.neg(x)))
     case("relu")(lambda rng, x: wsum(rng, ad.relu(x)))
-    case("sigmoid")(lambda rng, x: wsum(rng, ad.sigmoid(x)))
-    case("exp")(lambda rng, x: wsum(rng, ad.exp(x)))
-    case("softplus")(lambda rng, x: wsum(rng, ad.softplus(x)))
-    case("clip")(lambda rng, x: wsum(rng, ad.clip(x, -1.5, 1.5)))
+    case("sigmoid")(lambda rng, x: wsum(rng, sigmoid(x)))
+    case("exp")(lambda rng, x: wsum(rng, exp(x)))
+    case("softplus")(lambda rng, x: wsum(rng, softplus(x)))
+    case("clip")(lambda rng, x: wsum(rng, clip(x, -1.5, 1.5)))
     case("sum_all")(lambda rng, x: ad.sum_all(ad.hadamard(x, x)))
     case("mean_all")(lambda rng, x: ad.mean_all(ad.hadamard(x, x)))
     case("leaky_relu")(lambda rng, x: wsum(rng, leaky_relu(x, 0.2)))
@@ -314,7 +427,16 @@ def _op_cases():
         lambda rng, x: ad.cosine_link_loss(x, random_sparse_symmetric(x.rows, rng)))
     # pi, mu and theta all depend on x; the counts mix zeros and positives
     case("zinb_mean_nll")(lambda rng, x: zinb_of(rng.poisson(1.5, x.data.shape),
-                                                 ad.sigmoid(x), ad.exp(x), ad.softplus(x)))
+                                                 sigmoid(x), exp(x), softplus(x)))
+
+    # the hidden layer and every head weight and bias depend on x
+    def zinb_decoder_case(rng, x):
+        heads = [tuple(ad.matmul(Tensor(rng.uniform(-0.5, 0.5, (rows, x.rows))), x)
+                       for rows in (x.cols, 1)) for _ in range(3)]
+        blocks = ad.zinb_count_blocks(rng.poisson(1.5, x.data.shape).astype(float))
+        return ad.zinb_decoder_nll(x, heads, *blocks)
+
+    case("zinb_decoder_nll")(zinb_decoder_case)
 
     def spmm_case(rng, x):
         s = random_sparse_symmetric(x.rows, rng)
@@ -395,6 +517,61 @@ class TestViewAttention:
         fused, m = ad.view_attention(zs, zf, w, 0.2, True)
         assert fused.requires_grad and fused._parents == (zs, zf, w)
         assert not m.requires_grad and m._parents == ()
+
+
+class TestZinbDecoderNll:
+    @pytest.mark.parametrize("block", [3, 256])
+    @pytest.mark.parametrize("hidden_kind", ["random", "identity"])
+    def test_matches_unfused_reference_graph(self, hidden_kind, block, monkeypatch):
+        """Bitwise forward and 1e-12 gradients against the reference heads and
+        likelihood, with pre-activations past both clamps. With hidden = I_n
+        the dropout and mean weights are the pre-activations themselves, so
+        their clamped entries must get exactly zero gradient."""
+        monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
+        rng = np.random.default_rng(34)
+        n, genes = 8, 6  # no one-row block: a one-row product may round differently
+        if hidden_kind == "identity":
+            hidden = np.eye(n)
+            ws = [rng.uniform(-3, 3, (n, genes)) for _ in range(3)]
+            ws[0][0, :3] = [31.0, -30.5, 29.0]
+            ws[1][1, :3] = [12.5, -13.0, 11.5]
+        else:
+            hidden = rng.uniform(0, 2, (n, 4))
+            ws = [rng.uniform(-1, 1, (4, genes)) for _ in range(3)]
+            ws[0][:, 0] *= 60.0
+            ws[1][:, 1] *= 30.0
+        bs = [rng.uniform(-0.5, 0.5, (1, genes)) for _ in range(3)]
+        counts = rng.poisson(1.5, (n, genes)).astype(float)
+        blocks = ad.zinb_count_blocks(counts)
+        outs, grads = [], []
+        for nll in (ad.zinb_decoder_nll, unfused_zinb_decoder_nll):
+            leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
+            heads = list(zip(leaves[1::2], leaves[2::2]))
+            loss = nll(leaves[0], heads, *blocks)
+            ad.backward(ad.scale(loss, 0.7))
+            outs.append(loss.data)
+            grads.append([t.grad for t in leaves])
+        pre = [hidden @ w + b for w, b in zip(ws, bs)]
+        assert (np.abs(pre[0]) > ad.DROPOUT_LOGIT_CLAMP).any()
+        assert (np.abs(pre[1]) > ad.MEAN_LOGIT_CLAMP).any()
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        if hidden_kind == "identity":
+            g_dropout, g_mean = grads[0][1], grads[0][3]
+            assert (g_dropout[0, :2] == 0.0).all() and g_dropout[0, 2] != 0.0
+            assert (g_mean[1, :2] == 0.0).all() and g_mean[1, 2] != 0.0
+
+    def test_shape_contracts(self):
+        hidden = tensor(np.ones((3, 2)))
+        blocks = ad.zinb_count_blocks(np.ones((3, 4)))
+        good = ((2, 4), (1, 4))
+        for bad in (((3, 4), (1, 4)),   # weight rows vs hidden width
+                    ((2, 5), (1, 5)),   # width differs from the other heads
+                    ((2, 4), (2, 4))):  # bias is not a row
+            heads = [tuple(tensor(np.ones(s)) for s in shapes) for shapes in (good, bad, good)]
+            with pytest.raises(DimensionError):
+                ad.zinb_decoder_nll(hidden, heads, *blocks)
 
 
 def _digamma_reference(x):

@@ -108,6 +108,16 @@ class TestRun:
         rows = (out / "loss_log.csv").read_text().splitlines()[1:]
         assert rows and all(np.isfinite(float(v)) for r in rows for v in r.split(","))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_final_embedding_exits_4(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--epochs", "1", "--lr", "1e200"])
+        assert code == 4
+        assert "numerical abort: non-finite final embedding" in capsys.readouterr().err
+        assert not (out / "labels.csv").exists()
+
     @pytest.mark.parametrize("flags,field", [
         (["--disable-cl", "--tau", "0"], "tau"),
         (["--disable-cl", "--tau", "-1"], "tau"),

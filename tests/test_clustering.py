@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stmfg.clustering import Partition, _lloyd, ari, kmeans, nmi
-from stmfg.errors import ContractError
+from stmfg.errors import ContractError, DomainError
 
 
 def ari_pair_counting_oracle(a, b):
@@ -78,6 +78,13 @@ class TestKmeans:
             kmeans(pts, 4)
         with pytest.raises(ContractError):
             kmeans(pts, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(6).normal(size=(10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            kmeans(pts, 2)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)

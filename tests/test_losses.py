@@ -19,6 +19,9 @@ from stmfg.losses import (
     zinb_nll,
     zinb_pmf,
 )
+from stmfg.model import ModelParams
+
+from test_autodiff import head_params, head_values, heads_of, zinb_of
 
 
 def cosine(u, v, eps=0.0):
@@ -382,47 +385,59 @@ class TestZinbPmf:
             zinb_pmf(0, 0.1, 0.0, 1.0)
 
 
+# The decoder heads are applied inside zinb_nll. With hidden = I_n the head
+# weights are the pre-activations themselves, so ``head_params`` chooses the
+# per-entry (pi, mu, theta) and ``head_values`` reads back what the heads
+# give, which the oracles use.
+
+
+def eye(n, grad=False):
+    return Tensor(np.eye(n), requires_grad=grad)
+
+
+def decoder(rng, hidden_width, genes):
+    """Random decoder heads (Glorot weights, zero biases) as a ModelParams."""
+    return ModelParams.initialize(rng, [2, 2], genes, hidden_width)
+
+
+def leaves_of(hidden, params):
+    return [hidden] + [t for head in heads_of(params) for t in head]
+
+
 class TestZinbNll:
     def test_single_entry_closed_form(self):
-        loss = zinb_nll(np.array([[0.0]]), Tensor([[0.5]]), Tensor([[1.0]]), Tensor([[1.0]]))
+        params = head_params(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
+        loss = zinb_nll(np.array([[0.0]]), eye(1), params)
         assert loss.item() == pytest.approx(-math.log(0.75), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pmf_composition(self, seed):
         rng = np.random.default_rng(400 + seed)
         counts = rng.poisson(3.0, size=(5, 4)).astype(float)
-        pi = rng.uniform(0.05, 0.9, size=(5, 4))
-        mu = rng.uniform(0.2, 6.0, size=(5, 4))
-        theta = rng.uniform(0.3, 4.0, size=(5, 4))
-        loss = zinb_nll(counts, Tensor(pi), Tensor(mu), Tensor(theta))
-        oracle = np.mean([
-            -math.log(zinb_pmf(int(counts[i, j]), pi[i, j], mu[i, j], theta[i, j]))
-            for i in range(5) for j in range(4)
-        ])
+        params = zinb_params(rng, (5, 4))
+        loss = zinb_nll(counts, eye(5), params)
+        oracle = zinb_oracle(counts, *head_values(eye(5), params))
         assert loss.item() == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(500 + seed)
         counts = rng.poisson(2.0, size=(4, 3)).astype(float)
-        loss = zinb_nll(counts,
-                        Tensor(rng.uniform(0.05, 0.9, size=(4, 3))),
-                        Tensor(rng.uniform(0.2, 5.0, size=(4, 3))),
-                        Tensor(rng.uniform(0.3, 3.0, size=(4, 3))))
-        assert loss.item() >= 0.0
+        params = head_params(rng.uniform(0.05, 0.9, size=(4, 3)),
+                             rng.uniform(0.2, 5.0, size=(4, 3)),
+                             rng.uniform(0.3, 3.0, size=(4, 3)))
+        assert zinb_nll(counts, eye(4), params).item() >= 0.0
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        counts = rng.poisson(3.0, size=(4, 3)).astype(float)
-        pi = Tensor(rng.uniform(0.1, 0.8, size=(4, 3)), requires_grad=True)
-        mu = Tensor(rng.uniform(0.5, 4.0, size=(4, 3)), requires_grad=True)
-        theta = Tensor(rng.uniform(0.5, 3.0, size=(4, 3)), requires_grad=True)
-        assert ad.grad_check(lambda t: zinb_nll(counts, t, mu, theta), pi, 1e-5) < 1e-4
-        assert ad.grad_check(lambda t: zinb_nll(counts, pi, t, theta), mu, 1e-5) < 1e-4
-        assert ad.grad_check(lambda t: zinb_nll(counts, pi, mu, t), theta, 1e-5) < 1e-4
+        counts = rng.poisson(3.0, size=(4, 5)).astype(float)
+        hidden = Tensor(rng.uniform(0.0, 2.0, size=(4, 3)), requires_grad=True)
+        params = decoder(rng, 3, 5)
+        for t in leaves_of(hidden, params):
+            assert ad.grad_check(lambda _: zinb_nll(counts, hidden, params), t, 1e-5) < 1e-4
 
     def test_count_validation(self):
-        good = (Tensor([[0.2]]), Tensor([[1.0]]), Tensor([[1.0]]))
+        good = (eye(1), head_params(np.array([[0.2]]), np.array([[1.0]]), np.array([[1.0]])))
         with pytest.raises(DataError):
             zinb_nll(np.array([[-1.0]]), *good)
         with pytest.raises(DataError):
@@ -440,17 +455,19 @@ def zinb_oracle(counts, pi, mu, theta):
 
 
 def zinb_params(rng, shape, grad=False):
-    return (Tensor(rng.uniform(0.05, 0.9, shape), requires_grad=grad),
-            Tensor(rng.uniform(0.2, 6.0, shape), requires_grad=grad),
-            Tensor(rng.uniform(0.3, 4.0, shape), requires_grad=grad))
+    """Heads giving about pi in (0.05, 0.9), mu in (0.2, 6), theta in (0.3, 4)
+    on hidden = I_n."""
+    return head_params(rng.uniform(0.05, 0.9, shape), rng.uniform(0.2, 6.0, shape),
+                       rng.uniform(0.3, 4.0, shape), grad=grad)
 
 
-def zinb_grads(x, params, **kwargs):
-    for t in params:
+def zinb_grads(x, hidden, params, **kwargs):
+    leaves = leaves_of(hidden, params)
+    for t in leaves:
         t.grad = None
-    loss = zinb_nll(x, *params, **kwargs)
+    loss = zinb_nll(x, hidden, params, **kwargs)
     ad.backward(loss)
-    return loss.item(), [t.grad.copy() for t in params]
+    return loss.item(), [t.grad.copy() for t in leaves]
 
 
 class TestFusedZinb:
@@ -460,17 +477,19 @@ class TestFusedZinb:
         rng = np.random.default_rng(600 + n)
         counts = rng.poisson(1.5, size=(n, 5)).astype(float)
         params = zinb_params(rng, (n, 5))
-        got = zinb_nll(counts, *params).item()
-        assert got == pytest.approx(zinb_oracle(counts, *(t.data for t in params)), abs=1e-10)
+        got = zinb_nll(counts, eye(n), params).item()
+        assert got == pytest.approx(zinb_oracle(counts, *head_values(eye(n), params)),
+                                    abs=1e-10)
 
     def test_blocked_gradients_match_single_block(self, monkeypatch):
         rng = np.random.default_rng(610)
         counts = rng.poisson(1.5, size=(10, 6)).astype(float)
-        params = zinb_params(rng, (10, 6), grad=True)
+        hidden = Tensor(rng.uniform(0.0, 2.0, size=(10, 4)), requires_grad=True)
+        params = decoder(rng, 4, 6)
         results = []
         for block in (3, 256):
             monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
-            results.append(zinb_grads(counts, params))
+            results.append(zinb_grads(counts, hidden, params))
         (v_small, g_small), (v_big, g_big) = results
         assert v_small == pytest.approx(v_big, abs=1e-14)
         for a, b in zip(g_small, g_big):
@@ -483,22 +502,21 @@ class TestFusedZinb:
         counts = (np.zeros(shape) if fill == "zeros"
                   else rng.integers(1, 6, size=shape).astype(float))
         params = zinb_params(rng, shape, grad=True)
-        got = zinb_nll(counts, *params).item()
-        assert got == pytest.approx(zinb_oracle(counts, *(t.data for t in params)), abs=1e-10)
-        for i, t in enumerate(params):
-            def f(v, i=i):
-                args = list(params)
-                args[i] = v
-                return zinb_nll(counts, *args)
-            assert ad.grad_check(f, t, 1e-6) < 1e-4
+        got = zinb_nll(counts, eye(4), params).item()
+        assert got == pytest.approx(zinb_oracle(counts, *head_values(eye(4), params)),
+                                    abs=1e-10)
+        for w, _ in heads_of(params):
+            assert ad.grad_check(lambda _: zinb_nll(counts, eye(4), params), w, 1e-6) < 1e-4
 
     def test_probability_floor(self):
-        # NB zero probability (1000 / 1001000)^1000 underflows and pi = 0
+        # NB zero probability (1000 / 1001000)^1000 underflows and pi = 0.
+        # The heads keep pi >= sigmoid(-30), so only the reference in
+        # (pi, mu, theta), on the engine's own per-block math, gets here.
         shape = (2, 3)
         pi = Tensor(np.zeros(shape), requires_grad=True)
         mu = Tensor(np.full(shape, 1e6), requires_grad=True)
         theta = Tensor(np.full(shape, 1000.0), requires_grad=True)
-        loss = zinb_nll(np.zeros(shape), pi, mu, theta)
+        loss = zinb_of(np.zeros(shape), pi, mu, theta)
         assert loss.item() == pytest.approx(-math.log(1e-300), rel=1e-15)
         ad.backward(loss)
         for t in (pi, mu, theta):
@@ -510,26 +528,30 @@ class TestFusedZinb:
         counts = rng.poisson(2.0, size=(7, 5)).astype(float)
         if not integer:
             counts = np.log1p(counts * 1.37)
-        params = zinb_params(rng, counts.shape, grad=True)
-        raw_loss, raw_grads = zinb_grads(counts, params, require_integer=integer)
+        hidden = Tensor(rng.uniform(0.0, 2.0, size=(7, 3)), requires_grad=True)
+        params = decoder(rng, 3, 5)
+        raw_loss, raw_grads = zinb_grads(counts, hidden, params, require_integer=integer)
         target = ZinbTarget(counts, require_integer=integer)
-        loss, grads = zinb_grads(target, params, require_integer=integer)
+        loss, grads = zinb_grads(target, hidden, params, require_integer=integer)
         assert loss == raw_loss
         for g, raw in zip(grads, raw_grads):
             np.testing.assert_array_equal(g, raw)
 
     def test_parameter_contracts(self):
-        counts = np.array([[0.0, 2.0]])
-        good = [Tensor([[0.2, 0.2]]), Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]])]
-        for i, bad in ((0, [[0.2, 1.0]]), (0, [[-0.1, 0.2]]), (1, [[1.0, 0.0]]),
-                       (2, [[0.0, 1.0]]), (1, [[1.0, 1.0, 1.0]])):
-            args = list(good)
-            args[i] = Tensor(bad)
+        rng = np.random.default_rng(631)
+        counts = np.array([[0.0, 2.0], [1.0, 0.0]])
+        for hidden_shape, width, head_width in (((3, 4), 4, 2), ((2, 4), 4, 3),
+                                                ((2, 4), 5, 2)):
+            params = decoder(rng, width, head_width)
             with pytest.raises(ContractError):
-                zinb_nll(counts, *args)
+                zinb_nll(counts, Tensor(np.ones(hidden_shape)), params)
+        params = decoder(rng, 4, 2)
+        params.mean_b = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ContractError):
+            zinb_nll(counts, Tensor(np.ones((2, 4))), params)
 
     def test_target_contracts(self):
-        good = (Tensor([[0.2]]), Tensor([[1.0]]), Tensor([[1.0]]))
+        good = (eye(1), head_params(np.array([[0.2]]), np.array([[1.0]]), np.array([[1.0]])))
         for bad in (np.array([[np.nan]]), np.array([[np.inf]]), np.zeros((0, 1)),
                     np.zeros(3)):
             with pytest.raises(DataError):
@@ -541,33 +563,35 @@ class TestFusedZinb:
             zinb_nll(target, *good)
 
     def test_memory_stays_within_eight_count_buffers(self):
-        # 900 x 3000, 58% zeros: forward plus backward into the three leaves
+        # 900 x 3000, 58% zeros: forward plus backward into the leaves
         rng = np.random.default_rng(640)
         n, genes = 900, 3000
         counts = rng.poisson(2.0, size=(n, genes)).astype(float)
         counts[rng.random((n, genes)) < 0.514] = 0.0
         assert abs((counts == 0).mean() - 0.58) < 0.01
-        params = zinb_params(rng, (n, genes), grad=True)
+        hidden = Tensor(rng.uniform(0.0, 1.0, size=(n, 32)), requires_grad=True)
+        params = decoder(rng, 32, genes)
         tracemalloc.start()
         try:
-            ad.backward(zinb_nll(counts, *params))
+            ad.backward(zinb_nll(counts, hidden, params))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * counts.nbytes, f"peak {peak / 2**20:.1f} MiB"
 
     def test_backward_holds_no_gradient_copies(self):
-        # a prepared target (1.42 buffers here) and the op's three gradients,
-        # which backward hands to the leaves without copying them
+        # a prepared target (1.42 buffers here) and the op's gradients, which
+        # backward hands to the leaves without copying them
         rng = np.random.default_rng(641)
         n, genes = 900, 3000
         counts = rng.poisson(2.0, size=(n, genes)).astype(float)
         counts[rng.random((n, genes)) < 0.514] = 0.0
-        params = zinb_params(rng, (n, genes), grad=True)
+        hidden = Tensor(rng.uniform(0.0, 1.0, size=(n, 32)), requires_grad=True)
+        params = decoder(rng, 32, genes)
         tracemalloc.start()
         try:
             target = ZinbTarget(counts)
-            loss = zinb_nll(target, *params)
+            loss = zinb_nll(target, hidden, params)
             ad.backward(loss)
             held = tracemalloc.get_traced_memory()[0]
         finally:

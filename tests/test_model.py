@@ -8,17 +8,21 @@ import pytest
 from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError
+from stmfg.losses import zinb_nll
 from stmfg.model import (
-    DISPERSION_FLOOR,
     ForwardTrace,
     ModelParams,
     attention_fuse,
     encode,
     gcn_layer,
     load_checkpoint,
+    propagate_input,
     save_checkpoint,
     zinb_decode,
 )
+
+from test_autodiff import head_values
+from test_losses import zinb_oracle
 
 
 def identity_sparse(n):
@@ -189,6 +193,31 @@ class TestEncode:
                             @ params.spatial_weights[i].data, 0.0)
         np.testing.assert_allclose(trace.spatial_embeddings[-1].data, zs, atol=1e-12)
 
+    @pytest.mark.parametrize("per_layer_fusion", [True, False])
+    def test_run_constant_first_layer_is_bitwise(self, per_layer_fusion):
+        rng = np.random.default_rng(16)
+        from stmfg.graphs import build_graph_pair
+
+        coords = rng.uniform(0, 10, (11, 2))
+        feats = np.asfortranarray(rng.normal(size=(11, 6)))  # preprocess's layout
+        pair = build_graph_pair(coords, feats, radius=4.0, k=2)
+        params = make_params(rng, [6, 5, 4], 6)
+        x = Tensor(feats)
+        propagated = propagate_input(x, pair.spatial_norm, pair.feature_norm)
+        kept = encode(x, pair.spatial_norm, pair.feature_norm, params,
+                      per_layer_fusion=per_layer_fusion, propagated=propagated)
+        fresh = encode(x, pair.spatial_norm, pair.feature_norm, params,
+                       per_layer_fusion=per_layer_fusion)
+        for norm, w, got in ((pair.spatial_norm, params.spatial_weights[0],
+                              kept.spatial_embeddings[0]),
+                             (pair.feature_norm, params.feature_weights[0],
+                              kept.feature_embeddings[0])):
+            # equal to the per-pass propagation of the Fortran-ordered input
+            np.testing.assert_array_equal(got.data, gcn_layer(norm, x, w).data)
+            np.testing.assert_array_equal(got.data, np.maximum((norm.csr() @ feats) @ w.data, 0.0))
+        np.testing.assert_array_equal(kept.embedding.data, fresh.embedding.data)
+        assert not propagated[0].requires_grad and not propagated[1].requires_grad
+
     def test_deterministic_trace(self):
         rng_a = np.random.default_rng(10)
         rng_b = np.random.default_rng(10)
@@ -205,6 +234,10 @@ class TestEncode:
 
 
 class TestZinbDecode:
+    """``zinb_decode`` is the shared hidden layer; the heads live inside the
+    likelihood node, so they are checked through its value against the pmf
+    composition at the heads' (pi, mu, theta)."""
+
     def test_zero_weights_closed_forms(self):
         rng = np.random.default_rng(11)
         params = make_params(rng, [4, 3], 5, decoder_hidden=6)
@@ -213,34 +246,36 @@ class TestZinbDecode:
             t = getattr(params, name)
             setattr(params, name, Tensor(np.zeros(t.data.shape), requires_grad=True))
         z = Tensor(rng.normal(size=(7, 3)))
-        dropout, mean, dispersion = zinb_decode(z, params)
-        np.testing.assert_array_equal(dropout.data, np.full((7, 5), 0.5))
-        np.testing.assert_array_equal(mean.data, np.ones((7, 5)))
-        np.testing.assert_allclose(dispersion.data,
-                                   np.full((7, 5), np.log(2.0) + DISPERSION_FLOOR),
-                                   atol=1e-15)
+        hidden = zinb_decode(z, params)
+        np.testing.assert_array_equal(hidden.data, np.zeros((7, 6)))
+        counts = rng.poisson(1.0, size=(7, 5)).astype(float)
+        pi, mu, theta = (np.full((7, 5), v) for v in (0.5, 1.0, np.log(2.0) + ad.DISPERSION_FLOOR))
+        assert zinb_nll(counts, hidden, params).item() == pytest.approx(
+            zinb_oracle(counts, pi, mu, theta), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_parameter_domains(self, seed):
         rng = np.random.default_rng(seed)
         params = make_params(rng, [4, 3], 5, decoder_hidden=6)
         z = Tensor(rng.normal(size=(6, 3)))
-        dropout, mean, dispersion = zinb_decode(z, params)
-        assert ((dropout.data > 0) & (dropout.data < 1)).all()
-        assert (mean.data > 0).all()
-        assert (dispersion.data > 0).all()
+        hidden = zinb_decode(z, params)
+        assert (hidden.data >= 0).all()
+        dropout, mean, dispersion = head_values(hidden, params)
+        assert ((dropout > 0) & (dropout < 1)).all()
+        assert (mean > 0).all()
+        assert (dispersion > 0).all()
+        counts = rng.poisson(2.0, size=(6, 5)).astype(float)
+        assert zinb_nll(counts, hidden, params).item() == pytest.approx(
+            zinb_oracle(counts, dropout, mean, dispersion), abs=1e-10)
 
     def test_decoder_gradients_match_finite_differences(self):
-        from stmfg.losses import zinb_nll
-
         rng = np.random.default_rng(13)
         params = make_params(rng, [4, 3], 5, decoder_hidden=6)
         z = Tensor(rng.normal(size=(6, 3)))
         counts = rng.poisson(2.0, size=(6, 5)).astype(float)
 
         def loss_of(_):
-            dropout, mean, dispersion = zinb_decode(z, params)
-            return zinb_nll(counts, dropout, mean, dispersion)
+            return zinb_nll(counts, zinb_decode(z, params), params)
 
         for name in ("decoder_hidden_w", "dropout_w", "mean_w", "dispersion_b"):
             err = ad.grad_check(lambda t: loss_of(t), getattr(params, name), 1e-5)

@@ -2,15 +2,18 @@
 reference trace, loop-unrolling equality, determinism, and ablation
 exactness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stmfg import autodiff as ad
+from stmfg import training
 from stmfg.autodiff import Tensor
-from stmfg.data import generate_synthetic, preprocess
+from stmfg.data import Dataset, generate_synthetic, preprocess
 from stmfg.errors import ContractError, NumericError
 from stmfg.graphs import build_graph_pair
-from stmfg.model import ModelParams
+from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
 
@@ -164,7 +167,6 @@ class TestTrain:
         x = Tensor(ds.preprocessed)
         _, _, fresh = run_epoch(x, ds.preprocessed, False, graphs, result.params, cfg)
         np.testing.assert_array_equal(result.trace.embedding.data, fresh.embedding.data)
-        assert result.trace.dropout is not None
 
     def test_checkpoints_written(self, tmp_path):
         ds, graphs = small_problem()
@@ -212,9 +214,17 @@ class TestAblations:
 
     def test_disable_zinb_skips_decoder(self):
         ds, graphs = small_problem()
-        result = train(ds, graphs, small_config(epochs=2, disable_zinb=True))
-        assert result.trace.dropout is None
+        cfg = small_config(epochs=2, disable_zinb=True)
+        result = train(ds, graphs, cfg)
         assert all(r.losses.zinb == 0.0 for r in result.log.records)
+        # no gradient ever reached the decoder: it keeps its initial values
+        init = ModelParams.initialize(np.random.default_rng(cfg.seed),
+                                      [ds.preprocessed.shape[1], *cfg.hidden_dims],
+                                      recon_width=ds.preprocessed.shape[1],
+                                      decoder_hidden=cfg.decoder_hidden)
+        for (name, got), (_, want) in zip(result.params.named_tensors(), init.named_tensors()):
+            if name.startswith(("decoder_", "dropout_", "mean_", "dispersion_")):
+                np.testing.assert_array_equal(got.data, want.data)
 
     def test_late_fusion_differs_from_per_layer(self):
         ds, graphs = small_problem()
@@ -245,3 +255,50 @@ class TestNumericalAbort:
         monkeypatch.setattr("stmfg.training.spatial_reg_loss", poisoned)
         with pytest.raises(NumericError, match="reg"):
             train(ds, graphs, small_config(epochs=1))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_final_embedding_is_numeric_error(self):
+        # one step at lr 1e200 leaves finite weights near 1e200 whose
+        # products overflow in the final forward pass
+        ds, graphs = small_problem()
+        with pytest.raises(NumericError, match="final embedding"):
+            train(ds, graphs, small_config(epochs=1, lr=1e200))
+
+
+class TestEpochMemory:
+    def test_epoch_allocates_no_genes_wide_buffer(self, monkeypatch):
+        """With the first layer's propagations kept for the run and the
+        decoder heads inside the blocked likelihood node, an epoch after the
+        first allocates less than one n-by-genes float64 buffer (8 MiB)."""
+        monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", 16)
+        monkeypatch.setattr(ad, "PAIRWISE_TILE", 16)
+        rng = np.random.default_rng(17)
+        n, genes = 2048, 512
+        grid = np.stack(np.divmod(np.arange(n), 64), axis=1) * 100.0
+        ds = Dataset(counts=rng.poisson(1.0, size=(n, genes)).astype(float), coords=grid,
+                     spot_ids=[f"s{i}" for i in range(n)],
+                     gene_ids=[f"g{j:04d}" for j in range(genes)])
+        ds = preprocess(ds, min_spots=1, n_hvg=genes)
+        assert ds.preprocessed.shape == (n, genes)
+        graphs = build_graph_pair(ds.coords, ds.preprocessed, radius=150.0, k=4)
+        peaks = []
+        step = Adam.step
+
+        def traced_step(self):
+            step(self)
+            if self.t == 1:
+                tracemalloc.start()
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(training.Adam, "step", traced_step)
+        train(ds, graphs, small_config(epochs=2, hidden_dims=(16, 8), decoder_hidden=16))
+        buffer = n * genes * 8
+        assert peaks and peaks[0] < buffer, f"epoch peak {peaks[0] / 2**20:.2f} MiB"
+
+
+def test_forward_trace_holds_encoder_outputs_only():
+    names = set(ForwardTrace.__dataclass_fields__)
+    assert names == {"embedding", "spatial_embeddings", "feature_embeddings", "fusion_weights"}
