@@ -7,7 +7,10 @@ Graph adjacency enters as a constant sparse operator (`SparseMatrix`),
 so no gradient ever flows into graph structure. The attention step, the
 pairwise losses and the ZINB decoder heads with their likelihood are
 fused nodes with closed-form gradients that form no n-by-n or n-by-genes
-intermediate.
+intermediate. The ZINB node allocates one workspace per call, sized by its
+largest row block, writes every block into it in place and drops it on
+return; each head entry takes a single exp, shared by an activation and
+the derivative it needs.
 
 `backward` computes one gradient total per tensor per pass and folds it
 into ``.grad`` with a single addition, which keeps repeated passes
@@ -35,7 +38,7 @@ NORM_EPS = 1e-12
 # never the whole matrix.
 PAIRWISE_TILE = 256
 
-# Rows per step of the fused ZINB decoder node: its temporaries hold at
+# Rows per step of the fused ZINB decoder node: its workspace holds at
 # most ZINB_ROW_BLOCK rows of genes, never a whole n-by-genes array.
 ZINB_ROW_BLOCK = 256
 
@@ -586,18 +589,31 @@ def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
     return blocks, log_x_fact
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+def _exp_neg_abs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-|x|) written into ``out``."""
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
+def _sigmoid_into(out: np.ndarray, e: np.ndarray, nonneg: np.ndarray) -> np.ndarray:
+    """sigmoid(x) = where(x >= 0, 1, e) / (1 + e) written into ``out``,
+    from e = exp(-|x|) and the mask ``nonneg`` of x >= 0; as e <= 1 the
+    numerator is max(e, nonneg). ``e`` is left holding 1 + e."""
+    np.maximum(e, nonneg, out=out)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
 def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
                 pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
-                want_grad: bool) -> tuple[float, list[np.ndarray] | None]:
-    """Add the log-likelihood of one block of rows to ``total``: ``pi``,
-    ``mu``, ``theta`` are the block's parameters and ``pos``, ``x``, ``zero``
-    its count constants. Returns the new total and, when ``want_grad``,
-    coef times the gradients in pi, mu and theta, shaped like ``pi``.
+                grads: Sequence[np.ndarray] | None, sub: np.ndarray,
+                flags: np.ndarray) -> float:
+    """Add the log-likelihood of one block of rows to ``total`` and return
+    it: ``pi``, ``mu``, ``theta`` are the block's parameters and ``pos``,
+    ``x``, ``zero`` its count constants. With ``grads`` (three arrays shaped
+    like ``pi``) coef times the gradients in pi, mu and theta are written
+    into them. ``sub`` is scratch of seven rows at least as long as ``pos``
+    and ``zero``, ``flags`` a boolean scratch at least as long as ``zero``.
     With r = log(theta / (theta + mu)) an entry's log-likelihood is
 
         x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
@@ -609,40 +625,70 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     a floored entry has zero gradient.
     """
     p, m, t = (np.ravel(a) for a in (pi, mu, theta))
-    if want_grad:
-        grads = [np.empty(pi.shape) for _ in range(3)]
-        g_p, g_m, g_t = (g.reshape(-1) for g in grads)
-    pp, mp, tp = p[pos], m[pos], t[pos]
-    r = -np.log1p(mp / tp)
-    xt = x + tp
-    ll = _gammaln(xt)
-    ll -= _gammaln(tp)
-    ll += tp * r
-    ll -= x * np.log1p(tp / mp)  # x log(mu / (theta + mu))
-    ll += np.log1p(-pp)
-    total += ll.sum()
-    if want_grad:
-        inv_tm = 1.0 / (tp + mp)
-        g_p[pos] = -coef / (1.0 - pp)
-        g_m[pos] = coef * (x / mp - xt * inv_tm)
-        g_t[pos] = coef * (_digamma(xt) - _digamma(tp) + r + (mp - x) * inv_tm)
+    if grads is not None:
+        g_p, g_m, g_t = (np.ravel(g) for g in grads)
 
-    pz, mz, tz = p[zero], m[zero], t[zero]
-    r = -np.log1p(mz / tz)
-    p0 = np.exp(tz * r)  # NB probability of a zero
-    mix = pz + (1.0 - pz) * p0
-    floored = np.maximum(mix, ZINB_PROB_FLOOR)
-    total += np.log(floored).sum()
-    if not want_grad:
-        return total, None
-    w = coef / floored
-    w *= mix >= ZINB_PROB_FLOOR  # a floored entry has no gradient
-    g_p[zero] = w * (1.0 - p0)
-    w *= (1.0 - pz) * p0
-    inv_tm = 1.0 / (tz + mz)
-    g_t[zero] = w * (r + mz * inv_tm)
-    g_m[zero] = -w * tz * inv_tm
-    return total, grads
+    def gather(idx):
+        # indices are in range; mode="raise" would copy through a temporary
+        return [np.take(a, idx, out=row[:idx.size], mode="clip") for a, row in zip((p, m, t), sub)]
+
+    pp, mp, tp = gather(pos)
+    r, xt, s1, s2 = (row[:pos.size] for row in sub[3:])
+    np.divide(mp, tp, out=r)
+    np.log1p(r, out=r)
+    np.negative(r, out=r)
+    np.add(x, tp, out=xt)
+    _gammaln(xt, out=s1)
+    s1 -= _gammaln(tp, out=s2)
+    s1 += np.multiply(tp, r, out=s2)
+    np.divide(tp, mp, out=s2)
+    np.log1p(s2, out=s2)
+    s1 -= np.multiply(x, s2, out=s2)  # x log(mu / (theta + mu))
+    np.negative(pp, out=s2)
+    s1 += np.log1p(s2, out=s2)
+    total += s1.sum()
+    if grads is not None:
+        inv_tm = np.add(tp, mp, out=s1)
+        np.divide(1.0, inv_tm, out=inv_tm)
+        np.subtract(1.0, pp, out=s2)
+        g_p[pos] = np.divide(-coef, s2, out=s2)
+        np.divide(x, mp, out=s2)
+        s2 -= np.multiply(xt, inv_tm, out=pp)
+        g_m[pos] = np.multiply(coef, s2, out=s2)
+        _digamma(xt, out=s2)
+        s2 -= _digamma(tp, out=pp)
+        s2 += r
+        s2 += np.multiply(np.subtract(mp, x, out=pp), inv_tm, out=pp)
+        g_t[pos] = np.multiply(coef, s2, out=s2)
+
+    pz, mz, tz = gather(zero)
+    r, p0, s1, s2 = (row[:zero.size] for row in sub[3:])
+    kept = flags[:zero.size]
+    np.divide(mz, tz, out=r)
+    np.log1p(r, out=r)
+    np.negative(r, out=r)
+    np.multiply(tz, r, out=p0)
+    np.exp(p0, out=p0)  # NB probability of a zero
+    np.subtract(1.0, pz, out=s1)
+    s1 *= p0  # (1 - pi) p0
+    mix = np.add(pz, s1, out=pz)
+    np.greater_equal(mix, ZINB_PROB_FLOOR, out=kept)
+    floored = np.maximum(mix, ZINB_PROB_FLOOR, out=mix)
+    total += np.log(floored, out=s2).sum()
+    if grads is None:
+        return total
+    w = np.divide(coef, floored, out=s2)
+    w *= kept  # a floored entry has no gradient
+    g_p[zero] = np.multiply(w, np.subtract(1.0, p0, out=p0), out=p0)
+    w *= s1
+    inv_tm = np.add(tz, mz, out=s1)
+    np.divide(1.0, inv_tm, out=inv_tm)
+    g_t[zero] = np.multiply(w, np.add(r, np.multiply(mz, inv_tm, out=p0), out=p0), out=p0)
+    np.negative(w, out=p0)
+    p0 *= tz
+    p0 *= inv_tm
+    g_m[zero] = p0
+    return total
 
 
 def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
@@ -659,35 +705,67 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     needed, its gradients chained through the activations (zero where the
     unclamped pre-activation is past a clamp), folded into the hidden-row,
     weight and bias gradients: no n-by-genes array is ever formed.
+
+    The call allocates one workspace up front, sized by the largest block,
+    and every block writes into it in place: block buffers for the three
+    pre-activations, pi, mu, theta, one exp scratch and (with gradients)
+    the three gradients, seven rows of scratch for the positive and zero
+    entries, and one boolean mask. It is dropped on return; the backward
+    closure holds only the leaf gradients. Each head entry takes one exp:
+    with e = exp(-|c|), sigmoid(c) is where(c >= 0, 1, e) / (1 + e), and
+    softplus(c) = log1p(e) + max(c, 0) keeps its e for sigmoid(c), its
+    derivative. The in-place steps keep the operation order of the plain
+    array expressions, so values and gradients are bitwise the same.
     """
     for w, b in heads:
         if w.rows != hidden.cols or b.data.shape != (1, w.cols) or w.cols != heads[0][0].cols:
             raise DimensionError(f"zinb_decoder_nll: head {w.data.shape} + {b.data.shape} "
                                  f"on hidden {hidden.data.shape}")
     (w_p, _), (w_m, _), (w_t, _) = heads
-    coef = -1.0 / (hidden.rows * w_p.cols)
+    genes = w_p.cols
+    coef = -1.0 / (hidden.rows * genes)
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
     want_grad = any(tensor.requires_grad for tensor in leaves)
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
+    rows = max((stop - start for start, stop, *_ in blocks), default=0)
+    block_bufs = np.empty((10 if want_grad else 7, rows, genes))
+    sub = np.empty((7, max((max(pos.size, zero.size) for _, _, pos, _, zero in blocks),
+                           default=0)))
+    flag_buf = np.empty(rows * genes, dtype=bool)
+
     total = 0.0
     for start, stop, pos, x, zero in blocks:
         h = hidden.data[start:stop]
-        pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
-        p = _sigmoid(np.clip(pre_p, -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP))
-        m = np.exp(np.clip(pre_m, -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP))
-        t = np.where(pre_t > 0.0, pre_t + np.log1p(np.exp(-np.abs(pre_t))),
-                     np.log1p(np.exp(-np.abs(pre_t)))) + DISPERSION_FLOOR
-        total, grads = _zinb_block(total, p, m, t, pos, x, zero, coef, want_grad)
+        pre_p, pre_m, pre_t, p, m, t, e, *grads = block_bufs[:, :stop - start]
+        flags = flag_buf[:p.size].reshape(p.shape)
+        for (w, b), pre in zip(heads, (pre_p, pre_m, pre_t)):
+            np.matmul(h, w.data, out=pre)
+            pre += b.data
+        np.clip(pre_p, -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP, out=p)
+        _exp_neg_abs(p, e)
+        _sigmoid_into(p, e, np.greater_equal(p, 0.0, out=flags))
+        np.clip(pre_m, -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP, out=m)
+        np.exp(m, out=m)
+        _exp_neg_abs(pre_t, e)
+        np.log1p(e, out=t)
+        np.greater_equal(pre_t, 0.0, out=flags)
+        # softplus = log1p(e) + max(pre_t, 0): adding zero where pre_t <= 0
+        # is exact, so this is where(pre_t > 0, pre_t + log1p(e), log1p(e))
+        t += np.maximum(pre_t, 0.0, out=pre_t)
+        t += DISPERSION_FLOOR
+        _sigmoid_into(pre_t, e, flags)  # sigmoid(pre_t), softplus's derivative
+        total = _zinb_block(total, p, m, t, pos, x, zero, coef, grads if want_grad else None,
+                            sub, flag_buf)
         if not want_grad:
             continue
         g_p, g_m, g_t = grads
         g_p *= p
-        g_p *= 1.0 - p
-        g_p *= np.abs(pre_p) <= DROPOUT_LOGIT_CLAMP
+        g_p *= np.subtract(1.0, p, out=p)
+        g_p *= np.less_equal(np.abs(pre_p, out=pre_p), DROPOUT_LOGIT_CLAMP, out=flags)
         g_m *= m
-        g_m *= np.abs(pre_m) <= MEAN_LOGIT_CLAMP
-        g_t *= _sigmoid(pre_t)
+        g_m *= np.less_equal(np.abs(pre_m, out=pre_m), MEAN_LOGIT_CLAMP, out=flags)
+        g_t *= pre_t
         for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
             g_w += h.T @ g
             g_b += g.sum(axis=0, keepdims=True)

@@ -16,6 +16,7 @@ save/load round trip is lossless for 64-bit values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -136,8 +137,12 @@ def load_dataset(expression_path, coords_path, labels_path=None,
         if len(row) != 3:
             raise DataError(f"{coords_path} line {r}: expected spot_id,x,y")
         spot_ids.append(row[0].strip())
-        coords.append((_float_cell(row[1], f"{coords_path} line {r}"),
-                       _float_cell(row[2], f"{coords_path} line {r}")))
+        xy = (_float_cell(row[1], f"{coords_path} line {r}"),
+              _float_cell(row[2], f"{coords_path} line {r}"))
+        if not all(map(math.isfinite, xy)):
+            raise DataError(f"{coords_path} line {r}: coordinates must be finite, "
+                            f"got {row[1]!r}, {row[2]!r}")
+        coords.append(xy)
     if len(set(spot_ids)) != len(spot_ids):
         raise DataError(f"{coords_path}: duplicate spot ids")
 
@@ -159,6 +164,11 @@ def load_dataset(expression_path, coords_path, labels_path=None,
         order.append(row_of[s])
     counts = matrix[order]
 
+    bad = np.argwhere(~np.isfinite(counts))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"non-finite count {counts[i, j]} at spot {spot_ids[i]!r}, "
+                        f"gene {gene_ids[j]!r}")
     bad = np.argwhere(counts < 0)
     if bad.size:
         i, j = bad[0]

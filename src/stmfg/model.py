@@ -15,6 +15,7 @@ outputs only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -209,6 +210,18 @@ def save_checkpoint(params: ModelParams, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _checkpoint_row(line: str, cols: int, where: str) -> list[float]:
+    try:
+        values = [float(v) for v in line.split()]
+    except ValueError:
+        raise DataError(f"{where}: not a number") from None
+    if len(values) != cols:
+        raise DataError(f"{where}: expected {cols} values, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"{where}: values must be finite")
+    return values
+
+
 def load_checkpoint(path) -> ModelParams:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -223,11 +236,16 @@ def load_checkpoint(path) -> ModelParams:
         head = lines[i].split()
         if len(head) != 4 or head[0] != "tensor":
             raise DataError(f"{path}: bad header at line {i + 1}")
-        name, rows, cols = head[1], int(head[2]), int(head[3])
+        name = head[1]
+        try:
+            rows, cols = int(head[2]), int(head[3])
+        except ValueError:
+            raise DataError(f"{path} line {i + 1}: tensor {name} has a non-integer shape") from None
         block = lines[i + 1:i + 1 + rows]
         if len(block) != rows:
             raise DataError(f"{path}: truncated tensor {name}")
-        arr = np.array([[float(v) for v in line.split()] for line in block])
+        arr = np.array([_checkpoint_row(line, cols, f"{path} line {i + 2 + r}")
+                        for r, line in enumerate(block)])
         if arr.shape != (rows, cols):
             raise DataError(f"{path}: tensor {name} shape mismatch")
         arrays[name] = arr

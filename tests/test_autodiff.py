@@ -2,10 +2,13 @@
 the densify-and-multiply oracle for the sparse product."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import digamma as _digamma
+from scipy.special import gammaln as _gammaln
 
 from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
@@ -112,15 +115,123 @@ def softmax_rows(a):
 
 
 # ---------------------------------------------------------------------------
+# Allocating reference of ad.zinb_decoder_nll: the fused node as it was
+# before it took a call-scoped workspace, with fresh temporaries in every
+# block and separate transcendentals per activation. The workspace op must
+# reproduce its value and gradients bitwise.
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
+                pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
+                want_grad: bool) -> tuple[float, list[np.ndarray] | None]:
+    """Add the log-likelihood of one block of rows to ``total``: ``pi``,
+    ``mu``, ``theta`` are the block's parameters and ``pos``, ``x``, ``zero``
+    its count constants. Returns the new total and, when ``want_grad``,
+    coef times the gradients in pi, mu and theta, shaped like ``pi``.
+    With r = log(theta / (theta + mu)) an entry's log-likelihood is
+
+        x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
+        x > 0:  log(1 - pi) + lgamma(x + theta) - lgamma(theta) - lgamma(x + 1)
+                + theta r + x log(mu / (theta + mu)),
+
+    summed without the lgamma(x + 1) terms, a run constant. lgamma and
+    digamma run on positive entries only, the mixture on zero entries only;
+    a floored entry has zero gradient.
+    """
+    p, m, t = (np.ravel(a) for a in (pi, mu, theta))
+    if want_grad:
+        grads = [np.empty(pi.shape) for _ in range(3)]
+        g_p, g_m, g_t = (g.reshape(-1) for g in grads)
+    pp, mp, tp = p[pos], m[pos], t[pos]
+    r = -np.log1p(mp / tp)
+    xt = x + tp
+    ll = _gammaln(xt)
+    ll -= _gammaln(tp)
+    ll += tp * r
+    ll -= x * np.log1p(tp / mp)  # x log(mu / (theta + mu))
+    ll += np.log1p(-pp)
+    total += ll.sum()
+    if want_grad:
+        inv_tm = 1.0 / (tp + mp)
+        g_p[pos] = -coef / (1.0 - pp)
+        g_m[pos] = coef * (x / mp - xt * inv_tm)
+        g_t[pos] = coef * (_digamma(xt) - _digamma(tp) + r + (mp - x) * inv_tm)
+
+    pz, mz, tz = p[zero], m[zero], t[zero]
+    r = -np.log1p(mz / tz)
+    p0 = np.exp(tz * r)  # NB probability of a zero
+    mix = pz + (1.0 - pz) * p0
+    floored = np.maximum(mix, ad.ZINB_PROB_FLOOR)
+    total += np.log(floored).sum()
+    if not want_grad:
+        return total, None
+    w = coef / floored
+    w *= mix >= ad.ZINB_PROB_FLOOR  # a floored entry has no gradient
+    g_p[zero] = w * (1.0 - p0)
+    w *= (1.0 - pz) * p0
+    inv_tm = 1.0 / (tz + mz)
+    g_t[zero] = w * (r + mz * inv_tm)
+    g_m[zero] = -w * tz * inv_tm
+    return total, grads
+
+
+def allocating_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
+    for w, b in heads:
+        if w.rows != hidden.cols or b.data.shape != (1, w.cols) or w.cols != heads[0][0].cols:
+            raise DimensionError(f"zinb_decoder_nll: head {w.data.shape} + {b.data.shape} "
+                                 f"on hidden {hidden.data.shape}")
+    (w_p, _), (w_m, _), (w_t, _) = heads
+    coef = -1.0 / (hidden.rows * w_p.cols)
+    leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
+    want_grad = any(tensor.requires_grad for tensor in leaves)
+    g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
+
+    total = 0.0
+    for start, stop, pos, x, zero in blocks:
+        h = hidden.data[start:stop]
+        pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
+        p = _sigmoid(np.clip(pre_p, -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
+        m = np.exp(np.clip(pre_m, -ad.MEAN_LOGIT_CLAMP, ad.MEAN_LOGIT_CLAMP))
+        t = np.where(pre_t > 0.0, pre_t + np.log1p(np.exp(-np.abs(pre_t))),
+                     np.log1p(np.exp(-np.abs(pre_t)))) + ad.DISPERSION_FLOOR
+        total, grads = _zinb_block(total, p, m, t, pos, x, zero, coef, want_grad)
+        if not want_grad:
+            continue
+        g_p, g_m, g_t = grads
+        g_p *= p
+        g_p *= 1.0 - p
+        g_p *= np.abs(pre_p) <= ad.DROPOUT_LOGIT_CLAMP
+        g_m *= m
+        g_m *= np.abs(pre_m) <= ad.MEAN_LOGIT_CLAMP
+        g_t *= _sigmoid(pre_t)
+        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
+            g_w += h.T @ g
+            g_b += g.sum(axis=0, keepdims=True)
+        g_leaves[0][start:stop] = g_p @ w_p.data.T + g_m @ w_m.data.T + g_t @ w_t.data.T
+
+    def backward_fn(g, accum):
+        for tensor, grad in zip(leaves, g_leaves):
+            if tensor.requires_grad:
+                accum(tensor, ad._scaled(g, grad))
+
+    return ad._from_op(np.array([[coef * (total - log_x_fact)]]), leaves, backward_fn)
+
+
+# ---------------------------------------------------------------------------
 # Unfused reference of ad.zinb_decoder_nll: the decoder-head ops and the
 # likelihood node in (pi, mu, theta) that the decoder was built from before
-# it became one engine node. The likelihood shares the engine's per-block
-# math (ad._zinb_block), so it is the same formula over whole parameter
-# matrices; it also reaches inputs the heads cannot produce (pi = 0).
+# it became one engine node. The likelihood runs the allocating reference's
+# per-block math (_zinb_block above), so it is the same formula over whole
+# parameter matrices; it also reaches inputs the heads cannot produce (pi = 0).
 
 
 def sigmoid(a):
-    out_data = ad._sigmoid(a.data)
+    out_data = _sigmoid(a.data)
 
     def backward_fn(g, accum):
         accum(a, g * out_data * (1.0 - out_data))
@@ -143,7 +254,7 @@ def softplus(a):
                         np.log1p(np.exp(-np.abs(x))))
 
     def backward_fn(g, accum):
-        accum(a, g * ad._sigmoid(x))
+        accum(a, g * _sigmoid(x))
 
     return ad._from_op(out_data, (a,), backward_fn)
 
@@ -165,7 +276,7 @@ def zinb_mean_nll(pi, mu, theta, blocks, log_x_fact):
     grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
     total = 0.0
     for start, stop, pos, x, zero in blocks:
-        total, block_grads = ad._zinb_block(
+        total, block_grads = _zinb_block(
             total, *(t.data[start:stop] for t in (pi, mu, theta)), pos, x, zero, coef,
             want_grad)
         if want_grad:
@@ -561,6 +672,120 @@ class TestZinbDecoderNll:
             g_dropout, g_mean = grads[0][1], grads[0][3]
             assert (g_dropout[0, :2] == 0.0).all() and g_dropout[0, 2] != 0.0
             assert (g_mean[1, :2] == 0.0).all() and g_mean[1, 2] != 0.0
+
+    @pytest.mark.parametrize("block", [3, 256])
+    @pytest.mark.parametrize("hidden_kind", ["random", "identity"])
+    def test_matches_allocating_reference_bitwise(self, hidden_kind, block, monkeypatch):
+        """Value and all seven gradients bitwise equal to the allocating
+        reference. With block 3 the seven rows are an all-zero block, an
+        all-positive block and a one-row tail; with hidden = I_n the
+        pre-activations are the weights plus biases, set past and exactly on
+        both clamps and exactly to 0, where sigmoid takes its ``>=`` branch
+        and softplus its ``>`` one."""
+        monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
+        rng = np.random.default_rng(35)
+        n, genes = 7, 5
+        bs = [rng.uniform(-0.5, 0.5, (1, genes)) for _ in range(3)]
+        if hidden_kind == "identity":
+            hidden = np.eye(n)
+            ws = [rng.uniform(-3, 3, (n, genes)) for _ in range(3)]
+            ws[0][0] = [31.0, -30.5, 30.0, -30.0, 0.0]
+            ws[1][3] = [12.5, -13.0, 12.0, -12.0, 0.0]
+            ws[0][0] -= bs[0][0]
+            ws[1][3] -= bs[1][0]
+            for w, b in zip(ws, bs):
+                w[6, 1:3] = -b[0, 1:3]  # pre-activation exactly 0
+        else:
+            hidden = rng.uniform(0, 2, (n, 4))
+            ws = [rng.uniform(-1, 1, (4, genes)) for _ in range(3)]
+            ws[0][:, 0] *= 60.0
+            ws[1][:, 1] *= 30.0
+        counts = rng.poisson(3.0, (n, genes)).astype(float)
+        counts[:3] = 0.0
+        counts[3:6] += 1.0
+        counts[6, ::2] = 0.0
+        blocks = ad.zinb_count_blocks(counts)
+        outs, grads = [], []
+        for nll in (ad.zinb_decoder_nll, allocating_zinb_decoder_nll):
+            leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
+            loss = nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])), *blocks)
+            ad.backward(ad.scale(loss, 0.7))
+            outs.append(loss.data)
+            grads.append([t.grad for t in leaves])
+        pre = [hidden @ w + b for w, b in zip(ws, bs)]
+        assert (np.abs(pre[0]) > ad.DROPOUT_LOGIT_CLAMP).any()
+        assert (np.abs(pre[1]) > ad.MEAN_LOGIT_CLAMP).any()
+        if hidden_kind == "identity":
+            assert (np.abs(pre[0]) == ad.DROPOUT_LOGIT_CLAMP).sum() == 2
+            assert (np.abs(pre[1]) == ad.MEAN_LOGIT_CLAMP).sum() == 2
+            assert all((p == 0.0).sum() >= 2 for p in pre)
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_value_without_gradients_matches_allocating_reference(self):
+        rng = np.random.default_rng(36)
+        hidden = Tensor(rng.uniform(0, 2, (5, 3)))
+        heads = [(Tensor(rng.uniform(-1, 1, (3, 4))), Tensor(rng.uniform(-1, 1, (1, 4))))
+                 for _ in range(3)]
+        blocks = ad.zinb_count_blocks(rng.poisson(1.5, (5, 4)).astype(float))
+        loss = ad.zinb_decoder_nll(hidden, heads, *blocks)
+        assert not loss.requires_grad
+        np.testing.assert_array_equal(
+            loss.data, allocating_zinb_decoder_nll(hidden, heads, *blocks).data)
+
+    def test_likelihood_helper_matches_reference_with_floored_entries(self):
+        """The engine's per-block likelihood against the reference's, in
+        (pi, mu, theta) directly: with pi = 0, mu = 1e6, theta = 1000 the
+        zero-count mixture underflows to the floor, which the heads never
+        reach."""
+        rng = np.random.default_rng(37)
+        shape = (4, 6)
+        pi = rng.uniform(0.05, 0.9, shape)
+        mu = rng.uniform(0.2, 6.0, shape)
+        theta = rng.uniform(0.3, 4.0, shape)
+        pi[0, :3], mu[0, :3], theta[0, :3] = 0.0, 1e6, 1000.0
+        counts = rng.poisson(1.5, shape).astype(float)
+        counts[0, :3] = 0.0
+        (block,), _ = ad.zinb_count_blocks(counts)
+        _, _, pos, x, zero = block
+        coef = -1.0 / pi.size
+        want_total, want = _zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, True)
+        got = [np.full(shape, np.nan) for _ in range(3)]
+        sub = np.full((7, max(pos.size, zero.size) + 2), np.nan)
+        flags = np.ones(pi.size + 3, dtype=bool)
+        total = ad._zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, got, sub, flags)
+        assert total == want_total
+        assert (want[0][0, :3] == 0.0).all()
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert ad._zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, None, sub,
+                              flags) == want_total
+
+    def test_forward_memory_is_one_call_scoped_workspace(self):
+        """One forward at 900 x 3000 (58% zeros, 128-wide hidden layer, the
+        count constants prepared beforehand): the peak stays within 5.5
+        count-sized buffers (6.25 with fresh temporaries in every block),
+        and after the call only the leaf gradients are held."""
+        rng = np.random.default_rng(642)
+        n, genes, width = 900, 3000, 128
+        counts = rng.poisson(2.0, size=(n, genes)).astype(float)
+        counts[rng.random((n, genes)) < 0.514] = 0.0
+        assert abs((counts == 0).mean() - 0.58) < 0.01
+        blocks = ad.zinb_count_blocks(counts)
+        hidden = tensor(rng.uniform(0.0, 1.0, size=(n, width)))
+        heads = [(tensor(rng.normal(0.0, 0.05, (width, genes))), tensor(np.zeros((1, genes))))
+                 for _ in range(3)]
+        leaf_bytes = hidden.data.nbytes + sum(t.data.nbytes for head in heads for t in head)
+        tracemalloc.start()
+        try:
+            loss = ad.zinb_decoder_nll(hidden, heads, *blocks)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert peak <= 5.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
+        assert held <= leaf_bytes + 2**20, f"held {held / counts.nbytes:.2f} buffers"
 
     def test_shape_contracts(self):
         hidden = tensor(np.ones((3, 2)))

@@ -77,6 +77,31 @@ class TestRun:
                      "--out", str(tmp_path / "x"), *FAST, "--clusters", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+    def test_non_finite_count_is_data_error(self, synth_dir, tmp_path, capsys, raw):
+        lines = (synth_dir / "expression.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = raw
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "expression.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--expression", str(bad), "--coords", str(synth_dir / "coords.csv"),
+                     "--out", str(tmp_path / "x"), *FAST, "--clusters", "2"])
+        assert code == 2
+        assert f"non-finite count {float(raw)} at spot {cells[0]!r}" in capsys.readouterr().err
+
+    def test_non_finite_coordinate_is_data_error(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "coords.csv").read_text().splitlines()
+        spot, _, y = lines[2].split(",")
+        lines[2] = f"{spot},nan,{y}"
+        bad = tmp_path / "coords.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--expression", str(synth_dir / "expression.csv"),
+                     "--coords", str(bad), "--out", str(tmp_path / "x"), *FAST,
+                     "--clusters", "2"])
+        assert code == 2
+        assert "line 3: coordinates must be finite" in capsys.readouterr().err
+
     def test_numeric_abort_exit_code_and_manifest(self, synth_dir, tmp_path, monkeypatch):
         def poisoned(*args, **kwargs):
             t = Tensor([[1.0]])

@@ -67,6 +67,33 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="s2"):
             load_dataset(expr, coords)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_count_context(self, tiny_files, tmp_path, raw):
+        _, coords, _ = tiny_files
+        expr = tmp_path / "non_finite.csv"
+        expr.write_text(f"spot_id,gA,gB\ns1,1,0\ns2,2,{raw}\ns3,0,4\n")
+        with pytest.raises(DataError, match="non-finite count .* spot 's2', gene 'gB'"):
+            load_dataset(expr, coords)
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf"])
+    def test_non_finite_matrix_market_count_context(self, tiny_files, tmp_path, raw):
+        _, coords, _ = tiny_files
+        mtx = tmp_path / "expr.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"3 2 2\n1 1 3\n3 2 {raw}\n")
+        (tmp_path / "expr.spots.txt").write_text("s1\ns2\ns3\n")
+        (tmp_path / "expr.genes.txt").write_text("gA\ngB\n")
+        with pytest.raises(DataError, match="non-finite count .* spot 's3', gene 'gB'"):
+            load_dataset(mtx, coords)
+
+    @pytest.mark.parametrize("cell", ["nan,100", "0,inf", "-1e400,0"])
+    def test_non_finite_coordinate_names_line(self, tiny_files, tmp_path, cell):
+        expr, _, _ = tiny_files
+        coords = tmp_path / "coords_bad.csv"
+        coords.write_text(f"spot_id,x,y\ns1,0,0\ns2,{cell}\ns3,100,0\n")
+        with pytest.raises(DataError, match="line 3: coordinates must be finite"):
+            load_dataset(expr, coords)
+
     def test_matrix_market_equals_dense_twin(self, tiny_files, tmp_path):
         expr, coords, _ = tiny_files
         dense = load_dataset(expr, coords)

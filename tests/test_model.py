@@ -316,3 +316,32 @@ class TestCheckpoint:
         path.write_text("not a checkpoint\n")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: lines.__setitem__(1, "tensor spatial_weights.0 6x 5"), 2,
+         "non-integer shape"),
+        (lambda lines: lines.__setitem__(1, "tensor spatial_weights.0 6 5.0"), 2,
+         "non-integer shape"),
+        (lambda lines: lines.__setitem__(3, lines[3].replace(" ", " abc ", 1)), 4,
+         "not a number"),
+        (lambda lines: lines.__setitem__(3, lines[3].rsplit(" ", 1)[0]), 4,
+         "expected 5 values, got 4"),
+        (lambda lines: lines.__setitem__(4, "nan " + lines[4].split(" ", 1)[1]), 5,
+         "values must be finite"),
+        (lambda lines: lines.__setitem__(4, "1e400 " + lines[4].split(" ", 1)[1]), 5,
+         "values must be finite"),
+    ], ids=["shape-letter", "shape-float", "value-text", "short-row", "value-nan",
+            "value-overflow"])
+    def test_malformed_values_are_data_errors(self, tmp_path, edit, line, message):
+        from stmfg.errors import DataError
+
+        params = make_params(np.random.default_rng(16), [6, 5, 4], 7, decoder_hidden=8)
+        path = tmp_path / "params.txt"
+        save_checkpoint(params, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == "tensor spatial_weights.0 6 5"
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"line {line}: .*{message}"):
+            load_checkpoint(path)

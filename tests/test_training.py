@@ -16,6 +16,8 @@ from stmfg.graphs import build_graph_pair
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
+from test_autodiff import allocating_zinb_decoder_nll
+
 
 def small_problem(seed=0, n_side=8, k=2, genes=12):
     ds = preprocess(generate_synthetic(n_side, k, genes, seed=seed,
@@ -297,6 +299,20 @@ class TestEpochMemory:
         train(ds, graphs, small_config(epochs=2, hidden_dims=(16, 8), decoder_hidden=16))
         buffer = n * genes * 8
         assert peaks and peaks[0] < buffer, f"epoch peak {peaks[0] / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("block", [16, 256])
+def test_training_matches_allocating_zinb_reference(block, monkeypatch):
+    """Training with the workspace ZINB node and with the allocating
+    reference patched in gives the same loss table and embedding bytes."""
+    monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
+    ds, graphs = small_problem(genes=300)
+    runs = []
+    for nll in (ad.zinb_decoder_nll, allocating_zinb_decoder_nll):
+        monkeypatch.setattr(ad, "zinb_decoder_nll", nll)
+        result = train(ds, graphs, small_config(epochs=4))
+        runs.append((result.log.loss_table(), result.trace.embedding.data.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_forward_trace_holds_encoder_outputs_only():
