@@ -1,16 +1,16 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Everything is rank-2: scalars are 1x1, row vectors 1xd. The op set is
-exactly what the dual-view encoder, the ZINB decoder and the loss terms
-need; there is no broadcasting beyond scalar and row-vector patterns.
+exactly what the package calls: each ReLU layer of the encoder and the
+decoder is one ``graph_conv`` node, the attention step, the pairwise
+losses and the ZINB decoder heads with their likelihood are fused nodes,
+and ``add`` and ``scale`` weigh and sum the 1x1 loss terms. Every node has
+a closed-form gradient and forms no n-by-n or n-by-genes intermediate.
 Graph adjacency enters as a constant sparse operator (`SparseMatrix`),
-so no gradient ever flows into graph structure. The attention step, the
-pairwise losses and the ZINB decoder heads with their likelihood are
-fused nodes with closed-form gradients that form no n-by-n or n-by-genes
-intermediate. The ZINB node allocates one workspace per call, sized by its
-largest row block, writes every block into it in place and drops it on
-return; each head entry takes a single exp, shared by an activation and
-the derivative it needs.
+so no gradient ever flows into graph structure. The ZINB node allocates
+one workspace per call, sized by its largest row block, writes every
+block into it in place and drops it on return; each head entry takes a
+single exp, shared by an activation and the derivative it needs.
 
 `backward` computes one gradient total per tensor per pass and folds it
 into ``.grad`` with a single addition, which keeps repeated passes
@@ -57,23 +57,15 @@ __all__ = [
     "NORM_EPS",
     "Tensor",
     "SparseMatrix",
-    "matmul",
-    "spmm",
+    "graph_conv",
     "add",
-    "sub",
-    "hadamard",
     "scale",
-    "neg",
-    "relu",
-    "sum_all",
-    "mean_all",
     "view_attention",
     "cross_view_contrastive",
     "cosine_link_loss",
     "zinb_decoder_nll",
     "backward",
     "zero_grad",
-    "grad_check",
 ]
 
 
@@ -91,22 +83,17 @@ def _as_matrix(data) -> np.ndarray:
 class Tensor:
     """Dense float64 matrix participating in the differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         arr = _as_matrix(data)
         if not np.isfinite(arr).all():
             raise DomainError("tensor values must be finite")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray, Callable], None] | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
     @property
     def rows(self) -> int:
@@ -121,38 +108,14 @@ class Tensor:
             raise ContractError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Operator sugar; the module-level functions are the canonical API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.name = ""
     needs = any(p.requires_grad for p in parents)
     out.requires_grad = needs
     if needs:
@@ -170,21 +133,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    out = g
-    if shape[0] == 1 and g.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
-
-
 def _scaled(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """A fused op's stored gradient times its 1x1 upstream gradient; handed
     over as is when that is exactly one (backward never writes it)."""
@@ -192,76 +140,53 @@ def _scaled(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# graph convolution
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, g @ b.data.T)
-        if b.requires_grad:
-            accum(b, a.data.T @ g)
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
-def spmm(s: "SparseMatrix", d: Tensor) -> Tensor:
-    """Sparse-operator times dense tensor; the operator is a constant."""
-    if s.n != d.rows:
-        raise DimensionError(f"spmm: operator n={s.n} vs tensor rows={d.rows}")
-    out_data = s.csr() @ d.data
+def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
+               bias: Tensor | None = None) -> Tensor:
+    """One ReLU layer relu((adj x) w + bias) as one node; with ``adj`` None
+    ``x`` is already propagated, and the constant ``adj`` gets no gradient."""
+    if adj is not None and adj.n != x.rows:
+        raise DimensionError(f"graph_conv: operator n={adj.n} vs tensor rows={x.rows}")
+    if x.cols != w.rows:
+        raise DimensionError(f"graph_conv: {x.data.shape} @ {w.data.shape}")
+    if bias is not None and bias.data.shape != (1, w.cols):
+        raise DimensionError(f"graph_conv: bias {bias.data.shape} for width {w.cols}")
+    csr = None if adj is None else adj.csr()
+    prop = x.data if csr is None else csr @ x.data
+    pre = prop @ w.data
+    if bias is not None:
+        pre += bias.data
+    out_data = np.maximum(pre, 0.0)
 
     def backward_fn(g, accum):
-        accum(d, s.csr().T @ g)
+        g = g * (pre > 0.0)
+        if w.requires_grad:
+            accum(w, prop.T @ g)
+        if bias is not None and bias.requires_grad:
+            accum(bias, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            g = g @ w.data.T
+            accum(x, g if csr is None else csr.T @ g)
 
-    return _from_op(out_data, (d,), backward_fn)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return _from_op(out_data, parents, backward_fn)
 
 
 # ---------------------------------------------------------------------------
-# pointwise arithmetic
+# loss arithmetic
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape and not _broadcastable(a.data.shape, b.data.shape):
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}")
+    _same_shape(a, b, "add")
     out_data = a.data + b.data
 
     def backward_fn(g, accum):
         if a.requires_grad:
-            accum(a, _unbroadcast(g, a.data.shape))
+            accum(a, g)
         if b.requires_grad:
-            accum(b, _unbroadcast(g, b.data.shape))
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape and not _broadcastable(a.data.shape, b.data.shape):
-        raise DimensionError(f"sub: shapes {a.data.shape} and {b.data.shape}")
-    out_data = a.data - b.data
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _from_op(out_data, (a, b), backward_fn)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "hadamard")
-    out_data = a.data * b.data
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, g * b.data)
-        if b.requires_grad:
-            accum(b, g * a.data)
+            accum(b, g)
 
     return _from_op(out_data, (a, b), backward_fn)
 
@@ -274,40 +199,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
         accum(a, g * factor)
 
     return _from_op(out_data, (a,), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward_fn(g, accum):
-        accum(a, g * (a.data > 0.0))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.array([[a.data.sum()]])
-
-    def backward_fn(g, accum):
-        accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _from_op(out_data, (a,), backward_fn)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(sum_all(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +720,8 @@ def zero_grad(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+# Kept out of __all__, which lists what the package calls: the
+# finite-difference oracle of the tests.
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float) -> float:
     """Max relative error between AD and central-difference gradients of f at x.
 

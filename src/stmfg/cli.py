@@ -185,11 +185,13 @@ def _prepare(args, cfg: TrainConfig, pipeline: PipelineSettings):
 
 
 def _resolve_clusters(dataset: Dataset, pipeline: PipelineSettings) -> int:
-    if pipeline.clusters is not None:
-        return pipeline.clusters
-    if dataset.n_domains:
-        return dataset.n_domains
-    raise ContractError("--clusters is required when no labels file is given")
+    """The cluster count, checked against the spots before any training."""
+    k = pipeline.clusters if pipeline.clusters is not None else dataset.n_domains
+    if not k:
+        raise ContractError("--clusters is required when no labels file is given")
+    if k > dataset.n_spots:
+        raise ContractError(f"k={k} exceeds the number of spots {dataset.n_spots}")
+    return k
 
 
 def _train_and_score(dataset, graphs, cfg: TrainConfig, k: int, restarts: int,
@@ -221,9 +223,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _load_manifest(path) -> dict:
+    """A previous run's manifest: each of its sections must be a JSON object
+    and each input path a string or null."""
+    previous = _load_config_file(path)
+    for key in ("inputs", "train", "pipeline"):
+        if not isinstance(previous.get(key, {}), dict):
+            raise DataError(f"{path}: manifest key {key!r} must be a JSON object")
+    for key, value in previous.get("inputs", {}).items():
+        if value is not None and not isinstance(value, str):
+            raise DataError(f"{path}: manifest input {key!r} must be a path or null")
+    return previous
+
+
 def cmd_run(args) -> int:
     if args.from_manifest:
-        previous = _load_config_file(args.from_manifest)
+        previous = _load_manifest(args.from_manifest)
         inputs = previous.get("inputs", {})
         args.expression = args.expression or inputs.get("expression")
         args.coords = args.coords or inputs.get("coords")

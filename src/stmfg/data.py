@@ -184,7 +184,10 @@ def load_dataset(expression_path, coords_path, labels_path=None,
         for r, row in enumerate(label_rows[1:], start=2):
             if len(row) != 2:
                 raise DataError(f"{labels_path} line {r}: expected spot_id,label")
-            raw[row[0].strip()] = row[1].strip()
+            spot = row[0].strip()
+            if spot in raw:
+                raise DataError(f"{labels_path} line {r}: duplicate spot id {spot!r}")
+            raw[spot] = row[1].strip()
         unknown = set(raw) - set(spot_ids)
         if unknown:
             raise DataError(f"{labels_path}: unknown spot id {sorted(unknown)[0]!r}")

@@ -3,14 +3,15 @@ parameters of the ZINB decoder that drives reconstruction.
 
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
-embeddings row-wise into the next layer's input; that step is one fused
-engine op (``autodiff.view_attention``). A late-fusion variant
+embeddings row-wise into the next layer's input. Each convolution is one
+engine node (``autodiff.graph_conv``), and so is each attention step
+(``autodiff.view_attention``). A late-fusion variant
 (each view encoded independently, one fusion at the output) backs the
 "w/o mf" ablation. The first layer's propagations A X of the constant
-input are run constants (``propagate_input``). The decoder's three heads
-have no nodes of their own: the likelihood node applies them to the
-hidden layer (``zinb_decode``) block by block, and a trace holds encoder
-outputs only.
+input are run constants (``propagate_input``). The decoder's hidden layer
+is one ``graph_conv`` node without propagation; its three heads have no
+nodes of their own: the likelihood node applies them to the hidden layer
+(``zinb_decode``) block by block, and a trace holds encoder outputs only.
 """
 
 from __future__ import annotations
@@ -119,15 +120,10 @@ class ForwardTrace:
     fusion_weights: list[Tensor] = field(default_factory=list)
 
 
-def gcn_layer(a_norm: SparseMatrix, z: Tensor, w: Tensor) -> Tensor:
-    """One graph convolution: propagate with the normalized adjacency,
-    project with the layer weight, apply ReLU."""
-    return ad.relu(ad.matmul(ad.spmm(a_norm, z), w))
-
-
 def propagate_input(x: Tensor, spatial_norm: SparseMatrix,
                     feature_norm: SparseMatrix) -> tuple[Tensor, Tensor]:
-    """A_s X and A_f X of a constant input, bitwise equal to ``spmm``."""
+    """A_s X and A_f X of a constant input, bitwise equal to the
+    propagation inside ``graph_conv``."""
     x_rows = np.ascontiguousarray(x.data)
     return Tensor(spatial_norm.csr() @ x_rows), Tensor(feature_norm.csr() @ x_rows)
 
@@ -168,14 +164,14 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
     if propagated is None:
         propagated = propagate_input(x, spatial_norm, feature_norm)
     trace = ForwardTrace(embedding=x)
-    z_s = ad.relu(ad.matmul(propagated[0], params.spatial_weights[0]))
-    z_f = ad.relu(ad.matmul(propagated[1], params.feature_weights[0]))
+    z_s = ad.graph_conv(propagated[0], params.spatial_weights[0])
+    z_f = ad.graph_conv(propagated[1], params.feature_weights[0])
     last = params.n_layers - 1
     for i in range(params.n_layers):
         if i > 0:
             in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
-            z_s = gcn_layer(spatial_norm, in_s, params.spatial_weights[i])
-            z_f = gcn_layer(feature_norm, in_f, params.feature_weights[i])
+            z_s = ad.graph_conv(in_s, params.spatial_weights[i], spatial_norm)
+            z_f = ad.graph_conv(in_f, params.feature_weights[i], feature_norm)
         trace.spatial_embeddings.append(z_s)
         trace.feature_embeddings.append(z_f)
         if per_layer_fusion or i == last:
@@ -189,7 +185,7 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
 def zinb_decode(z: Tensor, params: ModelParams) -> Tensor:
     """The decoder's shared ReLU hidden layer over the embedding. Its three
     heads are applied inside the likelihood node (``losses.zinb_nll``)."""
-    return ad.relu(ad.add(ad.matmul(z, params.decoder_hidden_w), params.decoder_hidden_b))
+    return ad.graph_conv(z, params.decoder_hidden_w, bias=params.decoder_hidden_b)
 
 
 # ---------------------------------------------------------------------------

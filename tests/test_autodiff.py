@@ -1,8 +1,11 @@
-"""Engine tests: frozen closed-form values, finite-difference oracles, and
-the densify-and-multiply oracle for the sparse product."""
+"""Engine tests: frozen closed-form values, finite-difference oracles,
+unfused references that the fused ops must reproduce, and the
+densify-and-multiply oracle for the sparse product."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +38,108 @@ def random_sparse_symmetric(n, rng, density=0.3):
                 cols += [j, i]
                 vals += [v, v]
     return SparseMatrix(n, rows, cols, vals)
+
+
+# ---------------------------------------------------------------------------
+# Unfused reference of ad.graph_conv: the generic ops a ReLU layer was built
+# from before it became one engine node. The fused op must reproduce the
+# chains relu(matmul(spmm(A, z), w)), relu(matmul(P, w)) and
+# relu(broadcast_add(matmul(z, w), b)) bitwise, value and gradients.
+
+
+def matmul(a, b):
+    if a.cols != b.rows:
+        raise DimensionError(f"matmul: {a.data.shape} @ {b.data.shape}")
+    out_data = a.data @ b.data
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, g @ b.data.T)
+        if b.requires_grad:
+            accum(b, a.data.T @ g)
+
+    return ad._from_op(out_data, (a, b), backward_fn)
+
+
+def spmm(s, d):
+    """Sparse-operator times dense tensor; the operator is a constant."""
+    if s.n != d.rows:
+        raise DimensionError(f"spmm: operator n={s.n} vs tensor rows={d.rows}")
+    out_data = s.csr() @ d.data
+
+    def backward_fn(g, accum):
+        accum(d, s.csr().T @ g)
+
+    return ad._from_op(out_data, (d,), backward_fn)
+
+
+def relu(a):
+    out_data = np.maximum(a.data, 0.0)
+
+    def backward_fn(g, accum):
+        accum(a, g * (a.data > 0.0))
+
+    return ad._from_op(out_data, (a,), backward_fn)
+
+
+def _unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
+    out = g
+    if shape[0] == 1 and g.shape[0] != 1:
+        out = out.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and out.shape[1] != 1:
+        out = out.sum(axis=1, keepdims=True)
+    return out
+
+
+def broadcast_add(a, b):
+    """The engine's add before it required equal shapes: a row vector or a
+    1x1 operand is broadcast, and its gradient summed back."""
+    if a.data.shape != b.data.shape and not all(
+            x == y or x == 1 or y == 1 for x, y in zip(a.data.shape, b.data.shape)):
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}")
+    out_data = a.data + b.data
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            accum(b, _unbroadcast(g, b.data.shape))
+
+    return ad._from_op(out_data, (a, b), backward_fn)
+
+
+def reference_graph_conv(x, w, adj=None, bias=None):
+    """The generic-op chain that ad.graph_conv replaces."""
+    pre = matmul(x if adj is None else spmm(adj, x), w)
+    return relu(pre if bias is None else broadcast_add(pre, bias))
+
+
+# Harness ops: scalar-valued losses for the gradient checks.
+
+
+def hadamard(a, b):
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"hadamard: shapes {a.data.shape} and {b.data.shape} differ")
+    out_data = a.data * b.data
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, g * b.data)
+        if b.requires_grad:
+            accum(b, g * a.data)
+
+    return ad._from_op(out_data, (a, b), backward_fn)
+
+
+def sum_all(a):
+    out_data = np.array([[a.data.sum()]])
+
+    def backward_fn(g, accum):
+        accum(a, np.broadcast_to(g, a.data.shape))
+
+    return ad._from_op(out_data, (a,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +401,12 @@ def unfused_heads(hidden, heads):
     """(pi, mu, theta) of the decoder heads ((w, b) for dropout, mean and
     dispersion) as the eleven generic nodes the fused op replaces."""
     (w_p, b_p), (w_m, b_m), (w_t, b_t) = heads
-    pi = sigmoid(clip(ad.add(ad.matmul(hidden, w_p), b_p),
+    pi = sigmoid(clip(broadcast_add(matmul(hidden, w_p), b_p),
                       -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
-    mu = exp(clip(ad.add(ad.matmul(hidden, w_m), b_m),
+    mu = exp(clip(broadcast_add(matmul(hidden, w_m), b_m),
                   -ad.MEAN_LOGIT_CLAMP, ad.MEAN_LOGIT_CLAMP))
-    theta = ad.add(softplus(ad.add(ad.matmul(hidden, w_t), b_t)),
-                   Tensor([[ad.DISPERSION_FLOOR]]))
+    theta = broadcast_add(softplus(broadcast_add(matmul(hidden, w_t), b_t)),
+                          Tensor([[ad.DISPERSION_FLOOR]]))
     return pi, mu, theta
 
 
@@ -333,14 +438,15 @@ def head_values(hidden, params):
     return tuple(t.data for t in unfused_heads(hidden, heads_of(params)))
 
 
-REFERENCE_OPS = ("leaky_relu", "concat_cols", "slice_cols", "col_broadcast_mul",
+REFERENCE_OPS = ("matmul", "spmm", "relu", "broadcast_add", "sum_all", "hadamard",
+                 "leaky_relu", "concat_cols", "slice_cols", "col_broadcast_mul",
                  "row_l2_normalize", "softmax_rows", "sigmoid", "exp", "softplus", "clip",
                  "zinb_mean_nll")
 
 
 def unfused_view_attention(zs, zf, w, slope, l2):
     """The ten-node graph that ad.view_attention replaces."""
-    weights = softmax_rows(leaky_relu(ad.matmul(concat_cols(zs, zf), w), slope))
+    weights = softmax_rows(leaky_relu(matmul(concat_cols(zs, zf), w), slope))
     if l2:
         weights = row_l2_normalize(weights)
     fused = ad.add(col_broadcast_mul(slice_cols(weights, 0, 1), zs),
@@ -350,28 +456,28 @@ def unfused_view_attention(zs, zf, w, slope, l2):
 
 class TestMatmul:
     def test_identity(self):
-        out = ad.matmul(tensor([[1.0, 0.0], [0.0, 1.0]]), tensor([[3.0], [4.0]]))
+        out = matmul(tensor([[1.0, 0.0], [0.0, 1.0]]), tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_scalar(self):
-        out = ad.matmul(tensor([[2.0]]), tensor([[3.0]]))
+        out = matmul(tensor([[2.0]]), tensor([[3.0]]))
         np.testing.assert_array_equal(out.data, [[6.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
+            matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
 
     def test_backward_vs_finite_differences(self):
         rng = np.random.default_rng(7)
         a = tensor(rng.uniform(-2, 2, (4, 3)))
         b_const = Tensor(rng.uniform(-2, 2, (3, 2)))
         w = Tensor(rng.uniform(-2, 2, (4, 2)))
-        err_a = ad.grad_check(lambda x: ad.sum_all(ad.hadamard(w, ad.matmul(x, b_const))), a, 1e-5)
+        err_a = ad.grad_check(lambda x: sum_all(hadamard(w, matmul(x, b_const))), a, 1e-5)
         assert err_a < 1e-6
 
         b = tensor(rng.uniform(-2, 2, (3, 2)))
         a_const = Tensor(rng.uniform(-2, 2, (4, 3)))
-        err_b = ad.grad_check(lambda x: ad.sum_all(ad.hadamard(w, ad.matmul(a_const, x))), b, 1e-5)
+        err_b = ad.grad_check(lambda x: sum_all(hadamard(w, matmul(a_const, x))), b, 1e-5)
         assert err_b < 1e-6
 
 
@@ -379,20 +485,20 @@ class TestSpmm:
     def test_identity_operator(self):
         s = SparseMatrix(3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
         d = tensor(np.arange(6.0).reshape(3, 2))
-        out = ad.spmm(s, d)
+        out = spmm(s, d)
         np.testing.assert_array_equal(out.data, d.data)
 
     def test_empty_operator_gives_zero(self):
         s = SparseMatrix(3, [], [], [])
         d = tensor(np.ones((3, 2)))
-        out = ad.spmm(s, d)
+        out = spmm(s, d)
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_matches_densified_matmul(self):
         rng = np.random.default_rng(11)
         s = random_sparse_symmetric(10, rng)
         d = tensor(rng.uniform(-2, 2, (10, 4)))
-        out = ad.spmm(s, d)
+        out = spmm(s, d)
         oracle = s.to_dense() @ d.data
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
@@ -402,17 +508,17 @@ class TestSpmm:
         n = int(rng.integers(2, 65))
         s = random_sparse_symmetric(n, rng, density=0.2)
         d = tensor(rng.uniform(-2, 2, (n, 3)))
-        np.testing.assert_allclose(ad.spmm(s, d).data, s.to_dense() @ d.data, atol=1e-12)
+        np.testing.assert_allclose(spmm(s, d).data, s.to_dense() @ d.data, atol=1e-12)
 
     def test_dimension_error(self):
         s = SparseMatrix(3, [], [], [])
         with pytest.raises(DimensionError):
-            ad.spmm(s, tensor(np.ones((4, 2))))
+            spmm(s, tensor(np.ones((4, 2))))
 
 
 class TestElementwise:
     def test_relu_signs(self):
-        out = ad.relu(tensor([[-1.0, 2.0]]))
+        out = relu(tensor([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
     def test_sigmoid_at_zero(self):
@@ -442,13 +548,13 @@ class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones((2, 2)))
         with pytest.raises(ContractError):
-            ad.backward(ad.relu(x))
+            ad.backward(relu(x))
 
     def test_accumulation_doubles_exactly(self):
         rng = np.random.default_rng(9)
         x = tensor(rng.uniform(-2, 2, (3, 4)))
         y = tensor(rng.uniform(-2, 2, (4, 2)))
-        loss = ad.sum_all(ad.hadamard(ad.matmul(x, y), ad.matmul(x, y)))
+        loss = sum_all(hadamard(matmul(x, y), matmul(x, y)))
         ad.backward(loss)
         first = (x.grad.copy(), y.grad.copy())
         ad.backward(loss)
@@ -473,12 +579,12 @@ class TestBackwardContract:
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = tensor([[1.0, 2.0]])
-        err = ad.grad_check(lambda t: ad.sum_all(ad.hadamard(t, t)), x, 1e-5)
+        err = ad.grad_check(lambda t: sum_all(hadamard(t, t)), x, 1e-5)
         assert err < 1e-6
 
     def test_relu_away_from_kink(self):
         x = tensor([[1.5, -0.7, 2.0, -1.2]])
-        err = ad.grad_check(lambda t: ad.sum_all(ad.relu(t)), x, 1e-5)
+        err = ad.grad_check(lambda t: sum_all(relu(t)), x, 1e-5)
         assert err < 1e-6
 
 
@@ -507,23 +613,22 @@ def _op_cases():
 
     def wsum(rng, t):
         w = Tensor(rng.uniform(-1, 1, t.data.shape))
-        return ad.sum_all(ad.hadamard(w, t))
+        return sum_all(hadamard(w, t))
 
-    case("matmul")(lambda rng, x: wsum(rng, ad.matmul(x, Tensor(rng.uniform(-2, 2, (x.cols, 3))))))
-    case("add")(lambda rng, x: wsum(rng, ad.add(x, Tensor(rng.uniform(-2, 2, (1, x.cols))))))
-    case("sub")(lambda rng, x: wsum(rng, ad.sub(Tensor([[1.5]]), x)))
-    case("hadamard")(lambda rng, x: wsum(rng, ad.hadamard(x, Tensor(rng.uniform(-2, 2, x.data.shape)))))
+    case("matmul")(lambda rng, x: wsum(rng, matmul(x, Tensor(rng.uniform(-2, 2, (x.cols, 3))))))
+    case("add")(lambda rng, x: wsum(rng, ad.add(x, hadamard(x, x))))
+    case("broadcast_add")(
+        lambda rng, x: wsum(rng, broadcast_add(x, Tensor(rng.uniform(-2, 2, (1, x.cols))))))
+    case("hadamard")(lambda rng, x: wsum(rng, hadamard(x, Tensor(rng.uniform(-2, 2, x.data.shape)))))
     case("scale")(lambda rng, x: wsum(rng, ad.scale(x, -1.7)))
-    case("neg")(lambda rng, x: wsum(rng, ad.neg(x)))
-    case("relu")(lambda rng, x: wsum(rng, ad.relu(x)))
+    case("relu")(lambda rng, x: wsum(rng, relu(x)))
     case("sigmoid")(lambda rng, x: wsum(rng, sigmoid(x)))
     case("exp")(lambda rng, x: wsum(rng, exp(x)))
     case("softplus")(lambda rng, x: wsum(rng, softplus(x)))
     case("clip")(lambda rng, x: wsum(rng, clip(x, -1.5, 1.5)))
-    case("sum_all")(lambda rng, x: ad.sum_all(ad.hadamard(x, x)))
-    case("mean_all")(lambda rng, x: ad.mean_all(ad.hadamard(x, x)))
+    case("sum_all")(lambda rng, x: sum_all(hadamard(x, x)))
     case("leaky_relu")(lambda rng, x: wsum(rng, leaky_relu(x, 0.2)))
-    case("concat_cols")(lambda rng, x: wsum(rng, concat_cols(x, ad.hadamard(x, x))))
+    case("concat_cols")(lambda rng, x: wsum(rng, concat_cols(x, hadamard(x, x))))
     case("slice_cols")(lambda rng, x: wsum(rng, slice_cols(x, 1, x.cols)))
     case("col_broadcast_mul")(
         lambda rng, x: wsum(rng, col_broadcast_mul(slice_cols(x, 0, 1), x)))
@@ -531,9 +636,9 @@ def _op_cases():
     case("softmax_rows")(lambda rng, x: wsum(rng, softmax_rows(x)))
     # both views depend on x, so the checks cover both gradient paths
     case("view_attention")(lambda rng, x: wsum(rng, ad.view_attention(
-        x, ad.hadamard(x, x), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2, True)[0]))
+        x, hadamard(x, x), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2, True)[0]))
     case("cross_view_contrastive")(
-        lambda rng, x: ad.cross_view_contrastive(x, ad.hadamard(x, x), 0.5))
+        lambda rng, x: ad.cross_view_contrastive(x, hadamard(x, x), 0.5))
     case("cosine_link_loss")(
         lambda rng, x: ad.cosine_link_loss(x, random_sparse_symmetric(x.rows, rng)))
     # pi, mu and theta all depend on x; the counts mix zeros and positives
@@ -542,7 +647,7 @@ def _op_cases():
 
     # the hidden layer and every head weight and bias depend on x
     def zinb_decoder_case(rng, x):
-        heads = [tuple(ad.matmul(Tensor(rng.uniform(-0.5, 0.5, (rows, x.rows))), x)
+        heads = [tuple(matmul(Tensor(rng.uniform(-0.5, 0.5, (rows, x.rows))), x)
                        for rows in (x.cols, 1)) for _ in range(3)]
         blocks = ad.zinb_count_blocks(rng.poisson(1.5, x.data.shape).astype(float))
         return ad.zinb_decoder_nll(x, heads, *blocks)
@@ -551,23 +656,48 @@ def _op_cases():
 
     def spmm_case(rng, x):
         s = random_sparse_symmetric(x.rows, rng)
-        return wsum(rng, ad.spmm(s, x))
+        return wsum(rng, spmm(s, x))
 
     case("spmm")(spmm_case)
+
+    # x is the layer input and also sets the weight and the bias
+    def graph_conv_case(rng, x):
+        w = matmul(Tensor(rng.uniform(-1, 1, (x.cols, x.rows))), x)
+        bias = matmul(Tensor(rng.uniform(-1, 1, (1, x.rows))), x)
+        return wsum(rng, ad.graph_conv(x, w, random_sparse_symmetric(x.rows, rng), bias))
+
+    case("graph_conv")(graph_conv_case)
     return cases
 
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "graph_conv": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():
     registered = set(ad.__all__) - {
-        "NORM_EPS", "Tensor", "SparseMatrix", "backward", "zero_grad", "grad_check",
+        "NORM_EPS", "Tensor", "SparseMatrix", "backward", "zero_grad",
     }
     assert not registered & set(REFERENCE_OPS)
     assert registered == set(OP_CASES) - set(REFERENCE_OPS)
+
+
+def test_every_registered_name_has_a_package_caller():
+    """Every name in ad.__all__ is used by another module of the package, as
+    ``ad.<name>`` or imported from ``.autodiff``: an op that only tests call
+    lives in the tests, not in the engine."""
+    used = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "ad"):
+                used.add(node.attr)
+    assert set(ad.__all__) - used == set()
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -586,6 +716,51 @@ def test_op_gradients_match_finite_differences(name):
         assert err < 1e-4, f"{name} seed {seed}: max relative error {err}"
 
 
+class TestGraphConv:
+    """The fused ReLU layer against its generic-op chain: bitwise value and
+    gradients with the propagation and the bias each given or omitted."""
+
+    @pytest.mark.parametrize("propagate,with_bias", [(True, False), (False, False),
+                                                     (False, True), (True, True)])
+    def test_matches_reference_chain_bitwise(self, propagate, with_bias):
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(9, 4))
+        z[2] = 0.0  # without propagation or bias a zero row sits on the kink
+        w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        adj = random_sparse_symmetric(9, rng) if propagate else None
+        weight = Tensor(rng.uniform(-1, 1, (9, 3)))
+        outs, grads = [], []
+        for conv in (ad.graph_conv, reference_graph_conv):
+            leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
+            out = conv(leaves[0], leaves[1], adj, leaves[2] if with_bias else None)
+            ad.backward(sum_all(hadamard(weight, out)))
+            outs.append(out.data)
+            grads.append([t.grad for t in leaves])
+        assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(42)
+        x, w = Tensor(rng.normal(size=(5, 3))), tensor(rng.normal(size=(3, 2)))
+        out = ad.graph_conv(x, w)
+        assert out._parents == (x, w)
+        ad.backward(sum_all(out))
+        assert x.grad is None and w.grad is not None
+        assert not ad.graph_conv(x, Tensor(w.data)).requires_grad
+
+    def test_dimension_errors(self):
+        x, w = tensor(np.ones((4, 3))), tensor(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            ad.graph_conv(x, w, SparseMatrix(5, [], [], []))
+        with pytest.raises(DimensionError):
+            ad.graph_conv(x, tensor(np.ones((2, 2))))
+        for shape in ((2, 2), (1, 3), (2, 1)):
+            with pytest.raises(DimensionError):
+                ad.graph_conv(x, w, bias=tensor(np.ones(shape)))
+
+
 class TestViewAttention:
     """Grad check of each input of the fused attention op on its own, with
     the other two held constant, with and without the l2 step."""
@@ -601,7 +776,7 @@ class TestViewAttention:
         def loss(x):
             args = {k: x if k == which else Tensor(v) for k, v in inputs.items()}
             fused, _ = ad.view_attention(args["zs"], args["zf"], args["w"], 0.2, l2)
-            return ad.sum_all(ad.hadamard(weight, fused))
+            return sum_all(hadamard(weight, fused))
 
         assert ad.grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
 
@@ -614,7 +789,7 @@ class TestViewAttention:
         for attend in (ad.view_attention, unfused_view_attention):
             leaves = [tensor(v) for v in inputs]
             fused, m = attend(*leaves, 0.2, l2)
-            ad.backward(ad.sum_all(ad.hadamard(weight, fused)))
+            ad.backward(sum_all(hadamard(weight, fused)))
             outs.append((fused.data, m.data))
             grads.append([t.grad for t in leaves])
         np.testing.assert_array_equal(outs[0][0], outs[1][0])

@@ -175,6 +175,49 @@ class TestRun:
         assert f"contract error: {field} must be" in capsys.readouterr().err
         assert not out.exists()  # refused before the manifest
 
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_clusters_above_spot_count_fails_before_training(self, synth_dir, tmp_path,
+                                                             capsys, command):
+        out = tmp_path / command
+        flags = ["--seeds", "0"] if command != "run" else []
+        code = main([command, *data_flags(synth_dir), "--out", str(out), *FAST, *flags,
+                     "--clusters", "65"])
+        assert code == 3
+        assert "k=65 exceeds the number of spots 64" in capsys.readouterr().err
+        written = {p.name for p in out.iterdir()}
+        assert written == {"manifest.json"}  # no loss log, checkpoint or table
+
+    def test_duplicate_label_id_is_data_error(self, synth_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        text = (synth_dir / "labels.csv").read_text()
+        first = text.splitlines()[1].split(",")[0]
+        labels.write_text(text + f"{first},1\n")
+        out = tmp_path / "run"
+        code = main(["run", "--expression", str(synth_dir / "expression.csv"),
+                     "--coords", str(synth_dir / "coords.csv"), "--labels", str(labels),
+                     "--out", str(out), *FAST])
+        assert code == 2
+        assert f"duplicate spot id {first!r}" in capsys.readouterr().err
+        assert not (out / "loss_log.csv").exists()
+
+    @pytest.mark.parametrize("manifest,message", [
+        ({"train": [1]}, "manifest key 'train'"),
+        ({"inputs": "x"}, "manifest key 'inputs'"),
+        ({"pipeline": 3}, "manifest key 'pipeline'"),
+        ({"inputs": None}, "manifest key 'inputs'"),
+        ({"inputs": {"expression": 5}}, "manifest input 'expression'"),
+        ({"inputs": {"coords": ["coords.csv"]}}, "manifest input 'coords'"),
+    ], ids=["train-list", "inputs-string", "pipeline-number", "inputs-null",
+            "expression-number", "coords-list"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        code = main(["run", "--from-manifest", str(path), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # refused before any output
+
     def test_manifest_replay_reproduces_outputs(self, synth_dir, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -117,6 +117,14 @@ class TestLoadDataset:
         np.testing.assert_array_equal(ds.truth_labels, [0, -1, 1])
 
 
+    @pytest.mark.parametrize("label", ["L2", "L1"])
+    def test_duplicate_label_id_names_line(self, tiny_files, tmp_path, label):
+        expr, coords, _ = tiny_files
+        labels = tmp_path / "dup.csv"
+        labels.write_text(f"spot_id,label\ns1,L1\ns2,L2\ns1,{label}\n")
+        with pytest.raises(DataError, match="line 4: duplicate spot id 's1'"):
+            load_dataset(expr, coords, labels)
+
 class TestPreprocess:
     def test_undetected_gene_dropped(self):
         ds = Dataset(

@@ -14,7 +14,6 @@ from stmfg.model import (
     ModelParams,
     attention_fuse,
     encode,
-    gcn_layer,
     load_checkpoint,
     propagate_input,
     save_checkpoint,
@@ -59,13 +58,13 @@ class TestGcnLayer:
     def test_identity_propagation(self):
         z = Tensor([[1.0, 2.0], [0.5, 3.0]])
         w = Tensor(np.eye(2))
-        out = gcn_layer(identity_sparse(2), z, w)
+        out = ad.graph_conv(z, w, identity_sparse(2))
         np.testing.assert_array_equal(out.data, z.data)
 
     def test_zero_input(self):
         rng = np.random.default_rng(0)
-        out = gcn_layer(identity_sparse(3), Tensor(np.zeros((3, 4))),
-                        Tensor(rng.normal(size=(4, 2))))
+        out = ad.graph_conv(Tensor(np.zeros((3, 4))), Tensor(rng.normal(size=(4, 2))),
+                            identity_sparse(3))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_matches_dense_oracle(self):
@@ -76,7 +75,7 @@ class TestGcnLayer:
         z = Tensor(rng.normal(size=(8, 5)))
         w = Tensor(rng.normal(size=(5, 3)))
         oracle = np.maximum(a.to_dense() @ z.data @ w.data, 0.0)
-        np.testing.assert_allclose(gcn_layer(a, z, w).data, oracle, atol=1e-12)
+        np.testing.assert_allclose(ad.graph_conv(z, w, a).data, oracle, atol=1e-12)
 
 
 class TestAttentionFuse:
@@ -213,7 +212,7 @@ class TestEncode:
                              (pair.feature_norm, params.feature_weights[0],
                               kept.feature_embeddings[0])):
             # equal to the per-pass propagation of the Fortran-ordered input
-            np.testing.assert_array_equal(got.data, gcn_layer(norm, x, w).data)
+            np.testing.assert_array_equal(got.data, ad.graph_conv(x, w, norm).data)
             np.testing.assert_array_equal(got.data, np.maximum((norm.csr() @ feats) @ w.data, 0.0))
         np.testing.assert_array_equal(kept.embedding.data, fresh.embedding.data)
         assert not propagated[0].requires_grad and not propagated[1].requires_grad

@@ -3,6 +3,7 @@ reference trace, loop-unrolling equality, determinism, and ablation
 exactness."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stmfg.graphs import build_graph_pair
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
-from test_autodiff import allocating_zinb_decoder_nll
+from test_autodiff import allocating_zinb_decoder_nll, hadamard, reference_graph_conv
 
 
 def small_problem(seed=0, n_side=8, k=2, genes=12):
@@ -76,7 +77,7 @@ class TestAdam:
         mine = []
         for _ in range(10):
             opt.zero_grad()
-            loss = ad.hadamard(p, p)
+            loss = hadamard(p, p)
             ad.backward(loss)
             opt.step()
             mine.append(p.data[0, 0])
@@ -313,6 +314,48 @@ def test_training_matches_allocating_zinb_reference(block, monkeypatch):
         result = train(ds, graphs, small_config(epochs=4))
         runs.append((result.log.loss_table(), result.trace.embedding.data.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_training_matches_graph_conv_reference(monkeypatch):
+    """Training with the fused ReLU layer and with its generic-op chain
+    patched in gives the same loss table and embedding bytes."""
+    ds, graphs = small_problem()
+    runs = []
+    for conv in (ad.graph_conv, reference_graph_conv):
+        monkeypatch.setattr(ad, "graph_conv", conv)
+        result = train(ds, graphs, small_config(epochs=4))
+        runs.append((result.log.loss_table(), result.trace.embedding.data.tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_default_epoch_builds_sixteen_engine_ops(monkeypatch):
+    """One default-config epoch calls the tensor ops of ad.__all__ 16 times,
+    counted as the benchmark counts them: four view convolutions, two
+    attention steps, the decoder's hidden layer, the ZINB, contrastive and
+    regularizer nodes, and six scale and add nodes that average the
+    regularizer and weigh and sum the three terms."""
+    ds, graphs = small_problem()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in set(ad.__all__) - {"backward", "zero_grad"}:
+        fn = getattr(ad, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(ad, name, counted(name, fn))
+    cfg = TrainConfig(epochs=1, seed=0)
+    x = Tensor(ds.preprocessed)
+    params = ModelParams.initialize(np.random.default_rng(0), [x.cols, *cfg.hidden_dims],
+                                    recon_width=x.cols, decoder_hidden=cfg.decoder_hidden)
+    run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
+    assert len(calls) == 16
+    assert Counter(calls) == {"graph_conv": 5, "view_attention": 2, "zinb_decoder_nll": 1,
+                              "cross_view_contrastive": 1, "cosine_link_loss": 1,
+                              "scale": 4, "add": 2}
 
 
 def test_forward_trace_holds_encoder_outputs_only():
