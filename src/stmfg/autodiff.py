@@ -324,37 +324,33 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
 
     With y = [a; b] row-normalized (guarded norms) and s = y y^T, item r
     of the 2n items has the other view's row of the same spot as its
-    positive p(r), and
+    positive p(r), and every other item as a negative:
 
-        loss = -1/(2n) sum_r log(exp(s_rp / tau) / max(den_r, exp(s_rp / tau)))
-        den_r = sum_k exp(s_rk / tau) - exp(1 / tau),
+        loss = -1/(2n) sum_r log(exp(s_rp / tau) / sum_{k != r} exp(s_rk / tau)).
 
-    which removes the self-similarity exp(1/tau) of a unit row; a floored
-    item contributes zero value and zero gradient. Each row is evaluated
-    in log space relative to its largest non-self similarity m_r, so no
-    temperature overflows and no underflowed sum reaches a log. The self
-    term exp(s_rr/tau) - exp(1/tau) = exp(1/tau) * expm1(-gap_r/tau) uses
-    the closed form gap_r = 1 - s_rr = NORM_EPS / (|y_r|^2 + NORM_EPS) of
-    the guarded norm, not the rounded product y_r . y_r.
+    Each row is evaluated in log space relative to its largest similarity
+    m_r over k != r, so no temperature overflows and no underflowed sum
+    reaches a log; every item contributes log(sum) - (s_rp/tau - m_r) >= 0,
+    and a single spot gives exactly zero. ``tau`` and 1/``tau`` must be
+    finite and positive.
     """
     _same_shape(a, b, "cross_view_contrastive")
+    tau = float(tau)
+    if not (0.0 < tau < np.inf and np.isfinite(1.0 / tau)):
+        raise DomainError(f"cross_view_contrastive: tau must be finite and positive, got {tau}")
     n = a.rows
     items = 2 * n
-    inv_tau = 1.0 / float(tau)
+    inv_tau = 1.0 / tau
     coef = 1.0 / items
     norms = np.concatenate([_guarded_norms(a.data), _guarded_norms(b.data)])
     y = np.concatenate([a.data, b.data]) / norms
     y_t = np.ascontiguousarray(y.T)
-    gap = NORM_EPS / norms[:, 0] ** 2
-    pos = np.roll(np.arange(items), n)  # p(r)
+    pos = np.roll(np.arange(items), n)  # p(r), an involution
     want_grad = a.requires_grad or b.requires_grad
-    # dL/dy = G y + G^T y for G = dL/ds off the diagonal; the G^T y half is
-    # accumulated transposed, which keeps both products on contiguous
-    # operands. dL/ds_rr goes through gap_r instead.
+    # dL/dy = G y + G^T y for G = dL/ds; the G^T y half is accumulated
+    # transposed, which keeps both products on contiguous operands.
     gy = np.zeros_like(y) if want_grad else None
     gy_t = np.zeros_like(y_t) if want_grad else None
-    kept = np.zeros(items, dtype=bool)  # False: floored at the numerator
-    self_weight = np.zeros(items)  # exp(s_rr / tau) / (tau den_r) if kept
 
     total = 0.0
     for r0 in range(0, items, PAIRWISE_TILE):
@@ -364,43 +360,26 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         tile = y[span]
         block = (tile * inv_tau) @ y_t  # s / tau
         s_pos = block[rows, pos[own]]
-        block[rows, own] = -np.inf
+        block[rows, own] = -np.inf  # k = r drops out of the sum
         m = block.max(axis=1)
-        log_num = s_pos - m
         block -= m[:, None]
         np.exp(block, out=block)
-        log_rest = np.log(block.sum(axis=1))
-        # the self term relative to exp(m) is -exp(log_self)
-        with np.errstate(divide="ignore"):
-            log_self = inv_tau - m + np.log(-np.expm1(-gap[own] * inv_tau))
-        log_den = np.full(rows.size, -np.inf)  # -inf: den <= 0
-        positive = log_self < log_rest
-        log_den[positive] = log_rest[positive] + np.log1p(
-            -np.exp(log_self[positive] - log_rest[positive]))
-        keep = log_den > log_num
-        kept[span] = keep
-        total += np.sum(log_den[keep] - log_num[keep])
+        den = block.sum(axis=1)  # sum_{k != r} exp(s_rk/tau) / exp(m_r)
+        total += np.sum(np.log(den) - (s_pos - m))
 
         if want_grad:
             # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
-            # block holds exp(s_rk/tau) / exp(m_r), so the row scale is
-            # exp(-log_den_r) / tau; the positive entries are added below.
-            w = np.zeros(rows.size)
-            w[keep] = inv_tau * np.exp(-log_den[keep])
-            self_weight[own[keep]] = inv_tau * np.exp(
-                inv_tau - m[keep] - gap[own[keep]] * inv_tau - log_den[keep])
+            # the positive entries are subtracted below.
+            w = inv_tau / den
             gy[span] += w[:, None] * (block @ y)
             gy_t += (tile * w[:, None]).T @ block
 
     out_data = np.array([[coef * total]])
     if want_grad:
         gy += gy_t.T
-        gy[kept] -= inv_tau * y[pos[kept]]
-        gy[pos[kept]] -= inv_tau * y[kept]
-        x = np.concatenate([a.data, b.data])
-        # s_rr = 1 - NORM_EPS / norm_r^2, so ds_rr/dx_r = 2 NORM_EPS x_r / norm_r^4
-        grad = coef * (_through_row_norm(gy, x, norms)
-                       + (2.0 * NORM_EPS * self_weight)[:, None] * x / norms ** 4)
+        # s_rp enters as the positive of both r and p(r) = p^-1(r)
+        gy -= (2.0 * inv_tau) * y[pos]
+        grad = coef * _through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
 
     def backward_fn(g, accum):
         if a.requires_grad:

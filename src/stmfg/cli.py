@@ -66,7 +66,8 @@ class PipelineSettings:
         check_field_types(self)
         if self.clusters is not None and self.clusters < 2:
             raise ContractError(f"clusters must be >= 2, got {self.clusters}")
-        for name, least in (("restarts", 1), ("n_hvg", 1), ("checkpoint_every", 0)):
+        for name, least in (("restarts", 1), ("min_spots", 1), ("n_hvg", 1),
+                            ("checkpoint_every", 0)):
             if getattr(self, name) < least:
                 raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
@@ -189,6 +190,8 @@ def _resolve_clusters(dataset: Dataset, pipeline: PipelineSettings) -> int:
     k = pipeline.clusters if pipeline.clusters is not None else dataset.n_domains
     if not k:
         raise ContractError("--clusters is required when no labels file is given")
+    if k < 2:
+        raise ContractError(f"k must be at least 2, got {k} (the labels file has one domain)")
     if k > dataset.n_spots:
         raise ContractError(f"k={k} exceeds the number of spots {dataset.n_spots}")
     return k
@@ -275,10 +278,12 @@ def cmd_run(args) -> int:
 
 def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
                 cells: list[dict], **manifest_extra):
-    """Write the manifest and prepare the data once; the returned iterator
-    trains and scores one run per cell of config overrides, in order."""
+    """Check every cell's config, write the manifest and prepare the data
+    once; the returned iterator trains and scores one run per cell of config
+    overrides, in order."""
     if not cells:
         raise ContractError(f"{args.command} needs at least one seed (--seeds)")
+    cell_cfgs = [TrainConfig.from_dict({**cfg.to_dict(), **cell}) for cell in cells]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline),
@@ -289,11 +294,8 @@ def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
         raise ContractError(f"{args.command} needs a labels file to score its runs")
     k = _resolve_clusters(dataset, pipeline)
 
-    def score(cell: dict) -> dict:
-        cell_cfg = TrainConfig.from_dict({**cfg.to_dict(), **cell})
-        return _train_and_score(dataset, graphs, cell_cfg, k, pipeline.restarts)[2]
-
-    return map(score, cells)
+    return (_train_and_score(dataset, graphs, cell_cfg, k, pipeline.restarts)[2]
+            for cell_cfg in cell_cfgs)
 
 
 def _write_table(path: Path, lines: list[str]) -> None:

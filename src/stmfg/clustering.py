@@ -94,6 +94,8 @@ def kmeans(z, k: int, seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> Partit
         raise ContractError(f"k must be at least 2, got {k}")
     if restarts < 1:
         raise ContractError(f"restarts must be >= 1, got {restarts}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if not np.isfinite(points).all():
         raise DomainError("k-means needs finite points; the embedding has non-finite values")
 

@@ -215,8 +215,10 @@ def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
     ``n_hvg`` most variable surviving genes (capped at availability),
     re-sorted by gene id so the output is column-order canonical.
     """
+    if min_spots < 1:
+        raise ContractError(f"min_spots must be >= 1, got {min_spots}")
     detected = (ds.counts > 0).sum(axis=0)
-    keep = detected >= max(int(min_spots), 1)
+    keep = detected >= int(min_spots)
     if not keep.any():
         raise DataError("preprocessing removed every gene")
     kept_idx = np.nonzero(keep)[0]
@@ -251,6 +253,8 @@ def generate_synthetic(n_side: int, k_domains: int, n_genes: int, seed: int,
     gamma-Poisson mixture (mean = program, dispersion as given, zero
     weight = dropout); band labels are recorded as ground truth.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if k_domains < 2:
         raise ContractError(f"need at least 2 domains, got {k_domains}")
     if n_side * n_side < 10 * k_domains:

@@ -139,13 +139,6 @@ def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
     weight row is then l2-normalized, which trades the sum-to-one property
     for unit norm.
     """
-    if z_spatial.data.shape != z_feature.data.shape:
-        raise ContractError(
-            f"view shapes differ: {z_spatial.data.shape} vs {z_feature.data.shape}")
-    if w_attention.data.shape != (2 * z_spatial.cols, 2):
-        raise ContractError(
-            f"attention weight must be ({2 * z_spatial.cols}, 2), "
-            f"got {w_attention.data.shape}")
     return ad.view_attention(z_spatial, z_feature, w_attention, slope, l2_after_softmax)
 
 

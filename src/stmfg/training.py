@@ -109,6 +109,8 @@ class TrainConfig:
             raise ContractError(f"radius must be positive, got {self.radius}")
         if self.knn_k < 1:
             raise ContractError(f"knn_k must be >= 1, got {self.knn_k}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:

@@ -74,10 +74,9 @@ def test_criterion_1_full_loss_gradients():
 
 
 def test_criterion_2_contrastive_oracle():
-    # The oracle uses the library's documented guarded cosine: the literal
-    # exp(1/tau) subtraction amplifies any self-similarity offset by
-    # e^(1/tau)/tau, so at tau=0.1 a textbook-cosine oracle would disagree
-    # at ~1e-9 purely through the similarity guard, not the formula.
+    # The double loop sums each anchor's denominator over every other
+    # embedding (k != r), the form of the paper's objective, with the
+    # library's documented guarded cosine.
     rng = np.random.default_rng(7)
     taus = (0.1, 0.5, 1.0)
     worst = 0.0

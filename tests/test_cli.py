@@ -40,6 +40,13 @@ class TestSynth:
         assert ds.n_spots == 64
         assert ds.n_domains == 2
 
+    def test_negative_seed_fails_before_manifest(self, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path), "--n-side", "8", "--domains", "2",
+                     "--genes", "15", "--seed", "-2"])
+        assert code == 3
+        assert "contract error: seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestRun:
     def test_artifacts_and_single_epoch_log(self, synth_dir, tmp_path):
@@ -166,6 +173,9 @@ class TestRun:
         (["--clusters", "1"], "clusters"),
         (["--hvg", "0", "--disable-zinb"], "n_hvg"),
         (["--checkpoint-every", "-1"], "checkpoint_every"),
+        (["--seed", "-1"], "seed"),
+        (["--min-spots", "0"], "min_spots"),
+        (["--min-spots", "-4"], "min_spots"),
     ])
     def test_bad_hyperparameter_fails_before_training(self, synth_dir, tmp_path, capsys,
                                                       flags, field):
@@ -186,6 +196,36 @@ class TestRun:
         assert "k=65 exceeds the number of spots 64" in capsys.readouterr().err
         written = {p.name for p in out.iterdir()}
         assert written == {"manifest.json"}  # no loss log, checkpoint or table
+
+    @pytest.mark.parametrize("command,flags", [
+        ("ablate", ["--seeds", "-1"]),
+        ("sweep", ["--seeds", "0,-1"]),
+        ("sweep", ["--seeds", "0", "--tau-grid", "0.5,0"]),
+    ], ids=["ablate-seed", "sweep-seed", "sweep-tau"])
+    def test_bad_grid_cell_fails_before_manifest(self, synth_dir, tmp_path, capsys,
+                                                 command, flags):
+        # the bad cell is not the first: every cell is checked before any trains
+        out = tmp_path / command
+        code = main([command, *data_flags(synth_dir), "--out", str(out), *FAST, *flags])
+        assert code == 3
+        assert " must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_single_domain_labels_fail_before_training(self, synth_dir, tmp_path,
+                                                        capsys, command):
+        rows = (synth_dir / "labels.csv").read_text().splitlines()
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join([rows[0]] + [r.split(",")[0] + ",0" for r in rows[1:]])
+                          + "\n")
+        out = tmp_path / command
+        flags = ["--seeds", "0"] if command != "run" else []
+        code = main([command, "--expression", str(synth_dir / "expression.csv"),
+                     "--coords", str(synth_dir / "coords.csv"), "--labels", str(labels),
+                     "--out", str(out), *FAST, *flags])
+        assert code == 3
+        assert "k must be at least 2, got 1" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {"manifest.json"}
 
     def test_duplicate_label_id_is_data_error(self, synth_dir, tmp_path, capsys):
         labels = tmp_path / "labels.csv"

@@ -79,6 +79,10 @@ class TestKmeans:
         with pytest.raises(ContractError):
             kmeans(pts, 1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            kmeans(np.eye(3), 2, seed=-1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):
         pts = np.random.default_rng(6).normal(size=(10, 2))

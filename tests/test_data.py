@@ -187,6 +187,13 @@ class TestPreprocess:
         with pytest.raises(DataError):
             preprocess(ds, min_spots=1, n_hvg=2)
 
+    @pytest.mark.parametrize("min_spots", [0, -4])
+    def test_min_spots_below_one_is_contract_error(self, min_spots):
+        ds = Dataset(counts=np.ones((3, 2)), coords=np.zeros((3, 2)),
+                     spot_ids=["a", "b", "c"], gene_ids=["g1", "g2"])
+        with pytest.raises(ContractError, match="min_spots must be >= 1"):
+            preprocess(ds, min_spots=min_spots, n_hvg=2)
+
     def test_no_all_zero_columns(self):
         rng = np.random.default_rng(2)
         counts = (rng.random((6, 9)) < 0.3) * rng.poisson(5.0, size=(6, 9))
@@ -239,6 +246,8 @@ class TestGenerateSynthetic:
             generate_synthetic(3, 2, 10, 0, 0.1, 1.0)
         with pytest.raises(ContractError):
             generate_synthetic(8, 2, 10, 0, 1.5, 1.0)
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            generate_synthetic(8, 2, 10, -2, 0.1, 1.0)
 
 
 class TestPersistence:

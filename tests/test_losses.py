@@ -9,7 +9,7 @@ import pytest
 
 from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
-from stmfg.errors import ContractError, DataError
+from stmfg.errors import ContractError, DataError, DomainError
 from stmfg.losses import (
     LossBreakdown,
     ZinbTarget,
@@ -34,24 +34,26 @@ def cosine(u, v, eps=0.0):
 
 
 def contrastive_oracle(zs, zf, tau, eps=0.0):
-    """Literal double-loop evaluation of the inter-view objective."""
+    """Literal double-loop evaluation of the inter-view objective: item r of
+    the 2n rows [zs; zf] has the same spot's other-view row as its
+    positive, and its denominator sums over every item k != r."""
+    items = list(zs) + list(zf)
     n = len(zs)
     total = 0.0
-    for i in range(n):
-        for anchor, other in ((zs, zf), (zf, zs)):
-            num = math.exp(cosine(anchor[i], other[i], eps) / tau)
-            den = -math.exp(1.0 / tau)
-            for k in range(n):
-                den += math.exp(cosine(anchor[i], zs[k], eps) / tau)
-                den += math.exp(cosine(anchor[i], zf[k], eps) / tau)
-            total += math.log(num / den)
+    for r in range(2 * n):
+        num = math.exp(cosine(items[r], items[(r + n) % (2 * n)], eps) / tau)
+        den = 0.0
+        for k in range(2 * n):
+            if k != r:
+                den += math.exp(cosine(items[r], items[k], eps) / tau)
+        total += math.log(num / den)
     return -total / (2.0 * n)
 
 
 def contrastive_oracle_exact(zs, zf, tau, eps, digits=50):
-    """The double loop in 50-digit arithmetic on the same float inputs,
-    with the guarded cosine: the reference where the float double loop
-    loses digits to the exp(1/tau) cancellation at small tau."""
+    """The masked double loop in 50-digit arithmetic on the same float
+    inputs, with the guarded cosine: a reference whose own rounding stays
+    negligible at small tau, where exp(s/tau) spans e^(+-1/tau)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(digits):
         def unit(rows):
@@ -61,17 +63,15 @@ def contrastive_oracle_exact(zs, zf, tau, eps, digits=50):
                 out.append([mpmath.mpf(v) / norm for v in row])
             return out
 
-        us, uf = unit(zs), unit(zf)
-        n = len(us)
+        items = unit(zs) + unit(zf)
+        n = len(zs)
         inv_tau = 1 / mpmath.mpf(tau)
         total = mpmath.mpf(0)
-        for i in range(n):
-            for anchor, other in ((us, uf), (uf, us)):
-                dot = lambda v: sum(a * b for a, b in zip(anchor[i], v))
-                num = mpmath.exp(dot(other[i]) * inv_tau)
-                den = sum(mpmath.exp(dot(us[k]) * inv_tau) + mpmath.exp(dot(uf[k]) * inv_tau)
-                          for k in range(n)) - mpmath.exp(inv_tau)
-                total += mpmath.log(num / max(den, num))
+        for r, anchor in enumerate(items):
+            dot = lambda v: sum(a * b for a, b in zip(anchor, v))
+            num = mpmath.exp(dot(items[(r + n) % (2 * n)]) * inv_tau)
+            den = sum(mpmath.exp(dot(v) * inv_tau) for k, v in enumerate(items) if k != r)
+            total += mpmath.log(num / den)
         return float(-total / (2 * n))
 
 
@@ -174,6 +174,17 @@ class TestContrastiveLoss:
         with pytest.raises(ContractError):
             contrastive_loss(z, z, 0.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5, math.inf, -math.inf, math.nan, 5e-324])
+    def test_op_rejects_temperature_outside_domain(self, tau):
+        # 5e-324 is positive, but its reciprocal overflows
+        z = Tensor(np.ones((2, 2)))
+        with pytest.raises(DomainError, match="tau"):
+            ad.cross_view_contrastive(z, z, tau)
+
+    def test_view_shape_mismatch(self):
+        with pytest.raises(ContractError):
+            contrastive_loss(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))), 0.5)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         zs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -209,6 +220,10 @@ class TestSpatialRegLoss:
         adj, _ = random_adjacency(n, rng)
         loss = spatial_reg_loss(Tensor(np.eye(n)), adj)
         assert loss.item() == pytest.approx(-(n * n - n) * math.log(0.5), abs=1e-9)
+
+    def test_adjacency_size_mismatch(self):
+        with pytest.raises(ContractError, match="n=3 vs rows=2"):
+            spatial_reg_loss(Tensor(np.eye(2)), SparseMatrix(3, [], [], []))
 
     def test_nonnegative_and_gradient(self):
         rng = np.random.default_rng(10)
@@ -321,21 +336,19 @@ class TestFusedPairwiseLosses:
     @pytest.mark.parametrize("tau", [1e-4, 1e-3, 2e-3, 5e-3])
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     def test_small_temperature_with_underflowing_terms(self, tau, scale):
-        # Orthogonal rows: shifted by the largest possible similarity 1,
-        # every term exp((s - 1)/tau) = exp(-1/tau) of each denominator
-        # underflows, leaving only the self term's residual. That residual
-        # exp(1/tau) * expm1(-gap/tau) outweighs the 2n - 1 unit terms, so
-        # every anchor is floored: value 0, gradient 0. At scale 1e4 the
-        # gap 1e-20 rounds the product y_r . y_r to exactly 1.
+        # Orthogonal rows: every similarity but the masked self term is 0,
+        # so each anchor's denominator is 2n - 1 unit terms and its
+        # numerator 1, at any temperature. Measured from one, every term
+        # exp((s - 1)/tau) = exp(-1/tau) would underflow; the op shifts by
+        # the largest unmasked similarity instead.
         n = 3
         basis = scale * np.eye(2 * n)
         zs = Tensor(basis[:n], requires_grad=True)
         zf = Tensor(basis[n:], requires_grad=True)
         loss = contrastive_loss(zs, zf, tau)
         ad.backward(loss)
-        assert loss.item() == 0.0
-        assert np.array_equal(zs.grad, np.zeros_like(zs.grad))
-        assert np.array_equal(zf.grad, np.zeros_like(zf.grad))
+        assert loss.item() == pytest.approx(math.log(2 * n - 1), rel=1e-15, abs=0.0)
+        assert np.isfinite(zs.grad).all() and np.isfinite(zf.grad).all()
 
     @pytest.mark.parametrize("which", ["contrastive", "spatial_reg"])
     def test_memory_stays_linear_in_n(self, which):

@@ -103,6 +103,8 @@ class TestTrainConfig:
             TrainConfig(alpha=-1.0)
         with pytest.raises(ContractError):
             TrainConfig(zinb_target="nonsense")
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
     def test_zero_width_layer_rejected(self):
         # the fused pairwise losses accept zero-width embeddings, so the
