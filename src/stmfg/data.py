@@ -16,6 +16,7 @@ save/load round trip is lossless for 64-bit values.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,11 +73,15 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _read_rows(path) -> list[list[str]]:
+def _open_csv(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
-    with path.open(newline="", encoding="utf-8") as fh:
+    return path.open(newline="", encoding="utf-8")
+
+
+def _read_rows(path) -> list[list[str]]:
+    with _open_csv(path) as fh:
         return [row for row in csv.reader(fh) if row]
 
 
@@ -88,19 +93,33 @@ def _float_cell(raw: str, where: str) -> float:
 
 
 def _load_dense_expression(path) -> tuple[list[str], list[str], np.ndarray]:
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise DataError(f"{path}: expected a header and at least one spot row")
-    gene_ids = [g.strip() for g in rows[0][1:]]
-    if not gene_ids:
-        raise DataError(f"{path}: header has no gene columns")
-    spot_ids, values = [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(gene_ids) + 1:
-            raise DataError(f"{path} line {r}: expected {len(gene_ids) + 1} cells, got {len(row)}")
-        spot_ids.append(row[0].strip())
-        values.append([_float_cell(c, f"{path} line {r}") for c in row[1:]])
-    return spot_ids, gene_ids, np.array(values, dtype=np.float64)
+    """Stream the CSV one row at a time; each row's cells go through the
+    builtin ``float`` straight into a float64 row, and only a row that
+    fails is rescanned cell by cell to name the bad cell. Line numbers
+    count non-blank rows, the header being line 1."""
+    with _open_csv(path) as fh:
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        row = next(rows, None)
+        if row is None:
+            raise DataError(f"{path}: expected a header and at least one spot row")
+        gene_ids = [g.strip() for g in header[1:]]
+        if not gene_ids:
+            raise DataError(f"{path}: header has no gene columns")
+        width = len(gene_ids) + 1
+        spot_ids, values = [], []
+        for r, row in enumerate(itertools.chain([row], rows), start=2):
+            if len(row) != width:
+                raise DataError(f"{path} line {r}: expected {width} cells, got {len(row)}")
+            spot_ids.append(row[0].strip())
+            try:
+                values.append(np.fromiter(map(float, itertools.islice(row, 1, None)),
+                                          np.float64, count=width - 1))
+            except ValueError:
+                for c in row[1:]:
+                    _float_cell(c, f"{path} line {r}")
+                raise
+    return spot_ids, gene_ids, np.vstack(values)
 
 
 def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
@@ -217,6 +236,8 @@ def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
     """
     if min_spots < 1:
         raise ContractError(f"min_spots must be >= 1, got {min_spots}")
+    if n_hvg < 1:
+        raise ContractError(f"n_hvg must be >= 1, got {n_hvg}")
     detected = (ds.counts > 0).sum(axis=0)
     keep = detected >= int(min_spots)
     if not keep.any():

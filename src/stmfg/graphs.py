@@ -2,8 +2,9 @@
 symmetric GCN normalization of both.
 
 The radius graph comes from a k-d tree (``scipy.spatial.cKDTree``), so
-no n-by-n distance array is formed. The KNN graph is exact: it ranks the
-full n-by-n cosine similarity matrix row by row.
+no n-by-n distance array is formed. The KNN graph is exact: one GEMM
+gives the n-by-n cosine similarity matrix, a partition finds each row's
+k-th largest similarity, and only the columns at or above it are sorted.
 """
 
 from __future__ import annotations
@@ -71,11 +72,20 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
 
     norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True) + NORM_EPS)
     unit = feats / norms
-    sims = unit @ unit.T
-    np.fill_diagonal(sims, -np.inf)
-    # Stable sort on descending similarity keeps ascending-index tie order.
-    ranked = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    return _binary_symmetric(n, np.repeat(np.arange(n), k), ranked.ravel())
+    neg = unit @ unit.T
+    np.negative(neg, out=neg)
+    np.fill_diagonal(neg, np.inf)
+    # Every column at or below a row's k-th smallest negated similarity
+    # survives (boundary ties included, so each row keeps at least k);
+    # sorting survivors by (row, value, column) and keeping the first k
+    # per row picks what a stable sort of the whole row picks.
+    kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]
+    rows, cols = np.nonzero(neg <= kth)
+    order = np.lexsort((cols, neg[rows, cols], rows))
+    per_row = np.bincount(rows, minlength=n)
+    first = np.cumsum(per_row) - per_row
+    picked = cols[order[(first[:, None] + np.arange(k)).ravel()]]
+    return _binary_symmetric(n, np.repeat(np.arange(n), k), picked)
 
 
 def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:

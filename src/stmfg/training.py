@@ -201,15 +201,25 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # One call-scoped scratch pair, sized by the largest parameter,
+        # holds every temporary of every update.
+        size = max((p.data.size for p in self.params), default=0)
+        scratch = (np.empty(size), np.empty(size))
         for p, m, v in zip(self.params, self.m, self.v):
+            a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
             g = p.grad
             if self.weight_decay != 0.0:
-                g = g + self.weight_decay * p.data
+                g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
+            # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+            # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
+            # operation, so every update is bitwise that of the expression.
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=b)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
+            step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            p.data -= np.divide(step, denom, out=a)
 
     def zero_grad(self) -> None:
         ad.zero_grad(self.params)

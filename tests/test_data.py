@@ -1,9 +1,13 @@
 """Dataset I/O, preprocessing and synthetic-generator tests."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stmfg.data import (
+    _load_dense_expression,
     Dataset,
     generate_synthetic,
     load_dataset,
@@ -17,6 +21,32 @@ from stmfg.data import (
     write_labels_csv,
 )
 from stmfg.errors import ContractError, DataError
+
+
+def per_cell_expression_reference(path):
+    """The dense-CSV parser that read the whole file, then converted one
+    cell per call: the values and messages the streaming parser keeps."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+
+    def float_cell(raw, where):
+        try:
+            return float(raw)
+        except ValueError:
+            raise DataError(f"{where}: not a number: {raw!r}") from None
+
+    if len(rows) < 2:
+        raise DataError(f"{path}: expected a header and at least one spot row")
+    gene_ids = [g.strip() for g in rows[0][1:]]
+    if not gene_ids:
+        raise DataError(f"{path}: header has no gene columns")
+    spot_ids, values = [], []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(gene_ids) + 1:
+            raise DataError(f"{path} line {r}: expected {len(gene_ids) + 1} cells, got {len(row)}")
+        spot_ids.append(row[0].strip())
+        values.append([float_cell(c, f"{path} line {r}") for c in row[1:]])
+    return spot_ids, gene_ids, np.array(values, dtype=np.float64)
 
 
 @pytest.fixture
@@ -125,6 +155,71 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 4: duplicate spot id 's1'"):
             load_dataset(expr, coords, labels)
 
+
+class TestDenseCsvParser:
+    SPELLINGS = ("\nspot_id, gA ,gB,gC,gD\n"
+                 "s1,3,3.0,1e2, 4 \n"
+                 "\n"
+                 " s2 ,1_0,5e-324,-0.0,+7\n"
+                 "s3,.5,5.,1E+2,\u0663\n"
+                 "\n\n"
+                 "s4,nan,inf,1e400,0012\n")
+
+    def test_spellings_bitwise_equal_to_per_cell_parse(self, tmp_path):
+        expr = tmp_path / "spellings.csv"
+        expr.write_text(self.SPELLINGS, encoding="utf-8")
+        spots, genes, values = _load_dense_expression(expr)
+        ref_spots, ref_genes, ref_values = per_cell_expression_reference(expr)
+        assert (spots, genes) == (ref_spots, ref_genes) == (
+            ["s1", "s2", "s3", "s4"], ["gA", "gB", "gC", "gD"])
+        assert values.dtype == ref_values.dtype == np.float64
+        assert values.shape == ref_values.shape == (4, 4)
+        assert values.tobytes() == ref_values.tobytes()
+        assert values[1, 0] == 10.0 and values[1, 1] == 5e-324
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n\n",
+        "spot_id,gA\n",
+        "spot_id\n",
+        "spot_id\ns1\n",
+        "spot_id,gA,gB\ns1,1,2\n\ns2,1,x2\ns3,1\n",
+        "spot_id,gA,gB\ns1,1,2\n\ns2,1\ns3,1,x\n",
+        "spot_id,gA,gB\ns1,1,2\ns2,1,2,3\n",
+        "spot_id,gA,gB\ns1, ,2\n",
+        "spot_id,gA,gB\ns1,1,2\n\n\ns2,0x10,1e\n",
+        "spot_id,gA,gB\ns1,1,2\ns2,'3',4\n",
+    ], ids=["empty", "blank", "header-only", "no-genes-no-rows", "no-genes",
+            "bad-cell-after-blank", "short-row-after-blank", "long-row", "space-cell",
+            "first-bad-cell-named", "quoted-cell"])
+    def test_messages_equal_to_per_cell_parse(self, tmp_path, text):
+        expr = tmp_path / "bad.csv"
+        expr.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as want:
+            per_cell_expression_reference(expr)
+        with pytest.raises(DataError) as got:
+            _load_dense_expression(expr)
+        assert str(got.value) == str(want.value)
+
+    def test_load_peak_below_three_counts_arrays(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n, g = 400, 2000
+        ds = Dataset(counts=rng.poisson(2.0, size=(n, g)).astype(np.float64),
+                     coords=np.column_stack([np.arange(n), np.zeros(n)]).astype(np.float64),
+                     spot_ids=[f"s{i:03d}" for i in range(n)],
+                     gene_ids=[f"g{j:04d}" for j in range(g)])
+        write_expression_csv(ds, tmp_path / "expr.csv")
+        write_coords_csv(ds, tmp_path / "coords.csv")
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "expr.csv", tmp_path / "coords.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.counts, ds.counts)
+        assert peak < 3 * ds.counts.nbytes
+
+
 class TestPreprocess:
     def test_undetected_gene_dropped(self):
         ds = Dataset(
@@ -193,6 +288,13 @@ class TestPreprocess:
                      spot_ids=["a", "b", "c"], gene_ids=["g1", "g2"])
         with pytest.raises(ContractError, match="min_spots must be >= 1"):
             preprocess(ds, min_spots=min_spots, n_hvg=2)
+
+    @pytest.mark.parametrize("n_hvg", [0, -3])
+    def test_n_hvg_below_one_is_contract_error(self, n_hvg):
+        ds = Dataset(counts=np.ones((3, 2)), coords=np.zeros((3, 2)),
+                     spot_ids=["a", "b", "c"], gene_ids=["g1", "g2"])
+        with pytest.raises(ContractError, match="n_hvg must be >= 1"):
+            preprocess(ds, min_spots=1, n_hvg=n_hvg)
 
     def test_no_all_zero_columns(self):
         rng = np.random.default_rng(2)

@@ -1,13 +1,16 @@
 """Graph construction tests against brute-force pair-scan, exhaustive
-top-k, and dense-formula oracles."""
+top-k, full-argsort and dense-formula oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
+from stmfg.autodiff import NORM_EPS
+from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError
 from stmfg.graphs import (
+    _binary_symmetric,
     build_feature_graph,
     build_graph_pair,
     build_spatial_graph,
@@ -52,6 +55,26 @@ def brute_force_knn_edges(feats, k):
             edges.add((i, j))
             edges.add((j, i))
     return edges
+
+
+def argsort_feature_graph(feats, k):
+    """The KNN graph by a full stable argsort of every similarity row: the
+    selection ``build_feature_graph`` must reproduce exactly."""
+    n = feats.shape[0]
+    norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True) + NORM_EPS)
+    unit = feats / norms
+    sims = unit @ unit.T
+    np.fill_diagonal(sims, -np.inf)
+    # Stable sort on descending similarity keeps ascending-index tie order.
+    ranked = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return _binary_symmetric(n, np.repeat(np.arange(n), k), ranked.ravel())
+
+
+def assert_same_csr(a, b):
+    a, b = a.csr(), b.csr()
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestSpatialGraph:
@@ -150,6 +173,12 @@ class TestFeatureGraph:
         rng = np.random.default_rng(8)
         a = build_feature_graph(rng.normal(size=(20, 4)), 3)
         assert not any(r == c for r, c in edge_set(a))
+
+    def test_matches_argsort_on_synthetic_2500_spots(self):
+        ds = preprocess(generate_synthetic(50, 5, 200, seed=1, dropout=0.3,
+                                           dispersion=2.0))
+        assert_same_csr(build_feature_graph(ds.preprocessed, 15),
+                        argsort_feature_graph(ds.preprocessed, 15))
 
 
 class TestNormalizeAdjacency:

@@ -49,7 +49,54 @@ def adam_reference_scalar(grad_fn, w0, lr, steps, beta1=0.9, beta2=0.999, eps=1e
     return trace
 
 
+class AllocatingAdam:
+    """The Adam step written as whole-array expressions, one temporary per
+    operation: the updates the in-place ``Adam.step`` must equal bitwise."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if self.weight_decay != 0.0:
+                g = g + self.weight_decay * p.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
 class TestAdam:
+    def test_matches_allocating_step_bitwise_at_900x3000_shapes(self):
+        cfg = TrainConfig()
+        dims = [3000, *cfg.hidden_dims]
+        mine = trainable_tensors(ModelParams.initialize(
+            np.random.default_rng(0), dims, 3000, cfg.decoder_hidden), cfg)
+        ref = trainable_tensors(ModelParams.initialize(
+            np.random.default_rng(0), dims, 3000, cfg.decoder_hidden), cfg)
+        opt = Adam(mine, lr=0.01, weight_decay=cfg.weight_decay)
+        ref_opt = AllocatingAdam(ref, lr=0.01, weight_decay=cfg.weight_decay)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            for p, q in zip(mine, ref):
+                p.grad = rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=p.data.shape)
+                q.grad = p.grad.copy()
+            opt.step()
+            ref_opt.step()
+            for p, q in zip(mine, ref):
+                np.testing.assert_array_equal(p.data, q.data)
+        for m, v, q_m, q_v in zip(opt.m, opt.v, ref_opt.m, ref_opt.v):
+            np.testing.assert_array_equal(m, q_m)
+            np.testing.assert_array_equal(v, q_v)
+
     def test_first_step_is_one_learning_rate(self):
         p = Tensor([[2.0]], requires_grad=True)
         p.grad = np.array([[1.0]])
