@@ -38,9 +38,12 @@ NORM_EPS = 1e-12
 # never the whole matrix.
 PAIRWISE_TILE = 256
 
-# Rows per step of the fused ZINB decoder node: its workspace holds at
-# most ZINB_ROW_BLOCK rows of genes, never a whole n-by-genes array.
+# Rows per step of the fused ZINB decoder node: a block holds at most
+# ZINB_ROW_BLOCK rows and at most ZINB_BLOCK_ENTRIES entries (at least one
+# row), so its workspace is bounded at any gene width and never holds a
+# whole n-by-genes array. Up to 1024 genes the row cap is the binding one.
 ZINB_ROW_BLOCK = 256
+ZINB_BLOCK_ENTRIES = 2**18
 
 # Floor on the zero-count mixture probability before its log: a floored
 # entry contributes log(ZINB_PROB_FLOOR) and no gradient.
@@ -69,8 +72,8 @@ __all__ = [
 ]
 
 
-def _as_matrix(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.float64)
+def _as_matrix(data, copy: bool = True) -> np.ndarray:
+    arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -81,12 +84,14 @@ def _as_matrix(data) -> np.ndarray:
 
 
 class Tensor:
-    """Dense float64 matrix participating in the differentiation graph."""
+    """Dense float64 matrix participating in the differentiation graph.
+    The constructor copies ``data``; with ``copy=False`` a float64 matrix
+    is held as is, for constants that nothing writes."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = _as_matrix(data)
+    def __init__(self, data, requires_grad: bool = False, *, copy: bool = True):
+        arr = _as_matrix(data, copy)
         if not np.isfinite(arr).all():
             raise DomainError("tensor values must be finite")
         self.data = arr
@@ -443,14 +448,17 @@ ZinbBlock = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
 # constants once per run and returns no tensor.
 def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
     """The count constants of ``zinb_decoder_nll`` for a finite, nonnegative
-    count matrix: per run of ZINB_ROW_BLOCK rows, ``(start, stop, pos,
-    x_pos, zero)`` with the flat indices within rows start:stop of the
-    positive and of the zero counts and the positive counts themselves;
-    and sum lgamma(x + 1), which a zero count adds nothing to."""
+    count matrix: per block of ZINB_ROW_BLOCK rows, or fewer so that it
+    holds at most ZINB_BLOCK_ENTRIES entries, ``(start, stop, pos, x_pos,
+    zero)`` with the flat indices within rows start:stop of the positive
+    and of the zero counts and the positive counts themselves; and sum
+    lgamma(x + 1), which a zero count adds nothing to."""
+    n, genes = counts.shape
+    rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // max(genes, 1)))
     blocks = []
     log_x_fact = 0.0
-    for start in range(0, counts.shape[0], ZINB_ROW_BLOCK):
-        stop = min(start + ZINB_ROW_BLOCK, counts.shape[0])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         flat = np.ravel(counts[start:stop])
         pos = np.flatnonzero(flat)
         x_pos = flat[pos]

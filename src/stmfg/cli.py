@@ -128,6 +128,8 @@ def _load_config_file(path) -> dict:
         raise DataError(f"{path}: config file not found") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
     return raw

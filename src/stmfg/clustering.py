@@ -50,6 +50,15 @@ def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     return centers
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """n-by-k squared distances, one centre at a time: no n-by-k-by-d
+    temporary, and each entry is summed as in the broadcast form."""
+    d2 = np.empty((points.shape[0], centers.shape[0]))
+    for c, center in enumerate(centers):
+        d2[:, c] = ((points - center) ** 2).sum(axis=1)
+    return d2
+
+
 def _lloyd(points: np.ndarray, centers: np.ndarray,
            max_iter: int = MAX_LLOYD_ITERATIONS) -> tuple[np.ndarray, float, list[float]]:
     """Iterate assignment/update until labels stabilize; returns labels,
@@ -58,7 +67,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray,
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(points, centers)
         new_labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(points.shape[0]), new_labels].sum())
         history.append(inertia)
@@ -79,7 +88,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray,
             members = labels == c
             if members.any():
                 centers[c] = points[members].mean(axis=0)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(points, centers)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
     return labels, inertia, history
 

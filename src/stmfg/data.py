@@ -80,9 +80,41 @@ def _open_csv(path):
     return path.open(newline="", encoding="utf-8")
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The error for a file that is not UTF-8, naming its first line that
+    does not decode, blank lines not counted. A UTF-8 sequence holds no
+    newline byte, so each line decodes on its own."""
+    line = 0
+    with Path(path).open("rb") as fh:
+        for raw in fh:
+            line += bool(raw.strip(b"\r\n"))
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return DataError(f"{path} line {line}: not UTF-8 text ({exc.reason})")
+
+
+def _csv_rows(fh, path):
+    """The non-blank rows of an open CSV file. A byte that is not UTF-8 or
+    a malformed row (a cell over the csv module's field limit) is a
+    ``DataError`` naming the file and the line, counted as the loaders
+    count them: non-blank rows, the header being line 1."""
+    line = 1
+    try:
+        for row in csv.reader(fh):
+            if row:
+                yield row
+                line += 1
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {line}: {exc}") from None
+
+
 def _read_rows(path) -> list[list[str]]:
     with _open_csv(path) as fh:
-        return [row for row in csv.reader(fh) if row]
+        return list(_csv_rows(fh, path))
 
 
 def _float_cell(raw: str, where: str) -> float:
@@ -98,7 +130,7 @@ def _load_dense_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     fails is rescanned cell by cell to name the bad cell. Line numbers
     count non-blank rows, the header being line 1."""
     with _open_csv(path) as fh:
-        rows = filter(None, csv.reader(fh))
+        rows = _csv_rows(fh, path)
         header = next(rows, None)
         row = next(rows, None)
         if row is None:
@@ -122,6 +154,15 @@ def _load_dense_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     return spot_ids, gene_ids, np.vstack(values)
 
 
+def _read_ids(path) -> list[str]:
+    """The stripped non-blank lines of a sidecar id file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
 def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     path = Path(path)
     if not path.exists():
@@ -137,8 +178,7 @@ def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     for sidecar in (spots_file, genes_file):
         if not sidecar.exists():
             raise DataError(f"{sidecar}: sidecar id file not found")
-    spot_ids = [s.strip() for s in spots_file.read_text(encoding="utf-8").splitlines() if s.strip()]
-    gene_ids = [g.strip() for g in genes_file.read_text(encoding="utf-8").splitlines() if g.strip()]
+    spot_ids, gene_ids = _read_ids(spots_file), _read_ids(genes_file)
     if dense.shape != (len(spot_ids), len(gene_ids)):
         raise DataError(f"{path}: matrix is {dense.shape}, sidecars name "
                         f"{len(spot_ids)} spots x {len(gene_ids)} genes")

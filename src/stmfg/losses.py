@@ -13,12 +13,13 @@ temperatures neither overflow nor take the log of an underflowed sum, and
 the single-spot case is exactly zero.
 
 The ZINB term is one fused node too (``zinb_decoder_nll``), from the
-decoder's hidden layer on: per ``ZINB_ROW_BLOCK`` rows it applies the
-three heads, runs lgamma and digamma on the positive counts only and the
-mixture on the zero counts only, and chains the closed-form gradients
-through the heads in the same pass. Its count constants (checks, each
-block's positive and zero indices, sum lgamma(x + 1)) live in a
-``ZinbTarget``, which training builds once per run.
+decoder's hidden layer on: per block of rows (at most ``ZINB_ROW_BLOCK``
+rows and ``ZINB_BLOCK_ENTRIES`` entries) it applies the three heads, runs
+lgamma and digamma on the positive counts only and the mixture on the
+zero counts only, and chains the closed-form gradients through the heads
+in the same pass. Its count constants (checks, each block's positive and
+zero indices, sum lgamma(x + 1)) live in a ``ZinbTarget``, which training
+builds once per run.
 """
 
 from __future__ import annotations

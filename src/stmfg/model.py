@@ -125,7 +125,8 @@ def propagate_input(x: Tensor, spatial_norm: SparseMatrix,
     """A_s X and A_f X of a constant input, bitwise equal to the
     propagation inside ``graph_conv``."""
     x_rows = np.ascontiguousarray(x.data)
-    return Tensor(spatial_norm.csr() @ x_rows), Tensor(feature_norm.csr() @ x_rows)
+    return (Tensor(spatial_norm.csr() @ x_rows, copy=False),
+            Tensor(feature_norm.csr() @ x_rows, copy=False))
 
 
 def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
@@ -191,12 +192,14 @@ def zinb_decode(z: Tensor, params: ModelParams) -> Tensor:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    lines = [CHECKPOINT_MAGIC]
-    for name, t in params.named_tensors():
-        lines.append(f"tensor {name} {t.rows} {t.cols}")
-        for row in t.data.tolist():
-            lines.append(" ".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the checkpoint one row at a time: the text of the whole
+    checkpoint, or of one tensor, is never held."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CHECKPOINT_MAGIC + "\n")
+        for name, t in params.named_tensors():
+            fh.write(f"tensor {name} {t.rows} {t.cols}\n")
+            for row in t.data:
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def _checkpoint_row(line: str, cols: int, where: str) -> list[float]:

@@ -315,7 +315,8 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
     if cfg.disable_zinb and cfg.disable_cl and cfg.disable_reg:
         raise ContractError("all loss terms are disabled; nothing to train")
     target, target_is_counts = _reconstruction_target(dataset, cfg)
-    x = Tensor(dataset.preprocessed)
+    # the input is a constant, so the tensor holds the dataset's own matrix
+    x = Tensor(dataset.preprocessed, copy=False)
     if graphs.spatial.n != x.rows:
         raise ContractError(f"graphs built for {graphs.spatial.n} spots, data has {x.rows}")
 
@@ -334,6 +335,9 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
+        # the last epoch's gradients go before this epoch allocates: the
+        # parameters drop them here, its graph was dropped after backward
+        optimizer.zero_grad()
         total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg,
                                         propagated)
         for name, value in (("zinb", breakdown.zinb), ("cl", breakdown.cl),
@@ -341,8 +345,8 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
             if not np.isfinite(value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}: component '{name}' = {value}")
-        optimizer.zero_grad()
         ad.backward(total)
+        del total  # the graph's closures hold the gradients too
         optimizer.step()
         log.records.append(EpochRecord(epoch, breakdown, time.perf_counter() - started))
         if checkpoint_dir is not None and checkpoint_every > 0 and epoch % checkpoint_every == 0:

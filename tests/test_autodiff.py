@@ -17,6 +17,8 @@ from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DimensionError, DomainError
 
+from conftest import traced_peak
+
 
 def tensor(data, grad=True):
     return Tensor(data, requires_grad=grad)
@@ -937,11 +939,10 @@ class TestZinbDecoderNll:
         assert ad._zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, None, sub,
                               flags) == want_total
 
-    def test_forward_memory_is_one_call_scoped_workspace(self):
-        """One forward at 900 x 3000 (58% zeros, 128-wide hidden layer, the
-        count constants prepared beforehand): the peak stays within 5.5
-        count-sized buffers (6.25 with fresh temporaries in every block),
-        and after the call only the leaf gradients are held."""
+    @staticmethod
+    def wide_problem():
+        """900 x 3000 counts (58% zeros) with their count constants, a
+        128-wide hidden layer and three heads, all requiring gradients."""
         rng = np.random.default_rng(642)
         n, genes, width = 900, 3000, 128
         counts = rng.poisson(2.0, size=(n, genes)).astype(float)
@@ -951,6 +952,14 @@ class TestZinbDecoderNll:
         hidden = tensor(rng.uniform(0.0, 1.0, size=(n, width)))
         heads = [(tensor(rng.normal(0.0, 0.05, (width, genes))), tensor(np.zeros((1, genes))))
                  for _ in range(3)]
+        return counts, blocks, hidden, heads
+
+    def test_forward_memory_is_one_call_scoped_workspace(self):
+        """One forward at 900 x 3000 (58% zeros, 128-wide hidden layer, the
+        count constants prepared beforehand): the peak stays within 5.5
+        count-sized buffers (6.25 with fresh temporaries in every block),
+        and after the call only the leaf gradients are held."""
+        counts, blocks, hidden, heads = self.wide_problem()
         leaf_bytes = hidden.data.nbytes + sum(t.data.nbytes for head in heads for t in head)
         tracemalloc.start()
         try:
@@ -961,6 +970,51 @@ class TestZinbDecoderNll:
         assert np.isfinite(loss.item())
         assert peak <= 5.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
         assert held <= leaf_bytes + 2**20, f"held {held / counts.nbytes:.2f} buffers"
+
+    def test_forward_peak_under_the_entry_budget(self):
+        """At 3000 genes the entry budget makes 87-row blocks, so the
+        workspace of one forward with gradients stays within 2.5 count-sized
+        buffers (4.65 with 256-row blocks)."""
+        counts, blocks, hidden, heads = self.wide_problem()
+        assert {stop - start for start, stop, *_ in blocks[0][:-1]} == {87}
+        loss, peak = traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads, *blocks))
+        assert np.isfinite(loss.item())
+        assert peak <= 2.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
+
+    def test_blocks_hold_at_most_the_entry_budget(self, monkeypatch):
+        """At 150 x 4096 the budget gives 64-row blocks where the row cap
+        alone gives one 150-row block: the value is within 1e-14 and the
+        seven gradients within rtol 1e-12 of that 256-row layout."""
+        rng = np.random.default_rng(643)
+        n, genes, width = 150, 4096, 8
+        counts = rng.poisson(1.0, (n, genes)).astype(float)
+        hidden = rng.uniform(0.0, 1.0, (n, width))
+        ws = [rng.normal(0.0, 0.3, (width, genes)) for _ in range(3)]
+        bs = [rng.normal(0.0, 0.3, (1, genes)) for _ in range(3)]
+        outs, grads, layouts = [], [], []
+        for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
+            monkeypatch.setattr(ad, "ZINB_BLOCK_ENTRIES", entries)
+            blocks, log_x_fact = ad.zinb_count_blocks(counts)
+            layouts.append([stop - start for start, stop, *_ in blocks])
+            leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
+            loss = ad.zinb_decoder_nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])),
+                                       blocks, log_x_fact)
+            ad.backward(loss)
+            outs.append(loss.item())
+            grads.append([t.grad for t in leaves])
+        assert layouts == [[64, 64, 22], [150]]
+        assert max(layouts[0]) * genes <= 2**18
+        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-14, atol=0)
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
+
+    def test_block_rows_follow_the_entry_budget(self):
+        """Rows per block: the 256-row cap up to 1024 genes, then the
+        budget over the gene count, and one row past the budget."""
+        for n, genes, rows in ((300, 200, 256), (300, 1024, 256), (300, 1025, 255),
+                               (300, 3000, 87), (2, 2**18, 1), (2, 2**18 + 1, 1)):
+            blocks, _ = ad.zinb_count_blocks(np.zeros((n, genes)))
+            assert [stop - start for start, stop, *_ in blocks][0] == rows, genes
 
     def test_shape_contracts(self):
         hidden = tensor(np.ones((3, 2)))

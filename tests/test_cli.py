@@ -84,6 +84,16 @@ class TestRun:
                      "--out", str(tmp_path / "x"), *FAST, "--clusters", "2"])
         assert code == 2
 
+    def test_undecodable_expression_is_data_error(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "expression.csv").read_bytes().split(b"\n")
+        lines[5] += b"\xff"
+        bad = tmp_path / "expression.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code = main(["run", "--expression", str(bad), "--coords", str(synth_dir / "coords.csv"),
+                     "--out", str(tmp_path / "x"), *FAST, "--clusters", "2"])
+        assert code == 2
+        assert "expression.csv line 6: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
     def test_non_finite_count_is_data_error(self, synth_dir, tmp_path, capsys, raw):
         lines = (synth_dir / "expression.csv").read_text().splitlines()
@@ -299,6 +309,14 @@ class TestRun:
         field = next(iter(value))
         assert f"contract error: {field} must be" in capsys.readouterr().err
         assert not (out / "loss_log.csv").exists()
+
+    def test_undecodable_config_is_data_error(self, synth_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(b'{"lr": 0.1\xff}')
+        code = main(["run", *data_flags(synth_dir), "--out", str(tmp_path / "x"),
+                     "--config", str(cfg_file), *FAST])
+        assert code == 2
+        assert "cfg.json: not UTF-8 text" in capsys.readouterr().err
 
     def test_unknown_config_key_is_contract_error(self, synth_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -147,6 +147,32 @@ class TestLoadDataset:
         np.testing.assert_array_equal(ds.truth_labels, [0, -1, 1])
 
 
+    @pytest.mark.parametrize("role", ["expression", "coords", "labels"])
+    @pytest.mark.parametrize("kind, message", [
+        ("not-utf8", "not UTF-8 text"),
+        ("huge-cell", "field larger than field limit"),
+    ])
+    def test_undecodable_byte_or_huge_cell_names_line(self, tiny_files, role, kind, message):
+        """A byte that is not UTF-8 and a cell over the csv field limit, on
+        the third non-blank line after a blank one, are DataErrors naming
+        the file and that line."""
+        files = dict(zip(("expression", "coords", "labels"), tiny_files))
+        lines = files[role].read_bytes().split(b"\n")
+        lines.insert(1, b"")
+        lines[3] += b"\xff" if kind == "not-utf8" else b"9" * (csv.field_size_limit() + 1)
+        files[role].write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=f"{files[role].name} line 3: {message}"):
+            load_dataset(*files.values())
+
+    def test_undecodable_sidecar_names_line(self, tiny_files, tmp_path):
+        _, coords, _ = tiny_files
+        mtx = tmp_path / "expr.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real general\n3 1 1\n1 1 3\n")
+        (tmp_path / "expr.spots.txt").write_bytes(b"s1\n\ns2\xe9\ns3\n")
+        (tmp_path / "expr.genes.txt").write_text("gA\n")
+        with pytest.raises(DataError, match="expr.spots.txt line 2: not UTF-8 text"):
+            load_dataset(mtx, coords)
+
     @pytest.mark.parametrize("label", ["L2", "L1"])
     def test_duplicate_label_id_names_line(self, tiny_files, tmp_path, label):
         expr, coords, _ = tiny_files

@@ -2,6 +2,8 @@
 oracle for the full forward pass, decoder closed forms, and lossless
 checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError
 from stmfg.losses import zinb_nll
 from stmfg.model import (
+    CHECKPOINT_MAGIC,
     ForwardTrace,
     ModelParams,
     attention_fuse,
@@ -20,6 +23,7 @@ from stmfg.model import (
     zinb_decode,
 )
 
+from conftest import traced_peak
 from test_autodiff import head_values
 from test_losses import zinb_oracle
 
@@ -307,6 +311,29 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
         assert "5e-324 -0.0 0.1 0.3333333333333333" in path.read_text(encoding="utf-8")
+
+    def test_streamed_bytes_equal_joined_text_and_peak_below_one_tensor(self, tmp_path):
+        """The row-by-row writer gives the bytes of the writer that joined
+        the whole text, and its traced peak stays below the text of its
+        largest tensor (a 32 x 3000 head)."""
+
+        def joined_checkpoint(params, path):
+            lines = [CHECKPOINT_MAGIC]
+            for name, t in params.named_tensors():
+                lines.append(f"tensor {name} {t.rows} {t.cols}")
+                for row in t.data.tolist():
+                    lines.append(" ".join(map(repr, row)))
+            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        params = make_params(np.random.default_rng(17), [20, 8, 4], 3000, decoder_hidden=32)
+        params.mean_b.data[0, :6] = [5e-324, -0.0, 0.1, 1e300, -1e-300, 0.0]
+        joined_checkpoint(params, tmp_path / "joined.txt")
+        _, peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "streamed.txt"))
+        want = (tmp_path / "joined.txt").read_bytes()
+        assert (tmp_path / "streamed.txt").read_bytes() == want
+        head_text = sum(len(" ".join(map(repr, row)).encode()) + 1
+                        for row in params.mean_w.data.tolist())
+        assert peak < head_text, f"peak {peak} B, one tensor's text {head_text} B"
 
     def test_rejects_garbage(self, tmp_path):
         from stmfg.errors import DataError

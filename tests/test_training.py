@@ -17,6 +17,7 @@ from stmfg.graphs import build_graph_pair
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
+from conftest import traced_peak
 from test_autodiff import allocating_zinb_decoder_nll, hadamard, reference_graph_conv
 
 
@@ -349,6 +350,42 @@ class TestEpochMemory:
         train(ds, graphs, small_config(epochs=2, hidden_dims=(16, 8), decoder_hidden=16))
         buffer = n * genes * 8
         assert peaks and peaks[0] < buffer, f"epoch peak {peaks[0] / 2**20:.2f} MiB"
+
+
+    def test_train_peak_at_gene_width(self, tmp_path):
+        """A whole ``train()`` at 512 x 2048 (decoder and encoder narrow, a
+        checkpoint written) peaks within 9 n-by-genes buffers: the two
+        first-layer propagations, the count constants (about 1.6), and the
+        ZINB workspace of 128-row blocks under the entry budget (about 3.6
+        with its gather scratch). It holds no copy of the input."""
+        rng = np.random.default_rng(18)
+        n, genes = 512, 2048
+        grid = np.stack(np.divmod(np.arange(n), 23), axis=1) * 100.0
+        ds = Dataset(counts=rng.poisson(1.0, size=(n, genes)).astype(float), coords=grid,
+                     spot_ids=[f"s{i}" for i in range(n)],
+                     gene_ids=[f"g{j:04d}" for j in range(genes)])
+        ds = preprocess(ds, min_spots=1, n_hvg=genes)
+        assert ds.preprocessed.shape == (n, genes)
+        graphs = build_graph_pair(ds.coords, ds.preprocessed, radius=150.0, k=4)
+        cfg = small_config(epochs=2, hidden_dims=(16, 8), decoder_hidden=16)
+        _, peak = traced_peak(lambda: train(ds, graphs, cfg, checkpoint_dir=tmp_path))
+        buffers = peak / ds.preprocessed.nbytes
+        assert buffers <= 9.0, f"train peak {buffers:.2f} buffers"
+
+
+def test_entry_budget_keeps_training_bits_at_300_genes(monkeypatch):
+    """At 300 genes the 256-row cap binds, so training under the entry
+    budget gives the loss table and embedding bytes of the row-cap-only
+    layout (the budget patched out), over 324 spots: two blocks."""
+    ds, graphs = small_problem(n_side=18, genes=300)
+    blocks, _ = ad.zinb_count_blocks(ds.preprocessed)
+    assert [stop - start for start, stop, *_ in blocks] == [256, 68]
+    runs = []
+    for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
+        monkeypatch.setattr(ad, "ZINB_BLOCK_ENTRIES", entries)
+        result = train(ds, graphs, small_config(epochs=4))
+        runs.append((result.log.loss_table(), result.trace.embedding.data.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("block", [16, 256])
