@@ -6,8 +6,11 @@ decoder is one ``graph_conv`` node, the attention step, the pairwise
 losses and the ZINB decoder heads with their likelihood are fused nodes,
 and ``add`` and ``scale`` weigh and sum the 1x1 loss terms. Every node has
 a closed-form gradient and forms no n-by-n or n-by-genes intermediate.
-Graph adjacency enters as a constant sparse operator (`SparseMatrix`),
-so no gradient ever flows into graph structure. The ZINB node allocates
+Graph adjacency enters as a constant sparse operator (`SparseMatrix`)
+and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
+gradient ever flows into graph structure or counts. Each op checks its
+own operands: shapes (the counts against the decoded shape too),
+domains, and the link loss's zero diagonal. The ZINB node allocates
 one workspace per call, sized by its largest row block, writes every
 block into it in place and drops it on return; each head entry takes a
 single exp, shared by an activation and the derivative it needs.
@@ -26,7 +29,7 @@ import scipy.sparse
 from scipy.special import digamma as _digamma
 from scipy.special import gammaln as _gammaln
 
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ContractError, DataError, DimensionError, DomainError
 
 # Guard added inside row norms (l2 normalization, cosine similarity) so
 # zero rows map to zero instead of NaN. Gradients go through the guarded
@@ -397,7 +400,8 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
 
 def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     """Logistic link loss of the guarded cosine similarities s of the rows
-    of ``z`` against the constant weights ``adj`` (zero diagonal):
+    of ``z`` against the constant weights ``adj``, whose stored diagonal
+    entries must be zero:
 
         sum_{i != j} [-adj_ij log sigmoid(s_ij) - (1 - adj_ij) log(1 - sigmoid(s_ij))]
         = sum_{i != j} softplus(s_ij) - sum_ij adj_ij s_ij.
@@ -407,6 +411,9 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     """
     if adj.n != z.rows:
         raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
+    csr = adj.csr()
+    if np.any(csr.diagonal() != 0):
+        raise ContractError("cosine_link_loss: adjacency must have a zero diagonal")
     n = z.rows
     norm = _guarded_norms(z.data)
     u = z.data / norm
@@ -423,7 +430,6 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
             block /= 1.0 + block  # sigmoid(s), still zero on the diagonal
             gu[r0:r0 + rows.size] += block @ u
 
-    csr = adj.csr()
     adj_u = csr @ u
     total -= np.sum(u * adj_u)
     out_data = np.array([[total]])
@@ -441,30 +447,46 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
 # fused ZINB decoder and likelihood
 
 
-ZinbBlock = tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
+# Kept out of __all__, the registry of tensor operations: it holds
+# constants, built once per run, and is no operation.
+class ZinbTarget:
+    """The constant counts of ``zinb_decoder_nll``, checked finite and
+    nonnegative, and integer when ``require_integer`` (without it the
+    factorial term generalizes to lgamma(x + 1), which admits the
+    non-integer targets produced by preprocessing). It holds the matrix's
+    ``shape``; its ``blocks``, one per ZINB_ROW_BLOCK rows, or fewer so that
+    a block holds at most ZINB_BLOCK_ENTRIES entries, each ``(start, stop,
+    pos, x_pos, zero)`` with the flat indices within rows start:stop of the
+    positive and of the zero counts and the positive counts themselves; and
+    ``log_x_fact``, sum lgamma(x + 1), which a zero count adds nothing to.
+    """
 
+    __slots__ = ("shape", "blocks", "log_x_fact")
 
-# Kept out of __all__, the registry of tensor operations: it builds
-# constants once per run and returns no tensor.
-def zinb_count_blocks(counts: np.ndarray) -> tuple[list[ZinbBlock], float]:
-    """The count constants of ``zinb_decoder_nll`` for a finite, nonnegative
-    count matrix: per block of ZINB_ROW_BLOCK rows, or fewer so that it
-    holds at most ZINB_BLOCK_ENTRIES entries, ``(start, stop, pos, x_pos,
-    zero)`` with the flat indices within rows start:stop of the positive
-    and of the zero counts and the positive counts themselves; and sum
-    lgamma(x + 1), which a zero count adds nothing to."""
-    n, genes = counts.shape
-    rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // max(genes, 1)))
-    blocks = []
-    log_x_fact = 0.0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        flat = np.ravel(counts[start:stop])
-        pos = np.flatnonzero(flat)
-        x_pos = flat[pos]
-        log_x_fact += _gammaln(x_pos + 1.0).sum()
-        blocks.append((start, stop, pos, x_pos, np.flatnonzero(flat == 0)))
-    return blocks, log_x_fact
+    def __init__(self, counts, require_integer: bool = True):
+        counts = np.asarray(counts, dtype=np.float64)
+        if counts.ndim != 2:
+            raise DataError(f"counts must be a matrix, got shape {counts.shape}")
+        if counts.size == 0:
+            raise DataError(f"counts must have at least one entry, got shape {counts.shape}")
+        if not np.isfinite(counts).all():
+            raise DataError("counts must be finite")
+        if np.any(counts < 0):
+            raise DataError("counts must be nonnegative")
+        if require_integer and not np.all(counts == np.floor(counts)):
+            raise DataError("counts must be integers")
+        self.shape = counts.shape
+        n, genes = counts.shape
+        rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // genes))
+        self.blocks = []
+        self.log_x_fact = 0.0
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            flat = np.ravel(counts[start:stop])
+            pos = np.flatnonzero(flat)
+            x_pos = flat[pos]
+            self.log_x_fact += _gammaln(x_pos + 1.0).sum()
+            self.blocks.append((start, stop, pos, x_pos, np.flatnonzero(flat == 0)))
 
 
 def _exp_neg_abs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -570,10 +592,10 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
 
 
 def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
-                     blocks: Sequence[ZinbBlock], log_x_fact: float) -> Tensor:
-    """Mean negative log-likelihood of constant counts x (given as
-    ``zinb_count_blocks(x)``) under the ZINB decoder: the dropout, mean and
-    dispersion ``heads`` ((w, b) each) over the hidden layer give
+                     target: ZinbTarget) -> Tensor:
+    """Mean negative log-likelihood of the constant counts ``target``
+    under the ZINB decoder: the dropout, mean and dispersion ``heads``
+    ((w, b) each) over the hidden layer give
 
         pi    = sigmoid(clamp(hidden w + b, +-DROPOUT_LOGIT_CLAMP))
         mu    = exp(clamp(hidden w + b, +-MEAN_LOGIT_CLAMP))
@@ -601,6 +623,10 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
                                  f"on hidden {hidden.data.shape}")
     (w_p, _), (w_m, _), (w_t, _) = heads
     genes = w_p.cols
+    if target.shape != (hidden.rows, genes):
+        raise DimensionError(f"zinb_decoder_nll: decoded ({hidden.rows}, {genes}) "
+                             f"vs counts {target.shape}")
+    blocks = target.blocks
     coef = -1.0 / (hidden.rows * genes)
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
     want_grad = any(tensor.requires_grad for tensor in leaves)
@@ -654,7 +680,7 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
             if tensor.requires_grad:
                 accum(tensor, _scaled(g, grad))
 
-    return _from_op(np.array([[coef * (total - log_x_fact)]]), leaves, backward_fn)
+    return _from_op(np.array([[coef * (total - target.log_x_fact)]]), leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------

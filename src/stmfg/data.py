@@ -324,8 +324,9 @@ def generate_synthetic(n_side: int, k_domains: int, n_genes: int, seed: int,
         raise ContractError("need n_side >= k_domains for non-empty bands")
     if not 0.0 <= dropout <= 1.0:
         raise ContractError(f"dropout must be in [0, 1], got {dropout}")
-    if dispersion <= 0:
-        raise ContractError(f"dispersion must be positive, got {dispersion}")
+    if not (0 < dispersion < math.inf and math.isfinite(SYNTHETIC_MARKER_MEAN / dispersion)):
+        raise ContractError(f"dispersion must be finite and positive, and "
+                            f"{SYNTHETIC_MARKER_MEAN:g} / dispersion finite, got {dispersion}")
     if n_genes < k_domains:
         raise ContractError("need at least one marker gene per domain")
 

@@ -18,8 +18,12 @@ rows and ``ZINB_BLOCK_ENTRIES`` entries) it applies the three heads, runs
 lgamma and digamma on the positive counts only and the mixture on the
 zero counts only, and chains the closed-form gradients through the heads
 in the same pass. Its count constants (checks, each block's positive and
-zero indices, sum lgamma(x + 1)) live in a ``ZinbTarget``, which training
-builds once per run.
+zero indices, sum lgamma(x + 1)) live in an ``autodiff.ZinbTarget``,
+which training builds once per run.
+
+The engine's ops check their own operands (shapes, the temperature, the
+counts against the decoded shape, the adjacency's zero diagonal), so the
+functions here only name the terms.
 """
 
 from __future__ import annotations
@@ -27,13 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import SparseMatrix, Tensor
-from .errors import ContractError, DataError
-
-DEFAULT_TAU = 0.5
+from .autodiff import SparseMatrix, Tensor, ZinbTarget
+from .errors import ContractError
 
 
 def contrastive_loss(z_spatial: Tensor, z_feature: Tensor, tau: float) -> Tensor:
@@ -55,10 +55,8 @@ def spatial_reg_loss(z: Tensor, spatial_adj: SparseMatrix) -> Tensor:
     all n^2 - n ordered pairs. Cosine similarities lie in (-1, 1), so this
     equals sum softplus(similarity) over the pairs minus the
     adjacency-weighted similarity sum over the graph's edges, which is how
-    it is evaluated.
+    it is evaluated. The op refuses a self edge.
     """
-    if np.any(spatial_adj.csr().diagonal() != 0):
-        raise ContractError("spatial adjacency must have a zero diagonal")
     return ad.cosine_link_loss(z, spatial_adj)
 
 
@@ -82,51 +80,15 @@ def zinb_pmf(x: int, pi: float, mu: float, theta: float) -> float:
     return pi * (1.0 if x == 0 else 0.0) + (1.0 - pi) * nb
 
 
-class ZinbTarget:
-    """A validated reconstruction target and its count constants, built
-    once per run: the matrix's shape, whether every count is an integer,
-    and the ``ad.zinb_count_blocks`` that ``ad.zinb_decoder_nll`` reads. With
-    ``require_integer=False`` the factorial term generalizes to
-    lgamma(x + 1), which admits the non-integer reconstruction targets
-    produced by preprocessing.
+def zinb_nll(target: ZinbTarget, hidden: Tensor, params) -> Tensor:
+    """Mean negative log-likelihood of the constant counts ``target`` under
+    the dropout, mean and dispersion heads of ``params`` (its six head
+    tensors are read) over the decoder's hidden layer, differentiable in
+    all seven tensors. The op checks the counts against the decoded shape.
     """
-
-    __slots__ = ("shape", "integer", "blocks", "log_x_fact")
-
-    def __init__(self, x, require_integer: bool = True):
-        counts = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if counts.ndim != 2:
-            raise DataError(f"counts must be a matrix, got shape {counts.shape}")
-        if counts.size == 0:
-            raise DataError(f"counts must have at least one entry, got shape {counts.shape}")
-        if not np.isfinite(counts).all():
-            raise DataError("counts must be finite")
-        if np.any(counts < 0):
-            raise DataError("counts must be nonnegative")
-        self.integer = bool(np.all(counts == np.floor(counts)))
-        if require_integer and not self.integer:
-            raise DataError("counts must be integers")
-        self.shape = counts.shape
-        self.blocks, self.log_x_fact = ad.zinb_count_blocks(counts)
-
-
-def zinb_nll(x, hidden: Tensor, params, require_integer: bool = True) -> Tensor:
-    """Mean negative log-likelihood of counts ``x`` under the dropout, mean
-    and dispersion heads of ``params`` (its six head tensors are read) over
-    the decoder's hidden layer, differentiable in all seven tensors.
-
-    ``x`` is a constant: a count matrix, or a ``ZinbTarget`` prepared from
-    one (the same result, without rebuilding the count constants).
-    """
-    target = x if isinstance(x, ZinbTarget) else ZinbTarget(x, require_integer)
-    if require_integer and not target.integer:
-        raise DataError("counts must be integers")
     heads = ((params.dropout_w, params.dropout_b), (params.mean_w, params.mean_b),
              (params.dispersion_w, params.dispersion_b))
-    decoded = (hidden.rows, params.dropout_w.cols)
-    if decoded != target.shape:
-        raise ContractError(f"decoder output {decoded} vs counts {target.shape}")
-    return ad.zinb_decoder_nll(hidden, heads, target.blocks, target.log_x_fact)
+    return ad.zinb_decoder_nll(hidden, heads, target)
 
 
 @dataclass(frozen=True)

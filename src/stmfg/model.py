@@ -129,20 +129,6 @@ def propagate_input(x: Tensor, spatial_norm: SparseMatrix,
             Tensor(feature_norm.csr() @ x_rows, copy=False))
 
 
-def attention_fuse(z_spatial: Tensor, z_feature: Tensor, w_attention: Tensor,
-                   slope: float = DEFAULT_LEAKY_SLOPE,
-                   l2_after_softmax: bool = True) -> tuple[Tensor, Tensor]:
-    """Row-wise attention over the two views, one fused engine node with a
-    closed-form gradient.
-
-    Returns the fused embedding and the n-by-2 weight matrix, a constant.
-    The weights are a row softmax of LeakyReLU logits; by default each
-    weight row is then l2-normalized, which trades the sum-to-one property
-    for unit norm.
-    """
-    return ad.view_attention(z_spatial, z_feature, w_attention, slope, l2_after_softmax)
-
-
 def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
            params: ModelParams, slope: float = DEFAULT_LEAKY_SLOPE,
            l2_after_softmax: bool = True, per_layer_fusion: bool = True,
@@ -152,6 +138,8 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
     With ``per_layer_fusion`` the fused output of each layer feeds both
     next-layer view convolutions; without it each view is encoded
     independently from the input and a single fusion joins the outputs.
+    Each fusion is ``ad.view_attention`` with LeakyReLU ``slope``; with
+    ``l2_after_softmax`` its weight rows have unit norm instead of unit sum.
     ``x`` is a constant; pass ``propagate_input`` of it as ``propagated``
     to reuse it across passes.
     """
@@ -169,8 +157,8 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
         trace.spatial_embeddings.append(z_s)
         trace.feature_embeddings.append(z_f)
         if per_layer_fusion or i == last:
-            z, m = attention_fuse(z_s, z_f, params.attention_weights[i],
-                                  slope=slope, l2_after_softmax=l2_after_softmax)
+            z, m = ad.view_attention(z_s, z_f, params.attention_weights[i], slope,
+                                     l2_after_softmax)
             trace.fusion_weights.append(m)
     trace.embedding = z
     return trace
@@ -215,7 +203,10 @@ def _checkpoint_row(line: str, cols: int, where: str) -> list[float]:
 
 
 def load_checkpoint(path) -> ModelParams:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     lines = text.splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a parameter checkpoint")

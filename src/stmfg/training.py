@@ -23,7 +23,6 @@ from .errors import ContractError, NumericError
 from .graphs import DEFAULT_KNN_K, DEFAULT_RADIUS, GraphPair
 from .losses import (
     LossBreakdown,
-    ZinbTarget,
     contrastive_loss,
     spatial_reg_loss,
     total_loss,
@@ -105,6 +104,8 @@ class TrainConfig:
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ContractError(f"tau must be positive, got {self.tau}")
+        if not math.isfinite(1.0 / self.tau):
+            raise ContractError(f"tau must be positive with a finite reciprocal, got {self.tau}")
         if self.radius <= 0:
             raise ContractError(f"radius must be positive, got {self.radius}")
         if self.knn_k < 1:
@@ -266,19 +267,21 @@ def forward(x: Tensor, graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
                   per_layer_fusion=not cfg.disable_fusion, propagated=propagated)
 
 
-def run_epoch(x: Tensor, target: np.ndarray | ZinbTarget, target_is_counts: bool,
+def run_epoch(x: Tensor, target: np.ndarray | ad.ZinbTarget, target_is_counts: bool,
               graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
               propagated: tuple[Tensor, Tensor] | None = None,
               ) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
     """One forward pass and loss assembly (no optimizer side effects).
-    ``target`` is the reconstruction matrix or a ``ZinbTarget`` built from
-    it; ``propagated`` is ``propagate_input`` of ``x``, if kept."""
+    ``target`` and ``target_is_counts`` are what ``_reconstruction_target``
+    returns, or ``target`` is the ``ZinbTarget`` already built from them;
+    ``propagated`` is ``propagate_input`` of ``x``, if kept."""
     trace = forward(x, graphs, params, cfg, propagated)
 
     zinb_term = None
     if not cfg.disable_zinb:
-        zinb_term = zinb_nll(target, zinb_decode(trace.embedding, params), params,
-                             require_integer=target_is_counts)
+        if not isinstance(target, ad.ZinbTarget):
+            target = ad.ZinbTarget(target, require_integer=target_is_counts)
+        zinb_term = zinb_nll(target, zinb_decode(trace.embedding, params), params)
 
     cl_term = None
     if not cfg.disable_cl:
@@ -329,7 +332,7 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
     log = TrainLog()
     if not cfg.disable_zinb:
         # count constants once per run, not once per epoch
-        target = ZinbTarget(target, require_integer=target_is_counts)
+        target = ad.ZinbTarget(target, require_integer=target_is_counts)
     # X is a constant, so the first layer's graph propagations are too
     propagated = propagate_input(x, graphs.spatial_norm, graphs.feature_norm)
 

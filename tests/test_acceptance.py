@@ -24,7 +24,7 @@ from stmfg.graphs import (
     normalize_adjacency,
 )
 from stmfg.losses import contrastive_loss, zinb_nll, zinb_pmf
-from stmfg.model import ModelParams, attention_fuse
+from stmfg.model import ModelParams
 from stmfg.training import TrainConfig, run_epoch, train
 
 from test_autodiff import head_params, head_values
@@ -112,7 +112,7 @@ def test_criterion_3_zinb_oracle():
         params = head_params(rng.uniform(0.05, 0.9, size=shape),
                              rng.uniform(0.2, 6.0, size=shape),
                              rng.uniform(0.3, 4.0, size=shape))
-        got = zinb_nll(counts, hidden, params).item()
+        got = zinb_nll(ad.ZinbTarget(counts), hidden, params).item()
         pi, mu, theta = head_values(hidden, params)
         want = float(np.mean([
             -math.log(zinb_pmf(int(counts[i, j]), pi[i, j], mu[i, j], theta[i, j]))
@@ -162,9 +162,9 @@ def test_criterion_5_fusion_invariants():
         zs = Tensor(rng.normal(size=(n, d)))
         zf = Tensor(rng.normal(size=(n, d)))
         wa = Tensor(rng.normal(size=(2 * d, 2)))
-        _, pre = attention_fuse(zs, zf, wa, l2_after_softmax=False)
+        _, pre = ad.view_attention(zs, zf, wa, 0.2, False)
         worst_sum = max(worst_sum, float(np.abs(pre.data.sum(axis=1) - 1.0).max()))
-        fused, m = attention_fuse(zs, zf, wa)
+        fused, m = ad.view_attention(zs, zf, wa, 0.2, True)
         worst_norm = max(worst_norm,
                          float(np.abs(np.linalg.norm(m.data, axis=1) - 1.0).max()))
         expected = m.data[:, 0:1] * zs.data + m.data[:, 1:2] * zf.data

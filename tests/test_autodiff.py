@@ -26,7 +26,7 @@ def tensor(data, grad=True):
 
 def zinb_of(counts, pi, mu, theta):
     """The reference ZINB likelihood in (pi, mu, theta) on a constant count matrix."""
-    return zinb_mean_nll(pi, mu, theta, *ad.zinb_count_blocks(np.asarray(counts, float)))
+    return zinb_mean_nll(pi, mu, theta, ad.ZinbTarget(counts, require_integer=False))
 
 
 def random_sparse_symmetric(n, rng, density=0.3):
@@ -287,7 +287,7 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     return total, grads
 
 
-def allocating_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
+def allocating_zinb_decoder_nll(hidden, heads, target):
     for w, b in heads:
         if w.rows != hidden.cols or b.data.shape != (1, w.cols) or w.cols != heads[0][0].cols:
             raise DimensionError(f"zinb_decoder_nll: head {w.data.shape} + {b.data.shape} "
@@ -299,7 +299,7 @@ def allocating_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
     total = 0.0
-    for start, stop, pos, x, zero in blocks:
+    for start, stop, pos, x, zero in target.blocks:
         h = hidden.data[start:stop]
         pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
         p = _sigmoid(np.clip(pre_p, -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
@@ -326,7 +326,7 @@ def allocating_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
             if tensor.requires_grad:
                 accum(tensor, ad._scaled(g, grad))
 
-    return ad._from_op(np.array([[coef * (total - log_x_fact)]]), leaves, backward_fn)
+    return ad._from_op(np.array([[coef * (total - target.log_x_fact)]]), leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +375,14 @@ def clip(a, lo, hi):
     return ad._from_op(out_data, (a,), backward_fn)
 
 
-def zinb_mean_nll(pi, mu, theta, blocks, log_x_fact):
-    """Mean ZINB negative log-likelihood of the counts behind ``blocks``
-    under per-entry (pi, mu, theta), differentiable in all three."""
+def zinb_mean_nll(pi, mu, theta, target):
+    """Mean ZINB negative log-likelihood of the counts ``target`` under
+    per-entry (pi, mu, theta), differentiable in all three."""
     coef = -1.0 / pi.data.size
     want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
     grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
     total = 0.0
-    for start, stop, pos, x, zero in blocks:
+    for start, stop, pos, x, zero in target.blocks:
         total, block_grads = _zinb_block(
             total, *(t.data[start:stop] for t in (pi, mu, theta)), pos, x, zero, coef,
             want_grad)
@@ -395,7 +395,7 @@ def zinb_mean_nll(pi, mu, theta, blocks, log_x_fact):
             if t.requires_grad:
                 accum(t, ad._scaled(g, grad))
 
-    return ad._from_op(np.array([[coef * (total - log_x_fact)]]), (pi, mu, theta),
+    return ad._from_op(np.array([[coef * (total - target.log_x_fact)]]), (pi, mu, theta),
                        backward_fn)
 
 
@@ -412,8 +412,8 @@ def unfused_heads(hidden, heads):
     return pi, mu, theta
 
 
-def unfused_zinb_decoder_nll(hidden, heads, blocks, log_x_fact):
-    return zinb_mean_nll(*unfused_heads(hidden, heads), blocks, log_x_fact)
+def unfused_zinb_decoder_nll(hidden, heads, target):
+    return zinb_mean_nll(*unfused_heads(hidden, heads), target)
 
 
 def head_params(pi, mu, theta, grad=False):
@@ -651,8 +651,8 @@ def _op_cases():
     def zinb_decoder_case(rng, x):
         heads = [tuple(matmul(Tensor(rng.uniform(-0.5, 0.5, (rows, x.rows))), x)
                        for rows in (x.cols, 1)) for _ in range(3)]
-        blocks = ad.zinb_count_blocks(rng.poisson(1.5, x.data.shape).astype(float))
-        return ad.zinb_decoder_nll(x, heads, *blocks)
+        target = ad.ZinbTarget(rng.poisson(1.5, x.data.shape))
+        return ad.zinb_decoder_nll(x, heads, target)
 
     case("zinb_decoder_nll")(zinb_decoder_case)
 
@@ -829,13 +829,12 @@ class TestZinbDecoderNll:
             ws[0][:, 0] *= 60.0
             ws[1][:, 1] *= 30.0
         bs = [rng.uniform(-0.5, 0.5, (1, genes)) for _ in range(3)]
-        counts = rng.poisson(1.5, (n, genes)).astype(float)
-        blocks = ad.zinb_count_blocks(counts)
+        target = ad.ZinbTarget(rng.poisson(1.5, (n, genes)))
         outs, grads = [], []
         for nll in (ad.zinb_decoder_nll, unfused_zinb_decoder_nll):
             leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
             heads = list(zip(leaves[1::2], leaves[2::2]))
-            loss = nll(leaves[0], heads, *blocks)
+            loss = nll(leaves[0], heads, target)
             ad.backward(ad.scale(loss, 0.7))
             outs.append(loss.data)
             grads.append([t.grad for t in leaves])
@@ -881,11 +880,11 @@ class TestZinbDecoderNll:
         counts[:3] = 0.0
         counts[3:6] += 1.0
         counts[6, ::2] = 0.0
-        blocks = ad.zinb_count_blocks(counts)
+        target = ad.ZinbTarget(counts)
         outs, grads = [], []
         for nll in (ad.zinb_decoder_nll, allocating_zinb_decoder_nll):
             leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
-            loss = nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])), *blocks)
+            loss = nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])), target)
             ad.backward(ad.scale(loss, 0.7))
             outs.append(loss.data)
             grads.append([t.grad for t in leaves])
@@ -905,11 +904,11 @@ class TestZinbDecoderNll:
         hidden = Tensor(rng.uniform(0, 2, (5, 3)))
         heads = [(Tensor(rng.uniform(-1, 1, (3, 4))), Tensor(rng.uniform(-1, 1, (1, 4))))
                  for _ in range(3)]
-        blocks = ad.zinb_count_blocks(rng.poisson(1.5, (5, 4)).astype(float))
-        loss = ad.zinb_decoder_nll(hidden, heads, *blocks)
+        target = ad.ZinbTarget(rng.poisson(1.5, (5, 4)))
+        loss = ad.zinb_decoder_nll(hidden, heads, target)
         assert not loss.requires_grad
         np.testing.assert_array_equal(
-            loss.data, allocating_zinb_decoder_nll(hidden, heads, *blocks).data)
+            loss.data, allocating_zinb_decoder_nll(hidden, heads, target).data)
 
     def test_likelihood_helper_matches_reference_with_floored_entries(self):
         """The engine's per-block likelihood against the reference's, in
@@ -924,7 +923,7 @@ class TestZinbDecoderNll:
         pi[0, :3], mu[0, :3], theta[0, :3] = 0.0, 1e6, 1000.0
         counts = rng.poisson(1.5, shape).astype(float)
         counts[0, :3] = 0.0
-        (block,), _ = ad.zinb_count_blocks(counts)
+        (block,) = ad.ZinbTarget(counts).blocks
         _, _, pos, x, zero = block
         coef = -1.0 / pi.size
         want_total, want = _zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, True)
@@ -941,29 +940,29 @@ class TestZinbDecoderNll:
 
     @staticmethod
     def wide_problem():
-        """900 x 3000 counts (58% zeros) with their count constants, a
-        128-wide hidden layer and three heads, all requiring gradients."""
+        """900 x 3000 counts (58% zeros) with their ZinbTarget, a 128-wide
+        hidden layer and three heads, all requiring gradients."""
         rng = np.random.default_rng(642)
         n, genes, width = 900, 3000, 128
         counts = rng.poisson(2.0, size=(n, genes)).astype(float)
         counts[rng.random((n, genes)) < 0.514] = 0.0
         assert abs((counts == 0).mean() - 0.58) < 0.01
-        blocks = ad.zinb_count_blocks(counts)
+        target = ad.ZinbTarget(counts)
         hidden = tensor(rng.uniform(0.0, 1.0, size=(n, width)))
         heads = [(tensor(rng.normal(0.0, 0.05, (width, genes))), tensor(np.zeros((1, genes))))
                  for _ in range(3)]
-        return counts, blocks, hidden, heads
+        return counts, target, hidden, heads
 
     def test_forward_memory_is_one_call_scoped_workspace(self):
         """One forward at 900 x 3000 (58% zeros, 128-wide hidden layer, the
         count constants prepared beforehand): the peak stays within 5.5
         count-sized buffers (6.25 with fresh temporaries in every block),
         and after the call only the leaf gradients are held."""
-        counts, blocks, hidden, heads = self.wide_problem()
+        counts, target, hidden, heads = self.wide_problem()
         leaf_bytes = hidden.data.nbytes + sum(t.data.nbytes for head in heads for t in head)
         tracemalloc.start()
         try:
-            loss = ad.zinb_decoder_nll(hidden, heads, *blocks)
+            loss = ad.zinb_decoder_nll(hidden, heads, target)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -975,9 +974,9 @@ class TestZinbDecoderNll:
         """At 3000 genes the entry budget makes 87-row blocks, so the
         workspace of one forward with gradients stays within 2.5 count-sized
         buffers (4.65 with 256-row blocks)."""
-        counts, blocks, hidden, heads = self.wide_problem()
-        assert {stop - start for start, stop, *_ in blocks[0][:-1]} == {87}
-        loss, peak = traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads, *blocks))
+        counts, target, hidden, heads = self.wide_problem()
+        assert {stop - start for start, stop, *_ in target.blocks[:-1]} == {87}
+        loss, peak = traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads, target))
         assert np.isfinite(loss.item())
         assert peak <= 2.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
 
@@ -994,11 +993,11 @@ class TestZinbDecoderNll:
         outs, grads, layouts = [], [], []
         for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
             monkeypatch.setattr(ad, "ZINB_BLOCK_ENTRIES", entries)
-            blocks, log_x_fact = ad.zinb_count_blocks(counts)
-            layouts.append([stop - start for start, stop, *_ in blocks])
+            target = ad.ZinbTarget(counts)
+            layouts.append([stop - start for start, stop, *_ in target.blocks])
             leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
             loss = ad.zinb_decoder_nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])),
-                                       blocks, log_x_fact)
+                                       target)
             ad.backward(loss)
             outs.append(loss.item())
             grads.append([t.grad for t in leaves])
@@ -1013,19 +1012,33 @@ class TestZinbDecoderNll:
         budget over the gene count, and one row past the budget."""
         for n, genes, rows in ((300, 200, 256), (300, 1024, 256), (300, 1025, 255),
                                (300, 3000, 87), (2, 2**18, 1), (2, 2**18 + 1, 1)):
-            blocks, _ = ad.zinb_count_blocks(np.zeros((n, genes)))
+            blocks = ad.ZinbTarget(np.zeros((n, genes))).blocks
             assert [stop - start for start, stop, *_ in blocks][0] == rows, genes
 
     def test_shape_contracts(self):
         hidden = tensor(np.ones((3, 2)))
-        blocks = ad.zinb_count_blocks(np.ones((3, 4)))
+        target = ad.ZinbTarget(np.ones((3, 4)))
         good = ((2, 4), (1, 4))
         for bad in (((3, 4), (1, 4)),   # weight rows vs hidden width
                     ((2, 5), (1, 5)),   # width differs from the other heads
                     ((2, 4), (2, 4))):  # bias is not a row
             heads = [tuple(tensor(np.ones(s)) for s in shapes) for shapes in (good, bad, good)]
             with pytest.raises(DimensionError):
-                ad.zinb_decoder_nll(hidden, heads, *blocks)
+                ad.zinb_decoder_nll(hidden, heads, target)
+
+    @pytest.mark.parametrize("shape", [(6, 9), (4, 5), (8, 5)], ids=["wide", "short", "tall"])
+    def test_target_shape_contract(self, shape):
+        """Counts of another shape than the decoded (6, 5) are refused by the
+        op itself: row blocks of a wide or short target would otherwise be
+        read against the wrong entries and give a wrong finite loss."""
+        rng = np.random.default_rng(38)
+        hidden = Tensor(rng.uniform(0, 1, (6, 4)))
+        heads = [(Tensor(rng.uniform(-1, 1, (4, 5))), Tensor(np.zeros((1, 5))))
+                 for _ in range(3)]
+        assert np.isfinite(ad.zinb_decoder_nll(
+            hidden, heads, ad.ZinbTarget(rng.poisson(1.5, (6, 5)))).item())
+        with pytest.raises(DimensionError, match="vs counts"):
+            ad.zinb_decoder_nll(hidden, heads, ad.ZinbTarget(rng.poisson(1.5, shape)))
 
 
 def _digamma_reference(x):
@@ -1064,6 +1077,15 @@ class TestDigammaBackstop:
         ref = np.array([_digamma_reference(2.0 + p) - _digamma_reference(p)
                         - math.log1p(2.0 / p) for p in pts]).reshape(1, -1)
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-12)
+
+
+class TestCosineLinkLoss:
+    def test_self_edge_rejected(self):
+        """The op refuses a stored nonzero diagonal entry: its edge sum
+        would count the self pair that its tile sum leaves out."""
+        adj = SparseMatrix(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+        with pytest.raises(ContractError, match="zero diagonal"):
+            ad.cosine_link_loss(tensor([[1.0, 0.5], [0.2, 1.0]]), adj)
 
 
 class TestSparseMatrixContracts:

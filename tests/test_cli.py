@@ -47,6 +47,15 @@ class TestSynth:
         assert "contract error: seed must be >= 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("dispersion", ["nan", "inf", "1e-320", "0"])
+    def test_bad_dispersion_fails_before_manifest(self, tmp_path, capsys, dispersion):
+        # 1e-320 is positive, but the marker mean over it overflows
+        code = main(["synth", "--out", str(tmp_path), "--n-side", "8", "--domains", "2",
+                     "--genes", "15", "--dispersion", dispersion])
+        assert code == 3
+        assert "contract error: dispersion must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestRun:
     def test_artifacts_and_single_epoch_log(self, synth_dir, tmp_path):
@@ -186,6 +195,7 @@ class TestRun:
         (["--seed", "-1"], "seed"),
         (["--min-spots", "0"], "min_spots"),
         (["--min-spots", "-4"], "min_spots"),
+        (["--tau", "1e-320"], "tau"),
     ])
     def test_bad_hyperparameter_fails_before_training(self, synth_dir, tmp_path, capsys,
                                                       flags, field):
@@ -211,7 +221,8 @@ class TestRun:
         ("ablate", ["--seeds", "-1"]),
         ("sweep", ["--seeds", "0,-1"]),
         ("sweep", ["--seeds", "0", "--tau-grid", "0.5,0"]),
-    ], ids=["ablate-seed", "sweep-seed", "sweep-tau"])
+        ("sweep", ["--seeds", "0", "--tau-grid", "0.5,1e-320"]),
+    ], ids=["ablate-seed", "sweep-seed", "sweep-tau", "sweep-tau-reciprocal"])
     def test_bad_grid_cell_fails_before_manifest(self, synth_dir, tmp_path, capsys,
                                                  command, flags):
         # the bad cell is not the first: every cell is checked before any trains

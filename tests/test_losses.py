@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from stmfg import autodiff as ad
-from stmfg.autodiff import SparseMatrix, Tensor
+from stmfg.autodiff import SparseMatrix, Tensor, ZinbTarget
 from stmfg.errors import ContractError, DataError, DomainError
 from stmfg.losses import (
     LossBreakdown,
-    ZinbTarget,
     contrastive_loss,
     spatial_reg_loss,
     total_loss,
@@ -420,7 +419,7 @@ def leaves_of(hidden, params):
 class TestZinbNll:
     def test_single_entry_closed_form(self):
         params = head_params(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]))
-        loss = zinb_nll(np.array([[0.0]]), eye(1), params)
+        loss = zinb_nll(ZinbTarget([[0.0]]), eye(1), params)
         assert loss.item() == pytest.approx(-math.log(0.75), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -428,7 +427,7 @@ class TestZinbNll:
         rng = np.random.default_rng(400 + seed)
         counts = rng.poisson(3.0, size=(5, 4)).astype(float)
         params = zinb_params(rng, (5, 4))
-        loss = zinb_nll(counts, eye(5), params)
+        loss = zinb_nll(ZinbTarget(counts), eye(5), params)
         oracle = zinb_oracle(counts, *head_values(eye(5), params))
         assert loss.item() == pytest.approx(oracle, abs=1e-10)
 
@@ -439,24 +438,25 @@ class TestZinbNll:
         params = head_params(rng.uniform(0.05, 0.9, size=(4, 3)),
                              rng.uniform(0.2, 5.0, size=(4, 3)),
                              rng.uniform(0.3, 3.0, size=(4, 3)))
-        assert zinb_nll(counts, eye(4), params).item() >= 0.0
+        assert zinb_nll(ZinbTarget(counts), eye(4), params).item() >= 0.0
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         counts = rng.poisson(3.0, size=(4, 5)).astype(float)
         hidden = Tensor(rng.uniform(0.0, 2.0, size=(4, 3)), requires_grad=True)
         params = decoder(rng, 3, 5)
+        target = ZinbTarget(counts)
         for t in leaves_of(hidden, params):
-            assert ad.grad_check(lambda _: zinb_nll(counts, hidden, params), t, 1e-5) < 1e-4
+            assert ad.grad_check(lambda _: zinb_nll(target, hidden, params), t, 1e-5) < 1e-4
 
     def test_count_validation(self):
         good = (eye(1), head_params(np.array([[0.2]]), np.array([[1.0]]), np.array([[1.0]])))
         with pytest.raises(DataError):
-            zinb_nll(np.array([[-1.0]]), *good)
+            ZinbTarget(np.array([[-1.0]]))
         with pytest.raises(DataError):
-            zinb_nll(np.array([[1.5]]), *good)
+            ZinbTarget(np.array([[1.5]]))
         # continuous targets allowed when integer validation is waived
-        loss = zinb_nll(np.array([[1.5]]), *good, require_integer=False)
+        loss = zinb_nll(ZinbTarget(np.array([[1.5]]), require_integer=False), *good)
         assert np.isfinite(loss.item())
 
 
@@ -474,11 +474,11 @@ def zinb_params(rng, shape, grad=False):
                        rng.uniform(0.3, 4.0, shape), grad=grad)
 
 
-def zinb_grads(x, hidden, params, **kwargs):
+def zinb_grads(counts, hidden, params):
     leaves = leaves_of(hidden, params)
     for t in leaves:
         t.grad = None
-    loss = zinb_nll(x, hidden, params, **kwargs)
+    loss = zinb_nll(ZinbTarget(counts), hidden, params)
     ad.backward(loss)
     return loss.item(), [t.grad.copy() for t in leaves]
 
@@ -490,7 +490,7 @@ class TestFusedZinb:
         rng = np.random.default_rng(600 + n)
         counts = rng.poisson(1.5, size=(n, 5)).astype(float)
         params = zinb_params(rng, (n, 5))
-        got = zinb_nll(counts, eye(n), params).item()
+        got = zinb_nll(ZinbTarget(counts), eye(n), params).item()
         assert got == pytest.approx(zinb_oracle(counts, *head_values(eye(n), params)),
                                     abs=1e-10)
 
@@ -515,11 +515,12 @@ class TestFusedZinb:
         counts = (np.zeros(shape) if fill == "zeros"
                   else rng.integers(1, 6, size=shape).astype(float))
         params = zinb_params(rng, shape, grad=True)
-        got = zinb_nll(counts, eye(4), params).item()
+        target = ZinbTarget(counts)
+        got = zinb_nll(target, eye(4), params).item()
         assert got == pytest.approx(zinb_oracle(counts, *head_values(eye(4), params)),
                                     abs=1e-10)
         for w, _ in heads_of(params):
-            assert ad.grad_check(lambda _: zinb_nll(counts, eye(4), params), w, 1e-6) < 1e-4
+            assert ad.grad_check(lambda _: zinb_nll(target, eye(4), params), w, 1e-6) < 1e-4
 
     def test_probability_floor(self):
         # NB zero probability (1000 / 1001000)^1000 underflows and pi = 0.
@@ -535,45 +536,24 @@ class TestFusedZinb:
         for t in (pi, mu, theta):
             np.testing.assert_array_equal(t.grad, np.zeros(shape))
 
-    @pytest.mark.parametrize("integer", [True, False])
-    def test_prepared_target_is_bitwise_equal(self, integer):
-        rng = np.random.default_rng(630)
-        counts = rng.poisson(2.0, size=(7, 5)).astype(float)
-        if not integer:
-            counts = np.log1p(counts * 1.37)
-        hidden = Tensor(rng.uniform(0.0, 2.0, size=(7, 3)), requires_grad=True)
-        params = decoder(rng, 3, 5)
-        raw_loss, raw_grads = zinb_grads(counts, hidden, params, require_integer=integer)
-        target = ZinbTarget(counts, require_integer=integer)
-        loss, grads = zinb_grads(target, hidden, params, require_integer=integer)
-        assert loss == raw_loss
-        for g, raw in zip(grads, raw_grads):
-            np.testing.assert_array_equal(g, raw)
-
     def test_parameter_contracts(self):
         rng = np.random.default_rng(631)
-        counts = np.array([[0.0, 2.0], [1.0, 0.0]])
+        target = ZinbTarget([[0.0, 2.0], [1.0, 0.0]])
         for hidden_shape, width, head_width in (((3, 4), 4, 2), ((2, 4), 4, 3),
                                                 ((2, 4), 5, 2)):
             params = decoder(rng, width, head_width)
             with pytest.raises(ContractError):
-                zinb_nll(counts, Tensor(np.ones(hidden_shape)), params)
+                zinb_nll(target, Tensor(np.ones(hidden_shape)), params)
         params = decoder(rng, 4, 2)
         params.mean_b = Tensor(np.zeros((2, 2)))
         with pytest.raises(ContractError):
-            zinb_nll(counts, Tensor(np.ones((2, 4))), params)
+            zinb_nll(target, Tensor(np.ones((2, 4))), params)
 
     def test_target_contracts(self):
-        good = (eye(1), head_params(np.array([[0.2]]), np.array([[1.0]]), np.array([[1.0]])))
         for bad in (np.array([[np.nan]]), np.array([[np.inf]]), np.zeros((0, 1)),
                     np.zeros(3)):
             with pytest.raises(DataError):
-                zinb_nll(bad, *good, require_integer=False)
-        # a target prepared without the integer check cannot skip it later
-        target = ZinbTarget(np.array([[1.5]]), require_integer=False)
-        assert np.isfinite(zinb_nll(target, *good, require_integer=False).item())
-        with pytest.raises(DataError):
-            zinb_nll(target, *good)
+                ZinbTarget(bad, require_integer=False)
 
     def test_memory_stays_within_eight_count_buffers(self):
         # 900 x 3000, 58% zeros: forward plus backward into the leaves
@@ -586,7 +566,7 @@ class TestFusedZinb:
         params = decoder(rng, 32, genes)
         tracemalloc.start()
         try:
-            ad.backward(zinb_nll(counts, hidden, params))
+            ad.backward(zinb_nll(ZinbTarget(counts), hidden, params))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

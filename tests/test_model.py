@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from stmfg import autodiff as ad
-from stmfg.autodiff import SparseMatrix, Tensor
+from stmfg.autodiff import SparseMatrix, Tensor, ZinbTarget
 from stmfg.errors import ContractError
 from stmfg.losses import zinb_nll
 from stmfg.model import (
     CHECKPOINT_MAGIC,
     ForwardTrace,
     ModelParams,
-    attention_fuse,
     encode,
     load_checkpoint,
     propagate_input,
@@ -83,11 +82,13 @@ class TestGcnLayer:
 
 
 class TestAttentionFuse:
+    """``ad.view_attention`` as ``encode`` calls it, LeakyReLU slope 0.2."""
+
     def test_equal_views_scale_rowwise(self):
         rng = np.random.default_rng(1)
         z = Tensor(rng.normal(size=(5, 3)))
         wa = Tensor(rng.normal(size=(6, 2)))
-        fused, m = attention_fuse(z, z, wa)
+        fused, m = ad.view_attention(z, z, wa, 0.2, True)
         expected = (m.data[:, 0:1] + m.data[:, 1:2]) * z.data
         np.testing.assert_allclose(fused.data, expected, atol=1e-14)
 
@@ -96,16 +97,16 @@ class TestAttentionFuse:
         z = Tensor(rng.normal(size=(4, 3)))
         col = rng.normal(size=(6, 1))
         wa = Tensor(np.concatenate([col, col], axis=1))
-        _, m = attention_fuse(z, z, wa)
+        _, m = ad.view_attention(z, z, wa, 0.2, True)
         np.testing.assert_allclose(m.data, np.full((4, 2), 1 / np.sqrt(2)), atol=1e-12)
 
     def test_zero_attention_weight(self):
         rng = np.random.default_rng(3)
         zs = Tensor(rng.normal(size=(4, 3)))
         zf = Tensor(rng.normal(size=(4, 3)))
-        _, m = attention_fuse(zs, zf, Tensor(np.zeros((6, 2))))
+        _, m = ad.view_attention(zs, zf, Tensor(np.zeros((6, 2))), 0.2, True)
         np.testing.assert_allclose(m.data, np.full((4, 2), 1 / np.sqrt(2)), atol=1e-12)
-        _, m = attention_fuse(zs, zf, Tensor(np.zeros((6, 2))), l2_after_softmax=False)
+        _, m = ad.view_attention(zs, zf, Tensor(np.zeros((6, 2))), 0.2, False)
         np.testing.assert_array_equal(m.data, np.full((4, 2), 0.5))
 
     def test_matches_entrywise_loop_oracle(self):
@@ -113,7 +114,7 @@ class TestAttentionFuse:
         zs = Tensor(rng.normal(size=(4, 3)))
         zf = Tensor(rng.normal(size=(4, 3)))
         wa = Tensor(rng.normal(size=(6, 2)))
-        fused, m = attention_fuse(zs, zf, wa)
+        fused, m = ad.view_attention(zs, zf, wa, 0.2, True)
         for i in range(4):
             for j in range(3):
                 expected = m.data[i, 0] * zs.data[i, j] + m.data[i, 1] * zf.data[i, j]
@@ -124,16 +125,16 @@ class TestAttentionFuse:
         zs = Tensor(rng.normal(size=(30, 4)))
         zf = Tensor(rng.normal(size=(30, 4)))
         wa = Tensor(rng.normal(size=(8, 2)))
-        _, m_no_l2 = attention_fuse(zs, zf, wa, l2_after_softmax=False)
+        _, m_no_l2 = ad.view_attention(zs, zf, wa, 0.2, False)
         np.testing.assert_allclose(m_no_l2.data.sum(axis=1), 1.0, atol=1e-12)
-        _, m = attention_fuse(zs, zf, wa)
+        _, m = ad.view_attention(zs, zf, wa, 0.2, True)
         np.testing.assert_allclose(np.linalg.norm(m.data, axis=1), 1.0, atol=1e-12)
         assert (m.data > 0).all()
 
     def test_shape_contract(self):
         with pytest.raises(ContractError):
-            attention_fuse(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                           Tensor(np.ones((3, 2))))
+            ad.view_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
+                              Tensor(np.ones((3, 2))), 0.2, True)
 
 
 class TestEncode:
@@ -253,7 +254,7 @@ class TestZinbDecode:
         np.testing.assert_array_equal(hidden.data, np.zeros((7, 6)))
         counts = rng.poisson(1.0, size=(7, 5)).astype(float)
         pi, mu, theta = (np.full((7, 5), v) for v in (0.5, 1.0, np.log(2.0) + ad.DISPERSION_FLOOR))
-        assert zinb_nll(counts, hidden, params).item() == pytest.approx(
+        assert zinb_nll(ZinbTarget(counts), hidden, params).item() == pytest.approx(
             zinb_oracle(counts, pi, mu, theta), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -268,17 +269,17 @@ class TestZinbDecode:
         assert (mean > 0).all()
         assert (dispersion > 0).all()
         counts = rng.poisson(2.0, size=(6, 5)).astype(float)
-        assert zinb_nll(counts, hidden, params).item() == pytest.approx(
+        assert zinb_nll(ZinbTarget(counts), hidden, params).item() == pytest.approx(
             zinb_oracle(counts, dropout, mean, dispersion), abs=1e-10)
 
     def test_decoder_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
         params = make_params(rng, [4, 3], 5, decoder_hidden=6)
         z = Tensor(rng.normal(size=(6, 3)))
-        counts = rng.poisson(2.0, size=(6, 5)).astype(float)
+        target = ZinbTarget(rng.poisson(2.0, size=(6, 5)))
 
         def loss_of(_):
-            return zinb_nll(counts, zinb_decode(z, params), params)
+            return zinb_nll(target, zinb_decode(z, params), params)
 
         for name in ("decoder_hidden_w", "dropout_w", "mean_w", "dispersion_b"):
             err = ad.grad_check(lambda t: loss_of(t), getattr(params, name), 1e-5)
@@ -343,6 +344,15 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    def test_non_utf8_byte_is_a_data_error(self, tmp_path):
+        from stmfg.errors import DataError
+
+        path = tmp_path / "params.txt"
+        save_checkpoint(make_params(np.random.default_rng(17), [3, 2], 4, decoder_hidden=2),
+                        path)
+        path.write_bytes(path.read_bytes().replace(b" ", b" \xff", 1))
+        with pytest.raises(DataError, match="params.txt: not UTF-8"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, line, message", [
         (lambda lines: lines.__setitem__(1, "tensor spatial_weights.0 6x 5"), 2,

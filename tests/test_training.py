@@ -2,8 +2,11 @@
 reference trace, loop-unrolling equality, determinism, and ablation
 exactness."""
 
+import importlib
+import importlib.util
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,7 +381,7 @@ def test_entry_budget_keeps_training_bits_at_300_genes(monkeypatch):
     budget gives the loss table and embedding bytes of the row-cap-only
     layout (the budget patched out), over 324 spots: two blocks."""
     ds, graphs = small_problem(n_side=18, genes=300)
-    blocks, _ = ad.zinb_count_blocks(ds.preprocessed)
+    blocks = ad.ZinbTarget(ds.preprocessed, require_integer=False).blocks
     assert [stop - start for start, stop, *_ in blocks] == [256, 68]
     runs = []
     for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
@@ -414,6 +417,43 @@ def test_training_matches_graph_conv_reference(monkeypatch):
     assert runs[0] == runs[1]
 
 
+def default_epoch(ds, graphs):
+    """One default-config epoch on ``ds``, as ``train`` runs its first."""
+    cfg = TrainConfig(epochs=1, seed=0)
+    x = Tensor(ds.preprocessed)
+    params = ModelParams.initialize(np.random.default_rng(0), [x.cols, *cfg.hidden_dims],
+                                    recon_width=x.cols, decoder_hidden=cfg.decoder_hidden)
+    return run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
+
+
+def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
+    """The traced benchmark run wraps the names in ``LAYER_HOOKS`` of
+    ``perfbench/child.py``: each must exist, and each ``stmfg.training``
+    name must be looked up through the module global by a default epoch,
+    or its span silently stays empty."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for module, attr, *_ in child.LAYER_HOOKS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+    hooked = {attr for module, attr, *_ in child.LAYER_HOOKS if module == "stmfg.training"}
+    assert hooked  # the training stages are traced
+    called = set()
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in hooked:
+        monkeypatch.setattr(training, name, recorded(name, getattr(training, name)))
+    default_epoch(*small_problem())
+    assert called == hooked
+
+
 def test_default_epoch_builds_sixteen_engine_ops(monkeypatch):
     """One default-config epoch calls the tensor ops of ad.__all__ 16 times,
     counted as the benchmark counts them: four view convolutions, two
@@ -433,11 +473,7 @@ def test_default_epoch_builds_sixteen_engine_ops(monkeypatch):
         fn = getattr(ad, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(ad, name, counted(name, fn))
-    cfg = TrainConfig(epochs=1, seed=0)
-    x = Tensor(ds.preprocessed)
-    params = ModelParams.initialize(np.random.default_rng(0), [x.cols, *cfg.hidden_dims],
-                                    recon_width=x.cols, decoder_hidden=cfg.decoder_hidden)
-    run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
+    default_epoch(ds, graphs)
     assert len(calls) == 16
     assert Counter(calls) == {"graph_conv": 5, "view_attention": 2, "zinb_decoder_nll": 1,
                               "cross_view_contrastive": 1, "cosine_link_loss": 1,
