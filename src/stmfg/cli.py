@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -349,8 +350,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes an argument that starts with '-' and a digit, such as '-1e-1'
+    or '-0.5,1', for a value. argparse before 3.13 takes only the '-1' and
+    '-0.1' forms for values and any other for an unknown option; no option
+    of this CLI starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stmfg",
         description="Spatial-domain clustering with dual-view fused graph convolution.")
     parser.add_argument("--version", action="version", version=f"stmfg {__version__}")

@@ -396,13 +396,6 @@ def save_embeddings(embedding: np.ndarray, spot_ids: list[str], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_embeddings(path) -> tuple[list[str], np.ndarray]:
-    rows = _read_rows(path)
-    spot_ids = [r[0] for r in rows[1:]]
-    values = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
-    return spot_ids, values
-
-
 def save_labels(labels: np.ndarray, spot_ids: list[str], path) -> None:
     if len(labels) != len(spot_ids):
         raise ContractError(f"{len(labels)} labels for {len(spot_ids)} spots")

@@ -28,7 +28,6 @@ functions here only name the terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import autodiff as ad
@@ -58,26 +57,6 @@ def spatial_reg_loss(z: Tensor, spatial_adj: SparseMatrix) -> Tensor:
     it is evaluated. The op refuses a self edge.
     """
     return ad.cosine_link_loss(z, spatial_adj)
-
-
-def zinb_pmf(x: int, pi: float, mu: float, theta: float) -> float:
-    """Probability of count ``x`` under the zero-inflated negative binomial.
-
-    A point mass at zero with weight ``pi`` mixed with NB(mu, theta).
-    Scalar reference form, evaluated in log space.
-    """
-    if x < 0 or x != int(x):
-        raise ContractError(f"count must be a nonnegative integer, got {x}")
-    if not 0.0 <= pi < 1.0:
-        raise ContractError(f"dropout probability must be in [0, 1), got {pi}")
-    if mu <= 0 or theta <= 0:
-        raise ContractError(f"mean and dispersion must be positive, got {mu}, {theta}")
-    x = int(x)
-    log_nb = (math.lgamma(x + theta) - math.lgamma(theta) - math.lgamma(x + 1)
-              + theta * math.log(theta / (theta + mu))
-              + x * (math.log(mu) - math.log(theta + mu)))
-    nb = math.exp(log_nb)
-    return pi * (1.0 if x == 0 else 0.0) + (1.0 - pi) * nb
 
 
 def zinb_nll(target: ZinbTarget, hidden: Tensor, params) -> Tensor:

@@ -4,11 +4,12 @@ parameters of the ZINB decoder that drives reconstruction.
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
 embeddings row-wise into the next layer's input. Each convolution is one
-engine node (``autodiff.graph_conv``), and so is each attention step
+engine node (``autodiff.graph_conv``) computing A (Z W), so the first
+layer reads the input X directly and its sparse products run on the layer
+width, never on the gene width; each attention step is one node too
 (``autodiff.view_attention``). A late-fusion variant
 (each view encoded independently, one fusion at the output) backs the
-"w/o mf" ablation. The first layer's propagations A X of the constant
-input are run constants (``propagate_input``). The decoder's hidden layer
+"w/o mf" ablation. The decoder's hidden layer
 is one ``graph_conv`` node without propagation; its three heads have no
 nodes of their own: the likelihood node applies them to the hidden layer
 (``zinb_decode``) block by block, and a trace holds encoder outputs only.
@@ -120,19 +121,9 @@ class ForwardTrace:
     fusion_weights: list[Tensor] = field(default_factory=list)
 
 
-def propagate_input(x: Tensor, spatial_norm: SparseMatrix,
-                    feature_norm: SparseMatrix) -> tuple[Tensor, Tensor]:
-    """A_s X and A_f X of a constant input, bitwise equal to the
-    propagation inside ``graph_conv``."""
-    x_rows = np.ascontiguousarray(x.data)
-    return (Tensor(spatial_norm.csr() @ x_rows, copy=False),
-            Tensor(feature_norm.csr() @ x_rows, copy=False))
-
-
 def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
            params: ModelParams, slope: float = DEFAULT_LEAKY_SLOPE,
-           l2_after_softmax: bool = True, per_layer_fusion: bool = True,
-           propagated: tuple[Tensor, Tensor] | None = None) -> ForwardTrace:
+           l2_after_softmax: bool = True, per_layer_fusion: bool = True) -> ForwardTrace:
     """Run the stacked dual-view encoder.
 
     With ``per_layer_fusion`` the fused output of each layer feeds both
@@ -140,20 +131,14 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
     independently from the input and a single fusion joins the outputs.
     Each fusion is ``ad.view_attention`` with LeakyReLU ``slope``; with
     ``l2_after_softmax`` its weight rows have unit norm instead of unit sum.
-    ``x`` is a constant; pass ``propagate_input`` of it as ``propagated``
-    to reuse it across passes.
     """
-    if propagated is None:
-        propagated = propagate_input(x, spatial_norm, feature_norm)
     trace = ForwardTrace(embedding=x)
-    z_s = ad.graph_conv(propagated[0], params.spatial_weights[0])
-    z_f = ad.graph_conv(propagated[1], params.feature_weights[0])
+    z = z_s = z_f = x
     last = params.n_layers - 1
     for i in range(params.n_layers):
-        if i > 0:
-            in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
-            z_s = ad.graph_conv(in_s, params.spatial_weights[i], spatial_norm)
-            z_f = ad.graph_conv(in_f, params.feature_weights[i], feature_norm)
+        in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
+        z_s = ad.graph_conv(in_s, params.spatial_weights[i], spatial_norm)
+        z_f = ad.graph_conv(in_f, params.feature_weights[i], feature_norm)
         trace.spatial_embeddings.append(z_s)
         trace.feature_embeddings.append(z_f)
         if per_layer_fusion or i == last:

@@ -35,7 +35,6 @@ from .model import (
     ForwardTrace,
     ModelParams,
     encode,
-    propagate_input,
     save_checkpoint,
     zinb_decode,
 )
@@ -181,11 +180,19 @@ class TrainLog:
 
 class Adam:
     """Adam with bias correction; L2 weight decay is added to the gradient
-    before the moment updates (coupled form)."""
+    before the moment updates (coupled form). A second moment that leaves
+    the finite range would freeze its parameter (every step exactly 0), so
+    the step raises ``NumericError`` naming it instead; ``names`` label the
+    parameters in that message (default: their positions)."""
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 names: list[str] | None = None):
         self.params = list(params)
+        self.names = [f"parameter {i}" for i in range(len(self.params))] \
+            if names is None else list(names)
+        if len(self.names) != len(self.params):
+            raise ContractError(f"{len(self.names)} names for {len(self.params)} parameters")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.beta1 = float(beta1)
@@ -206,7 +213,7 @@ class Adam:
         # holds every temporary of every update.
         size = max((p.data.size for p in self.params), default=0)
         scratch = (np.empty(size), np.empty(size))
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, name in zip(self.params, self.m, self.v, self.names):
             a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
             g = p.grad
             if self.weight_decay != 0.0:
@@ -218,6 +225,11 @@ class Adam:
             m += np.multiply(1.0 - self.beta1, g, out=b)
             v *= self.beta2
             v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
+            # v >= 0, and max propagates NaN: one reduction, no mask
+            if not math.isfinite(v.max(initial=0.0)):
+                raise NumericError(f"Adam step {self.t}: the second moment of {name} is not "
+                                   "finite (its squared gradient, weight decay included, "
+                                   "overflowed)")
             step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
             denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
             p.data -= np.divide(step, denom, out=a)
@@ -259,23 +271,20 @@ def _reconstruction_target(dataset, cfg: TrainConfig) -> tuple[np.ndarray, bool]
     return dataset.preprocessed, False
 
 
-def forward(x: Tensor, graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
-            propagated: tuple[Tensor, Tensor] | None = None) -> ForwardTrace:
-    """Encode; ``propagated`` is the run-constant first-layer input, if kept."""
+def forward(x: Tensor, graphs: GraphPair, params: ModelParams, cfg: TrainConfig) -> ForwardTrace:
+    """Encode ``x`` with the configured attention settings and fusion."""
     return encode(x, graphs.spatial_norm, graphs.feature_norm, params,
                   slope=cfg.leaky_slope, l2_after_softmax=cfg.fusion_l2,
-                  per_layer_fusion=not cfg.disable_fusion, propagated=propagated)
+                  per_layer_fusion=not cfg.disable_fusion)
 
 
 def run_epoch(x: Tensor, target: np.ndarray | ad.ZinbTarget, target_is_counts: bool,
               graphs: GraphPair, params: ModelParams, cfg: TrainConfig,
-              propagated: tuple[Tensor, Tensor] | None = None,
               ) -> tuple[Tensor, LossBreakdown, ForwardTrace]:
     """One forward pass and loss assembly (no optimizer side effects).
     ``target`` and ``target_is_counts`` are what ``_reconstruction_target``
-    returns, or ``target`` is the ``ZinbTarget`` already built from them;
-    ``propagated`` is ``propagate_input`` of ``x``, if kept."""
-    trace = forward(x, graphs, params, cfg, propagated)
+    returns, or ``target`` is the ``ZinbTarget`` already built from them."""
+    trace = forward(x, graphs, params, cfg)
 
     zinb_term = None
     if not cfg.disable_zinb:
@@ -327,22 +336,21 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
     dims = [x.cols, *cfg.hidden_dims]
     params = ModelParams.initialize(rng, dims, recon_width=target.shape[1],
                                     decoder_hidden=cfg.decoder_hidden)
-    optimizer = Adam(trainable_tensors(params, cfg), lr=cfg.lr,
-                     weight_decay=cfg.weight_decay)
+    tensors = trainable_tensors(params, cfg)
+    name_of = {id(t): name for name, t in params.named_tensors()}
+    optimizer = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                     names=[name_of[id(t)] for t in tensors])
     log = TrainLog()
     if not cfg.disable_zinb:
         # count constants once per run, not once per epoch
         target = ad.ZinbTarget(target, require_integer=target_is_counts)
-    # X is a constant, so the first layer's graph propagations are too
-    propagated = propagate_input(x, graphs.spatial_norm, graphs.feature_norm)
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         # the last epoch's gradients go before this epoch allocates: the
         # parameters drop them here, its graph was dropped after backward
         optimizer.zero_grad()
-        total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg,
-                                        propagated)
+        total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg)
         for name, value in (("zinb", breakdown.zinb), ("cl", breakdown.cl),
                             ("reg", breakdown.reg), ("total", breakdown.total)):
             if not np.isfinite(value):
@@ -355,7 +363,7 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
         if checkpoint_dir is not None and checkpoint_every > 0 and epoch % checkpoint_every == 0:
             save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
 
-    trace = forward(x, graphs, params, cfg, propagated)
+    trace = forward(x, graphs, params, cfg)
     if not np.isfinite(trace.embedding.data).all():
         raise NumericError(f"non-finite final embedding after epoch {cfg.epochs}: "
                            "the last update left the finite range")

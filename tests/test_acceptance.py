@@ -23,10 +23,11 @@ from stmfg.graphs import (
     build_spatial_graph,
     normalize_adjacency,
 )
-from stmfg.losses import contrastive_loss, zinb_nll, zinb_pmf
+from stmfg.losses import contrastive_loss, zinb_nll
 from stmfg.model import ModelParams
 from stmfg.training import TrainConfig, run_epoch, train
 
+from conftest import grad_check, zinb_pmf
 from test_autodiff import head_params, head_values
 from test_clustering import ari_pair_counting_oracle, nmi_entropy_oracle
 from test_graphs import brute_force_knn_edges, brute_force_radius_edges, edge_set
@@ -59,7 +60,7 @@ def test_criterion_1_full_loss_gradients():
     started = time.perf_counter()
     worst = 0.0
     for name, tensor in params.named_tensors():
-        err = ad.grad_check(
+        err = grad_check(
             lambda t: run_epoch(x, ds.preprocessed, False, graphs, params, cfg)[0],
             tensor, 1e-5)
         assert err < 1e-4, f"{name}: max relative error {err}"

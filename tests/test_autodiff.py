@@ -17,7 +17,7 @@ from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DimensionError, DomainError
 
-from conftest import traced_peak
+from conftest import grad_check, traced_peak
 
 
 def tensor(data, grad=True):
@@ -45,8 +45,10 @@ def random_sparse_symmetric(n, rng, density=0.3):
 # ---------------------------------------------------------------------------
 # Unfused reference of ad.graph_conv: the generic ops a ReLU layer was built
 # from before it became one engine node. The fused op must reproduce the
-# chains relu(matmul(spmm(A, z), w)), relu(matmul(P, w)) and
-# relu(broadcast_add(matmul(z, w), b)) bitwise, value and gradients.
+# chains relu(spmm(A, matmul(z, w))), relu(matmul(z, w)) and
+# relu(broadcast_add(matmul(z, w), b)) bitwise, value and gradients, and
+# agree within 1e-12 with the propagate-first order relu(matmul(spmm(A, z), w))
+# that it used before.
 
 
 def matmul(a, b):
@@ -113,7 +115,16 @@ def broadcast_add(a, b):
 
 
 def reference_graph_conv(x, w, adj=None, bias=None):
-    """The generic-op chain that ad.graph_conv replaces."""
+    """The generic-op chain that ad.graph_conv replaces: relu(A (x w) + b)."""
+    pre = matmul(x, w)
+    if adj is not None:
+        pre = spmm(adj, pre)
+    return relu(pre if bias is None else broadcast_add(pre, bias))
+
+
+def propagate_first_graph_conv(x, w, adj=None, bias=None):
+    """The same layer in the order relu((A x) w + b): equal in exact
+    arithmetic, and within rounding of the other order."""
     pre = matmul(x if adj is None else spmm(adj, x), w)
     return relu(pre if bias is None else broadcast_add(pre, bias))
 
@@ -474,12 +485,12 @@ class TestMatmul:
         a = tensor(rng.uniform(-2, 2, (4, 3)))
         b_const = Tensor(rng.uniform(-2, 2, (3, 2)))
         w = Tensor(rng.uniform(-2, 2, (4, 2)))
-        err_a = ad.grad_check(lambda x: sum_all(hadamard(w, matmul(x, b_const))), a, 1e-5)
+        err_a = grad_check(lambda x: sum_all(hadamard(w, matmul(x, b_const))), a, 1e-5)
         assert err_a < 1e-6
 
         b = tensor(rng.uniform(-2, 2, (3, 2)))
         a_const = Tensor(rng.uniform(-2, 2, (4, 3)))
-        err_b = ad.grad_check(lambda x: sum_all(hadamard(w, matmul(a_const, x))), b, 1e-5)
+        err_b = grad_check(lambda x: sum_all(hadamard(w, matmul(a_const, x))), b, 1e-5)
         assert err_b < 1e-6
 
 
@@ -581,12 +592,12 @@ class TestBackwardContract:
 class TestGradCheck:
     def test_sum_of_squares(self):
         x = tensor([[1.0, 2.0]])
-        err = ad.grad_check(lambda t: sum_all(hadamard(t, t)), x, 1e-5)
+        err = grad_check(lambda t: sum_all(hadamard(t, t)), x, 1e-5)
         assert err < 1e-6
 
     def test_relu_away_from_kink(self):
         x = tensor([[1.5, -0.7, 2.0, -1.2]])
-        err = ad.grad_check(lambda t: sum_all(relu(t)), x, 1e-5)
+        err = grad_check(lambda t: sum_all(relu(t)), x, 1e-5)
         assert err < 1e-6
 
 
@@ -714,13 +725,21 @@ def test_op_gradients_match_finite_differences(name):
         x = tensor(base)
         # Weight stream decorrelated from the input stream so the probe
         # direction never aligns with a scale-invariance null direction.
-        err = ad.grad_check(lambda t: builder(np.random.default_rng(5177 + seed), t), x, 1e-5)
+        err = grad_check(lambda t: builder(np.random.default_rng(5177 + seed), t), x, 1e-5)
         assert err < 1e-4, f"{name} seed {seed}: max relative error {err}"
 
 
 class TestGraphConv:
     """The fused ReLU layer against its generic-op chain: bitwise value and
-    gradients with the propagation and the bias each given or omitted."""
+    gradients with the propagation and the bias each given or omitted, and
+    within 1e-12 of the propagate-first chain."""
+
+    @staticmethod
+    def run_conv(conv, z, w, b, adj, with_bias, weight):
+        leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
+        out = conv(leaves[0], leaves[1], adj, leaves[2] if with_bias else None)
+        ad.backward(sum_all(hadamard(weight, out)))
+        return out.data, [t.grad for t in leaves]
 
     @pytest.mark.parametrize("propagate,with_bias", [(True, False), (False, False),
                                                      (False, True), (True, True)])
@@ -731,17 +750,32 @@ class TestGraphConv:
         w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
         adj = random_sparse_symmetric(9, rng) if propagate else None
         weight = Tensor(rng.uniform(-1, 1, (9, 3)))
-        outs, grads = [], []
-        for conv in (ad.graph_conv, reference_graph_conv):
-            leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
-            out = conv(leaves[0], leaves[1], adj, leaves[2] if with_bias else None)
-            ad.backward(sum_all(hadamard(weight, out)))
-            outs.append(out.data)
-            grads.append([t.grad for t in leaves])
-        assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
-        np.testing.assert_array_equal(outs[0], outs[1])
-        for got, want in zip(*grads):
+        (out, grads), (ref, ref_grads), (old, old_grads) = (
+            self.run_conv(conv, z, w, b, adj, with_bias, weight)
+            for conv in (ad.graph_conv, reference_graph_conv, propagate_first_graph_conv))
+        assert (out == 0.0).any() and (out > 0.0).any()
+        np.testing.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(out, old, rtol=1e-12, atol=1e-14)
+        for got, want in zip(grads, old_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_wide_input_forms_no_wide_array(self):
+        """At 400 x 4096 into 8 columns, a propagated layer's forward and
+        backward allocate under a fifth of the input's bytes: the sparse
+        products run on the 8 output columns, never on the 4096 input ones."""
+        rng = np.random.default_rng(43)
+        n, width = 400, 4096
+        adj = random_sparse_symmetric(n, rng, density=0.02)
+        x = Tensor(np.asfortranarray(rng.normal(size=(n, width))))
+        w = tensor(rng.normal(size=(width, 8)))
+
+        def layer():
+            ad.backward(sum_all(ad.graph_conv(x, w, adj)))
+
+        _, peak = traced_peak(layer)
+        assert peak < x.data.nbytes / 5, f"peak {peak / x.data.nbytes:.3f} inputs"
 
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(42)
@@ -780,7 +814,7 @@ class TestViewAttention:
             fused, _ = ad.view_attention(args["zs"], args["zf"], args["w"], 0.2, l2)
             return sum_all(hadamard(weight, fused))
 
-        assert ad.grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
+        assert grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
 
     @pytest.mark.parametrize("l2", [True, False])
     def test_matches_unfused_reference_graph(self, l2):

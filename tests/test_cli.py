@@ -1,13 +1,14 @@
 """CLI tests: artifact layout, exit codes, config precedence, manifest
 replay, and the ablation/sweep tables."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from stmfg.autodiff import Tensor
-from stmfg.cli import main
+from stmfg.cli import _comma_floats, build_parser, main
 from stmfg.data import load_dataset
 
 FAST = ["--epochs", "2", "--dims", "8,4", "--decoder-hidden", "8",
@@ -168,6 +169,18 @@ class TestRun:
         assert code == 4
         assert "numerical abort: non-finite final embedding" in capsys.readouterr().err
         assert not (out / "labels.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_adam_moment_exits_4(self, synth_dir, tmp_path, capsys):
+        # the decay term's square overflows: the moment is inf and every
+        # step of the parameter would be exactly 0
+        out = tmp_path / "run"
+        code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--weight-decay", "1e308"])
+        assert code == 4
+        assert ("numerical abort: Adam step 1: the second moment of spatial_weights.0 "
+                "is not finite") in capsys.readouterr().err
+        assert not (out / "loss_log.csv").exists()
 
     @pytest.mark.parametrize("flags,field", [
         (["--disable-cl", "--tau", "0"], "tau"),
@@ -401,3 +414,26 @@ class TestSweep:
                      "--seeds", "", "--tau-grid", "0.5,1", *FAST])
         assert code == 3
         assert not out.exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize("value", ["-1e-1", "-2e0", "-0.5", "-.5", "-3"])
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_negative_number_is_a_value_on_every_float_flag(self, command, value):
+        """A negative number given as a separate argument, in any float
+        form, is the flag's value, not an unknown option."""
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        float_flags = [a for a in sub._actions if a.type in (float, _comma_floats)]
+        assert len(float_flags) >= 8
+        for action in float_flags:
+            args = parser.parse_args([command, "--out", "o", action.option_strings[0], value])
+            want = float(value) if action.type is float else [float(value)]
+            assert getattr(args, action.dest) == want, action.option_strings[0]
+
+    def test_unknown_option_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--out", "o", "--leaky-slope", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from stmfg.data import (
     Dataset,
     generate_synthetic,
     load_dataset,
-    load_embeddings,
     preprocess,
     save_embeddings,
     save_labels,
@@ -21,6 +20,8 @@ from stmfg.data import (
     write_labels_csv,
 )
 from stmfg.errors import ContractError, DataError
+
+from conftest import load_embeddings
 
 
 def per_cell_expression_reference(path):

@@ -16,10 +16,10 @@ from stmfg.losses import (
     spatial_reg_loss,
     total_loss,
     zinb_nll,
-    zinb_pmf,
 )
 from stmfg.model import ModelParams
 
+from conftest import grad_check, zinb_pmf
 from test_autodiff import hadamard, head_params, head_values, heads_of, sum_all, zinb_of
 
 
@@ -188,7 +188,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(6)
         zs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         zf = Tensor(rng.normal(size=(5, 3)))
-        err = ad.grad_check(lambda t: contrastive_loss(t, zf, 0.5), zs, 1e-5)
+        err = grad_check(lambda t: contrastive_loss(t, zf, 0.5), zs, 1e-5)
         assert err < 1e-5
 
 
@@ -229,7 +229,7 @@ class TestSpatialRegLoss:
         z = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         adj, _ = random_adjacency(6, rng)
         assert spatial_reg_loss(z, adj).item() >= 0.0
-        err = ad.grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5)
+        err = grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5)
         assert err < 1e-5
 
 
@@ -254,7 +254,7 @@ class TestCosineSimilarity:
             assert abs(self.pair_similarity(rng.uniform(-2, 2, (2, 3)))) <= 1.0 + 1e-12
         z = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
         adj, _ = random_adjacency(5, rng, p=0.5, weighted=True)
-        assert ad.grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5) < 1e-5
+        assert grad_check(lambda t: spatial_reg_loss(t, adj), z, 1e-5) < 1e-5
 
 
 class TestFusedPairwiseLosses:
@@ -297,8 +297,8 @@ class TestFusedPairwiseLosses:
         rng = np.random.default_rng(9)
         zs = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         zf = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        assert ad.grad_check(lambda t: contrastive_loss(t, zf, tau), zs, 1e-5) < 1e-5
-        assert ad.grad_check(lambda t: contrastive_loss(zs, t, tau), zf, 1e-5) < 1e-5
+        assert grad_check(lambda t: contrastive_loss(t, zf, tau), zs, 1e-5) < 1e-5
+        assert grad_check(lambda t: contrastive_loss(zs, t, tau), zf, 1e-5) < 1e-5
 
     @pytest.mark.parametrize("seed", range(3))
     def test_weighted_adjacency_oracle_and_gradient(self, seed):
@@ -309,7 +309,7 @@ class TestFusedPairwiseLosses:
         assert spatial_reg_loss(Tensor(z), adj).item() == pytest.approx(
             weighted_spatial_reg_oracle(z.tolist(), dense.tolist()), abs=1e-10)
         zt = Tensor(z, requires_grad=True)
-        assert ad.grad_check(lambda t: spatial_reg_loss(t, adj), zt, 1e-5) < 1e-5
+        assert grad_check(lambda t: spatial_reg_loss(t, adj), zt, 1e-5) < 1e-5
 
     def test_nonzero_diagonal_rejected(self):
         adj = SparseMatrix(2, [0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0])
@@ -447,7 +447,7 @@ class TestZinbNll:
         params = decoder(rng, 3, 5)
         target = ZinbTarget(counts)
         for t in leaves_of(hidden, params):
-            assert ad.grad_check(lambda _: zinb_nll(target, hidden, params), t, 1e-5) < 1e-4
+            assert grad_check(lambda _: zinb_nll(target, hidden, params), t, 1e-5) < 1e-4
 
     def test_count_validation(self):
         good = (eye(1), head_params(np.array([[0.2]]), np.array([[1.0]]), np.array([[1.0]])))
@@ -520,7 +520,7 @@ class TestFusedZinb:
         assert got == pytest.approx(zinb_oracle(counts, *head_values(eye(4), params)),
                                     abs=1e-10)
         for w, _ in heads_of(params):
-            assert ad.grad_check(lambda _: zinb_nll(target, eye(4), params), w, 1e-6) < 1e-4
+            assert grad_check(lambda _: zinb_nll(target, eye(4), params), w, 1e-6) < 1e-4
 
     def test_probability_floor(self):
         # NB zero probability (1000 / 1001000)^1000 underflows and pi = 0.

@@ -2,8 +2,10 @@
 reference trace, loop-unrolling equality, determinism, and ablation
 exactness."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -20,8 +22,13 @@ from stmfg.graphs import build_graph_pair
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
-from conftest import traced_peak
-from test_autodiff import allocating_zinb_decoder_nll, hadamard, reference_graph_conv
+from conftest import grad_check, traced_peak
+from test_autodiff import (
+    allocating_zinb_decoder_nll,
+    hadamard,
+    propagate_first_graph_conv,
+    reference_graph_conv,
+)
 
 
 def small_problem(seed=0, n_side=8, k=2, genes=12):
@@ -121,6 +128,22 @@ class TestAdam:
         p = Tensor([[1.0]], requires_grad=True)
         with pytest.raises(ContractError):
             Adam([p], lr=0.1).step()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("names,named", [(None, "parameter 1"), (["a", "b"], "b")])
+    def test_non_finite_second_moment_names_parameter(self, names, named):
+        """g*g overflowing would leave v = inf and freeze the parameter (its
+        steps exactly 0): the step refuses, and moves no parameter after it."""
+        p, q = Tensor([[1.0]], requires_grad=True), Tensor([[2.0, 3.0]], requires_grad=True)
+        p.grad, q.grad = np.array([[1.0]]), np.array([[1e200, 0.0]])
+        opt = Adam([p, q], lr=0.1, names=names)
+        with pytest.raises(NumericError, match=f"Adam step 1: the second moment of {named} "):
+            opt.step()
+        np.testing.assert_array_equal(q.data, [[2.0, 3.0]])
+
+    def test_names_must_match_parameters(self):
+        with pytest.raises(ContractError):
+            Adam([Tensor([[1.0]], requires_grad=True)], lr=0.1, names=["a", "b"])
 
     def test_ten_steps_match_reference_trace(self):
         p = Tensor([[1.0]], requires_grad=True)
@@ -243,7 +266,7 @@ class TestContrastiveAllLayers:
                                         [x.cols, *cfg.hidden_dims], recon_width=x.cols,
                                         decoder_hidden=cfg.decoder_hidden)
         for tensor in trainable_tensors(params, cfg):
-            err = ad.grad_check(
+            err = grad_check(
                 lambda t: run_epoch(x, ds.preprocessed, False, graphs, params, cfg)[0],
                 tensor, 1e-5)
             assert err < 1e-5
@@ -355,12 +378,10 @@ class TestEpochMemory:
         assert peaks and peaks[0] < buffer, f"epoch peak {peaks[0] / 2**20:.2f} MiB"
 
 
-    def test_train_peak_at_gene_width(self, tmp_path):
-        """A whole ``train()`` at 512 x 2048 (decoder and encoder narrow, a
-        checkpoint written) peaks within 9 n-by-genes buffers: the two
-        first-layer propagations, the count constants (about 1.6), and the
-        ZINB workspace of 128-row blocks under the entry budget (about 3.6
-        with its gather scratch). It holds no copy of the input."""
+    @pytest.fixture(scope="class")
+    def train_peak_buffers(self, tmp_path_factory):
+        """The traced peak of a whole ``train()`` at 512 x 2048 (decoder and
+        encoder narrow, a checkpoint written), in n-by-genes buffers."""
         rng = np.random.default_rng(18)
         n, genes = 512, 2048
         grid = np.stack(np.divmod(np.arange(n), 23), axis=1) * 100.0
@@ -371,9 +392,21 @@ class TestEpochMemory:
         assert ds.preprocessed.shape == (n, genes)
         graphs = build_graph_pair(ds.coords, ds.preprocessed, radius=150.0, k=4)
         cfg = small_config(epochs=2, hidden_dims=(16, 8), decoder_hidden=16)
-        _, peak = traced_peak(lambda: train(ds, graphs, cfg, checkpoint_dir=tmp_path))
-        buffers = peak / ds.preprocessed.nbytes
-        assert buffers <= 9.0, f"train peak {buffers:.2f} buffers"
+        out = tmp_path_factory.mktemp("checkpoints")
+        _, peak = traced_peak(lambda: train(ds, graphs, cfg, checkpoint_dir=out))
+        return peak / ds.preprocessed.nbytes
+
+    def test_train_peak_at_gene_width(self, train_peak_buffers):
+        """The whole run peaks within 9 n-by-genes buffers: the count
+        constants (about 1.6), the ZINB workspace of 128-row blocks under
+        the entry budget (about 3.6 with its gather scratch) and about 0.9
+        more. It holds no copy of the input."""
+        assert train_peak_buffers <= 9.0, f"train peak {train_peak_buffers:.2f} buffers"
+
+    def test_train_holds_no_propagated_input(self, train_peak_buffers):
+        """Within 7 buffers: the first layer convolves X itself, so no
+        propagation A X of the input is held for the run."""
+        assert train_peak_buffers <= 7.0, f"train peak {train_peak_buffers:.2f} buffers"
 
 
 def test_entry_budget_keeps_training_bits_at_300_genes(monkeypatch):
@@ -407,14 +440,23 @@ def test_training_matches_allocating_zinb_reference(block, monkeypatch):
 
 def test_training_matches_graph_conv_reference(monkeypatch):
     """Training with the fused ReLU layer and with its generic-op chain
-    patched in gives the same loss table and embedding bytes."""
+    patched in gives the same loss table and embedding bytes; with the
+    propagate-first chain, losses and embedding agree within 1e-12."""
     ds, graphs = small_problem()
     runs = []
-    for conv in (ad.graph_conv, reference_graph_conv):
+    for conv in (ad.graph_conv, reference_graph_conv, propagate_first_graph_conv):
         monkeypatch.setattr(ad, "graph_conv", conv)
-        result = train(ds, graphs, small_config(epochs=4))
-        runs.append((result.log.loss_table(), result.trace.embedding.data.tobytes()))
-    assert runs[0] == runs[1]
+        runs.append(train(ds, graphs, small_config(epochs=4)))
+    fused, ref, old = runs
+    assert fused.log.loss_table() == ref.log.loss_table()
+    assert fused.trace.embedding.data.tobytes() == ref.trace.embedding.data.tobytes()
+    for mine, theirs in zip(fused.log.records, old.log.records):
+        np.testing.assert_allclose(
+            [mine.losses.zinb, mine.losses.cl, mine.losses.reg, mine.losses.total],
+            [theirs.losses.zinb, theirs.losses.cl, theirs.losses.reg, theirs.losses.total],
+            rtol=1e-12)
+    np.testing.assert_allclose(fused.trace.embedding.data, old.trace.embedding.data,
+                               rtol=1e-12, atol=1e-14)
 
 
 def default_epoch(ds, graphs):
@@ -426,15 +468,38 @@ def default_epoch(ds, graphs):
     return run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
 
 
+def load_perfbench(name):
+    """A ``perfbench`` script loaded by path, its source and its module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path.read_text(encoding="utf-8"), module
+
+
 def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
     """The traced benchmark run wraps the names in ``LAYER_HOOKS`` of
     ``perfbench/child.py``: each must exist, and each ``stmfg.training``
     name must be looked up through the module global by a default epoch,
-    or its span silently stays empty."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-    spec = importlib.util.spec_from_file_location("perfbench_child", path)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    or its span silently stays empty. ``perfbench/plateau.py`` calls
+    ``run_epoch`` and other ``stmfg.training`` names positionally: every
+    such call must bind to the current signature."""
+    source, plateau = load_perfbench("plateau")
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "stmfg.training"
+                for alias in node.names}
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in imported]
+    assert sum(call.func.id == "run_epoch" for call in calls) == 2
+    assert plateau.run_epoch is training.run_epoch
+    for call in calls:
+        signature = inspect.signature(getattr(training, call.func.id))
+        bound = signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        if call.func.id == "run_epoch":
+            assert len(call.args) == 6 and len(bound.arguments) == 6
+
+    _, child = load_perfbench("child")
     for module, attr, *_ in child.LAYER_HOOKS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
