@@ -156,7 +156,9 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
     """One ReLU layer relu(adj (x w) + bias) as one node; with ``adj`` None
     the layer is dense, and the constant ``adj`` gets no gradient. The
     dense product comes first, so the sparse one runs on the narrow side
-    and no array as wide as ``x`` is formed."""
+    and no array as wide as ``x`` is formed. The ReLU runs in place and
+    backward reads its mask from the output (out > 0 exactly where the
+    pre-activation is), so the node holds its output and nothing more."""
     if adj is not None and adj.n != x.rows:
         raise DimensionError(f"graph_conv: operator n={adj.n} vs tensor rows={x.rows}")
     if x.cols != w.rows:
@@ -169,10 +171,10 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
         pre = csr @ pre
     if bias is not None:
         pre += bias.data
-    out_data = np.maximum(pre, 0.0)
+    out_data = np.maximum(pre, 0.0, out=pre)
 
     def backward_fn(g, accum):
-        g = g * (pre > 0.0)
+        g = g * (out_data > 0.0)
         if bias is not None and bias.requires_grad:
             accum(bias, g.sum(axis=0, keepdims=True))
         if csr is not None:
@@ -239,13 +241,14 @@ def view_attention(zs: Tensor, zf: Tensor, w: Tensor, slope: float,
     guarded row norms when ``l2``, and the fused rows are
     m_0 zs + m_1 zf. Returns (fused, m); m is a constant tensor, so
     gradients reach ``zs``, ``zf`` and ``w`` through the fused output only.
+    The node holds n-by-2 arrays besides its output; backward rebuilds the
+    concatenated views for the weight gradient instead of keeping them.
     """
     _same_shape(zs, zf, "view_attention")
     if w.data.shape != (2 * zs.cols, 2):
         raise DimensionError(f"view_attention: weight {w.data.shape} for width {zs.cols}")
     slope = float(slope)
-    both = np.concatenate([zs.data, zf.data], axis=1)
-    logits = both @ w.data
+    logits = np.concatenate([zs.data, zf.data], axis=1) @ w.data
     act = np.where(logits > 0.0, logits, slope * logits)
     e = np.exp(act - act.max(axis=1, keepdims=True))
     soft = e / e.sum(axis=1, keepdims=True)
@@ -264,7 +267,7 @@ def view_attention(zs: Tensor, zf: Tensor, w: Tensor, slope: float,
         g_logits = soft * (gm - (gm * soft).sum(axis=1, keepdims=True))
         g_logits *= np.where(logits > 0.0, 1.0, slope)
         if w.requires_grad:
-            accum(w, both.T @ g_logits)
+            accum(w, np.concatenate([zs.data, zf.data], axis=1).T @ g_logits)
         if zs.requires_grad or zf.requires_grad:
             g_both = g_logits @ w.data.T
             d = zs.cols

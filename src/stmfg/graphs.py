@@ -5,6 +5,8 @@ The radius graph comes from a k-d tree (``scipy.spatial.cKDTree``), so
 no n-by-n distance array is formed. The KNN graph is exact: one GEMM
 gives the n-by-n cosine similarity matrix, a partition finds each row's
 k-th largest similarity, and only the columns at or above it are sorted.
+That matrix is the one n-by-n array the build holds: the partition and
+its survivor mask run over ``PAIRWISE_TILE`` rows at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .autodiff import NORM_EPS, SparseMatrix, Tensor
+from .autodiff import NORM_EPS, PAIRWISE_TILE, SparseMatrix, Tensor
 from .errors import ContractError
 
 DEFAULT_RADIUS = 550.0
@@ -79,8 +81,14 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     # survives (boundary ties included, so each row keeps at least k);
     # sorting survivors by (row, value, column) and keeping the first k
     # per row picks what a stable sort of the whole row picks.
-    kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]
-    rows, cols = np.nonzero(neg <= kth)
+    rows, cols = [], []
+    for r0 in range(0, n, PAIRWISE_TILE):
+        chunk = neg[r0:r0 + PAIRWISE_TILE]
+        kth = np.partition(chunk, k - 1, axis=1)[:, [k - 1]]
+        r, c = np.nonzero(chunk <= kth)
+        rows.append(r + r0)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((cols, neg[rows, cols], rows))
     per_row = np.bincount(rows, minlength=n)
     first = np.cumsum(per_row) - per_row

@@ -213,26 +213,28 @@ class Adam:
         # holds every temporary of every update.
         size = max((p.data.size for p in self.params), default=0)
         scratch = (np.empty(size), np.empty(size))
-        for p, m, v, name in zip(self.params, self.m, self.v, self.names):
-            a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
-            g = p.grad
-            if self.weight_decay != 0.0:
-                g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
-            # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
-            # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
-            # operation, so every update is bitwise that of the expression.
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=b)
-            v *= self.beta2
-            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
-            # v >= 0, and max propagates NaN: one reduction, no mask
-            if not math.isfinite(v.max(initial=0.0)):
-                raise NumericError(f"Adam step {self.t}: the second moment of {name} is not "
-                                   "finite (its squared gradient, weight decay included, "
-                                   "overflowed)")
-            step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
-            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
-            p.data -= np.divide(step, denom, out=a)
+        # an overflow surfaces as the typed error below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, m, v, name in zip(self.params, self.m, self.v, self.names):
+                a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
+                g = p.grad
+                if self.weight_decay != 0.0:
+                    g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
+                # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+                # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
+                # operation, so every update is bitwise that of the expression.
+                m *= self.beta1
+                m += np.multiply(1.0 - self.beta1, g, out=b)
+                v *= self.beta2
+                v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
+                # v >= 0, and max propagates NaN: one reduction, no mask
+                if not math.isfinite(v.max(initial=0.0)):
+                    raise NumericError(f"Adam step {self.t}: the second moment of {name} is "
+                                       "not finite (its squared gradient, weight decay "
+                                       "included, overflowed)")
+                step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+                p.data -= np.divide(step, denom, out=a)
 
     def zero_grad(self) -> None:
         ad.zero_grad(self.params)
@@ -345,25 +347,33 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
         # count constants once per run, not once per epoch
         target = ad.ZinbTarget(target, require_integer=target_is_counts)
 
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
-        # the last epoch's gradients go before this epoch allocates: the
-        # parameters drop them here, its graph was dropped after backward
-        optimizer.zero_grad()
-        total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg)
-        for name, value in (("zinb", breakdown.zinb), ("cl", breakdown.cl),
-                            ("reg", breakdown.reg), ("total", breakdown.total)):
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}: component '{name}' = {value}")
-        ad.backward(total)
-        del total  # the graph's closures hold the gradients too
-        optimizer.step()
-        log.records.append(EpochRecord(epoch, breakdown, time.perf_counter() - started))
-        if checkpoint_dir is not None and checkpoint_every > 0 and epoch % checkpoint_every == 0:
-            save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
+    # An overflow or invalid value surfaces through the typed checks (the
+    # loss components, the Adam moments, the final embedding), not as a
+    # warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.perf_counter()
+            # The last epoch's gradients go before this epoch allocates: the
+            # parameters drop them here. Its forward trace, kept in ``_``,
+            # lives until this epoch's forward returns; dropping it sooner
+            # lowers the peak but lets the heap shrink and regrow every
+            # epoch, which costs page faults and time.
+            optimizer.zero_grad()
+            total, breakdown, _ = run_epoch(x, target, target_is_counts, graphs, params, cfg)
+            for name, value in (("zinb", breakdown.zinb), ("cl", breakdown.cl),
+                                ("reg", breakdown.reg), ("total", breakdown.total)):
+                if not np.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}: component '{name}' = {value}")
+            ad.backward(total)
+            del total  # the graph's closures hold the gradients too
+            optimizer.step()
+            log.records.append(EpochRecord(epoch, breakdown, time.perf_counter() - started))
+            if (checkpoint_dir is not None and checkpoint_every > 0
+                    and epoch % checkpoint_every == 0):
+                save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
 
-    trace = forward(x, graphs, params, cfg)
+        trace = forward(x, graphs, params, cfg)
     if not np.isfinite(trace.embedding.data).all():
         raise NumericError(f"non-finite final embedding after epoch {cfg.epochs}: "
                            "the last update left the finite range")

@@ -34,6 +34,19 @@ def traced_peak(fn):
     return out, peak
 
 
+def traced_held(fn):
+    """Call ``fn()`` under ``tracemalloc``; return its result and the bytes
+    allocated during the call that are still traced when it returns, that
+    is, what the result keeps alive."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
 def grad_check(f, x, eps: float) -> float:
     """Max relative error between AD and central-difference gradients of
     the scalar-valued ``f`` at ``x``.

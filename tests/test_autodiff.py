@@ -17,7 +17,7 @@ from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DimensionError, DomainError
 
-from conftest import grad_check, traced_peak
+from conftest import grad_check, traced_held, traced_peak
 
 
 def tensor(data, grad=True):
@@ -777,6 +777,18 @@ class TestGraphConv:
         _, peak = traced_peak(layer)
         assert peak < x.data.nbytes / 5, f"peak {peak / x.data.nbytes:.3f} inputs"
 
+    def test_holds_only_its_output(self):
+        """At 2500 spots the node keeps its output and nothing beside it:
+        the ReLU runs in place and backward masks on the output."""
+        rng = np.random.default_rng(44)
+        n = 2500
+        ring = np.arange(n)
+        adj = SparseMatrix(n, np.concatenate([ring, (ring + 1) % n]),
+                           np.concatenate([(ring + 1) % n, ring]), np.full(2 * n, 0.5))
+        x, w, b = (tensor(rng.normal(size=s)) for s in ((n, 32), (32, 64), (1, 64)))
+        out, held = traced_held(lambda: ad.graph_conv(x, w, adj, b))
+        assert held <= 1.1 * out.data.nbytes, f"held {held / out.data.nbytes:.2f} outputs"
+
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(42)
         x, w = Tensor(rng.normal(size=(5, 3))), tensor(rng.normal(size=(3, 2)))
@@ -832,6 +844,16 @@ class TestViewAttention:
         np.testing.assert_array_equal(outs[0][1], outs[1][1])
         for got, want in zip(*grads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("l2", [True, False])
+    def test_holds_little_beyond_its_output(self, l2):
+        """At 2500 x 64 the node keeps its output and n-by-2 arrays; the
+        n-by-128 concatenated views are rebuilt in backward, not held."""
+        rng = np.random.default_rng(35)
+        n, d = 2500, 64
+        zs, zf, w = (tensor(rng.normal(size=s)) for s in ((n, d), (n, d), (2 * d, 2)))
+        (fused, _), held = traced_held(lambda: ad.view_attention(zs, zf, w, 0.2, l2))
+        assert held <= 1.2 * fused.data.nbytes, f"held {held / fused.data.nbytes:.2f} outputs"
 
     def test_weights_are_constant(self):
         rng = np.random.default_rng(32)

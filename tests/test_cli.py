@@ -160,17 +160,19 @@ class TestRun:
         rows = (out / "loss_log.csv").read_text().splitlines()[1:]
         assert rows and all(np.isfinite(float(v)) for r in rows for v in r.split(","))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    # A numeric abort prints its one typed line and nothing else: the
+    # "error" filter turns any numpy RuntimeWarning on the way into a failure.
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_final_embedding_exits_4(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
                      "--epochs", "1", "--lr", "1e200"])
         assert code == 4
-        assert "numerical abort: non-finite final embedding" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("numerical abort: non-finite final embedding after "
+                                           "epoch 1: the last update left the finite range\n")
         assert not (out / "labels.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_adam_moment_exits_4(self, synth_dir, tmp_path, capsys):
         # the decay term's square overflows: the moment is inf and every
         # step of the parameter would be exactly 0
@@ -178,9 +180,22 @@ class TestRun:
         code = main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
                      "--weight-decay", "1e308"])
         assert code == 4
-        assert ("numerical abort: Adam step 1: the second moment of spatial_weights.0 "
-                "is not finite") in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical abort: Adam step 1: the second moment of spatial_weights.0 is not "
+            "finite (its squared gradient, weight decay included, overflowed)\n")
         assert not (out / "loss_log.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags,message", [
+        (["--lambda", "1e308"], "non-finite loss at epoch 1: component 'total' = inf"),
+        (["--lr", "1e308"], "non-finite loss at epoch 2: component 'zinb' = nan"),
+    ])
+    def test_overflowing_loss_prints_one_line(self, synth_dir, tmp_path, capsys, flags,
+                                              message):
+        code = main(["run", *data_flags(synth_dir), "--out", str(tmp_path / "run"), *FAST,
+                     *flags])
+        assert code == 4
+        assert capsys.readouterr().err == f"numerical abort: {message}\n"
 
     @pytest.mark.parametrize("flags,field", [
         (["--disable-cl", "--tau", "0"], "tau"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stmfg.autodiff import NORM_EPS
+from stmfg.autodiff import NORM_EPS, PAIRWISE_TILE
 from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError
 from stmfg.graphs import (
@@ -16,6 +16,8 @@ from stmfg.graphs import (
     build_spatial_graph,
     normalize_adjacency,
 )
+
+from conftest import traced_peak
 
 
 def edge_set(sparse):
@@ -173,6 +175,29 @@ class TestFeatureGraph:
         rng = np.random.default_rng(8)
         a = build_feature_graph(rng.normal(size=(20, 4)), 3)
         assert not any(r == c for r, c in edge_set(a))
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_matches_argsort_across_row_chunks(self, k):
+        """At 600 spots the selection runs in three row chunks; runs of
+        tied and zero rows straddle both chunk edges, and every row still
+        selects what the full stable argsort selects."""
+        rng = np.random.default_rng(13)
+        n = 600
+        assert n > 2 * PAIRWISE_TILE
+        x = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+        for edge in (PAIRWISE_TILE, 2 * PAIRWISE_TILE):
+            x[edge - 3:edge + 3] = x[edge - 4]
+            x[[edge - 5, edge + 4]] = 0.0
+        assert_same_csr(build_feature_graph(x, k), argsort_feature_graph(x, k))
+
+    def test_peak_holds_one_similarity_matrix(self):
+        """At 1500 spots the build's traced peak stays under 1.5 n-by-n
+        float64 arrays: the GEMM's result is the only whole one."""
+        rng = np.random.default_rng(12)
+        n = 1500
+        feats = rng.normal(size=(n, 16))
+        _, peak = traced_peak(lambda: build_feature_graph(feats, 15))
+        assert peak <= 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n-by-n arrays"
 
     def test_matches_argsort_on_synthetic_2500_spots(self):
         ds = preprocess(generate_synthetic(50, 5, 200, seed=1, dropout=0.3,

@@ -129,7 +129,7 @@ class TestAdam:
         with pytest.raises(ContractError):
             Adam([p], lr=0.1).step()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("names,named", [(None, "parameter 1"), (["a", "b"], "b")])
     def test_non_finite_second_moment_names_parameter(self, names, named):
         """g*g overflowing would leave v = inf and freeze the parameter (its
@@ -335,11 +335,11 @@ class TestNumericalAbort:
         with pytest.raises(NumericError, match="reg"):
             train(ds, graphs, small_config(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_final_embedding_is_numeric_error(self):
         # one step at lr 1e200 leaves finite weights near 1e200 whose
-        # products overflow in the final forward pass
+        # products overflow in the final forward pass; the typed error is
+        # all that surfaces, with no numpy warning before it
         ds, graphs = small_problem()
         with pytest.raises(NumericError, match="final embedding"):
             train(ds, graphs, small_config(epochs=1, lr=1e200))
