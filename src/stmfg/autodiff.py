@@ -15,9 +15,12 @@ one workspace per call, sized by its largest row block, writes every
 block into it in place and drops it on return; each head entry takes a
 single exp, shared by an activation and the derivative it needs.
 
-`backward` computes one gradient total per tensor per pass and folds it
+`backward` computes one gradient total per tensor per pass. It folds a
+leaf's total (a tensor that requires gradients and is no op's output)
 into ``.grad`` with a single addition, which keeps repeated passes
-exactly additive. Resetting gradients is explicit (``zero_grad``).
+exactly additive; an op output's total is dropped once its closure has
+used it, so a kept trace holds its activations and no gradients.
+Resetting gradients is explicit (``zero_grad``).
 """
 
 from __future__ import annotations
@@ -225,9 +228,14 @@ def _guarded_norms(x: np.ndarray) -> np.ndarray:
 
 def _through_row_norm(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Gradient with respect to ``x`` given gradient ``g`` with respect to
-    ``x / norm``, with ``norm`` the guarded row norms of ``x``."""
+    ``x / norm``, with ``norm`` the guarded row norms of ``x``: g / norm -
+    x gx / norm^3 for the row sums gx of g x, written into ``g``."""
     gx = (g * x).sum(axis=1, keepdims=True)
-    return g / norm - x * gx / (norm ** 3)
+    radial = np.multiply(x, gx)
+    radial /= norm ** 3
+    g /= norm
+    g -= radial
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +356,12 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     reaches a log; every item contributes log(sum) - (s_rp/tau - m_r) >= 0,
     and a single spot gives exactly zero. ``tau`` and 1/``tau`` must be
     finite and positive.
+
+    The call's workspace is one PAIRWISE_TILE-by-2n block and, with
+    gradients, one d-by-2n product buffer, both reused by every tile; the
+    gradient tail then runs in place, one view at a time. Every step keeps
+    the operation order of the plain array expressions, so values and
+    gradients are bitwise the same.
     """
     _same_shape(a, b, "cross_view_contrastive")
     tau = float(tau)
@@ -358,14 +372,18 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     inv_tau = 1.0 / tau
     coef = 1.0 / items
     norms = np.concatenate([_guarded_norms(a.data), _guarded_norms(b.data)])
-    y = np.concatenate([a.data, b.data]) / norms
+    y = np.concatenate([a.data, b.data])
+    y /= norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)  # p(r), an involution
     want_grad = a.requires_grad or b.requires_grad
+    block_buf = np.empty((min(PAIRWISE_TILE, items), items))
     # dL/dy = G y + G^T y for G = dL/ds; the G^T y half is accumulated
     # transposed, which keeps both products on contiguous operands.
-    gy = np.zeros_like(y) if want_grad else None
-    gy_t = np.zeros_like(y_t) if want_grad else None
+    if want_grad:
+        gy = np.zeros_like(y)
+        gy_t = np.zeros_like(y_t)
+        prod = np.empty_like(y_t)
 
     total = 0.0
     for r0 in range(0, items, PAIRWISE_TILE):
@@ -373,7 +391,7 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         own = rows + r0
         span = slice(r0, r0 + rows.size)
         tile = y[span]
-        block = (tile * inv_tau) @ y_t  # s / tau
+        block = np.matmul(tile * inv_tau, y_t, out=block_buf[:rows.size])  # s / tau
         s_pos = block[rows, pos[own]]
         block[rows, own] = -np.inf  # k = r drops out of the sum
         m = block.max(axis=1)
@@ -387,14 +405,20 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
             # the positive entries are subtracted below.
             w = inv_tau / den
             gy[span] += w[:, None] * (block @ y)
-            gy_t += (tile * w[:, None]).T @ block
+            gy_t += np.matmul((tile * w[:, None]).T, block, out=prod)
 
     out_data = np.array([[coef * total]])
+    del block_buf, block, y_t
     if want_grad:
         gy += gy_t.T
+        del gy_t, prod
         # s_rp enters as the positive of both r and p(r) = p^-1(r)
-        gy -= (2.0 * inv_tau) * y[pos]
-        grad = coef * _through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
+        for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
+            g = gy[view]
+            g -= (2.0 * inv_tau) * partner
+            _through_row_norm(g, x, norms[view])
+            g *= coef
+        grad = gy
 
     def backward_fn(g, accum):
         if a.requires_grad:
@@ -415,6 +439,12 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
 
     |s| < 1, so softplus(s) = log1p(exp(s)) needs no guard; the edge sum
     runs over the stored entries of ``adj``.
+
+    The call's workspace is one PAIRWISE_TILE-by-n block and one scratch
+    of the same size (for log1p and 1 + block), both reused by every
+    tile; the gradient tail runs in place. Every step keeps the operation
+    order of the plain array expressions, so values and gradients are
+    bitwise the same.
     """
     if adj.n != z.rows:
         raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
@@ -426,23 +456,31 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     u = z.data / norm
     u_t = np.ascontiguousarray(u.T)
     gu = np.zeros_like(u) if z.requires_grad else None
+    block_buf = np.empty((min(PAIRWISE_TILE, n), n))
+    scratch_buf = np.empty_like(block_buf)
 
     total = 0.0
     for r0 in range(0, n, PAIRWISE_TILE):
         rows = np.arange(min(PAIRWISE_TILE, n - r0))
-        block = np.exp(u[r0:r0 + rows.size] @ u_t)
+        block = np.matmul(u[r0:r0 + rows.size], u_t, out=block_buf[:rows.size])
+        scratch = scratch_buf[:rows.size]
+        np.exp(block, out=block)
         block[rows, rows + r0] = 0.0  # log1p(0) = 0: self pairs drop out
-        total += np.log1p(block).sum()
+        total += np.log1p(block, out=scratch).sum()
         if gu is not None:
-            block /= 1.0 + block  # sigmoid(s), still zero on the diagonal
+            block /= np.add(1.0, block, out=scratch)  # sigmoid(s), still zero on the diagonal
             gu[r0:r0 + rows.size] += block @ u
+    del block_buf, scratch_buf, block, scratch, u_t
 
     adj_u = csr @ u
     total -= np.sum(u * adj_u)
     out_data = np.array([[total]])
     if gu is not None:
         # sigmoid(s) is symmetric, so its half of dL/du is 2 sigmoid(s) u
-        grad = _through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
+        gu *= 2.0
+        gu -= adj_u
+        gu -= csr.T @ u
+        grad = _through_row_norm(gu, z.data, norm)
 
     def backward_fn(g, accum):
         accum(z, _scaled(g, grad))
@@ -695,7 +733,8 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of ``loss`` into every reachable requires_grad tensor."""
+    """Accumulate gradients of ``loss`` into the ``.grad`` of every reachable
+    leaf, a requires_grad tensor that no op produced; op outputs keep none."""
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar, got {loss.data.shape}")
 
@@ -730,7 +769,7 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is not None:
             node._backward(g, accum)
-        if node.requires_grad:
+        elif node.requires_grad:
             # Single += per pass: two passes double the gradient exactly.
             node.grad = g if node.grad is None else node.grad + g
 

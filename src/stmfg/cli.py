@@ -286,6 +286,9 @@ def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
     overrides, in order."""
     if not cells:
         raise ContractError(f"{args.command} needs at least one seed (--seeds)")
+    if pipeline.checkpoint_every:
+        raise ContractError(f"checkpoint_every must be 0 for {args.command}, which writes "
+                            f"no checkpoints; got {pipeline.checkpoint_every}")
     cell_cfgs = [TrainConfig.from_dict({**cfg.to_dict(), **cell}) for cell in cells]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

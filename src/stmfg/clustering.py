@@ -82,13 +82,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray,
                 new_labels[worst] = c
                 revived.add(worst)
         if (new_labels == labels).all():
+            # converged: the centres have not moved since d2 was computed
             break
         labels = new_labels
         for c in range(k):
             members = labels == c
             if members.any():
                 centers[c] = points[members].mean(axis=0)
-    d2 = _sq_distances(points, centers)
+    else:
+        # max_iter ran out after a centre update
+        d2 = _sq_distances(points, centers)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
     return labels, inertia, history
 

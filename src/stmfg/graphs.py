@@ -68,6 +68,8 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     feats = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if feats.ndim != 2:
         raise ContractError(f"features must be a matrix, got shape {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise ContractError("features must be finite")
     n = feats.shape[0]
     if not 1 <= k < n:
         raise ContractError(f"need 1 <= k < n, got k={k}, n={n}")

@@ -467,6 +467,78 @@ def unfused_view_attention(zs, zf, w, slope, l2):
     return fused, weights
 
 
+def _allocating_through_row_norm(g, x, norm):
+    gx = (g * x).sum(axis=1, keepdims=True)
+    return g / norm - x * gx / (norm ** 3)
+
+
+def allocating_cross_view_contrastive(a, b, tau):
+    """ad.cross_view_contrastive with a fresh block per tile, a fresh
+    product per tile and an allocating gradient tail."""
+    n = a.rows
+    items = 2 * n
+    inv_tau = 1.0 / tau
+    coef = 1.0 / items
+    norms = np.concatenate([ad._guarded_norms(a.data), ad._guarded_norms(b.data)])
+    y = np.concatenate([a.data, b.data]) / norms
+    y_t = np.ascontiguousarray(y.T)
+    pos = np.roll(np.arange(items), n)
+    gy, gy_t = np.zeros_like(y), np.zeros_like(y_t)
+    total = 0.0
+    for r0 in range(0, items, ad.PAIRWISE_TILE):
+        rows = np.arange(min(ad.PAIRWISE_TILE, items - r0))
+        own = rows + r0
+        span = slice(r0, r0 + rows.size)
+        tile = y[span]
+        block = (tile * inv_tau) @ y_t
+        s_pos = block[rows, pos[own]]
+        block[rows, own] = -np.inf
+        m = block.max(axis=1)
+        block -= m[:, None]
+        np.exp(block, out=block)
+        den = block.sum(axis=1)
+        total += np.sum(np.log(den) - (s_pos - m))
+        w = inv_tau / den
+        gy[span] += w[:, None] * (block @ y)
+        gy_t += (tile * w[:, None]).T @ block
+    gy += gy_t.T
+    gy -= (2.0 * inv_tau) * y[pos]
+    grad = coef * _allocating_through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
+
+    def backward_fn(g, accum):
+        accum(a, ad._scaled(g, grad[:n]))
+        accum(b, ad._scaled(g, grad[n:]))
+
+    return ad._from_op(np.array([[coef * total]]), (a, b), backward_fn)
+
+
+def allocating_cosine_link_loss(z, adj):
+    """ad.cosine_link_loss with fresh block, log1p and 1 + block arrays
+    per tile and an allocating gradient tail."""
+    csr = adj.csr()
+    n = z.rows
+    norm = ad._guarded_norms(z.data)
+    u = z.data / norm
+    u_t = np.ascontiguousarray(u.T)
+    gu = np.zeros_like(u)
+    total = 0.0
+    for r0 in range(0, n, ad.PAIRWISE_TILE):
+        rows = np.arange(min(ad.PAIRWISE_TILE, n - r0))
+        block = np.exp(u[r0:r0 + rows.size] @ u_t)
+        block[rows, rows + r0] = 0.0
+        total += np.log1p(block).sum()
+        block /= 1.0 + block
+        gu[r0:r0 + rows.size] += block @ u
+    adj_u = csr @ u
+    total -= np.sum(u * adj_u)
+    grad = _allocating_through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
+
+    def backward_fn(g, accum):
+        accum(z, ad._scaled(g, grad))
+
+    return ad._from_op(np.array([[total]]), (z,), backward_fn)
+
+
 class TestMatmul:
     def test_identity(self):
         out = matmul(tensor([[1.0, 0.0], [0.0, 1.0]]), tensor([[3.0], [4.0]]))
@@ -1133,6 +1205,69 @@ class TestDigammaBackstop:
         ref = np.array([_digamma_reference(2.0 + p) - _digamma_reference(p)
                         - math.log1p(2.0 / p) for p in pts]).reshape(1, -1)
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-12)
+
+
+class TestPairwiseWorkspace:
+    """Both pairwise ops against their allocating bodies, and the peak of
+    one call with its workspace."""
+
+    @staticmethod
+    def pairwise_problem(n, d, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        a[1] = 0.0  # a zero row takes the guarded norm
+        b[n // 2] = a[n // 2]  # an exactly aligned pair
+        return a, b, random_sparse_symmetric(n, rng, density=0.05)
+
+    @staticmethod
+    def run_pair(op, a, b, adj, upstream):
+        leaves = [tensor(a), tensor(b)]
+        if op in (ad.cosine_link_loss, allocating_cosine_link_loss):
+            out = ad.add(op(leaves[0], adj), op(leaves[1], adj))
+        else:
+            out = op(leaves[0], leaves[1], 0.3)
+        ad.backward(ad.scale(out, upstream))
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("upstream", [1.0, 0.7])
+    @pytest.mark.parametrize("tile", [3, 256])
+    @pytest.mark.parametrize("op,reference", [
+        (ad.cross_view_contrastive, allocating_cross_view_contrastive),
+        (ad.cosine_link_loss, allocating_cosine_link_loss),
+    ], ids=["contrastive", "link"])
+    def test_matches_allocating_body_bitwise(self, op, reference, tile, upstream,
+                                             monkeypatch):
+        """Value and gradients are bitwise those of the allocating body, at
+        300 spots: 2n = 600 items end in a partial tile at either size."""
+        monkeypatch.setattr(ad, "PAIRWISE_TILE", tile)
+        a, b, adj = self.pairwise_problem(300, 8, 51)
+        (out, grads), (ref, ref_grads) = (self.run_pair(f, a, b, adj, upstream)
+                                          for f in (op, reference))
+        np.testing.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("op,bound_mib", [
+        ("contrastive", 24.0),
+        ("link", 15.0),
+    ])
+    def test_peak_of_forward_and_backward(self, op, bound_mib):
+        """At 2500 x 64 a forward and backward peaks at one tile block (a
+        256 x 2n block is 9.8 MiB, 256 x n is 4.9 MiB), one scratch of the
+        same size or a d x 2n product, and a few embedding-sized arrays.
+        With a fresh block per tile (the previous one still bound) and
+        allocating tails the peaks were 29.5 and 18.3 MiB."""
+        a, b, _ = self.pairwise_problem(2500, 64, 52)
+        n = 2500
+        ring = np.arange(n)
+        adj = SparseMatrix(n, np.concatenate([ring, (ring + 1) % n]),
+                           np.concatenate([(ring + 1) % n, ring]), np.ones(2 * n))
+        za, zb = tensor(a), tensor(b)
+        loss = {"contrastive": lambda: ad.cross_view_contrastive(za, zb, 0.5),
+                "link": lambda: ad.cosine_link_loss(za, adj)}[op]
+        _, peak = traced_peak(lambda: ad.backward(loss()))
+        assert za.grad is not None
+        assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCosineLinkLoss:

@@ -260,6 +260,24 @@ class TestRun:
         assert " must be " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_checkpoint_every_refused_where_no_checkpoint_is_written(
+            self, synth_dir, tmp_path, capsys, command, source):
+        if source == "flag":
+            flags = ["--checkpoint-every", "1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"checkpoint_every": 1}))
+            flags = ["--config", str(config)]
+        out = tmp_path / command
+        code = main([command, *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--epochs", "1", "--seeds", "0", *flags])
+        assert code == 3
+        assert (f"contract error: checkpoint_every must be 0 for {command}"
+                in capsys.readouterr().err)
+        assert not out.exists()  # refused before the manifest
+
     @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
     def test_single_domain_labels_fail_before_training(self, synth_dir, tmp_path,
                                                         capsys, command):

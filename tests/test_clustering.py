@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stmfg.clustering import Partition, _lloyd, ari, kmeans, nmi
+from stmfg.clustering import Partition, _lloyd, _sq_distances, ari, kmeans, nmi
 from stmfg.errors import ContractError, DomainError
 
 
@@ -44,6 +44,38 @@ def nmi_entropy_oracle(a, b):
         return 0.0
     mi = sum(p * math.log(p / (pa[x] * pb[y])) for (x, y), p in pab.items())
     return mi / (0.5 * (ha + hb))
+
+
+def recomputing_lloyd(points, centers, max_iter=300):
+    """_lloyd as it was before it reused the last assignment's distances: it
+    recomputes them for the final inertia after every exit."""
+    k = centers.shape[0]
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
+    history = []
+    for _ in range(max_iter):
+        d2 = _sq_distances(points, centers)
+        new_labels = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(points.shape[0]), new_labels].sum())
+        history.append(inertia)
+        revived = set()
+        for c in range(k):
+            if not (new_labels == c).any():
+                assigned = d2[np.arange(points.shape[0]), new_labels].copy()
+                if revived:
+                    assigned[list(revived)] = -np.inf
+                worst = int(assigned.argmax())
+                new_labels[worst] = c
+                revived.add(worst)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                centers[c] = points[members].mean(axis=0)
+    d2 = _sq_distances(points, centers)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    return labels, inertia, history
 
 
 class TestKmeans:
@@ -96,6 +128,35 @@ class TestKmeans:
         a = kmeans(pts, 4, seed=9, restarts=8)
         b = kmeans(pts, 4, seed=9, restarts=8)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("case", ["random", "integer-ties", "revival", "max-iter"])
+    def test_lloyd_matches_recomputing_reference(self, case):
+        """Labels, final inertia, history and centres are bitwise those of
+        the reference that recomputes the distances after the loop."""
+        rng = np.random.default_rng(12)
+        max_iter = 300
+        if case == "random":
+            pts = rng.normal(size=(120, 3))
+            centers = pts[rng.choice(120, size=5, replace=False)]
+        elif case == "integer-ties":
+            pts = rng.integers(0, 3, size=(60, 2)).astype(float)
+            centers = pts[:4]
+        elif case == "revival":
+            # a duplicated centre loses every tie, so its cluster starts empty
+            pts = rng.normal(size=(50, 2))
+            centers = pts[[0, 0, 7]]
+            assert 1 not in _sq_distances(pts, centers).argmin(axis=1)
+        else:
+            pts = rng.normal(size=(200, 4))
+            centers = pts[:6]
+            max_iter = 2
+            assert len(recomputing_lloyd(pts, centers.copy())[2]) > max_iter
+        got_centers, ref_centers = centers.copy(), centers.copy()
+        labels, inertia, history = _lloyd(pts, got_centers, max_iter)
+        ref_labels, ref_inertia, ref_history = recomputing_lloyd(pts, ref_centers, max_iter)
+        np.testing.assert_array_equal(labels, ref_labels)
+        assert inertia == ref_inertia and history == ref_history
+        np.testing.assert_array_equal(got_centers, ref_centers)
 
     def test_lloyd_inertia_non_increasing(self):
         rng = np.random.default_rng(5)

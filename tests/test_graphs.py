@@ -163,6 +163,14 @@ class TestFeatureGraph:
         with pytest.raises(ContractError):
             build_feature_graph(np.ones((4, 2)), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # a NaN row used to link to itself at k = 1, an inf row to give a graph
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.5]])
+        feats[0] = bad
+        with pytest.raises(ContractError, match="features must be finite"):
+            build_feature_graph(feats, 1)
+
     def test_row_scaling_invariance(self):
         rng = np.random.default_rng(31)
         feats = rng.normal(size=(40, 6))

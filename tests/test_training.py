@@ -22,7 +22,7 @@ from stmfg.graphs import build_graph_pair
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
-from conftest import grad_check, traced_peak
+from conftest import grad_check, traced_held, traced_peak
 from test_autodiff import (
     allocating_zinb_decoder_nll,
     hadamard,
@@ -407,6 +407,111 @@ class TestEpochMemory:
         """Within 7 buffers: the first layer convolves X itself, so no
         propagation A X of the input is held for the run."""
         assert train_peak_buffers <= 7.0, f"train peak {train_peak_buffers:.2f} buffers"
+
+
+def storing_backward(loss):
+    """ad.backward as it was before gradients went to leaves only: every
+    reachable requires_grad tensor, op outputs included, keeps its total."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    pending = {id(loss): np.ones((1, 1))}
+
+    def accum(t, contribution):
+        buf = pending.get(id(t))
+        pending[id(t)] = contribution if buf is None else buf + contribution
+
+    for node in reversed(topo):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is not None:
+            node._backward(g, accum)
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+
+
+def reachable(roots):
+    """Every tensor reachable from ``roots`` through op parents."""
+    seen, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+def trace_tensors(trace):
+    return [trace.embedding, *trace.spatial_embeddings, *trace.feature_embeddings,
+            *trace.fusion_weights]
+
+
+class TestLeafGradients:
+    @staticmethod
+    def epoch(ds, graphs, cfg, backward):
+        """One epoch with its backward; returns the loss, the trace and the
+        trainable tensors."""
+        x = Tensor(ds.preprocessed, copy=False)
+        params = ModelParams.initialize(np.random.default_rng(0), [x.cols, *cfg.hidden_dims],
+                                        recon_width=x.cols, decoder_hidden=cfg.decoder_hidden)
+        total, _, trace = run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
+        backward(total)
+        return total, trace, trainable_tensors(params, cfg)
+
+    @pytest.mark.parametrize("overrides", [{}, {"contrastive_layers": "all"},
+                                           {"disable_fusion": True}],
+                             ids=["default", "all-layers", "no-fusion"])
+    def test_only_leaves_hold_gradients(self, overrides):
+        """After backward no op output, trace tensors included, holds a
+        gradient, and every parameter's gradient is bitwise the one the
+        storing backward gives."""
+        ds, graphs = small_problem()
+        cfg = small_config(epochs=1, **overrides)
+        total, trace, leaves = self.epoch(ds, graphs, cfg, ad.backward)
+        _, stored_trace, stored_leaves = self.epoch(ds, graphs, cfg, storing_backward)
+        nodes = reachable([total])
+        interior = [t for t in nodes if t._backward is not None]
+        assert len(interior) >= 10 and trace.embedding in interior
+        assert all(t.grad is None for t in interior + trace_tensors(trace))
+        assert stored_trace.embedding.grad is not None  # what the old pass kept
+        assert {id(t) for t in leaves} <= {id(t) for t in nodes}
+        for got, want in zip(leaves, stored_leaves):
+            assert got.grad is not None
+            np.testing.assert_array_equal(got.grad, want.grad)
+
+    def test_trace_after_backward_holds_its_activations_only(self):
+        """At 400 spots x 50 genes, default widths, the trace kept from one
+        epoch after backward holds within 1.1 times its activations' bytes
+        (the n-by-2 attention arrays are the rest); the storing backward
+        doubled it with a gradient on every activation."""
+        ds, graphs = small_problem(n_side=20, k=5, genes=50)
+        cfg = TrainConfig(epochs=1, seed=0)
+        x = Tensor(ds.preprocessed, copy=False)
+        params = ModelParams.initialize(np.random.default_rng(0), [x.cols, *cfg.hidden_dims],
+                                        recon_width=x.cols, decoder_hidden=cfg.decoder_hidden)
+        target = ad.ZinbTarget(ds.preprocessed, require_integer=False)
+        leaves = [t for _, t in params.named_tensors()]
+
+        def epoch():
+            total, _, trace = run_epoch(x, target, False, graphs, params, cfg)
+            ad.backward(total)
+            ad.zero_grad(leaves)
+            return trace
+
+        trace, held = traced_held(epoch)
+        constants = {id(t) for t in leaves} | {id(x)}
+        activations = sum(t.data.nbytes for t in reachable(trace_tensors(trace))
+                          if id(t) not in constants)
+        assert held <= 1.1 * activations, f"held {held / activations:.2f} activations"
 
 
 def test_entry_budget_keeps_training_bits_at_300_genes(monkeypatch):
