@@ -10,10 +10,12 @@ Graph adjacency enters as a constant sparse operator (`SparseMatrix`)
 and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
 gradient ever flows into graph structure or counts. Each op checks its
 own operands: shapes (the counts against the decoded shape too),
-domains, and the link loss's zero diagonal. The ZINB node allocates
-one workspace per call, sized by its largest row block, writes every
-block into it in place and drops it on return; each head entry takes a
-single exp, shared by an activation and the derivative it needs.
+domains, and that the link loss's adjacency is symmetric with a zero
+diagonal. The ZINB target keeps its count indices as int32; the ZINB
+node allocates one workspace per call, sized by its largest row block,
+widens each block's indices into it and writes every block into it in
+place, and drops it on return; each head entry takes a single exp,
+shared by an activation and the derivative it needs.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -298,7 +300,7 @@ class SparseMatrix:
     Used for graph adjacency and its normalized form; never differentiated.
     """
 
-    __slots__ = ("n", "_csr")
+    __slots__ = ("n", "_csr", "_structure")
 
     def __init__(self, n: int, rows, cols, values):
         if n < 1:
@@ -318,6 +320,16 @@ class SparseMatrix:
         self._csr = scipy.sparse.csr_matrix((vals, (row_idx, col_idx)), shape=(n, n))
         if self._csr.nnz != vals.size:
             raise ContractError("SparseMatrix: duplicate (row, col) entries")
+        self._structure = None
+
+    def structure(self) -> tuple[bool, bool]:
+        """Whether every diagonal entry is zero, and whether the matrix
+        equals its transpose; worked out on the first call and kept, as
+        the matrix never changes."""
+        if self._structure is None:
+            csr = self._csr
+            self._structure = (not csr.diagonal().any(), (csr != csr.T).nnz == 0)
+        return self._structure
 
     @property
     def nnz(self) -> int:
@@ -431,14 +443,15 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
 
 def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     """Logistic link loss of the guarded cosine similarities s of the rows
-    of ``z`` against the constant weights ``adj``, whose stored diagonal
-    entries must be zero:
+    of ``z`` against the constant weights ``adj``, which must be symmetric
+    with a zero diagonal:
 
         sum_{i != j} [-adj_ij log sigmoid(s_ij) - (1 - adj_ij) log(1 - sigmoid(s_ij))]
         = sum_{i != j} softplus(s_ij) - sum_ij adj_ij s_ij.
 
     |s| < 1, so softplus(s) = log1p(exp(s)) needs no guard; the edge sum
-    runs over the stored entries of ``adj``.
+    runs over the stored entries of ``adj``. As ``adj`` is symmetric, the
+    one product adj u serves both edge terms of the gradient.
 
     The call's workspace is one PAIRWISE_TILE-by-n block and one scratch
     of the same size (for log1p and 1 + block), both reused by every
@@ -448,9 +461,11 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     """
     if adj.n != z.rows:
         raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
-    csr = adj.csr()
-    if np.any(csr.diagonal() != 0):
+    zero_diagonal, symmetric = adj.structure()
+    if not zero_diagonal:
         raise ContractError("cosine_link_loss: adjacency must have a zero diagonal")
+    if not symmetric:
+        raise ContractError("cosine_link_loss: adjacency must be symmetric")
     n = z.rows
     norm = _guarded_norms(z.data)
     u = z.data / norm
@@ -472,14 +487,14 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
             gu[r0:r0 + rows.size] += block @ u
     del block_buf, scratch_buf, block, scratch, u_t
 
-    adj_u = csr @ u
+    adj_u = adj.csr() @ u
     total -= np.sum(u * adj_u)
     out_data = np.array([[total]])
     if gu is not None:
-        # sigmoid(s) is symmetric, so its half of dL/du is 2 sigmoid(s) u
+        # sigmoid(s) and adj are symmetric, so dL/du is 2 sigmoid(s) u - 2 adj u
         gu *= 2.0
         gu -= adj_u
-        gu -= csr.T @ u
+        gu -= adj_u
         grad = _through_row_norm(gu, z.data, norm)
 
     def backward_fn(g, accum):
@@ -504,6 +519,9 @@ class ZinbTarget:
     pos, x_pos, zero)`` with the flat indices within rows start:stop of the
     positive and of the zero counts and the positive counts themselves; and
     ``log_x_fact``, sum lgamma(x + 1), which a zero count adds nothing to.
+    The flat indices are int32, which a block's entry count fits in, so the
+    constants take about 0.9 count-sized buffers at 58% zeros; the decoder
+    node widens them one block at a time.
     """
 
     __slots__ = ("shape", "blocks", "log_x_fact")
@@ -523,15 +541,18 @@ class ZinbTarget:
         self.shape = counts.shape
         n, genes = counts.shape
         rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // genes))
+        # a block's flat indices, selected from so that no int64 copy is made
+        entry = np.arange(rows * genes, dtype=np.int32)
         self.blocks = []
         self.log_x_fact = 0.0
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             flat = np.ravel(counts[start:stop])
-            pos = np.flatnonzero(flat)
-            x_pos = flat[pos]
+            positive = flat != 0
+            x_pos = flat[positive]
             self.log_x_fact += _gammaln(x_pos + 1.0).sum()
-            self.blocks.append((start, stop, pos, x_pos, np.flatnonzero(flat == 0)))
+            self.blocks.append((start, stop, entry[:flat.size][positive], x_pos,
+                                entry[:flat.size][~positive]))
 
 
 def _exp_neg_abs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -655,9 +676,12 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     and every block writes into it in place: block buffers for the three
     pre-activations, pi, mu, theta, one exp scratch and (with gradients)
     the three gradients, seven rows of scratch for the positive and zero
-    entries, and one boolean mask. It is dropped on return; the backward
-    closure holds only the leaf gradients. Each head entry takes one exp:
-    with e = exp(-|c|), sigmoid(c) is where(c >= 0, 1, e) / (1 + e), and
+    entries, and one boolean mask. Once a block's activations are formed,
+    its exp scratch takes the block's int32 count indices, widened to intp,
+    so no gather or scatter converts them itself. The workspace is dropped
+    on return; the backward closure holds only the leaf gradients. Each
+    head entry takes one exp: with e = exp(-|c|), sigmoid(c) is
+    where(c >= 0, 1, e) / (1 + e), and
     softplus(c) = log1p(e) + max(c, 0) keeps its e for sigmoid(c), its
     derivative. The in-place steps keep the operation order of the plain
     array expressions, so values and gradients are bitwise the same.
@@ -704,8 +728,13 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         t += np.maximum(pre_t, 0.0, out=pre_t)
         t += DISPERSION_FLOOR
         _sigmoid_into(pre_t, e, flags)  # sigmoid(pre_t), softplus's derivative
-        total = _zinb_block(total, p, m, t, pos, x, zero, coef, grads if want_grad else None,
-                            sub, flag_buf)
+        # e is free from here on and holds exactly the block's entries: the
+        # int32 indices are widened into it once, as a gather or scatter
+        # would convert them on every call
+        wide_pos, wide_zero = np.split(e.reshape(-1).view(np.intp)[:e.size], [pos.size])
+        wide_pos[:], wide_zero[:] = pos, zero
+        total = _zinb_block(total, p, m, t, wide_pos, x, wide_zero, coef,
+                            grads if want_grad else None, sub, flag_buf)
         if not want_grad:
             continue
         g_p, g_m, g_t = grads

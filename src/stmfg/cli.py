@@ -19,7 +19,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +183,9 @@ def _prepare(args, cfg: TrainConfig, pipeline: PipelineSettings):
         raise ContractError("--expression and --coords are required")
     dataset = load_dataset(args.expression, args.coords, args.labels)
     dataset = preprocess(dataset, min_spots=pipeline.min_spots, n_hvg=pipeline.n_hvg)
+    if cfg.zinb_target != "counts":
+        # only the counts target reads the raw matrix after preprocessing
+        dataset = replace(dataset, counts=None)
     graphs = build_graph_pair(dataset.coords, dataset.preprocessed,
                               radius=cfg.radius, k=cfg.knn_k)
     return dataset, graphs

@@ -40,9 +40,11 @@ SYNTHETIC_MARKER_MEAN = 20.0
 
 @dataclass(frozen=True)
 class Dataset:
-    """Spot-by-gene counts with coordinates and optional ground truth."""
+    """Spot-by-gene counts with coordinates and optional ground truth.
+    ``counts`` is None once a pipeline has released the raw matrix after
+    preprocessing; ``preprocessed`` and the selected genes remain."""
 
-    counts: np.ndarray
+    counts: np.ndarray | None
     coords: np.ndarray
     spot_ids: list[str]
     gene_ids: list[str]
@@ -55,11 +57,11 @@ class Dataset:
 
     @property
     def n_spots(self) -> int:
-        return self.counts.shape[0]
+        return self.coords.shape[0]
 
     @property
     def n_genes(self) -> int:
-        return self.counts.shape[1]
+        return len(self.gene_ids)
 
     @property
     def n_domains(self) -> int | None:
@@ -221,7 +223,8 @@ def load_dataset(expression_path, coords_path, labels_path=None,
         if s not in row_of:
             raise DataError(f"spot {s!r} from {coords_path} is missing in {expression_path}")
         order.append(row_of[s])
-    counts = matrix[order]
+    # rows already in coordinate order need no reordered copy
+    counts = matrix if order == list(range(len(expr_spots))) else matrix[order]
 
     bad = np.argwhere(~np.isfinite(counts))
     if bad.size:
@@ -278,17 +281,21 @@ def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
         raise ContractError(f"min_spots must be >= 1, got {min_spots}")
     if n_hvg < 1:
         raise ContractError(f"n_hvg must be >= 1, got {n_hvg}")
+    if ds.counts is None:
+        raise ContractError("preprocess needs the raw counts, which this dataset no longer holds")
     detected = (ds.counts > 0).sum(axis=0)
     keep = detected >= int(min_spots)
     if not keep.any():
         raise DataError("preprocessing removed every gene")
     kept_idx = np.nonzero(keep)[0]
-    sub = ds.counts[:, kept_idx]
+    # the kept columns' copy is the one working buffer: scaled and logged in place
+    logged = ds.counts[:, kept_idx]
 
-    totals = sub.sum(axis=1, keepdims=True)
+    totals = logged.sum(axis=1, keepdims=True)
     target = np.median(totals)
     scales = np.divide(target, totals, out=np.ones_like(totals), where=totals > 0)
-    logged = np.log1p(sub * scales)
+    logged *= scales
+    np.log1p(logged, out=logged)
 
     variances = logged.var(axis=0)
     kept_ids = [ds.gene_ids[i] for i in kept_idx]
@@ -299,7 +306,7 @@ def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
 
     return replace(
         ds,
-        preprocessed=logged[:, chosen],
+        preprocessed=logged if chosen == list(range(len(kept_ids))) else logged[:, chosen],
         selected_genes=[kept_ids[j] for j in chosen],
         selected_idx=kept_idx[chosen],
     )

@@ -105,9 +105,9 @@ def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
     Adds self-loops, then rescales entry (i, j) by the inverse square roots
     of the self-loop-augmented degrees of i and j.
     """
-    csr = a.csr()
-    if (csr != csr.T).nnz:
+    if not a.structure()[1]:
         raise ContractError("adjacency must be symmetric")
+    csr = a.csr()
     rows = np.repeat(np.arange(a.n), np.diff(csr.indptr))
     if np.any(rows == csr.indices):
         raise ContractError("adjacency must have a zero diagonal")

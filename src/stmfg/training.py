@@ -269,6 +269,9 @@ def _reconstruction_target(dataset, cfg: TrainConfig) -> tuple[np.ndarray, bool]
     if cfg.zinb_target == "counts":
         if dataset.selected_idx is None:
             raise ContractError("counts target needs the kept-gene index from preprocessing")
+        if dataset.counts is None:
+            raise ContractError("counts target needs the raw counts, which this dataset "
+                                "no longer holds")
         return dataset.counts[:, dataset.selected_idx], True
     return dataset.preprocessed, False
 

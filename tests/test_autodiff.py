@@ -1081,6 +1081,32 @@ class TestZinbDecoderNll:
                  for _ in range(3)]
         return counts, target, hidden, heads
 
+    def test_count_constants_are_compact(self):
+        """The blocks' flat indices are int32, so the constants held for a
+        run take at most one count-sized buffer (about 0.92 at 58% zeros;
+        1.42 with int64 indices)."""
+        counts, target, _, _ = self.wide_problem()
+        assert all(pos.dtype == np.int32 and zero.dtype == np.int32
+                   for _, _, pos, _, zero in target.blocks)
+        held = sum(pos.nbytes + x.nbytes + zero.nbytes for _, _, pos, x, zero in target.blocks)
+        assert held <= 1.0 * counts.nbytes, f"constants {held / counts.nbytes:.2f} buffers"
+
+    def test_wide_problem_matches_allocating_reference_bitwise(self):
+        """At 900 x 3000 (87-row blocks, int32 indices widened per block)
+        the value and all seven gradients are bitwise the reference's."""
+        _, target, hidden, heads = self.wide_problem()
+        leaves = [hidden] + [t for head in heads for t in head]
+        results = []
+        for nll in (ad.zinb_decoder_nll, allocating_zinb_decoder_nll):
+            ad.zero_grad(leaves)
+            loss = nll(hidden, heads, target)
+            ad.backward(loss)
+            results.append((loss.data, [t.grad for t in leaves]))
+        (out, grads), (ref, ref_grads) = results
+        np.testing.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+
     def test_forward_memory_is_one_call_scoped_workspace(self):
         """One forward at 900 x 3000 (58% zeros, 128-wide hidden layer, the
         count constants prepared beforehand): the peak stays within 5.5
@@ -1279,7 +1305,34 @@ class TestCosineLinkLoss:
             ad.cosine_link_loss(tensor([[1.0, 0.5], [0.2, 1.0]]), adj)
 
 
+    def test_asymmetric_adjacency_rejected(self):
+        """The op refuses an adjacency that differs from its transpose,
+        even with a zero diagonal: its gradient uses adj u for adj^T u."""
+        adj = SparseMatrix(3, [0, 1, 1, 2], [1, 0, 2, 0], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ContractError, match="cosine_link_loss: adjacency must be symmetric"):
+            ad.cosine_link_loss(tensor(np.eye(3)), adj)
+        weighted = SparseMatrix(2, [0, 1], [1, 0], [1.0, 0.5])
+        with pytest.raises(ContractError, match="symmetric"):
+            ad.cosine_link_loss(tensor([[1.0, 0.5], [0.2, 1.0]]), weighted)
+
+
 class TestSparseMatrixContracts:
+    @pytest.mark.parametrize("entries,expected", [
+        (([0, 1], [1, 0], [1.0, 1.0]), (True, True)),
+        (([0, 0, 1], [0, 1, 0], [0.0, 1.0, 1.0]), (True, True)),  # a stored zero
+        (([0, 0, 1], [0, 1, 0], [2.0, 1.0, 1.0]), (False, True)),
+        (([0], [1], [1.0]), (True, False)),
+        (([0, 1], [1, 0], [1.0, 0.5]), (True, False)),
+        (([], [], []), (True, True)),
+    ], ids=["edge", "stored-zero", "self-edge", "one-way", "unequal", "empty"])
+    def test_structure_worked_out_once(self, entries, expected, monkeypatch):
+        s = SparseMatrix(2, *entries)
+        assert s.structure() == expected
+        # kept: a second call does not look at the matrix again
+        monkeypatch.setattr(s, "_csr", None)
+        assert s.structure() == expected
+
+
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ContractError):
             SparseMatrix(2, [0, 0], [1, 1], [1.0, 1.0])

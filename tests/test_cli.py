@@ -9,7 +9,9 @@ import pytest
 
 from stmfg.autodiff import Tensor
 from stmfg.cli import _comma_floats, build_parser, main
-from stmfg.data import load_dataset
+from stmfg.data import load_dataset, preprocess
+from stmfg.graphs import build_graph_pair
+from stmfg.training import TrainConfig, train
 
 FAST = ["--epochs", "2", "--dims", "8,4", "--decoder-hidden", "8",
         "--min-spots", "1", "--restarts", "3"]
@@ -381,6 +383,63 @@ class TestRun:
         code = main(["run", *data_flags(synth_dir), "--out", str(tmp_path / "x"),
                      "--config", str(cfg_file), *FAST])
         assert code == 3
+
+
+class _TrainCalled(Exception):
+    pass
+
+
+class TestRawCounts:
+    """Which datasets reach ``train()``: the raw counts are released after
+    preprocessing unless the counts target reads them."""
+
+    @pytest.fixture(scope="class")
+    def synth_30(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("synth30")
+        assert main(["synth", "--out", str(out), "--seed", "1"]) == 0  # 30x30, 200 genes
+        return out
+
+    def test_counts_target_run_matches_library_training(self, synth_30, tmp_path):
+        out = tmp_path / "run"
+        code = main(["run", *data_flags(synth_30), "--out", str(out), *FAST,
+                     "--zinb-target", "counts"])
+        assert code == 0
+        ds = preprocess(load_dataset(synth_30 / "expression.csv", synth_30 / "coords.csv",
+                                     synth_30 / "labels.csv"), min_spots=1)
+        cfg = TrainConfig(epochs=2, hidden_dims=(8, 4), decoder_hidden=8,
+                          zinb_target="counts")
+        graphs = build_graph_pair(ds.coords, ds.preprocessed, radius=cfg.radius, k=cfg.knn_k)
+        want = train(ds, graphs, cfg).log.loss_table().splitlines()
+        got = [line.rsplit(",", 1)[0]
+               for line in (out / "loss_log.csv").read_text().splitlines()]
+        assert got[0] == "epoch,zinb,cl,reg,total" and len(got) == 3
+        assert got == want
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    @pytest.mark.parametrize("target", [None, "preprocessed", "counts"])
+    def test_train_gets_counts_only_for_the_counts_target(self, synth_dir, tmp_path,
+                                                          monkeypatch, command, target):
+        seen = []
+
+        def record(dataset, *args, **kwargs):
+            seen.append(dataset)
+            raise _TrainCalled
+
+        monkeypatch.setattr("stmfg.cli.train", record)
+        argv = [command, *data_flags(synth_dir), "--out", str(tmp_path / "out"), *FAST]
+        if command != "run":
+            argv += ["--seeds", "0"]
+        if target is not None:
+            argv += ["--zinb-target", target]
+        with pytest.raises(_TrainCalled):
+            main(argv)
+        (dataset,) = seen
+        assert dataset.preprocessed is not None
+        if target == "counts":
+            assert dataset.counts.shape == (64, 15)
+        else:
+            assert dataset.counts is None
+            assert dataset.n_spots == 64
 
 
 class TestBenchmarkScaleRun:

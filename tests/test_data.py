@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from stmfg.data import (
 )
 from stmfg.errors import ContractError, DataError
 
-from conftest import load_embeddings
+from conftest import load_embeddings, traced_peak
 
 
 def per_cell_expression_reference(path):
@@ -83,6 +84,29 @@ class TestLoadDataset:
         ds = load_dataset(expr, coords)
         assert ds.spot_ids == ["s3", "s1", "s2"]
         np.testing.assert_array_equal(ds.counts[0], [1, 1, 0, 4])
+
+    @pytest.mark.parametrize("order", ["s1,s2,s3", "s3,s1,s2", "s1,s2"])
+    def test_rows_in_coordinate_order_keep_the_parsed_matrix(self, tiny_files, monkeypatch,
+                                                              order):
+        """Rows that already follow the coordinates are the parsed matrix
+        itself; any other order or subset is a reordered copy."""
+        expr, _, _ = tiny_files
+        parsed = []
+
+        def parse(path):
+            out = _load_dense_expression(path)
+            parsed.append(out[2])
+            return out
+
+        monkeypatch.setattr("stmfg.data._load_dense_expression", parse)
+        coords = expr.parent / "order.csv"
+        coords.write_text("spot_id,x,y\n" + "".join(f"{s},0,{i}\n"
+                                                    for i, s in enumerate(order.split(","))))
+        ds = load_dataset(expr, coords)
+        rows = [int(s[1]) - 1 for s in order.split(",")]
+        np.testing.assert_array_equal(ds.counts, parsed[0][rows])
+        assert ds.counts.flags.c_contiguous
+        assert np.shares_memory(ds.counts, parsed[0]) == (order == "s1,s2,s3")
 
     def test_missing_spot_named_in_error(self, tiny_files):
         expr, _, _ = tiny_files
@@ -247,7 +271,78 @@ class TestDenseCsvParser:
         assert peak < 3 * ds.counts.nbytes
 
 
+def copying_preprocess(ds, min_spots, n_hvg):
+    """preprocess as it was before it scaled and logged in place: a
+    kept-gene copy, a scaled copy and a logged copy, then the chosen
+    columns. Returns (preprocessed, selected genes, selected indices)."""
+    keep = (ds.counts > 0).sum(axis=0) >= min_spots
+    kept_idx = np.nonzero(keep)[0]
+    sub = ds.counts[:, kept_idx]
+    totals = sub.sum(axis=1, keepdims=True)
+    scales = np.divide(np.median(totals), totals, out=np.ones_like(totals), where=totals > 0)
+    logged = np.log1p(sub * scales)
+    variances = logged.var(axis=0)
+    kept_ids = [ds.gene_ids[i] for i in kept_idx]
+    ranked = sorted(range(len(kept_ids)), key=lambda j: (-variances[j], kept_ids[j]))
+    chosen = sorted(ranked[:min(n_hvg, len(kept_ids))], key=lambda j: kept_ids[j])
+    return logged[:, chosen], [kept_ids[j] for j in chosen], kept_idx[chosen]
+
+
 class TestPreprocess:
+    @pytest.mark.parametrize("case", ["all-kept", "some-dropped", "fewer-chosen",
+                                      "unsorted-ids", "non-integer"])
+    def test_matches_copying_reference_bitwise(self, case):
+        """Values, layout, genes and indices are those of the copying
+        body, non-integer counts included (their library sizes and
+        variances depend on summation order)."""
+        rng = np.random.default_rng(5)
+        n, g = 40, 60
+        counts = rng.poisson(2.0, size=(n, g)).astype(float)
+        ids = [f"g{j:03d}" for j in range(g)]
+        n_hvg = g
+        if case == "some-dropped":
+            counts[:, [3, 17, 40]] = 0.0
+        elif case == "fewer-chosen":
+            n_hvg = 25
+        elif case == "unsorted-ids":
+            ids = ids[::-1]
+        elif case == "non-integer":
+            counts *= rng.uniform(0.1, 3.0, size=(n, g))
+        ds = Dataset(counts=counts, coords=np.zeros((n, 2)),
+                     spot_ids=[f"s{i}" for i in range(n)], gene_ids=ids)
+        out = preprocess(ds, min_spots=1, n_hvg=n_hvg)
+        want, genes, idx = copying_preprocess(ds, 1, n_hvg)
+        np.testing.assert_array_equal(out.preprocessed, want)
+        assert out.preprocessed.flags.f_contiguous == want.flags.f_contiguous
+        assert out.selected_genes == genes
+        np.testing.assert_array_equal(out.selected_idx, idx)
+        np.testing.assert_array_equal(ds.counts, counts)  # the input is left as it was
+
+    def test_peak_of_an_all_kept_input(self):
+        """At 400 x 2000 with every gene kept and chosen, preprocessing
+        holds one working copy and the variance's temporary: within 2.1
+        count-sized buffers (3.05 with kept, scaled and logged copies)."""
+        rng = np.random.default_rng(6)
+        n, g = 400, 2000
+        ds = Dataset(counts=rng.poisson(2.0, size=(n, g)).astype(np.float64),
+                     coords=np.zeros((n, 2)), spot_ids=[f"s{i}" for i in range(n)],
+                     gene_ids=[f"g{j:04d}" for j in range(g)])
+        out, peak = traced_peak(lambda: preprocess(ds, min_spots=1, n_hvg=g))
+        assert out.preprocessed.shape == (n, g)
+        assert peak <= 2.1 * ds.counts.nbytes, f"peak {peak / ds.counts.nbytes:.2f} buffers"
+
+    def test_released_counts(self):
+        """A dataset whose raw counts were released keeps its sizes, and
+        preprocessing it again is a contract error, not a TypeError."""
+        rng = np.random.default_rng(7)
+        ds = preprocess(Dataset(counts=rng.poisson(2.0, size=(5, 4)).astype(float),
+                                coords=np.zeros((5, 2)), spot_ids=list("abcde"),
+                                gene_ids=["g1", "g2", "g3", "g4"]), min_spots=1, n_hvg=4)
+        released = replace(ds, counts=None)
+        assert (released.n_spots, released.n_genes) == (5, 4)
+        with pytest.raises(ContractError, match="raw counts"):
+            preprocess(released, min_spots=1, n_hvg=4)
+
     def test_undetected_gene_dropped(self):
         ds = Dataset(
             counts=np.array([[0.0, 2.0], [0.0, 3.0], [0.0, 1.0]]),

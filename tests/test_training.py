@@ -8,6 +8,7 @@ import importlib.util
 import inspect
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,17 @@ class TestAblations:
         result = train(ds, graphs, small_config(epochs=2, zinb_target="counts"))
         assert np.isfinite([r.losses.total for r in result.log.records]).all()
 
+    def test_released_counts(self):
+        """Without its raw counts a dataset trains on the default target
+        bitwise as before, and the counts target refuses it typed."""
+        ds, graphs = small_problem()
+        released = replace(ds, counts=None)
+        cfg = small_config(epochs=2)
+        assert (train(released, graphs, cfg).log.loss_table()
+                == train(ds, graphs, cfg).log.loss_table())
+        with pytest.raises(ContractError, match="raw counts"):
+            train(released, graphs, small_config(epochs=2, zinb_target="counts"))
+
 
 class TestNumericalAbort:
     def test_non_finite_loss_names_component(self, monkeypatch):
@@ -398,9 +410,10 @@ class TestEpochMemory:
 
     def test_train_peak_at_gene_width(self, train_peak_buffers):
         """The whole run peaks within 9 n-by-genes buffers: the count
-        constants (about 1.6), the ZINB workspace of 128-row blocks under
-        the entry budget (about 3.6 with its gather scratch) and about 0.9
-        more. It holds no copy of the input."""
+        constants (about 1.1 with int32 indices, 1.6 with int64), the ZINB
+        workspace of 128-row blocks under the entry budget (about 3.6 with
+        its gather scratch) and about 0.9 more. It holds no copy of the
+        input."""
         assert train_peak_buffers <= 9.0, f"train peak {train_peak_buffers:.2f} buffers"
 
     def test_train_holds_no_propagated_input(self, train_peak_buffers):
