@@ -17,6 +17,9 @@ widens each block's indices into it and writes every block into it in
 place, and drops it on return; each head entry takes a single exp,
 shared by an activation and the derivative it needs.
 
+Each fused loss node forms its value and gradients in one pass; its
+backward hands the gradients on, scaled by the upstream gradient.
+
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
 into ``.grad`` with a single addition, which keeps repeated passes
@@ -146,10 +149,19 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
-def _scaled(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """A fused op's stored gradient times its 1x1 upstream gradient; handed
-    over as is when that is exactly one (backward never writes it)."""
-    return grad if g[0, 0] == 1.0 else g[0, 0] * grad
+def _fused_loss(value: float, leaves: Sequence[Tensor],
+                grads: Sequence[np.ndarray]) -> Tensor:
+    """The 1x1 node of a fused loss whose gradients in ``leaves`` were
+    formed with its value: backward hands each leaf that requires one its
+    stored gradient times the upstream gradient, as is when that is exactly
+    one (backward never writes it)."""
+
+    def backward_fn(g, accum):
+        for tensor, grad in zip(leaves, grads):
+            if tensor.requires_grad:
+                accum(tensor, grad if g[0, 0] == 1.0 else g[0, 0] * grad)
+
+    return _from_op(np.array([[value]]), leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +362,8 @@ class SparseMatrix:
 #
 # Both ops reduce all-pairs cosine similarities of row-normalized
 # embeddings to a 1x1 loss, walking PAIRWISE_TILE rows at a time. The
-# closed-form gradient is formed in the same pass (only when an input
-# requires it), so memory stays O(tile * n) and backward is one scaling.
+# closed-form gradient is formed in the same pass, so memory stays
+# O(tile * n) and backward is one scaling.
 
 
 def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
@@ -369,11 +381,11 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     and a single spot gives exactly zero. ``tau`` and 1/``tau`` must be
     finite and positive.
 
-    The call's workspace is one PAIRWISE_TILE-by-2n block and, with
-    gradients, one d-by-2n product buffer, both reused by every tile; the
-    gradient tail then runs in place, one view at a time. Every step keeps
-    the operation order of the plain array expressions, so values and
-    gradients are bitwise the same.
+    The call's workspace is one PAIRWISE_TILE-by-2n block and one d-by-2n
+    product buffer, both reused by every tile; the gradient tail then runs
+    in place, one view at a time. Every step keeps the operation order of
+    the plain array expressions, so values and gradients are bitwise the
+    same.
     """
     _same_shape(a, b, "cross_view_contrastive")
     tau = float(tau)
@@ -388,14 +400,12 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     y /= norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)  # p(r), an involution
-    want_grad = a.requires_grad or b.requires_grad
     block_buf = np.empty((min(PAIRWISE_TILE, items), items))
     # dL/dy = G y + G^T y for G = dL/ds; the G^T y half is accumulated
     # transposed, which keeps both products on contiguous operands.
-    if want_grad:
-        gy = np.zeros_like(y)
-        gy_t = np.zeros_like(y_t)
-        prod = np.empty_like(y_t)
+    gy = np.zeros_like(y)
+    gy_t = np.zeros_like(y_t)
+    prod = np.empty_like(y_t)
 
     total = 0.0
     for r0 in range(0, items, PAIRWISE_TILE):
@@ -411,34 +421,22 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         np.exp(block, out=block)
         den = block.sum(axis=1)  # sum_{k != r} exp(s_rk/tau) / exp(m_r)
         total += np.sum(np.log(den) - (s_pos - m))
+        # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
+        # the positive entries are subtracted below.
+        w = inv_tau / den
+        gy[span] += w[:, None] * (block @ y)
+        gy_t += np.matmul((tile * w[:, None]).T, block, out=prod)
 
-        if want_grad:
-            # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
-            # the positive entries are subtracted below.
-            w = inv_tau / den
-            gy[span] += w[:, None] * (block @ y)
-            gy_t += np.matmul((tile * w[:, None]).T, block, out=prod)
-
-    out_data = np.array([[coef * total]])
     del block_buf, block, y_t
-    if want_grad:
-        gy += gy_t.T
-        del gy_t, prod
-        # s_rp enters as the positive of both r and p(r) = p^-1(r)
-        for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
-            g = gy[view]
-            g -= (2.0 * inv_tau) * partner
-            _through_row_norm(g, x, norms[view])
-            g *= coef
-        grad = gy
-
-    def backward_fn(g, accum):
-        if a.requires_grad:
-            accum(a, _scaled(g, grad[:n]))
-        if b.requires_grad:
-            accum(b, _scaled(g, grad[n:]))
-
-    return _from_op(out_data, (a, b), backward_fn)
+    gy += gy_t.T
+    del gy_t, prod
+    # s_rp enters as the positive of both r and p(r) = p^-1(r)
+    for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
+        g = gy[view]
+        g -= (2.0 * inv_tau) * partner
+        _through_row_norm(g, x, norms[view])
+        g *= coef
+    return _fused_loss(coef * total, (a, b), (gy[:n], gy[n:]))
 
 
 def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
@@ -470,7 +468,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     norm = _guarded_norms(z.data)
     u = z.data / norm
     u_t = np.ascontiguousarray(u.T)
-    gu = np.zeros_like(u) if z.requires_grad else None
+    gu = np.zeros_like(u)
     block_buf = np.empty((min(PAIRWISE_TILE, n), n))
     scratch_buf = np.empty_like(block_buf)
 
@@ -482,25 +480,17 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         np.exp(block, out=block)
         block[rows, rows + r0] = 0.0  # log1p(0) = 0: self pairs drop out
         total += np.log1p(block, out=scratch).sum()
-        if gu is not None:
-            block /= np.add(1.0, block, out=scratch)  # sigmoid(s), still zero on the diagonal
-            gu[r0:r0 + rows.size] += block @ u
+        block /= np.add(1.0, block, out=scratch)  # sigmoid(s), still zero on the diagonal
+        gu[r0:r0 + rows.size] += block @ u
     del block_buf, scratch_buf, block, scratch, u_t
 
     adj_u = adj.csr() @ u
     total -= np.sum(u * adj_u)
-    out_data = np.array([[total]])
-    if gu is not None:
-        # sigmoid(s) and adj are symmetric, so dL/du is 2 sigmoid(s) u - 2 adj u
-        gu *= 2.0
-        gu -= adj_u
-        gu -= adj_u
-        grad = _through_row_norm(gu, z.data, norm)
-
-    def backward_fn(g, accum):
-        accum(z, _scaled(g, grad))
-
-    return _from_op(out_data, (z,), backward_fn)
+    # sigmoid(s) and adj are symmetric, so dL/du is 2 sigmoid(s) u - 2 adj u
+    gu *= 2.0
+    gu -= adj_u
+    gu -= adj_u
+    return _fused_loss(total, (z,), (_through_row_norm(gu, z.data, norm),))
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +562,13 @@ def _sigmoid_into(out: np.ndarray, e: np.ndarray, nonneg: np.ndarray) -> np.ndar
 
 def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
                 pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
-                grads: Sequence[np.ndarray] | None, sub: np.ndarray,
-                flags: np.ndarray) -> float:
+                grads: Sequence[np.ndarray], sub: np.ndarray, flags: np.ndarray) -> float:
     """Add the log-likelihood of one block of rows to ``total`` and return
     it: ``pi``, ``mu``, ``theta`` are the block's parameters and ``pos``,
-    ``x``, ``zero`` its count constants. With ``grads`` (three arrays shaped
-    like ``pi``) coef times the gradients in pi, mu and theta are written
-    into them. ``sub`` is scratch of seven rows at least as long as ``pos``
-    and ``zero``, ``flags`` a boolean scratch at least as long as ``zero``.
+    ``x``, ``zero`` its count constants. coef times the gradients in pi, mu
+    and theta are written into ``grads``, three arrays shaped like ``pi``.
+    ``sub`` is scratch of seven rows at least as long as ``pos`` and
+    ``zero``, ``flags`` a boolean scratch at least as long as ``zero``.
     With r = log(theta / (theta + mu)) an entry's log-likelihood is
 
         x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
@@ -591,8 +580,7 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     a floored entry has zero gradient.
     """
     p, m, t = (np.ravel(a) for a in (pi, mu, theta))
-    if grads is not None:
-        g_p, g_m, g_t = (np.ravel(g) for g in grads)
+    g_p, g_m, g_t = (np.ravel(g) for g in grads)
 
     def gather(idx):
         # indices are in range; mode="raise" would copy through a temporary
@@ -613,19 +601,18 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     np.negative(pp, out=s2)
     s1 += np.log1p(s2, out=s2)
     total += s1.sum()
-    if grads is not None:
-        inv_tm = np.add(tp, mp, out=s1)
-        np.divide(1.0, inv_tm, out=inv_tm)
-        np.subtract(1.0, pp, out=s2)
-        g_p[pos] = np.divide(-coef, s2, out=s2)
-        np.divide(x, mp, out=s2)
-        s2 -= np.multiply(xt, inv_tm, out=pp)
-        g_m[pos] = np.multiply(coef, s2, out=s2)
-        _digamma(xt, out=s2)
-        s2 -= _digamma(tp, out=pp)
-        s2 += r
-        s2 += np.multiply(np.subtract(mp, x, out=pp), inv_tm, out=pp)
-        g_t[pos] = np.multiply(coef, s2, out=s2)
+    inv_tm = np.add(tp, mp, out=s1)
+    np.divide(1.0, inv_tm, out=inv_tm)
+    np.subtract(1.0, pp, out=s2)
+    g_p[pos] = np.divide(-coef, s2, out=s2)
+    np.divide(x, mp, out=s2)
+    s2 -= np.multiply(xt, inv_tm, out=pp)
+    g_m[pos] = np.multiply(coef, s2, out=s2)
+    _digamma(xt, out=s2)
+    s2 -= _digamma(tp, out=pp)
+    s2 += r
+    s2 += np.multiply(np.subtract(mp, x, out=pp), inv_tm, out=pp)
+    g_t[pos] = np.multiply(coef, s2, out=s2)
 
     pz, mz, tz = gather(zero)
     r, p0, s1, s2 = (row[:zero.size] for row in sub[3:])
@@ -641,8 +628,6 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     np.greater_equal(mix, ZINB_PROB_FLOOR, out=kept)
     floored = np.maximum(mix, ZINB_PROB_FLOOR, out=mix)
     total += np.log(floored, out=s2).sum()
-    if grads is None:
-        return total
     w = np.divide(coef, floored, out=s2)
     w *= kept  # a floored entry has no gradient
     g_p[zero] = np.multiply(w, np.subtract(1.0, p0, out=p0), out=p0)
@@ -667,16 +652,16 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         mu    = exp(clamp(hidden w + b, +-MEAN_LOGIT_CLAMP))
         theta = softplus(hidden w + b) + DISPERSION_FLOOR.
 
-    Each block of rows forms its pre-activations, the likelihood and, when
-    needed, its gradients chained through the activations (zero where the
-    unclamped pre-activation is past a clamp), folded into the hidden-row,
-    weight and bias gradients: no n-by-genes array is ever formed.
+    Each block of rows forms its pre-activations, the likelihood and its
+    gradients chained through the activations (zero where the unclamped
+    pre-activation is past a clamp), folded into the hidden-row, weight
+    and bias gradients: no n-by-genes array is ever formed.
 
     The call allocates one workspace up front, sized by the largest block,
     and every block writes into it in place: block buffers for the three
-    pre-activations, pi, mu, theta, one exp scratch and (with gradients)
-    the three gradients, seven rows of scratch for the positive and zero
-    entries, and one boolean mask. Once a block's activations are formed,
+    pre-activations, pi, mu, theta, one exp scratch and the three
+    gradients, seven rows of scratch for the positive and zero entries,
+    and one boolean mask. Once a block's activations are formed,
     its exp scratch takes the block's int32 count indices, widened to intp,
     so no gather or scatter converts them itself. The workspace is dropped
     on return; the backward closure holds only the leaf gradients. Each
@@ -698,11 +683,10 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     blocks = target.blocks
     coef = -1.0 / (hidden.rows * genes)
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
-    want_grad = any(tensor.requires_grad for tensor in leaves)
-    g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
+    g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves]
 
     rows = max((stop - start for start, stop, *_ in blocks), default=0)
-    block_bufs = np.empty((10 if want_grad else 7, rows, genes))
+    block_bufs = np.empty((10, rows, genes))
     sub = np.empty((7, max((max(pos.size, zero.size) for _, _, pos, _, zero in blocks),
                            default=0)))
     flag_buf = np.empty(rows * genes, dtype=bool)
@@ -733,10 +717,7 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         # would convert them on every call
         wide_pos, wide_zero = np.split(e.reshape(-1).view(np.intp)[:e.size], [pos.size])
         wide_pos[:], wide_zero[:] = pos, zero
-        total = _zinb_block(total, p, m, t, wide_pos, x, wide_zero, coef,
-                            grads if want_grad else None, sub, flag_buf)
-        if not want_grad:
-            continue
+        total = _zinb_block(total, p, m, t, wide_pos, x, wide_zero, coef, grads, sub, flag_buf)
         g_p, g_m, g_t = grads
         g_p *= p
         g_p *= np.subtract(1.0, p, out=p)
@@ -748,13 +729,7 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
             g_w += h.T @ g
             g_b += g.sum(axis=0, keepdims=True)
         g_leaves[0][start:stop] = g_p @ w_p.data.T + g_m @ w_m.data.T + g_t @ w_t.data.T
-
-    def backward_fn(g, accum):
-        for tensor, grad in zip(leaves, g_leaves):
-            if tensor.requires_grad:
-                accum(tensor, _scaled(g, grad))
-
-    return _from_op(np.array([[coef * (total - target.log_x_fact)]]), leaves, backward_fn)
+    return _fused_loss(coef * (total - target.log_x_fact), leaves, g_leaves)
 
 
 # ---------------------------------------------------------------------------

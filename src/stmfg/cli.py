@@ -168,6 +168,17 @@ def _write_manifest(out_dir: Path, command: str, **fields) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _output_dir(path) -> Path:
+    """The output directory ``path``, made with its parents if missing; a
+    path that names a file, or lies under one, is refused."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ContractError(f"--out {path}: not a directory (a file is in the way)") from None
+    return out_dir
+
+
 def _pipeline_manifest(args, cfg: TrainConfig, pipeline: PipelineSettings) -> dict:
     """The manifest fields of a command that trains: inputs and settings."""
     inputs = {"expression": args.expression, "coords": args.coords, "labels": args.labels}
@@ -216,8 +227,7 @@ def _train_and_score(dataset, graphs, cfg: TrainConfig, k: int, restarts: int,
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     ds = generate_synthetic(args.n_side, args.domains, args.genes,
                             seed=args.seed, dropout=args.dropout,
                             dispersion=args.dispersion)
@@ -259,8 +269,7 @@ def cmd_run(args) -> int:
     else:
         cfg, pipeline = _resolve(args)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     _write_manifest(out_dir, "run", **_pipeline_manifest(args, cfg, pipeline))
 
     dataset, graphs = _prepare(args, cfg, pipeline)
@@ -293,8 +302,7 @@ def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
         raise ContractError(f"checkpoint_every must be 0 for {args.command}, which writes "
                             f"no checkpoints; got {pipeline.checkpoint_every}")
     cell_cfgs = [TrainConfig.from_dict({**cfg.to_dict(), **cell}) for cell in cells]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline),
                     **manifest_extra)
 

@@ -173,6 +173,8 @@ def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
         matrix = scipy.io.mmread(path)
     except Exception as exc:
         raise DataError(f"{path}: not a readable Matrix Market file ({exc})") from None
+    if np.issubdtype(matrix.dtype, np.complexfloating):
+        raise DataError(f"{path}: complex entries; expression counts must be real")
     dense = np.asarray(matrix.todense() if scipy.sparse.issparse(matrix) else matrix,
                        dtype=np.float64)
     spots_file = path.with_suffix(".spots.txt")

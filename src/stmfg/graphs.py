@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .autodiff import NORM_EPS, PAIRWISE_TILE, SparseMatrix, Tensor
+from .autodiff import NORM_EPS, PAIRWISE_TILE, SparseMatrix
 from .errors import ContractError
 
 DEFAULT_RADIUS = 550.0
@@ -65,7 +65,7 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     Ties in similarity are broken by ascending spot index; a spot is never
     its own candidate.
     """
-    feats = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2:
         raise ContractError(f"features must be a matrix, got shape {feats.shape}")
     if not np.isfinite(feats).all():

@@ -158,11 +158,10 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_table(self) -> str:
-        lines = ["epoch,zinb,cl,reg,total,seconds"]
-        for r in self.records:
-            b = r.losses
-            lines.append(f"{r.epoch},{b.zinb:.17g},{b.cl:.17g},{b.reg:.17g},"
-                         f"{b.total:.17g},{r.seconds:.6f}")
+        """The loss columns of ``loss_table`` and each epoch's seconds."""
+        header, *rows = self.loss_table().splitlines()
+        lines = [f"{header},seconds"]
+        lines += [f"{row},{r.seconds:.6f}" for row, r in zip(rows, self.records)]
         return "\n".join(lines) + "\n"
 
     def loss_table(self) -> str:

@@ -24,6 +24,11 @@ def tensor(data, grad=True):
     return Tensor(data, requires_grad=grad)
 
 
+def _scaled(g, grad):
+    """A fused node's stored gradient times its 1x1 upstream gradient ``g``."""
+    return grad if g[0, 0] == 1.0 else g[0, 0] * grad
+
+
 def zinb_of(counts, pi, mu, theta):
     """The reference ZINB likelihood in (pi, mu, theta) on a constant count matrix."""
     return zinb_mean_nll(pi, mu, theta, ad.ZinbTarget(counts, require_integer=False))
@@ -335,7 +340,7 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
     def backward_fn(g, accum):
         for tensor, grad in zip(leaves, g_leaves):
             if tensor.requires_grad:
-                accum(tensor, ad._scaled(g, grad))
+                accum(tensor, _scaled(g, grad))
 
     return ad._from_op(np.array([[coef * (total - target.log_x_fact)]]), leaves, backward_fn)
 
@@ -404,7 +409,7 @@ def zinb_mean_nll(pi, mu, theta, target):
     def backward_fn(g, accum):
         for t, grad in zip((pi, mu, theta), grads):
             if t.requires_grad:
-                accum(t, ad._scaled(g, grad))
+                accum(t, _scaled(g, grad))
 
     return ad._from_op(np.array([[coef * (total - target.log_x_fact)]]), (pi, mu, theta),
                        backward_fn)
@@ -506,8 +511,8 @@ def allocating_cross_view_contrastive(a, b, tau):
     grad = coef * _allocating_through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
 
     def backward_fn(g, accum):
-        accum(a, ad._scaled(g, grad[:n]))
-        accum(b, ad._scaled(g, grad[n:]))
+        accum(a, _scaled(g, grad[:n]))
+        accum(b, _scaled(g, grad[n:]))
 
     return ad._from_op(np.array([[coef * total]]), (a, b), backward_fn)
 
@@ -534,7 +539,7 @@ def allocating_cosine_link_loss(z, adj):
     grad = _allocating_through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
 
     def backward_fn(g, accum):
-        accum(z, ad._scaled(g, grad))
+        accum(z, _scaled(g, grad))
 
     return ad._from_op(np.array([[total]]), (z,), backward_fn)
 
@@ -771,18 +776,52 @@ def test_every_registered_op_is_covered():
 def test_every_registered_name_has_a_package_caller():
     """Every name in ad.__all__ is used by another module of the package, as
     ``ad.<name>`` or imported from ``.autodiff``: an op that only tests call
-    lives in the tests, not in the engine."""
-    used = set()
+    lives in the tests, not in the engine. Likewise every module-level ``_``
+    function of autodiff.py is used in the package, autodiff.py included."""
+    used, referenced = set(), set()
     for path in Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                referenced.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if path.name == "autodiff.py":
+                continue
             if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
                 used.update(alias.name for alias in node.names)
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id == "ad"):
                 used.add(node.attr)
     assert set(ad.__all__) - used == set()
+    engine = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    private = {node.name for node in engine.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    assert "_fused_loss" in private
+    assert private - referenced == set()
+
+
+def _constant_inputs(rng):
+    """A call of each fused loss node on inputs that require no gradient."""
+    a, b = Tensor(rng.normal(size=(7, 3))), Tensor(rng.normal(size=(7, 3)))
+    adj = random_sparse_symmetric(7, rng)
+    hidden = Tensor(rng.uniform(0, 2, (5, 3)))
+    heads = [(Tensor(rng.uniform(-1, 1, (3, 4))), Tensor(rng.uniform(-1, 1, (1, 4))))
+             for _ in range(3)]
+    target = ad.ZinbTarget(rng.poisson(1.5, (5, 4)))
+    return {
+        "contrastive": (ad.cross_view_contrastive, allocating_cross_view_contrastive,
+                        (a, b, 0.4)),
+        "link": (ad.cosine_link_loss, allocating_cosine_link_loss, (a, adj)),
+        "zinb": (ad.zinb_decoder_nll, allocating_zinb_decoder_nll, (hidden, heads, target)),
+    }
+
+
+@pytest.mark.parametrize("node", ["contrastive", "link", "zinb"])
+def test_value_without_gradients_matches_allocating_reference(node):
+    """On constant inputs a fused node is a constant: it keeps no backward
+    and its value is bitwise the allocating reference's."""
+    op, reference, args = _constant_inputs(np.random.default_rng(36))[node]
+    loss = op(*args)
+    assert not loss.requires_grad and loss._backward is None
+    np.testing.assert_array_equal(loss.data, reference(*args).data)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -1027,17 +1066,6 @@ class TestZinbDecoderNll:
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
 
-    def test_value_without_gradients_matches_allocating_reference(self):
-        rng = np.random.default_rng(36)
-        hidden = Tensor(rng.uniform(0, 2, (5, 3)))
-        heads = [(Tensor(rng.uniform(-1, 1, (3, 4))), Tensor(rng.uniform(-1, 1, (1, 4))))
-                 for _ in range(3)]
-        target = ad.ZinbTarget(rng.poisson(1.5, (5, 4)))
-        loss = ad.zinb_decoder_nll(hidden, heads, target)
-        assert not loss.requires_grad
-        np.testing.assert_array_equal(
-            loss.data, allocating_zinb_decoder_nll(hidden, heads, target).data)
-
     def test_likelihood_helper_matches_reference_with_floored_entries(self):
         """The engine's per-block likelihood against the reference's, in
         (pi, mu, theta) directly: with pi = 0, mu = 1e6, theta = 1000 the
@@ -1063,8 +1091,6 @@ class TestZinbDecoderNll:
         assert (want[0][0, :3] == 0.0).all()
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        assert ad._zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, None, sub,
-                              flags) == want_total
 
     @staticmethod
     def wide_problem():

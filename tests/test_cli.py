@@ -508,6 +508,32 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["synth", "run", "ablate", "sweep"])
+    def test_file_in_the_way_is_contract_error(self, synth_dir, tmp_path, capsys,
+                                               monkeypatch, command, under):
+        """An --out that names a file, or lies under one, exits 3 naming
+        the path before any data is read or made, and leaves the file as is."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / "sub" if under else blocker
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output check")
+
+        monkeypatch.setattr("stmfg.cli.load_dataset", no_work)
+        monkeypatch.setattr("stmfg.cli.generate_synthetic", no_work)
+        argv = [command, "--out", str(out)]
+        if command != "synth":
+            argv += [*data_flags(synth_dir), *FAST]
+        if command in ("ablate", "sweep"):
+            argv += ["--seeds", "0"]
+        assert main(argv) == 3
+        assert f"contract error: --out {out}: not a directory" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 class TestParser:
     @pytest.mark.parametrize("value", ["-1e-1", "-2e0", "-0.5", "-.5", "-3"])
     @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])

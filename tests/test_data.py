@@ -164,6 +164,21 @@ class TestLoadDataset:
         np.testing.assert_array_equal(sparse.counts, dense.counts)
         assert sparse.gene_ids == dense.gene_ids
 
+    @pytest.mark.parametrize("body", [
+        "coordinate complex general\n3 2 2\n1 1 3 4\n3 2 1 0\n",
+        "array complex general\n3 2\n3 4\n0 0\n0 0\n0 0\n0 0\n1 0\n",
+    ], ids=["coordinate", "array"])
+    def test_complex_matrix_market_is_data_error(self, tiny_files, tmp_path, body):
+        """Complex entries are refused, not loaded with their imaginary
+        parts dropped (3+4j read as 3)."""
+        _, coords, _ = tiny_files
+        mtx = tmp_path / "expr.mtx"
+        mtx.write_text("%%MatrixMarket matrix " + body)
+        (tmp_path / "expr.spots.txt").write_text("s1\ns2\ns3\n")
+        (tmp_path / "expr.genes.txt").write_text("gA\ngB\n")
+        with pytest.raises(DataError, match="expr.mtx: complex entries"):
+            load_dataset(mtx, coords)
+
     def test_partial_labels_get_minus_one(self, tiny_files, tmp_path):
         expr, coords, _ = tiny_files
         labels = tmp_path / "partial.csv"

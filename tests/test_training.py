@@ -20,6 +20,7 @@ from stmfg.autodiff import Tensor
 from stmfg.data import Dataset, generate_synthetic, preprocess
 from stmfg.errors import ContractError, NumericError
 from stmfg.graphs import build_graph_pair
+from stmfg.losses import LossBreakdown
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
@@ -239,6 +240,20 @@ class TestTrain:
         table = result.log.to_table()
         assert table.splitlines()[0] == "epoch,zinb,cl,reg,total,seconds"
         assert len(table.splitlines()) == 6
+
+    def test_full_table_extends_the_loss_table(self):
+        """to_table's first five columns are loss_table() and the sixth is
+        each epoch's seconds, as the loss_log.csv rows were formatted."""
+        breakdowns = [LossBreakdown(0.1, -2.5e-300, 1.0 / 3.0, 7.0, 1.0, 0.5, 0.25),
+                      LossBreakdown(12345.678, 0.0, -0.0, 1e17, 1.0, 0.5, 0.25)]
+        log = training.TrainLog([training.EpochRecord(i + 1, b, s) for i, (b, s)
+                                 in enumerate(zip(breakdowns, (0.0123456789, 2.5)))])
+        full = log.to_table().splitlines()
+        assert [row.rsplit(",", 1)[0] for row in full] == log.loss_table().splitlines()
+        assert full[0] == "epoch,zinb,cl,reg,total,seconds"
+        assert full[1:] == [f"{r.epoch},{r.losses.zinb:.17g},{r.losses.cl:.17g},"
+                            f"{r.losses.reg:.17g},{r.losses.total:.17g},{r.seconds:.6f}"
+                            for r in log.records]
 
     def test_trace_reflects_final_parameters(self):
         ds, graphs = small_problem()
