@@ -11,11 +11,12 @@ and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
 gradient ever flows into graph structure or counts. Each op checks its
 own operands: shapes (the counts against the decoded shape too),
 domains, and that the link loss's adjacency is symmetric with a zero
-diagonal. The ZINB target keeps its count indices as int32; the ZINB
-node allocates one workspace per call, sized by its largest row block,
-widens each block's indices into it and writes every block into it in
-place, and drops it on return; each head entry takes a single exp,
-shared by an activation and the derivative it needs.
+diagonal. The ZINB target keeps each row block's positive entries as a
+packed bit mask and their counts; the ZINB node allocates one workspace
+per call, sized by its largest row block, runs every block in it in
+place, in five block planes, with the mask expanded into entry positions
+in one of them, and drops it on return; each head entry takes a single
+exp, shared by an activation and the derivative it needs.
 
 Each fused loss node forms its value and gradients in one pass; its
 backward hands the gradients on, scaled by the upstream gradient.
@@ -506,12 +507,12 @@ class ZinbTarget:
     non-integer targets produced by preprocessing). It holds the matrix's
     ``shape``; its ``blocks``, one per ZINB_ROW_BLOCK rows, or fewer so that
     a block holds at most ZINB_BLOCK_ENTRIES entries, each ``(start, stop,
-    pos, x_pos, zero)`` with the flat indices within rows start:stop of the
-    positive and of the zero counts and the positive counts themselves; and
-    ``log_x_fact``, sum lgamma(x + 1), which a zero count adds nothing to.
-    The flat indices are int32, which a block's entry count fits in, so the
-    constants take about 0.9 count-sized buffers at 58% zeros; the decoder
-    node widens them one block at a time.
+    mask, x_pos)`` with rows start:stop's positive entries as a packed bit
+    mask (``np.packbits``, one bit per entry in row-major order) and the
+    positive counts themselves, in that order; and ``log_x_fact``, sum
+    lgamma(x + 1), which a zero count adds nothing to. The constants take
+    about 0.44 count-sized buffers at 58% zeros; the decoder node expands a
+    block's mask into entry positions when it reaches the block.
     """
 
     __slots__ = ("shape", "blocks", "log_x_fact")
@@ -531,8 +532,6 @@ class ZinbTarget:
         self.shape = counts.shape
         n, genes = counts.shape
         rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // genes))
-        # a block's flat indices, selected from so that no int64 copy is made
-        entry = np.arange(rows * genes, dtype=np.int32)
         self.blocks = []
         self.log_x_fact = 0.0
         for start in range(0, n, rows):
@@ -541,8 +540,29 @@ class ZinbTarget:
             positive = flat != 0
             x_pos = flat[positive]
             self.log_x_fact += _gammaln(x_pos + 1.0).sum()
-            self.blocks.append((start, stop, entry[:flat.size][positive], x_pos,
-                                entry[:flat.size][~positive]))
+            self.blocks.append((start, stop, np.packbits(positive), x_pos))
+
+
+# Bits of a count mask unpacked at a time, a multiple of 8 so that every
+# chunk starts on a byte: the positions of a chunk's set and clear bits are
+# its only temporaries.
+_MASK_CHUNK = 2**15
+
+
+def _mask_positions(mask: np.ndarray, size: int, n_set: int, out: np.ndarray) -> None:
+    """Write into ``out`` (``size`` intp) the ascending positions of the
+    set bits among the first ``size`` bits of the packed ``mask``, ``n_set``
+    of them, and then the ascending positions of its clear bits."""
+    set_at, clear_at = 0, n_set
+    for lo in range(0, size, _MASK_CHUNK):
+        bits = np.unpackbits(mask[lo // 8:(lo + _MASK_CHUNK) // 8],
+                             count=min(_MASK_CHUNK, size - lo)).view(bool)
+        found = np.flatnonzero(bits)
+        np.add(found, lo, out=out[set_at:set_at + found.size])
+        set_at += found.size
+        found = np.flatnonzero(np.logical_not(bits, out=bits))
+        np.add(found, lo, out=out[clear_at:clear_at + found.size])
+        clear_at += found.size
 
 
 def _exp_neg_abs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -560,16 +580,16 @@ def _sigmoid_into(out: np.ndarray, e: np.ndarray, nonneg: np.ndarray) -> np.ndar
     return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
-def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
-                pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
-                grads: Sequence[np.ndarray], sub: np.ndarray, flags: np.ndarray) -> float:
+def _zinb_block(total: float, planes: Sequence[np.ndarray], pos: np.ndarray, x: np.ndarray,
+                zero: np.ndarray, coef: float, sub: np.ndarray, flags: np.ndarray) -> float:
     """Add the log-likelihood of one block of rows to ``total`` and return
-    it: ``pi``, ``mu``, ``theta`` are the block's parameters and ``pos``,
-    ``x``, ``zero`` its count constants. coef times the gradients in pi, mu
-    and theta are written into ``grads``, three arrays shaped like ``pi``.
-    ``sub`` is scratch of seven rows at least as long as ``pos`` and
-    ``zero``, ``flags`` a boolean scratch at least as long as ``zero``.
-    With r = log(theta / (theta + mu)) an entry's log-likelihood is
+    it: ``planes`` holds the block's pi, mu and theta and ``pos``, ``x``,
+    ``zero`` are its count constants. Each plane is overwritten with coef
+    times the gradient: in pi times pi (1 - pi), in mu times mu and in
+    theta, that is, chained through the dropout logit and log mu. ``sub``
+    is scratch of seven rows at least as long as ``pos`` and ``zero``,
+    ``flags`` a boolean scratch at least as long as ``zero``. With
+    r = log(theta / (theta + mu)) an entry's log-likelihood is
 
         x = 0:  log max(pi + (1 - pi) exp(theta r), ZINB_PROB_FLOOR)
         x > 0:  log(1 - pi) + lgamma(x + theta) - lgamma(theta) - lgamma(x + 1)
@@ -577,10 +597,13 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
 
     summed without the lgamma(x + 1) terms, a run constant. lgamma and
     digamma run on positive entries only, the mixture on zero entries only;
-    a floored entry has zero gradient.
+    a floored entry has zero gradient. A branch gathers its entries before
+    it scatters their gradients, and the two branches' entries are
+    disjoint, so the planes can take the gradients in place; each chain
+    factor multiplies a gradient before its scatter, as it would the whole
+    plane after.
     """
-    p, m, t = (np.ravel(a) for a in (pi, mu, theta))
-    g_p, g_m, g_t = (np.ravel(g) for g in grads)
+    p, m, t = (np.ravel(a) for a in planes)
 
     def gather(idx):
         # indices are in range; mode="raise" would copy through a temporary
@@ -604,15 +627,18 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     inv_tm = np.add(tp, mp, out=s1)
     np.divide(1.0, inv_tm, out=inv_tm)
     np.subtract(1.0, pp, out=s2)
-    g_p[pos] = np.divide(-coef, s2, out=s2)
+    np.divide(-coef, s2, out=s2)
+    s2 *= pp
+    p[pos] = np.multiply(s2, np.subtract(1.0, pp, out=pp), out=s2)
     np.divide(x, mp, out=s2)
     s2 -= np.multiply(xt, inv_tm, out=pp)
-    g_m[pos] = np.multiply(coef, s2, out=s2)
+    np.multiply(coef, s2, out=s2)
+    m[pos] = np.multiply(s2, mp, out=s2)
     _digamma(xt, out=s2)
     s2 -= _digamma(tp, out=pp)
     s2 += r
     s2 += np.multiply(np.subtract(mp, x, out=pp), inv_tm, out=pp)
-    g_t[pos] = np.multiply(coef, s2, out=s2)
+    t[pos] = np.multiply(coef, s2, out=s2)
 
     pz, mz, tz = gather(zero)
     r, p0, s1, s2 = (row[:zero.size] for row in sub[3:])
@@ -630,15 +656,18 @@ def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
     total += np.log(floored, out=s2).sum()
     w = np.divide(coef, floored, out=s2)
     w *= kept  # a floored entry has no gradient
-    g_p[zero] = np.multiply(w, np.subtract(1.0, p0, out=p0), out=p0)
+    np.take(p, zero, out=pz, mode="clip")  # pi again: its row held the mixture
+    np.multiply(w, np.subtract(1.0, p0, out=p0), out=p0)
+    p0 *= pz
+    p[zero] = np.multiply(p0, np.subtract(1.0, pz, out=pz), out=p0)
     w *= s1
     inv_tm = np.add(tz, mz, out=s1)
     np.divide(1.0, inv_tm, out=inv_tm)
-    g_t[zero] = np.multiply(w, np.add(r, np.multiply(mz, inv_tm, out=p0), out=p0), out=p0)
+    t[zero] = np.multiply(w, np.add(r, np.multiply(mz, inv_tm, out=p0), out=p0), out=p0)
     np.negative(w, out=p0)
     p0 *= tz
     p0 *= inv_tm
-    g_m[zero] = p0
+    m[zero] = np.multiply(p0, mz, out=p0)
     return total
 
 
@@ -658,16 +687,20 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     and bias gradients: no n-by-genes array is ever formed.
 
     The call allocates one workspace up front, sized by the largest block,
-    and every block writes into it in place: block buffers for the three
-    pre-activations, pi, mu, theta, one exp scratch and the three
-    gradients, seven rows of scratch for the positive and zero entries,
-    and one boolean mask. Once a block's activations are formed,
-    its exp scratch takes the block's int32 count indices, widened to intp,
-    so no gather or scatter converts them itself. The workspace is dropped
-    on return; the backward closure holds only the leaf gradients. Each
-    head entry takes one exp: with e = exp(-|c|), sigmoid(c) is
-    where(c >= 0, 1, e) / (1 + e), and
-    softplus(c) = log1p(e) + max(c, 0) keeps its e for sigmoid(c), its
+    and every block writes into it in place: five block planes, seven rows
+    of scratch for the positive and zero entries (which also take each
+    head's hidden-by-genes weight-gradient term once the likelihood is
+    done), and three boolean planes. The dropout and mean planes each hold
+    a pre-activation, then the activation, then the gradient, with the
+    entries inside the clamp kept as a boolean plane; the dispersion's
+    pre-activation plane ends as sigmoid(pre-activation), softplus's
+    derivative, while theta and then its gradient take a plane of their
+    own. The fifth plane is the exp scratch; once the activations are
+    formed it takes the block's entry positions, expanded from its count
+    mask, positive ones first. The workspace is dropped on return; the
+    backward closure holds only the leaf gradients. Each head entry takes
+    one exp: with e = exp(-|c|), sigmoid(c) is where(c >= 0, 1, e) / (1 + e),
+    and softplus(c) = log1p(e) + max(c, 0) keeps its e for sigmoid(c), its
     derivative. The in-place steps keep the operation order of the plain
     array expressions, so values and gradients are bitwise the same.
     """
@@ -685,24 +718,29 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves]
 
-    rows = max((stop - start for start, stop, *_ in blocks), default=0)
-    block_bufs = np.empty((10, rows, genes))
-    sub = np.empty((7, max((max(pos.size, zero.size) for _, _, pos, _, zero in blocks),
-                           default=0)))
-    flag_buf = np.empty(rows * genes, dtype=bool)
+    rows = max(stop - start for start, stop, *_ in blocks)
+    planes = np.empty((5, rows, genes))
+    branch = max(max(x.size, (stop - start) * genes - x.size) for start, stop, _, x in blocks)
+    scratch = np.empty(max(7 * branch, hidden.cols * genes))
+    sub = scratch[:7 * branch].reshape(7, branch)
+    gram = scratch[:hidden.cols * genes].reshape(hidden.cols, genes)
+    bool_planes = np.empty((3, rows * genes), dtype=bool)
 
     total = 0.0
-    for start, stop, pos, x, zero in blocks:
+    for start, stop, mask, x in blocks:
         h = hidden.data[start:stop]
-        pre_p, pre_m, pre_t, p, m, t, e, *grads = block_bufs[:, :stop - start]
-        flags = flag_buf[:p.size].reshape(p.shape)
-        for (w, b), pre in zip(heads, (pre_p, pre_m, pre_t)):
+        p, m, t, pre_t, e = planes[:, :stop - start]
+        flags, keep_p, keep_m = (b[:p.size].reshape(p.shape) for b in bool_planes)
+        for (w, b), pre in zip(heads, (p, m, pre_t)):
             np.matmul(h, w.data, out=pre)
             pre += b.data
-        np.clip(pre_p, -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP, out=p)
+        # the gradient passes where the pre-activation is within its clamp
+        np.less_equal(np.abs(p, out=e), DROPOUT_LOGIT_CLAMP, out=keep_p)
+        np.less_equal(np.abs(m, out=e), MEAN_LOGIT_CLAMP, out=keep_m)
+        np.clip(p, -DROPOUT_LOGIT_CLAMP, DROPOUT_LOGIT_CLAMP, out=p)
         _exp_neg_abs(p, e)
         _sigmoid_into(p, e, np.greater_equal(p, 0.0, out=flags))
-        np.clip(pre_m, -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP, out=m)
+        np.clip(m, -MEAN_LOGIT_CLAMP, MEAN_LOGIT_CLAMP, out=m)
         np.exp(m, out=m)
         _exp_neg_abs(pre_t, e)
         np.log1p(e, out=t)
@@ -712,23 +750,18 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         t += np.maximum(pre_t, 0.0, out=pre_t)
         t += DISPERSION_FLOOR
         _sigmoid_into(pre_t, e, flags)  # sigmoid(pre_t), softplus's derivative
-        # e is free from here on and holds exactly the block's entries: the
-        # int32 indices are widened into it once, as a gather or scatter
-        # would convert them on every call
-        wide_pos, wide_zero = np.split(e.reshape(-1).view(np.intp)[:e.size], [pos.size])
-        wide_pos[:], wide_zero[:] = pos, zero
-        total = _zinb_block(total, p, m, t, wide_pos, x, wide_zero, coef, grads, sub, flag_buf)
-        g_p, g_m, g_t = grads
-        g_p *= p
-        g_p *= np.subtract(1.0, p, out=p)
-        g_p *= np.less_equal(np.abs(pre_p, out=pre_p), DROPOUT_LOGIT_CLAMP, out=flags)
-        g_m *= m
-        g_m *= np.less_equal(np.abs(pre_m, out=pre_m), MEAN_LOGIT_CLAMP, out=flags)
-        g_t *= pre_t
-        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
-            g_w += h.T @ g
+        # e is free from here on and holds exactly the block's entries
+        positions = e.reshape(-1).view(np.intp)
+        _mask_positions(mask, p.size, x.size, positions)
+        total = _zinb_block(total, (p, m, t), positions[:x.size], x, positions[x.size:],
+                            coef, sub, bool_planes[0])
+        p *= keep_p
+        m *= keep_m
+        t *= pre_t  # now sigmoid(pre_t)
+        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], (p, m, t)):
+            g_w += np.matmul(h.T, g, out=gram)
             g_b += g.sum(axis=0, keepdims=True)
-        g_leaves[0][start:stop] = g_p @ w_p.data.T + g_m @ w_m.data.T + g_t @ w_t.data.T
+        g_leaves[0][start:stop] = p @ w_p.data.T + m @ w_m.data.T + t @ w_t.data.T
     return _fused_loss(coef * (total - target.log_x_fact), leaves, g_leaves)
 
 

@@ -10,7 +10,9 @@ File formats (all UTF-8, LF, headers required):
   labels      CSV ``spot_id,label``; spots absent from the file get -1
               (excluded from metric computation)
 Floats in emitted files are printed with 17 significant digits so a
-save/load round trip is lossless for 64-bit values.
+save/load round trip is lossless for 64-bit values. CSV cells are read
+and written with the csv module, so an id holding a comma, a quote or a
+line break is quoted.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ DEFAULT_N_HVG = 3000
 SYNTHETIC_SPACING = DEFAULT_RADIUS / 1.5
 SYNTHETIC_BASE_MEAN = 1.0
 SYNTHETIC_MARKER_MEAN = 20.0
+
+# Columns per step of the HVG variance: one step's centred copy is the only
+# temporary, never one as large as the kept-gene matrix.
+VARIANCE_COLUMN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -270,6 +276,23 @@ def load_dataset(expression_path, coords_path, labels_path=None,
     )
 
 
+def _column_variances(arr: np.ndarray) -> np.ndarray:
+    """``arr.var(axis=0)``, bitwise, computed VARIANCE_COLUMN_BLOCK columns
+    at a time. numpy reduces each column on its own, in an order set by the
+    layout: pairwise down a column-major array's contiguous columns, row by
+    row across a row-major one. A one-column block of a wider row-major
+    array would be summed pairwise down its strided column instead, so a
+    one-column tail joins the block before it."""
+    genes = arr.shape[1]
+    starts = list(range(0, genes, VARIANCE_COLUMN_BLOCK))
+    if len(starts) > 1 and genes - starts[-1] == 1:
+        starts.pop()
+    variances = np.empty(genes)
+    for lo, hi in zip(starts, starts[1:] + [genes]):
+        variances[lo:hi] = arr[:, lo:hi].var(axis=0)
+    return variances
+
+
 def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
                n_hvg: int = DEFAULT_N_HVG) -> Dataset:
     """Filter, normalize and select features.
@@ -299,7 +322,7 @@ def preprocess(ds: Dataset, min_spots: int = DEFAULT_MIN_SPOTS,
     logged *= scales
     np.log1p(logged, out=logged)
 
-    variances = logged.var(axis=0)
+    variances = _column_variances(logged)
     kept_ids = [ds.gene_ids[i] for i in kept_idx]
     take = min(int(n_hvg), len(kept_ids))
     ranked = sorted(range(len(kept_ids)), key=lambda j: (-variances[j], kept_ids[j]))[:take]
@@ -370,52 +393,50 @@ def generate_synthetic(n_side: int, k_domains: int, n_genes: int, seed: int,
 # persistence
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as the loaders read
+    them back: a cell is quoted only where it holds a comma, a quote or a
+    line break, and lines end in LF."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_expression_csv(ds: Dataset, path) -> None:
-    lines = ["spot_id," + ",".join(ds.gene_ids)]
-    for sid, row in zip(ds.spot_ids, ds.counts):
-        lines.append(sid + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["spot_id", *ds.gene_ids],
+               ([sid, *map(_fmt, row)] for sid, row in zip(ds.spot_ids, ds.counts)))
 
 
 def write_coords_csv(ds: Dataset, path) -> None:
-    lines = ["spot_id,x,y"]
-    for sid, (x, y) in zip(ds.spot_ids, ds.coords):
-        lines.append(f"{sid},{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["spot_id", "x", "y"],
+               ((sid, _fmt(x), _fmt(y)) for sid, (x, y) in zip(ds.spot_ids, ds.coords)))
 
 
 def write_labels_csv(ds: Dataset, path) -> None:
     if ds.truth_labels is None:
         raise ContractError("dataset has no labels to write")
     names = ds.label_names or [str(i) for i in range(int(ds.truth_labels.max()) + 1)]
-    lines = ["spot_id,label"]
-    for sid, lab in zip(ds.spot_ids, ds.truth_labels):
-        if lab >= 0:
-            lines.append(f"{sid},{names[lab]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["spot_id", "label"],
+               ((sid, names[lab]) for sid, lab in zip(ds.spot_ids, ds.truth_labels) if lab >= 0))
 
 
 def save_embeddings(embedding: np.ndarray, spot_ids: list[str], path) -> None:
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.shape[0] != len(spot_ids):
         raise ContractError(f"{emb.shape[0]} embedding rows for {len(spot_ids)} spots")
-    lines = ["spot_id," + ",".join(f"e{j}" for j in range(emb.shape[1]))]
-    for sid, row in zip(spot_ids, emb):
-        lines.append(sid + "," + ",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["spot_id", *(f"e{j}" for j in range(emb.shape[1]))],
+               ([sid, *map(_fmt, row)] for sid, row in zip(spot_ids, emb)))
 
 
 def save_labels(labels: np.ndarray, spot_ids: list[str], path) -> None:
     if len(labels) != len(spot_ids):
         raise ContractError(f"{len(labels)} labels for {len(spot_ids)} spots")
-    lines = ["spot_id,label"]
-    lines += [f"{sid},{int(lab)}" for sid, lab in zip(spot_ids, labels)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["spot_id", "label"],
+               ((sid, int(lab)) for sid, lab in zip(spot_ids, labels)))
 
 
 def save_metrics(records: list[tuple[str, int, str, float]], path) -> None:
     """Rows of (dataset id, seed, metric name, value)."""
-    lines = ["dataset,seed,metric,value"]
-    for dataset, seed, metric, value in records:
-        lines.append(f"{dataset},{seed},{metric},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, ["dataset", "seed", "metric", "value"],
+               ((dataset, seed, metric, _fmt(value)) for dataset, seed, metric, value in records))

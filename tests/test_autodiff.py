@@ -249,6 +249,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
+def count_blocks(target):
+    """Each block of ``target`` as (start, stop, pos, x, zero): the flat
+    positions within the block of its positive and of its zero counts,
+    ascending, and the positive counts."""
+    for start, stop, mask, x in target.blocks:
+        positive = np.unpackbits(mask, count=(stop - start) * target.shape[1]).astype(bool)
+        yield start, stop, np.flatnonzero(positive), x, np.flatnonzero(~positive)
+
+
 def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
                 pos: np.ndarray, x: np.ndarray, zero: np.ndarray, coef: float,
                 want_grad: bool) -> tuple[float, list[np.ndarray] | None]:
@@ -315,7 +324,7 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
     total = 0.0
-    for start, stop, pos, x, zero in target.blocks:
+    for start, stop, pos, x, zero in count_blocks(target):
         h = hidden.data[start:stop]
         pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
         p = _sigmoid(np.clip(pre_p, -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
@@ -398,7 +407,7 @@ def zinb_mean_nll(pi, mu, theta, target):
     want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
     grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
     total = 0.0
-    for start, stop, pos, x, zero in target.blocks:
+    for start, stop, pos, x, zero in count_blocks(target):
         total, block_grads = _zinb_block(
             total, *(t.data[start:stop] for t in (pi, mu, theta)), pos, x, zero, coef,
             want_grad)
@@ -1016,16 +1025,30 @@ class TestZinbDecoderNll:
             assert (g_dropout[0, :2] == 0.0).all() and g_dropout[0, 2] != 0.0
             assert (g_mean[1, :2] == 0.0).all() and g_mean[1, 2] != 0.0
 
-    @pytest.mark.parametrize("block", [3, 256])
+    @pytest.mark.parametrize("block, chunk, target_kind", [
+        pytest.param(3, None, "counts", id="3"),
+        pytest.param(256, None, "counts", id="256"),
+        pytest.param(2, 8, "counts", id="2-chunk8"),
+        pytest.param(3, None, "preprocessed", id="3-preprocessed"),
+        pytest.param(256, 16, "preprocessed", id="256-chunk16-preprocessed"),
+    ])
     @pytest.mark.parametrize("hidden_kind", ["random", "identity"])
-    def test_matches_allocating_reference_bitwise(self, hidden_kind, block, monkeypatch):
+    def test_matches_allocating_reference_bitwise(self, hidden_kind, block, chunk, target_kind,
+                                                  monkeypatch):
         """Value and all seven gradients bitwise equal to the allocating
-        reference. With block 3 the seven rows are an all-zero block, an
-        all-positive block and a one-row tail; with hidden = I_n the
+        reference. No block holds a multiple of 8 entries, so each count
+        mask ends in padding bits. With block 3 the seven rows are an
+        all-zero block, an all-positive block and a one-row tail; with block
+        2 a mixed block comes between those two, and masks are expanded 8
+        bits at a time, so a block's last chunk is partial. Both targets
+        are covered: integer counts (``--zinb-target counts``) and
+        non-integer preprocessed values. With hidden = I_n the
         pre-activations are the weights plus biases, set past and exactly on
         both clamps and exactly to 0, where sigmoid takes its ``>=`` branch
         and softplus its ``>`` one."""
         monkeypatch.setattr(ad, "ZINB_ROW_BLOCK", block)
+        if chunk is not None:
+            monkeypatch.setattr(ad, "_MASK_CHUNK", chunk)
         rng = np.random.default_rng(35)
         n, genes = 7, 5
         bs = [rng.uniform(-0.5, 0.5, (1, genes)) for _ in range(3)]
@@ -1047,7 +1070,14 @@ class TestZinbDecoderNll:
         counts[:3] = 0.0
         counts[3:6] += 1.0
         counts[6, ::2] = 0.0
-        target = ad.ZinbTarget(counts)
+        if target_kind == "counts":
+            target = ad.ZinbTarget(counts)
+        else:
+            target = ad.ZinbTarget(np.log1p(0.37 * counts), require_integer=False)
+        layout = [(pos.size, zero.size) for _, _, pos, _, zero in count_blocks(target)]
+        assert all((a + b) % 8 for a, b in layout)
+        if block < 4:
+            assert layout[0][0] == 0 and layout[-2][1] == 0
         outs, grads = [], []
         for nll in (ad.zinb_decoder_nll, allocating_zinb_decoder_nll):
             leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
@@ -1070,7 +1100,9 @@ class TestZinbDecoderNll:
         """The engine's per-block likelihood against the reference's, in
         (pi, mu, theta) directly: with pi = 0, mu = 1e6, theta = 1000 the
         zero-count mixture underflows to the floor, which the heads never
-        reach."""
+        reach. The engine's helper overwrites (pi, mu, theta) with the
+        gradients chained through pi's logit and log mu: the reference's
+        times pi (1 - pi), times mu, and as is."""
         rng = np.random.default_rng(37)
         shape = (4, 6)
         pi = rng.uniform(0.05, 0.9, shape)
@@ -1079,14 +1111,16 @@ class TestZinbDecoderNll:
         pi[0, :3], mu[0, :3], theta[0, :3] = 0.0, 1e6, 1000.0
         counts = rng.poisson(1.5, shape).astype(float)
         counts[0, :3] = 0.0
-        (block,) = ad.ZinbTarget(counts).blocks
-        _, _, pos, x, zero = block
+        ((_, _, pos, x, zero),) = count_blocks(ad.ZinbTarget(counts))
         coef = -1.0 / pi.size
         want_total, want = _zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, True)
-        got = [np.full(shape, np.nan) for _ in range(3)]
+        want[0] *= pi
+        want[0] *= 1.0 - pi
+        want[1] *= mu
+        got = [pi.copy(), mu.copy(), theta.copy()]
         sub = np.full((7, max(pos.size, zero.size) + 2), np.nan)
         flags = np.ones(pi.size + 3, dtype=bool)
-        total = ad._zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, got, sub, flags)
+        total = ad._zinb_block(0.5, got, pos, x, zero, coef, sub, flags)
         assert total == want_total
         assert (want[0][0, :3] == 0.0).all()
         for g, w in zip(got, want):
@@ -1108,18 +1142,23 @@ class TestZinbDecoderNll:
         return counts, target, hidden, heads
 
     def test_count_constants_are_compact(self):
-        """The blocks' flat indices are int32, so the constants held for a
-        run take at most one count-sized buffer (about 0.92 at 58% zeros;
-        1.42 with int64 indices)."""
+        """Each block keeps one bit per entry and its positive counts, so the
+        constants held for a run take at most half a count-sized buffer
+        (about 0.44 at 58% zeros; 0.92 with int32 indices of both kinds).
+        The counts rebuilt from the blocks are the counts."""
         counts, target, _, _ = self.wide_problem()
-        assert all(pos.dtype == np.int32 and zero.dtype == np.int32
-                   for _, _, pos, _, zero in target.blocks)
-        held = sum(pos.nbytes + x.nbytes + zero.nbytes for _, _, pos, x, zero in target.blocks)
-        assert held <= 1.0 * counts.nbytes, f"constants {held / counts.nbytes:.2f} buffers"
+        held = sum(mask.nbytes + x.nbytes for _, _, mask, x in target.blocks)
+        assert held <= 0.5 * counts.nbytes, f"constants {held / counts.nbytes:.2f} buffers"
+        rebuilt = np.full(counts.shape, np.nan)
+        for start, stop, pos, x, zero in count_blocks(target):
+            block = rebuilt[start:stop].reshape(-1)
+            block[pos], block[zero] = x, 0.0
+        np.testing.assert_array_equal(rebuilt, counts)
 
     def test_wide_problem_matches_allocating_reference_bitwise(self):
-        """At 900 x 3000 (87-row blocks, int32 indices widened per block)
-        the value and all seven gradients are bitwise the reference's."""
+        """At 900 x 3000 (87-row blocks, each mask expanded in eight chunks,
+        the last one partial) the value and all seven gradients are bitwise
+        the reference's."""
         _, target, hidden, heads = self.wide_problem()
         leaves = [hidden] + [t for head in heads for t in head]
         results = []
@@ -1152,13 +1191,14 @@ class TestZinbDecoderNll:
 
     def test_forward_peak_under_the_entry_budget(self):
         """At 3000 genes the entry budget makes 87-row blocks, so the
-        workspace of one forward with gradients stays within 2.5 count-sized
-        buffers (4.65 with 256-row blocks)."""
+        workspace of one forward with gradients, five block planes, and the
+        leaf gradients stay within 1.7 count-sized buffers (1.99 with ten
+        block planes and a fresh weight-gradient term per block)."""
         counts, target, hidden, heads = self.wide_problem()
         assert {stop - start for start, stop, *_ in target.blocks[:-1]} == {87}
         loss, peak = traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads, target))
         assert np.isfinite(loss.item())
-        assert peak <= 2.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
+        assert peak <= 1.7 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
 
     def test_blocks_hold_at_most_the_entry_budget(self, monkeypatch):
         """At 150 x 4096 the budget gives 64-row blocks where the row cap

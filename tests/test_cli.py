@@ -2,16 +2,21 @@
 replay, and the ablation/sweep tables."""
 
 import argparse
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stmfg.autodiff import Tensor
 from stmfg.cli import _comma_floats, build_parser, main
-from stmfg.data import load_dataset, preprocess
+from stmfg.data import (load_dataset, preprocess, write_coords_csv, write_expression_csv,
+                        write_labels_csv)
 from stmfg.graphs import build_graph_pair
 from stmfg.training import TrainConfig, train
+
+from conftest import load_embeddings
 
 FAST = ["--epochs", "2", "--dims", "8,4", "--decoder-hidden", "8",
         "--min-spots", "1", "--restarts", "3"]
@@ -73,6 +78,35 @@ class TestRun:
         assert len(log_lines) == 2  # header + one epoch
         metrics = (out / "metrics.csv").read_text()
         assert ",ari," in metrics and ",nmi," in metrics
+
+    def test_ids_that_need_quoting_round_trip(self, synth_dir, tmp_path):
+        """Spot ids and a dataset name holding commas and quotes are quoted
+        where the synth writers and ``run`` write them, so the loaders read
+        every file back: the run's labels load as a labels file, and its
+        embeddings and metrics keep one id cell per row."""
+        ds = load_dataset(synth_dir / "expression.csv", synth_dir / "coords.csv",
+                          synth_dir / "labels.csv")
+        ids = [f"s,{i}" if i % 2 else f'q"{i}"' for i in range(ds.n_spots)]
+        ds = replace(ds, spot_ids=ids)
+        src = tmp_path / "in"
+        src.mkdir()
+        files = {"expression": src / 'expr,"x".csv', "coords": src / "coords.csv",
+                 "labels": src / "labels.csv"}
+        write_expression_csv(ds, files["expression"])
+        write_coords_csv(ds, files["coords"])
+        write_labels_csv(ds, files["labels"])
+        out = tmp_path / "run"
+        code = main(["run", *(f"--{k}={v}" for k, v in files.items()), "--out", str(out), *FAST])
+        assert code == 0
+        back = load_dataset(files["expression"], files["coords"], labels_path=out / "labels.csv")
+        assert back.spot_ids == ids
+        np.testing.assert_array_equal(back.counts, ds.counts)
+        assert (back.truth_labels >= 0).all()
+        got_ids, emb = load_embeddings(out / "embeddings.csv")
+        assert got_ids == ids and np.isfinite(emb).all()
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(len(row) == 4 and row[0] == 'expr,"x"' for row in rows)
 
     def test_without_labels_no_score_rows(self, synth_dir, tmp_path):
         out = tmp_path / "run"

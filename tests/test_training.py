@@ -424,11 +424,11 @@ class TestEpochMemory:
         return peak / ds.preprocessed.nbytes
 
     def test_train_peak_at_gene_width(self, train_peak_buffers):
-        """The whole run peaks within 9 n-by-genes buffers: the count
-        constants (about 1.1 with int32 indices, 1.6 with int64), the ZINB
-        workspace of 128-row blocks under the entry budget (about 3.6 with
-        its gather scratch) and about 0.9 more. It holds no copy of the
-        input."""
+        """The whole run peaks within 9 n-by-genes buffers (about 3.8: the
+        count constants, about 0.65 as bit masks and positive counts, the
+        ZINB workspace of 128-row blocks under the entry budget, and the
+        rest; about 5.5 with int32 indices and ten block planes). It holds
+        no copy of the input."""
         assert train_peak_buffers <= 9.0, f"train peak {train_peak_buffers:.2f} buffers"
 
     def test_train_holds_no_propagated_input(self, train_peak_buffers):
