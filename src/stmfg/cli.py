@@ -143,15 +143,11 @@ def _resolve(args, train_keys_from=None) -> tuple[TrainConfig, PipelineSettings]
         merged.update(train_keys_from)
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
-    train_fields = set(TrainConfig.__dataclass_fields__)
-    for key in list(train_fields) + list(PIPELINE_KEYS):
+    for key in [*TrainConfig.__dataclass_fields__, *PIPELINE_KEYS]:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     pipeline = PipelineSettings(**{k: merged.pop(k) for k in PIPELINE_KEYS if k in merged})
-    unknown = set(merged) - train_fields
-    if unknown:
-        raise ContractError(f"unknown config keys: {sorted(unknown)}")
     return TrainConfig.from_dict(merged), pipeline
 
 

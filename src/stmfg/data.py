@@ -11,8 +11,8 @@ File formats (all UTF-8, LF, headers required):
               (excluded from metric computation)
 Floats in emitted files are printed with 17 significant digits so a
 save/load round trip is lossless for 64-bit values. CSV cells are read
-and written with the csv module, so an id holding a comma, a quote or a
-line break is quoted.
+with the csv module; a written cell holding a comma, a quote or a line
+break (LF or CR) is quoted, with its quotes doubled.
 """
 
 from __future__ import annotations
@@ -393,24 +393,36 @@ def generate_synthetic(n_side: int, k_domains: int, n_genes: int, seed: int,
 # persistence
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` as the loaders read
-    them back: a cell is quoted only where it holds a comma, a quote or a
-    line break, and lines end in LF."""
+def _cell(value) -> str:
+    """A text cell as the loaders read it back: quoted, with its quotes
+    doubled, where it holds a comma, a quote or a line break (LF or CR)."""
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
+
+
+def _text_line(cells) -> str:
+    return ",".join(map(_cell, cells))
+
+
+def _numeric_lines(ids, matrix):
+    """One line per row of ``matrix``, led by its id; numbers need no quoting."""
+    return (",".join([_cell(sid), *map(_fmt, row)]) for sid, row in zip(ids, matrix))
+
+
+def _write_csv(path, header: list[str], lines) -> None:
+    """Write the ``header`` cells, then ``lines`` (rows already joined by
+    ``_text_line`` or ``_numeric_lines``), each ended by LF."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_text_line(header) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_expression_csv(ds: Dataset, path) -> None:
-    _write_csv(path, ["spot_id", *ds.gene_ids],
-               ([sid, *map(_fmt, row)] for sid, row in zip(ds.spot_ids, ds.counts)))
+    _write_csv(path, ["spot_id", *ds.gene_ids], _numeric_lines(ds.spot_ids, ds.counts))
 
 
 def write_coords_csv(ds: Dataset, path) -> None:
-    _write_csv(path, ["spot_id", "x", "y"],
-               ((sid, _fmt(x), _fmt(y)) for sid, (x, y) in zip(ds.spot_ids, ds.coords)))
+    _write_csv(path, ["spot_id", "x", "y"], _numeric_lines(ds.spot_ids, ds.coords))
 
 
 def write_labels_csv(ds: Dataset, path) -> None:
@@ -418,7 +430,8 @@ def write_labels_csv(ds: Dataset, path) -> None:
         raise ContractError("dataset has no labels to write")
     names = ds.label_names or [str(i) for i in range(int(ds.truth_labels.max()) + 1)]
     _write_csv(path, ["spot_id", "label"],
-               ((sid, names[lab]) for sid, lab in zip(ds.spot_ids, ds.truth_labels) if lab >= 0))
+               (_text_line((sid, names[lab]))
+                for sid, lab in zip(ds.spot_ids, ds.truth_labels) if lab >= 0))
 
 
 def save_embeddings(embedding: np.ndarray, spot_ids: list[str], path) -> None:
@@ -426,17 +439,18 @@ def save_embeddings(embedding: np.ndarray, spot_ids: list[str], path) -> None:
     if emb.shape[0] != len(spot_ids):
         raise ContractError(f"{emb.shape[0]} embedding rows for {len(spot_ids)} spots")
     _write_csv(path, ["spot_id", *(f"e{j}" for j in range(emb.shape[1]))],
-               ([sid, *map(_fmt, row)] for sid, row in zip(spot_ids, emb)))
+               _numeric_lines(spot_ids, emb))
 
 
 def save_labels(labels: np.ndarray, spot_ids: list[str], path) -> None:
     if len(labels) != len(spot_ids):
         raise ContractError(f"{len(labels)} labels for {len(spot_ids)} spots")
     _write_csv(path, ["spot_id", "label"],
-               ((sid, int(lab)) for sid, lab in zip(spot_ids, labels)))
+               (_text_line((sid, int(lab))) for sid, lab in zip(spot_ids, labels)))
 
 
 def save_metrics(records: list[tuple[str, int, str, float]], path) -> None:
     """Rows of (dataset id, seed, metric name, value)."""
     _write_csv(path, ["dataset", "seed", "metric", "value"],
-               ((dataset, seed, metric, _fmt(value)) for dataset, seed, metric, value in records))
+               (_text_line((dataset, seed, metric, _fmt(value)))
+                for dataset, seed, metric, value in records))

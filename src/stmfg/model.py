@@ -18,7 +18,7 @@ nodes of their own: the likelihood node applies them to the hidden layer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,10 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 @dataclass
 class ModelParams:
-    """Every learnable tensor: per-layer view weights and attention weights,
-    plus the shared decoder hidden layer and its three heads."""
+    """Every learnable tensor, declared in checkpoint order: per encoder layer
+    (the ``list[Tensor]`` fields) two view weights and the attention weight
+    that fuses them; then the shared decoder hidden layer and its three ZINB
+    heads, each a weight and a bias. Everything else walks these fields."""
 
     spatial_weights: list[Tensor]
     feature_weights: list[Tensor]
@@ -56,59 +58,61 @@ class ModelParams:
     dispersion_w: Tensor
     dispersion_b: Tensor
 
+    @staticmethod
+    def _layout(n_layers: int) -> list[tuple[str, str, int | None]]:
+        """``(name, field, layer)`` of every tensor in checkpoint order;
+        ``layer`` is None for a decoder tensor."""
+        return ([(f"{kind}.{i}", kind, i) for i in range(n_layers) for kind in LAYER_FIELDS]
+                + [(name, name, None) for name in DECODER_FIELDS])
+
+    @classmethod
+    def _build(cls, n_layers: int, make) -> "ModelParams":
+        """The parameters holding ``make(name, field, layer)``, called in
+        checkpoint order."""
+        values: dict = {kind: [] for kind in LAYER_FIELDS}
+        for name, kind, layer in cls._layout(n_layers):
+            t = Tensor(make(name, kind, layer), requires_grad=True)
+            if layer is None:
+                values[kind] = t
+            else:
+                values[kind].append(t)
+        return cls(**values)
+
     @classmethod
     def initialize(cls, rng: np.random.Generator, layer_dims: list[int],
                    recon_width: int,
                    decoder_hidden: int = DEFAULT_DECODER_HIDDEN) -> "ModelParams":
-        """Seeded Glorot-uniform weights for the dimension chain
-        ``layer_dims[0] -> ... -> layer_dims[-1]`` and a decoder mapping the
-        final embedding to ``recon_width`` genes."""
+        """Seeded Glorot-uniform weights, drawn in checkpoint order, for the
+        dimension chain ``layer_dims[0] -> ... -> layer_dims[-1]`` and a
+        decoder mapping the final embedding to ``recon_width`` genes; zero
+        biases."""
         if len(layer_dims) < 2:
             raise ContractError("layer_dims needs an input width and at least one output width")
-        spatial, feature, attention = [], [], []
-        for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):
-            spatial.append(Tensor(glorot(rng, d_in, d_out), requires_grad=True))
-            feature.append(Tensor(glorot(rng, d_in, d_out), requires_grad=True))
-            attention.append(Tensor(glorot(rng, 2 * d_out, 2), requires_grad=True))
-        d_final = layer_dims[-1]
-        return cls(
-            spatial_weights=spatial,
-            feature_weights=feature,
-            attention_weights=attention,
-            decoder_hidden_w=Tensor(glorot(rng, d_final, decoder_hidden), requires_grad=True),
-            decoder_hidden_b=Tensor(np.zeros((1, decoder_hidden)), requires_grad=True),
-            dropout_w=Tensor(glorot(rng, decoder_hidden, recon_width), requires_grad=True),
-            dropout_b=Tensor(np.zeros((1, recon_width)), requires_grad=True),
-            mean_w=Tensor(glorot(rng, decoder_hidden, recon_width), requires_grad=True),
-            mean_b=Tensor(np.zeros((1, recon_width)), requires_grad=True),
-            dispersion_w=Tensor(glorot(rng, decoder_hidden, recon_width), requires_grad=True),
-            dispersion_b=Tensor(np.zeros((1, recon_width)), requires_grad=True),
-        )
+
+        def make(_name, kind, layer):
+            if layer is None:  # the hidden layer, then the heads on its output
+                fan_in, width = ((layer_dims[-1], decoder_hidden)
+                                 if kind.startswith("decoder_hidden")
+                                 else (decoder_hidden, recon_width))
+                return glorot(rng, fan_in, width) if kind.endswith("_w") else np.zeros((1, width))
+            d_out = layer_dims[layer + 1]
+            # the attention weight scores the concatenated view pair
+            return (glorot(rng, 2 * d_out, 2) if kind == "attention_weights"
+                    else glorot(rng, layer_dims[layer], d_out))
+
+        return cls._build(len(layer_dims) - 1, make)
 
     @property
     def n_layers(self) -> int:
         return len(self.spatial_weights)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for i in range(self.n_layers):
-            named.append((f"spatial_weights.{i}", self.spatial_weights[i]))
-            named.append((f"feature_weights.{i}", self.feature_weights[i]))
-            named.append((f"attention_weights.{i}", self.attention_weights[i]))
-        named += [
-            ("decoder_hidden_w", self.decoder_hidden_w),
-            ("decoder_hidden_b", self.decoder_hidden_b),
-            ("dropout_w", self.dropout_w),
-            ("dropout_b", self.dropout_b),
-            ("mean_w", self.mean_w),
-            ("mean_b", self.mean_b),
-            ("dispersion_w", self.dispersion_w),
-            ("dispersion_b", self.dispersion_b),
-        ]
-        return named
+        return [(name, getattr(self, kind) if layer is None else getattr(self, kind)[layer])
+                for name, kind, layer in self._layout(self.n_layers)]
 
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
+
+LAYER_FIELDS = tuple(f.name for f in fields(ModelParams) if f.type == "list[Tensor]")
+DECODER_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name not in LAYER_FIELDS)
 
 
 @dataclass
@@ -205,6 +209,8 @@ def load_checkpoint(path) -> ModelParams:
         if len(head) != 4 or head[0] != "tensor":
             raise DataError(f"{path}: bad header at line {i + 1}")
         name = head[1]
+        if name in arrays:
+            raise DataError(f"{path} line {i + 1}: tensor {name} appears twice")
         try:
             rows, cols = int(head[2]), int(head[3])
         except ValueError:
@@ -219,33 +225,18 @@ def load_checkpoint(path) -> ModelParams:
         arrays[name] = arr
         i += 1 + rows
 
-    def take(name):
+    n_layers = 0
+    while f"{LAYER_FIELDS[0]}.{n_layers}" in arrays:
+        n_layers += 1
+    if not n_layers:
+        raise DataError(f"{path}: no encoder layers found")
+
+    def take(name, _kind, _layer):
         if name not in arrays:
             raise DataError(f"{path}: missing tensor {name}")
-        return Tensor(arrays.pop(name), requires_grad=True)
+        return arrays.pop(name)
 
-    spatial, feature, attention = [], [], []
-    layer = 0
-    while f"spatial_weights.{layer}" in arrays:
-        spatial.append(take(f"spatial_weights.{layer}"))
-        feature.append(take(f"feature_weights.{layer}"))
-        attention.append(take(f"attention_weights.{layer}"))
-        layer += 1
-    if not spatial:
-        raise DataError(f"{path}: no encoder layers found")
-    params = ModelParams(
-        spatial_weights=spatial,
-        feature_weights=feature,
-        attention_weights=attention,
-        decoder_hidden_w=take("decoder_hidden_w"),
-        decoder_hidden_b=take("decoder_hidden_b"),
-        dropout_w=take("dropout_w"),
-        dropout_b=take("dropout_b"),
-        mean_w=take("mean_w"),
-        mean_b=take("mean_b"),
-        dispersion_w=take("dispersion_w"),
-        dispersion_b=take("dispersion_b"),
-    )
+    params = ModelParams._build(n_layers, take)
     if arrays:
         raise DataError(f"{path}: unexpected tensors {sorted(arrays)}")
     return params

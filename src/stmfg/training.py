@@ -29,6 +29,7 @@ from .losses import (
     zinb_nll,
 )
 from .model import (
+    DECODER_FIELDS,
     DEFAULT_DECODER_HIDDEN,
     DEFAULT_HIDDEN_DIMS,
     DEFAULT_LEAKY_SLOPE,
@@ -248,16 +249,10 @@ class TrainResult(NamedTuple):
 def trainable_tensors(params: ModelParams, cfg: TrainConfig) -> list[Tensor]:
     """Parameters that participate in the configured objective; ablations
     drop the tensors their disabled paths would leave without gradients."""
-    tensors = list(params.spatial_weights) + list(params.feature_weights)
-    if cfg.disable_fusion:
-        tensors.append(params.attention_weights[-1])
-    else:
-        tensors.extend(params.attention_weights)
+    attention = params.attention_weights[-1:] if cfg.disable_fusion else params.attention_weights
+    tensors = params.spatial_weights + params.feature_weights + attention
     if not cfg.disable_zinb:
-        tensors += [params.decoder_hidden_w, params.decoder_hidden_b,
-                    params.dropout_w, params.dropout_b,
-                    params.mean_w, params.mean_b,
-                    params.dispersion_w, params.dispersion_b]
+        tensors += [getattr(params, name) for name in DECODER_FIELDS]
     return tensors
 
 

@@ -80,13 +80,14 @@ class TestRun:
         assert ",ari," in metrics and ",nmi," in metrics
 
     def test_ids_that_need_quoting_round_trip(self, synth_dir, tmp_path):
-        """Spot ids and a dataset name holding commas and quotes are quoted
-        where the synth writers and ``run`` write them, so the loaders read
-        every file back: the run's labels load as a labels file, and its
-        embeddings and metrics keep one id cell per row."""
+        """Spot ids holding commas, quotes, LF and CR, and a dataset name
+        holding commas and quotes, are quoted where the synth writers and
+        ``run`` write them, so the loaders read every file back: the run's
+        labels load as a labels file, and its embeddings and metrics keep one
+        id cell per row."""
         ds = load_dataset(synth_dir / "expression.csv", synth_dir / "coords.csv",
                           synth_dir / "labels.csv")
-        ids = [f"s,{i}" if i % 2 else f'q"{i}"' for i in range(ds.n_spots)]
+        ids = [(f"s,{i}", f'q"{i}"', f"lf\n{i}", f"cr\r{i}")[i % 4] for i in range(ds.n_spots)]
         ds = replace(ds, spot_ids=ids)
         src = tmp_path / "in"
         src.mkdir()
@@ -411,12 +412,13 @@ class TestRun:
         assert code == 2
         assert "cfg.json: not UTF-8 text" in capsys.readouterr().err
 
-    def test_unknown_config_key_is_contract_error(self, synth_dir, tmp_path):
+    def test_unknown_config_key_is_contract_error(self, synth_dir, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"learning_rate": 0.1}))
         code = main(["run", *data_flags(synth_dir), "--out", str(tmp_path / "x"),
                      "--config", str(cfg_file), *FAST])
         assert code == 3
+        assert "unknown config keys: ['learning_rate']" in capsys.readouterr().err
 
 
 class _TrainCalled(Exception):

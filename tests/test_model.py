@@ -297,6 +297,15 @@ class TestCheckpoint:
             assert name_a == name_b
             np.testing.assert_array_equal(t_a.data, t_b.data)
             assert t_b.requires_grad
+        per_layer = ("spatial_weights", "feature_weights", "attention_weights")
+        decoder = ("decoder_hidden_w", "decoder_hidden_b", "dropout_w", "dropout_b",
+                   "mean_w", "mean_b", "dispersion_w", "dispersion_b")
+        named = loaded.named_tensors()
+        assert [name for name, _ in named] == (
+            [f"{kind}.{i}" for i in range(2) for kind in per_layer] + list(decoder))
+        for name, t in named:
+            kind, _, layer = name.partition(".")
+            assert t is (getattr(loaded, kind)[int(layer)] if layer else getattr(loaded, kind))
 
     def test_text_matches_float_repr_per_value(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -379,4 +388,45 @@ class TestCheckpoint:
         edit(lines)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"line {line}: .*{message}"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _blocks(path):
+        """The checkpoint's tensor blocks in file order, each its header line
+        and its row lines."""
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        blocks, i = [], 0
+        while i < len(lines):
+            rows = int(lines[i].split()[2])
+            blocks.append(lines[i:i + 1 + rows])
+            i += 1 + rows
+        return blocks
+
+    @staticmethod
+    def _write_blocks(path, blocks):
+        path.write_text("\n".join([CHECKPOINT_MAGIC, *(line for b in blocks for line in b)])
+                        + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("edit, message", [
+        # a second mean_b block after the 87 lines of the saved file
+        (lambda blocks: [*blocks, ["tensor mean_b 1 7", " ".join(["1.0"] * 7)]],
+         r" line 88: tensor mean_b appears twice"),
+        (lambda blocks: [b for b in blocks if b[0].split()[1] != "dispersion_b"],
+         r": missing tensor dispersion_b"),
+        (lambda blocks: [*blocks, ["tensor extra_w 1 2", "0.0 1.0"]],
+         r": unexpected tensors \['extra_w'\]"),
+        (lambda blocks: [b for b in blocks if b[0].split()[1] != "spatial_weights.0"],
+         r": no encoder layers found"),
+    ], ids=["repeated", "missing", "unexpected", "no-encoder-layer"])
+    def test_layout_errors_are_data_errors(self, tmp_path, edit, message):
+        """Each tensor of the layout is taken once: a repeated, missing or
+        unexpected one is refused, not loaded over or around."""
+        from stmfg.errors import DataError
+
+        path = tmp_path / "params.txt"
+        save_checkpoint(make_params(np.random.default_rng(18), [6, 5, 4], 7, decoder_hidden=8),
+                        path)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 87
+        self._write_blocks(path, edit(self._blocks(path)))
+        with pytest.raises(DataError, match=f"params.txt{message}"):
             load_checkpoint(path)

@@ -207,7 +207,8 @@ class TestTrain:
         params = ModelParams.initialize(rng, [x.cols, *cfg.hidden_dims],
                                         recon_width=ds.preprocessed.shape[1],
                                         decoder_hidden=cfg.decoder_hidden)
-        opt = Adam(params.tensors(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+        opt = Adam([t for _, t in params.named_tensors()], lr=cfg.lr,
+                   weight_decay=cfg.weight_decay)
         total, _, _ = run_epoch(x, ds.preprocessed, False, graphs, params, cfg)
         opt.zero_grad()
         ad.backward(total)
