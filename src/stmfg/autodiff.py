@@ -19,7 +19,12 @@ in one of them, and drops it on return; each head entry takes a single
 exp, shared by an activation and the derivative it needs.
 
 Each fused loss node forms its value and gradients in one pass; its
-backward hands the gradients on, scaled by the upstream gradient.
+backward hands the gradients on, scaled by the upstream gradient. The two
+pairwise nodes walk fixed row tiles through one small executor, which
+runs a wide block's tiles on up to two threads, writes row-disjoint
+outputs in place and folds every cross-tile sum on the calling thread in
+tile order, so their bits do not depend on the thread count; the ZINB
+node runs its blocks on the calling thread.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -31,6 +36,10 @@ Resetting gradients is explicit (``zero_grad``).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,8 +56,20 @@ NORM_EPS = 1e-12
 
 # Rows per step of the fused pairwise ops: one step holds a
 # PAIRWISE_TILE-by-n block of similarities (by 2n for the contrastive op),
-# never the whole matrix.
-PAIRWISE_TILE = 256
+# never the whole matrix. The tile is fixed, whatever the worker count, so
+# the bits of a result never depend on that count.
+PAIRWISE_TILE = 96
+
+# Threads the pairwise tiles run on, the calling thread included: at most
+# two, and no more than the process may use. At d = 64 two 96-row
+# workspaces hold what one 256-row workspace did.
+PAIRWISE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+
+# A pairwise call whose block is narrower than this many columns runs on
+# the calling thread alone: at 1800 columns two threads' GEMMs were
+# measured to run one after the other, from 2400 on they overlapped.
+PAIRWISE_POOL_COLS = 2048
 
 # Rows per step of the fused ZINB decoder node: a block holds at most
 # ZINB_ROW_BLOCK rows and at most ZINB_BLOCK_ENTRIES entries (at least one
@@ -367,6 +388,35 @@ class SparseMatrix:
 # O(tile * n) and backward is one scaling.
 
 
+def _pairwise_tiles(rows: int, cols: int, workspace: Callable[[int], tuple],
+                    body: Callable, fold: Callable) -> None:
+    """Run ``body(span, *space)`` over the PAIRWISE_TILE-row spans of
+    ``rows`` rows of a ``cols``-wide block, and hand each result to
+    ``fold`` on the calling thread, in span order.
+
+    Spans run in waves of up to PAIRWISE_WORKERS, the calling thread
+    taking the first of each; a block narrower than PAIRWISE_POOL_COLS,
+    or a single span, runs on the calling thread alone, as the same loop.
+    Each thread of a wave owns one ``workspace(tile_rows)``. ``body`` may
+    write only its own rows of an output; a sum across spans goes through
+    ``fold``, so every result is bitwise the serial loop's at any worker
+    count. Each task runs in a copy of the caller's context, which carries
+    numpy's error state, so the caller's ``np.errstate`` holds in every
+    thread.
+    """
+    spans = [slice(r0, min(r0 + PAIRWISE_TILE, rows)) for r0 in range(0, rows, PAIRWISE_TILE)]
+    workers = min(PAIRWISE_WORKERS if cols >= PAIRWISE_POOL_COLS else 1, len(spans))
+    spaces = [workspace(min(PAIRWISE_TILE, rows)) for _ in range(workers)]
+    with (ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext()) as pool:
+        for w0 in range(0, len(spans), workers):
+            wave = list(zip(spans[w0:w0 + workers], spaces))
+            futures = [pool.submit(contextvars.copy_context().run, body, span, *space)
+                       for span, space in wave[1:]]
+            fold(body(wave[0][0], *wave[0][1]))
+            for future in futures:
+                fold(future.result())
+
+
 def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     """Inter-view contrastive loss of the paired rows of ``a`` and ``b``.
 
@@ -382,11 +432,11 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     and a single spot gives exactly zero. ``tau`` and 1/``tau`` must be
     finite and positive.
 
-    The call's workspace is one PAIRWISE_TILE-by-2n block and one d-by-2n
-    product buffer, both reused by every tile; the gradient tail then runs
-    in place, one view at a time. Every step keeps the operation order of
-    the plain array expressions, so values and gradients are bitwise the
-    same.
+    The tiles run through ``_pairwise_tiles``: each thread's workspace is
+    one PAIRWISE_TILE-by-2n block and one d-by-2n product buffer; the
+    gradient tail then runs in place, one view at a time. Every step keeps
+    the operation order of the plain array expressions, so values and
+    gradients are bitwise the same.
     """
     _same_shape(a, b, "cross_view_contrastive")
     tau = float(tau)
@@ -401,36 +451,41 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     y /= norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)  # p(r), an involution
-    block_buf = np.empty((min(PAIRWISE_TILE, items), items))
     # dL/dy = G y + G^T y for G = dL/ds; the G^T y half is accumulated
     # transposed, which keeps both products on contiguous operands.
     gy = np.zeros_like(y)
     gy_t = np.zeros_like(y_t)
-    prod = np.empty_like(y_t)
 
-    total = 0.0
-    for r0 in range(0, items, PAIRWISE_TILE):
-        rows = np.arange(min(PAIRWISE_TILE, items - r0))
-        own = rows + r0
-        span = slice(r0, r0 + rows.size)
-        tile = y[span]
-        block = np.matmul(tile * inv_tau, y_t, out=block_buf[:rows.size])  # s / tau
+    def tile(span, block_buf, prod):
+        rows = np.arange(span.stop - span.start)
+        own = rows + span.start
+        part = y[span]
+        block = np.matmul(part * inv_tau, y_t, out=block_buf[:rows.size])  # s / tau
         s_pos = block[rows, pos[own]]
         block[rows, own] = -np.inf  # k = r drops out of the sum
         m = block.max(axis=1)
         block -= m[:, None]
         np.exp(block, out=block)
         den = block.sum(axis=1)  # sum_{k != r} exp(s_rk/tau) / exp(m_r)
-        total += np.sum(np.log(den) - (s_pos - m))
         # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
         # the positive entries are subtracted below.
         w = inv_tau / den
         gy[span] += w[:, None] * (block @ y)
-        gy_t += np.matmul((tile * w[:, None]).T, block, out=prod)
+        return (np.sum(np.log(den) - (s_pos - m)),
+                np.matmul((part * w[:, None]).T, block, out=prod))
 
-    del block_buf, block, y_t
+    total = 0.0
+
+    def fold(result):
+        nonlocal total, gy_t
+        total += result[0]
+        gy_t += result[1]
+
+    _pairwise_tiles(items, items, lambda size: (np.empty((size, items)), np.empty_like(y_t)),
+                    tile, fold)
+    del y_t
     gy += gy_t.T
-    del gy_t, prod
+    del gy_t
     # s_rp enters as the positive of both r and p(r) = p^-1(r)
     for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
         g = gy[view]
@@ -452,11 +507,11 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     runs over the stored entries of ``adj``. As ``adj`` is symmetric, the
     one product adj u serves both edge terms of the gradient.
 
-    The call's workspace is one PAIRWISE_TILE-by-n block and one scratch
-    of the same size (for log1p and 1 + block), both reused by every
-    tile; the gradient tail runs in place. Every step keeps the operation
-    order of the plain array expressions, so values and gradients are
-    bitwise the same.
+    The tiles run through ``_pairwise_tiles``: each thread's workspace is
+    one PAIRWISE_TILE-by-n block and one scratch of the same size (for
+    log1p and 1 + block); the gradient tail runs in place. Every step
+    keeps the operation order of the plain array expressions, so values
+    and gradients are bitwise the same.
     """
     if adj.n != z.rows:
         raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
@@ -470,20 +525,26 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     u = z.data / norm
     u_t = np.ascontiguousarray(u.T)
     gu = np.zeros_like(u)
-    block_buf = np.empty((min(PAIRWISE_TILE, n), n))
-    scratch_buf = np.empty_like(block_buf)
 
-    total = 0.0
-    for r0 in range(0, n, PAIRWISE_TILE):
-        rows = np.arange(min(PAIRWISE_TILE, n - r0))
-        block = np.matmul(u[r0:r0 + rows.size], u_t, out=block_buf[:rows.size])
+    def tile(span, block_buf, scratch_buf):
+        rows = np.arange(span.stop - span.start)
+        block = np.matmul(u[span], u_t, out=block_buf[:rows.size])
         scratch = scratch_buf[:rows.size]
         np.exp(block, out=block)
-        block[rows, rows + r0] = 0.0  # log1p(0) = 0: self pairs drop out
-        total += np.log1p(block, out=scratch).sum()
+        block[rows, rows + span.start] = 0.0  # log1p(0) = 0: self pairs drop out
+        part = np.log1p(block, out=scratch).sum()
         block /= np.add(1.0, block, out=scratch)  # sigmoid(s), still zero on the diagonal
-        gu[r0:r0 + rows.size] += block @ u
-    del block_buf, scratch_buf, block, scratch, u_t
+        gu[span] += block @ u
+        return part
+
+    total = 0.0
+
+    def fold(part):
+        nonlocal total
+        total += part
+
+    _pairwise_tiles(n, n, lambda size: (np.empty((size, n)), np.empty((size, n))), tile, fold)
+    del u_t
 
     adj_u = adj.csr() @ u
     total -= np.sum(u * adj_u)

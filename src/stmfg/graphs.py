@@ -6,7 +6,7 @@ no n-by-n distance array is formed. The KNN graph is exact: one GEMM
 gives the n-by-n cosine similarity matrix, a partition finds each row's
 k-th largest similarity, and only the columns at or above it are sorted.
 That matrix is the one n-by-n array the build holds: the partition and
-its survivor mask run over ``PAIRWISE_TILE`` rows at a time.
+its survivor mask run over ``KNN_ROW_CHUNK`` rows at a time.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .autodiff import NORM_EPS, PAIRWISE_TILE, SparseMatrix
+from .autodiff import NORM_EPS, SparseMatrix
 from .errors import ContractError
 
 DEFAULT_RADIUS = 550.0
 DEFAULT_KNN_K = 15
+
+# Rows per step of the KNN selection: a step's partition copy and
+# survivor mask are KNN_ROW_CHUNK-by-n.
+KNN_ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     # sorting survivors by (row, value, column) and keeping the first k
     # per row picks what a stable sort of the whole row picks.
     rows, cols = [], []
-    for r0 in range(0, n, PAIRWISE_TILE):
-        chunk = neg[r0:r0 + PAIRWISE_TILE]
+    for r0 in range(0, n, KNN_ROW_CHUNK):
+        chunk = neg[r0:r0 + KNN_ROW_CHUNK]
         kth = np.partition(chunk, k - 1, axis=1)[:, [k - 1]]
         r, c = np.nonzero(chunk <= kth)
         rows.append(r + r0)

@@ -90,17 +90,25 @@ class ModelParams:
             raise ContractError("layer_dims needs an input width and at least one output width")
 
         def make(_name, kind, layer):
-            if layer is None:  # the hidden layer, then the heads on its output
-                fan_in, width = ((layer_dims[-1], decoder_hidden)
-                                 if kind.startswith("decoder_hidden")
-                                 else (decoder_hidden, recon_width))
-                return glorot(rng, fan_in, width) if kind.endswith("_w") else np.zeros((1, width))
-            d_out = layer_dims[layer + 1]
-            # the attention weight scores the concatenated view pair
-            return (glorot(rng, 2 * d_out, 2) if kind == "attention_weights"
-                    else glorot(rng, layer_dims[layer], d_out))
+            shape = cls._shape(kind, layer, layer_dims, decoder_hidden, recon_width)
+            return np.zeros(shape) if kind.endswith("_b") else glorot(rng, *shape)
 
         return cls._build(len(layer_dims) - 1, make)
+
+    @staticmethod
+    def _shape(kind: str, layer: int | None, layer_dims: list[int], decoder_hidden: int,
+               recon_width: int) -> tuple[int, int]:
+        """Shape of the tensor ``(kind, layer)`` of the layout for the
+        dimension chain ``layer_dims``, a decoder hidden layer
+        ``decoder_hidden`` wide and ``recon_width`` genes."""
+        if layer is None:  # the hidden layer, then the heads on its output
+            fan_in, width = ((layer_dims[-1], decoder_hidden)
+                             if kind.startswith("decoder_hidden")
+                             else (decoder_hidden, recon_width))
+            return (fan_in, width) if kind.endswith("_w") else (1, width)
+        d_out = layer_dims[layer + 1]
+        # the attention weight scores the concatenated view pair
+        return (2 * d_out, 2) if kind == "attention_weights" else (layer_dims[layer], d_out)
 
     @property
     def n_layers(self) -> int:
@@ -231,9 +239,25 @@ def load_checkpoint(path) -> ModelParams:
     if not n_layers:
         raise DataError(f"{path}: no encoder layers found")
 
-    def take(name, _kind, _layer):
+    def present(name):
         if name not in arrays:
             raise DataError(f"{path}: missing tensor {name}")
+        return arrays[name]
+
+    # The chain the shapes must follow: the spatial view weights give the
+    # layer widths, the decoder hidden weight its width, the dropout head
+    # the gene width; every tensor, those included, is checked against it.
+    spatial = [present(f"{LAYER_FIELDS[0]}.{i}").shape for i in range(n_layers)]
+    layer_dims = [spatial[0][0], *(shape[1] for shape in spatial)]
+    decoder_hidden = present("decoder_hidden_w").shape[1]
+    recon_width = present("dropout_w").shape[1]
+
+    def take(name, kind, layer):
+        arr = present(name)
+        want = ModelParams._shape(kind, layer, layer_dims, decoder_hidden, recon_width)
+        if arr.shape != want:
+            raise DataError(f"{path}: tensor {name} is {arr.shape[0]}x{arr.shape[1]}, "
+                            f"the layer chain needs {want[0]}x{want[1]}")
         return arrays.pop(name)
 
     params = ModelParams._build(n_layers, take)

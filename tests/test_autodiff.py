@@ -4,7 +4,9 @@ densify-and-multiply oracle for the sparse product."""
 
 import ast
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1339,16 +1341,62 @@ class TestPairwiseWorkspace:
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["uneven", "single-tile", "below-gate", "above-gate"])
+    @pytest.mark.parametrize("op,reference", [
+        (ad.cross_view_contrastive, allocating_cross_view_contrastive),
+        (ad.cosine_link_loss, allocating_cosine_link_loss),
+    ], ids=["contrastive", "link"])
+    def test_bitwise_at_any_worker_count(self, op, reference, case, workers, monkeypatch):
+        """Value and gradients are bitwise those of the serial allocating
+        body at 1, 2 and 3 workers: with a last tile (and wave) shorter than
+        the rest, with a single tile, and on both sides of the column gate.
+        The worker count is set here and the gate lifted for the first two
+        cases, so the pooled path runs on any host; it runs exactly when
+        the call has more than one tile, a block at least as wide as the
+        gate and more than one worker. The interpreter switches threads
+        every microsecond meanwhile, so the threads' Python steps
+        interleave as finely as they can."""
+        per_row = 2 if op is ad.cross_view_contrastive else 1  # block columns per row
+        gate = ad.PAIRWISE_POOL_COLS
+        n = {"uneven": 300, "single-tile": 40, "below-gate": gate // per_row - 24,
+             "above-gate": gate // per_row + 24}[case]
+        if case in ("uneven", "single-tile"):
+            monkeypatch.setattr(ad, "PAIRWISE_POOL_COLS", 0)
+        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", workers)
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+        a, b, adj = self.pairwise_problem(n, 8, 53)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out, grads = self.run_pair(op, a, b, adj, 0.7)
+        finally:
+            sys.setswitchinterval(interval)
+        ref, ref_grads = self.run_pair(reference, a, b, adj, 0.7)
+        np.testing.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        assert bool(submitted) == (workers > 1 and case in ("uneven", "above-gate"))
+
     @pytest.mark.parametrize("op,bound_mib", [
         ("contrastive", 24.0),
         ("link", 15.0),
     ])
-    def test_peak_of_forward_and_backward(self, op, bound_mib):
-        """At 2500 x 64 a forward and backward peaks at one tile block (a
-        256 x 2n block is 9.8 MiB, 256 x n is 4.9 MiB), one scratch of the
-        same size or a d x 2n product, and a few embedding-sized arrays.
-        With a fresh block per tile (the previous one still bound) and
-        allocating tails the peaks were 29.5 and 18.3 MiB."""
+    def test_peak_of_forward_and_backward(self, op, bound_mib, monkeypatch):
+        """At 2500 x 64 on two workers a forward and backward peaks at two
+        tile blocks (a 96 x 2n block is 3.7 MiB, 96 x n is 1.8 MiB), one
+        scratch of the same size or a d x 2n product per worker, and a few
+        embedding-sized arrays. With one 256-row workspace the peaks were
+        22.4 and 13.6 MiB; with a fresh block per tile (the previous one
+        still bound) and allocating tails, 29.5 and 18.3 MiB."""
+        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", 2)
         a, b, _ = self.pairwise_problem(2500, 64, 52)
         n = 2500
         ring = np.arange(n)

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from stmfg.autodiff import NORM_EPS, PAIRWISE_TILE
+from stmfg.autodiff import NORM_EPS
 from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError
 from stmfg.graphs import (
+    KNN_ROW_CHUNK,
     _binary_symmetric,
     build_feature_graph,
     build_graph_pair,
@@ -191,9 +192,9 @@ class TestFeatureGraph:
         selects what the full stable argsort selects."""
         rng = np.random.default_rng(13)
         n = 600
-        assert n > 2 * PAIRWISE_TILE
+        assert n > 2 * KNN_ROW_CHUNK
         x = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-        for edge in (PAIRWISE_TILE, 2 * PAIRWISE_TILE):
+        for edge in (KNN_ROW_CHUNK, 2 * KNN_ROW_CHUNK):
             x[edge - 3:edge + 3] = x[edge - 4]
             x[[edge - 5, edge + 4]] = 0.0
         assert_same_csr(build_feature_graph(x, k), argsort_feature_graph(x, k))

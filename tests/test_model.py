@@ -430,3 +430,29 @@ class TestCheckpoint:
         self._write_blocks(path, edit(self._blocks(path)))
         with pytest.raises(DataError, match=f"params.txt{message}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, rows, cols, want", [
+        ("feature_weights.0", 6, 3, "6x5"),
+        ("spatial_weights.1", 4, 4, "5x4"),
+        ("attention_weights.1", 10, 2, "8x2"),
+        ("decoder_hidden_w", 5, 8, "4x8"),
+        ("mean_w", 7, 7, "8x7"),
+        ("dispersion_b", 1, 6, "1x7"),
+    ], ids=["view-width", "layer-input", "attention", "decoder-input", "head-input",
+            "gene-width"])
+    def test_shape_chain_errors_are_data_errors(self, tmp_path, name, rows, cols, want):
+        """Every tensor's shape follows the chain the spatial view weights,
+        the decoder hidden weight and the dropout head set: a tensor that
+        breaks it is refused by name, not loaded for encode to trip on."""
+        from stmfg.errors import DataError
+
+        path = tmp_path / "params.txt"
+        save_checkpoint(make_params(np.random.default_rng(19), [6, 5, 4], 7, decoder_hidden=8),
+                        path)
+        blocks = [b if b[0].split()[1] != name
+                  else [f"tensor {name} {rows} {cols}", *[" ".join(["0.5"] * cols)] * rows]
+                  for b in self._blocks(path)]
+        self._write_blocks(path, blocks)
+        with pytest.raises(DataError, match=f"params.txt: tensor {name} is {rows}x{cols}, "
+                                            f"the layer chain needs {want}"):
+            load_checkpoint(path)

@@ -372,6 +372,19 @@ class TestNumericalAbort:
         with pytest.raises(NumericError, match="final embedding"):
             train(ds, graphs, small_config(epochs=1, lr=1e200))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_a_worker_tile_prints_no_warning(self, monkeypatch):
+        """A pooled contrastive tile runs under train()'s error state: at
+        tau = 1e-308 each item's term is near 1/tau, so every tile's sum of
+        them overflows, the worker's included, and the typed error is all
+        that surfaces."""
+        monkeypatch.setattr(ad, "PAIRWISE_TILE", 16)
+        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", 2)
+        monkeypatch.setattr(ad, "PAIRWISE_POOL_COLS", 0)
+        ds, graphs = small_problem()
+        with pytest.raises(NumericError, match="component 'cl'"):
+            train(ds, graphs, small_config(epochs=1, tau=1e-308))
+
 
 class TestEpochMemory:
     def test_epoch_allocates_no_genes_wide_buffer(self, monkeypatch):
