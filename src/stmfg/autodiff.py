@@ -67,8 +67,9 @@ PAIRWISE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_get
                        else os.cpu_count() or 1)
 
 # A pairwise call whose block is narrower than this many columns runs on
-# the calling thread alone: at 1800 columns two threads' GEMMs were
-# measured to run one after the other, from 2400 on they overlapped.
+# the calling thread alone, so a run of fewer than 1024 spots starts no
+# thread. On a 2-vCPU VM a pooled call at 1800 columns ran 1.2-1.5x faster
+# while the second vCPU was free and 4-14% slower while it was not.
 PAIRWISE_POOL_COLS = 2048
 
 # Rows per step of the fused ZINB decoder node: a block holds at most
