@@ -20,11 +20,10 @@ exp, shared by an activation and the derivative it needs.
 
 Each fused loss node forms its value and gradients in one pass; its
 backward hands the gradients on, scaled by the upstream gradient. The two
-pairwise nodes walk fixed row tiles through one small executor, which
-runs a wide block's tiles on up to two threads, writes row-disjoint
-outputs in place and folds every cross-tile sum on the calling thread in
-tile order, so their bits do not depend on the thread count; the ZINB
-node runs its blocks on the calling thread.
+pairwise nodes walk fixed row tiles in two fixed lanes, tile i in lane
+i mod 2; each lane sums its own tiles and lane 0's sums are added to lane
+1's, so the bits do not depend on whether a wide block runs lane 1 on a
+second thread. The ZINB node runs its blocks on the calling thread.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -36,7 +35,6 @@ Resetting gradients is explicit (``zero_grad``).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -389,33 +387,35 @@ class SparseMatrix:
 # O(tile * n) and backward is one scaling.
 
 
-def _pairwise_tiles(rows: int, cols: int, workspace: Callable[[int], tuple],
-                    body: Callable, fold: Callable) -> None:
-    """Run ``body(span, *space)`` over the PAIRWISE_TILE-row spans of
-    ``rows`` rows of a ``cols``-wide block, and hand each result to
-    ``fold`` on the calling thread, in span order.
+def _lanes(rows: int, cols: int, workspace: Callable[[int], tuple],
+           body: Callable[..., float]) -> float:
+    """Run ``body(span, lane, *space)`` over the PAIRWISE_TILE-row spans of
+    ``rows`` rows of a ``cols``-wide block, span i in lane i mod 2, and
+    return the sum of the results: each lane's in span order, then lane 0's
+    plus lane 1's.
 
-    Spans run in waves of up to PAIRWISE_WORKERS, the calling thread
-    taking the first of each; a block narrower than PAIRWISE_POOL_COLS,
-    or a single span, runs on the calling thread alone, as the same loop.
-    Each thread of a wave owns one ``workspace(tile_rows)``. ``body`` may
-    write only its own rows of an output; a sum across spans goes through
-    ``fold``, so every result is bitwise the serial loop's at any worker
-    count. Each task runs in a copy of the caller's context, which carries
-    numpy's error state, so the caller's ``np.errstate`` holds in every
-    thread.
+    With PAIRWISE_WORKERS above one, a block at least PAIRWISE_POOL_COLS
+    wide and more than one span, lane 1 is one pool task, run in a copy of
+    the caller's context (so numpy's error state holds there too), and
+    each lane owns a ``workspace(tile_rows)``; otherwise the calling thread
+    runs lane 0 and then lane 1 in one. ``body`` writes only its own rows
+    or its lane's own sums, so every bit is the same at any worker count.
     """
     spans = [slice(r0, min(r0 + PAIRWISE_TILE, rows)) for r0 in range(0, rows, PAIRWISE_TILE)]
-    workers = min(PAIRWISE_WORKERS if cols >= PAIRWISE_POOL_COLS else 1, len(spans))
-    spaces = [workspace(min(PAIRWISE_TILE, rows)) for _ in range(workers)]
-    with (ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext()) as pool:
-        for w0 in range(0, len(spans), workers):
-            wave = list(zip(spans[w0:w0 + workers], spaces))
-            futures = [pool.submit(contextvars.copy_context().run, body, span, *space)
-                       for span, space in wave[1:]]
-            fold(body(wave[0][0], *wave[0][1]))
-            for future in futures:
-                fold(future.result())
+    size = min(PAIRWISE_TILE, rows)
+
+    def lane(k, space):
+        total = 0.0
+        for span in spans[k::2]:
+            total += body(span, k, *space)
+        return total
+
+    if PAIRWISE_WORKERS > 1 and cols >= PAIRWISE_POOL_COLS and len(spans) > 1:
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(contextvars.copy_context().run, lane, 1, workspace(size))
+            return lane(0, workspace(size)) + second.result()
+    space = workspace(size)
+    return lane(0, space) + lane(1, space)
 
 
 def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
@@ -433,11 +433,11 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     and a single spot gives exactly zero. ``tau`` and 1/``tau`` must be
     finite and positive.
 
-    The tiles run through ``_pairwise_tiles``: each thread's workspace is
-    one PAIRWISE_TILE-by-2n block and one d-by-2n product buffer; the
-    gradient tail then runs in place, one view at a time. Every step keeps
-    the operation order of the plain array expressions, so values and
-    gradients are bitwise the same.
+    The tiles run in ``_lanes``, a lane's workspace one PAIRWISE_TILE-by-2n
+    block and one d-by-2n product; the gradient tail runs in place, one
+    view at a time. Each step keeps the operation order of the plain array
+    expressions, grouped by lane, so values and gradients are bitwise the
+    same.
     """
     _same_shape(a, b, "cross_view_contrastive")
     tau = float(tau)
@@ -452,12 +452,12 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     y /= norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)  # p(r), an involution
-    # dL/dy = G y + G^T y for G = dL/ds; the G^T y half is accumulated
-    # transposed, which keeps both products on contiguous operands.
-    gy = np.zeros_like(y)
-    gy_t = np.zeros_like(y_t)
+    # dL/dy = G y + G^T y for G = dL/ds; each lane sums both halves of its
+    # tiles transposed, into a d-by-2n array of its own, which keeps the
+    # G^T y product on contiguous operands.
+    gy_t = [np.zeros_like(y_t), np.zeros_like(y_t)]
 
-    def tile(span, block_buf, prod):
+    def tile(span, lane, block_buf, prod):
         rows = np.arange(span.stop - span.start)
         own = rows + span.start
         part = y[span]
@@ -471,21 +471,16 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         # dL/ds_rk = coef * (exp(s_rk/tau) / (tau den_r) - [k = p(r)] / tau);
         # the positive entries are subtracted below.
         w = inv_tau / den
-        gy[span] += w[:, None] * (block @ y)
-        return (np.sum(np.log(den) - (s_pos - m)),
-                np.matmul((part * w[:, None]).T, block, out=prod))
+        g = gy_t[lane]
+        g[:, span] += (w[:, None] * (block @ y)).T
+        g += np.matmul((part * w[:, None]).T, block, out=prod)
+        return np.sum(np.log(den) - (s_pos - m))
 
-    total = 0.0
-
-    def fold(result):
-        nonlocal total, gy_t
-        total += result[0]
-        gy_t += result[1]
-
-    _pairwise_tiles(items, items, lambda size: (np.empty((size, items)), np.empty_like(y_t)),
-                    tile, fold)
+    total = _lanes(items, items, lambda size: (np.empty((size, items)), np.empty_like(y_t)),
+                   tile)
     del y_t
-    gy += gy_t.T
+    gy_t[0] += gy_t[1]
+    gy = np.ascontiguousarray(gy_t[0].T)
     del gy_t
     # s_rp enters as the positive of both r and p(r) = p^-1(r)
     for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
@@ -508,11 +503,11 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     runs over the stored entries of ``adj``. As ``adj`` is symmetric, the
     one product adj u serves both edge terms of the gradient.
 
-    The tiles run through ``_pairwise_tiles``: each thread's workspace is
-    one PAIRWISE_TILE-by-n block and one scratch of the same size (for
-    log1p and 1 + block); the gradient tail runs in place. Every step
-    keeps the operation order of the plain array expressions, so values
-    and gradients are bitwise the same.
+    The tiles run in ``_lanes``: each lane's workspace is one
+    PAIRWISE_TILE-by-n block and one scratch of the same size (for log1p
+    and 1 + block); the gradient tail runs in place. Every step keeps the
+    operation order of the plain array expressions, the loss sum grouped
+    by lane, so values and gradients are bitwise the same.
     """
     if adj.n != z.rows:
         raise DimensionError(f"cosine_link_loss: operator n={adj.n} vs rows={z.rows}")
@@ -527,7 +522,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     u_t = np.ascontiguousarray(u.T)
     gu = np.zeros_like(u)
 
-    def tile(span, block_buf, scratch_buf):
+    def tile(span, lane, block_buf, scratch_buf):
         rows = np.arange(span.stop - span.start)
         block = np.matmul(u[span], u_t, out=block_buf[:rows.size])
         scratch = scratch_buf[:rows.size]
@@ -538,13 +533,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         gu[span] += block @ u
         return part
 
-    total = 0.0
-
-    def fold(part):
-        nonlocal total
-        total += part
-
-    _pairwise_tiles(n, n, lambda size: (np.empty((size, n)), np.empty((size, n))), tile, fold)
+    total = _lanes(n, n, lambda size: (np.empty((size, n)), np.empty((size, n))), tile)
     del u_t
 
     adj_u = adj.csr() @ u

@@ -181,8 +181,9 @@ def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
         raise DataError(f"{path}: not a readable Matrix Market file ({exc})") from None
     if np.issubdtype(matrix.dtype, np.complexfloating):
         raise DataError(f"{path}: complex entries; expression counts must be real")
-    dense = np.asarray(matrix.todense() if scipy.sparse.issparse(matrix) else matrix,
-                       dtype=np.float64)
+    # converting the stored entries first densifies once, straight to float64
+    dense = (matrix.astype(np.float64).toarray() if scipy.sparse.issparse(matrix)
+             else np.asarray(matrix, dtype=np.float64))
     spots_file = path.with_suffix(".spots.txt")
     genes_file = path.with_suffix(".genes.txt")
     for sidecar in (spots_file, genes_file):

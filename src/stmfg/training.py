@@ -178,6 +178,10 @@ class TrainLog:
         Path(path).write_text(self.to_table(), encoding="utf-8")
 
 
+# Adam's moment decay rates and the guard added to the step's denominator.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; L2 weight decay is added to the gradient
     before the moment updates (coupled form). A second moment that leaves
@@ -186,7 +190,6 @@ class Adam:
     parameters in that message (default: their positions)."""
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  names: list[str] | None = None):
         self.params = list(params)
         self.names = [f"parameter {i}" for i in range(len(self.params))] \
@@ -195,9 +198,6 @@ class Adam:
             raise ContractError(f"{len(self.names)} names for {len(self.params)} parameters")
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -207,8 +207,8 @@ class Adam:
             if p.grad is None:
                 raise ContractError("adam step before gradients were populated")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         # One call-scoped scratch pair, sized by the largest parameter,
         # holds every temporary of every update.
         size = max((p.data.size for p in self.params), default=0)
@@ -223,17 +223,17 @@ class Adam:
                 # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
                 # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
                 # operation, so every update is bitwise that of the expression.
-                m *= self.beta1
-                m += np.multiply(1.0 - self.beta1, g, out=b)
-                v *= self.beta2
-                v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=b), out=b)
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+                v *= ADAM_BETA2
+                v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
                 # v >= 0, and max propagates NaN: one reduction, no mask
                 if not math.isfinite(v.max(initial=0.0)):
                     raise NumericError(f"Adam step {self.t}: the second moment of {name} is "
                                        "not finite (its squared gradient, weight decay "
                                        "included, overflowed)")
                 step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
-                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
                 p.data -= np.divide(step, denom, out=a)
 
     def zero_grad(self) -> None:

@@ -488,9 +488,17 @@ def _allocating_through_row_norm(g, x, norm):
     return g / norm - x * gx / (norm ** 3)
 
 
+def lane_order(rows):
+    """(lane, first row) of each ad.PAIRWISE_TILE-row tile of ``rows`` rows:
+    tile i is in lane i mod 2, and lane 0's tiles come first, in order."""
+    starts = list(range(0, rows, ad.PAIRWISE_TILE))
+    return [(lane, r0) for lane in (0, 1) for r0 in starts[lane::2]]
+
+
 def allocating_cross_view_contrastive(a, b, tau):
     """ad.cross_view_contrastive with a fresh block per tile, a fresh
-    product per tile and an allocating gradient tail."""
+    product per tile and an allocating gradient tail; every sum across
+    tiles is grouped by lane, and lane 0's sum comes first."""
     n = a.rows
     items = 2 * n
     inv_tau = 1.0 / tau
@@ -499,9 +507,9 @@ def allocating_cross_view_contrastive(a, b, tau):
     y = np.concatenate([a.data, b.data]) / norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)
-    gy, gy_t = np.zeros_like(y), np.zeros_like(y_t)
-    total = 0.0
-    for r0 in range(0, items, ad.PAIRWISE_TILE):
+    gy_t = [np.zeros_like(y_t), np.zeros_like(y_t)]
+    sums = [0.0, 0.0]
+    for lane, r0 in lane_order(items):
         rows = np.arange(min(ad.PAIRWISE_TILE, items - r0))
         own = rows + r0
         span = slice(r0, r0 + rows.size)
@@ -513,11 +521,12 @@ def allocating_cross_view_contrastive(a, b, tau):
         block -= m[:, None]
         np.exp(block, out=block)
         den = block.sum(axis=1)
-        total += np.sum(np.log(den) - (s_pos - m))
+        sums[lane] += np.sum(np.log(den) - (s_pos - m))
         w = inv_tau / den
-        gy[span] += w[:, None] * (block @ y)
-        gy_t += (tile * w[:, None]).T @ block
-    gy += gy_t.T
+        gy_t[lane][:, span] += (w[:, None] * (block @ y)).T
+        gy_t[lane] += (tile * w[:, None]).T @ block
+    total = sums[0] + sums[1]
+    gy = (gy_t[0] + gy_t[1]).T
     gy -= (2.0 * inv_tau) * y[pos]
     grad = coef * _allocating_through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
 
@@ -530,21 +539,23 @@ def allocating_cross_view_contrastive(a, b, tau):
 
 def allocating_cosine_link_loss(z, adj):
     """ad.cosine_link_loss with fresh block, log1p and 1 + block arrays
-    per tile and an allocating gradient tail."""
+    per tile and an allocating gradient tail; the loss sum is grouped by
+    lane, lane 0 then lane 1."""
     csr = adj.csr()
     n = z.rows
     norm = ad._guarded_norms(z.data)
     u = z.data / norm
     u_t = np.ascontiguousarray(u.T)
     gu = np.zeros_like(u)
-    total = 0.0
-    for r0 in range(0, n, ad.PAIRWISE_TILE):
+    sums = [0.0, 0.0]
+    for lane, r0 in lane_order(n):
         rows = np.arange(min(ad.PAIRWISE_TILE, n - r0))
         block = np.exp(u[r0:r0 + rows.size] @ u_t)
         block[rows, rows + r0] = 0.0
-        total += np.log1p(block).sum()
+        sums[lane] += np.log1p(block).sum()
         block /= 1.0 + block
         gu[r0:r0 + rows.size] += block @ u
+    total = sums[0] + sums[1]
     adj_u = csr @ u
     total -= np.sum(u * adj_u)
     grad = _allocating_through_row_norm(2.0 * gu - adj_u - csr.T @ u, z.data, norm)
@@ -1349,13 +1360,14 @@ class TestPairwiseWorkspace:
     ], ids=["contrastive", "link"])
     def test_bitwise_at_any_worker_count(self, op, reference, case, workers, monkeypatch):
         """Value and gradients are bitwise those of the serial allocating
-        body at 1, 2 and 3 workers: with a last tile (and wave) shorter than
-        the rest, with a single tile, and on both sides of the column gate.
-        The worker count is set here and the gate lifted for the first two
+        body at 1, 2 and 3 workers: with a last tile shorter than the rest,
+        with a single tile, and on both sides of the column gate. The
+        worker count is set here and the gate lifted for the first two
         cases, so the pooled path runs on any host; it runs exactly when
         the call has more than one tile, a block at least as wide as the
-        gate and more than one worker. The interpreter switches threads
-        every microsecond meanwhile, so the threads' Python steps
+        gate and more than one worker, and then submits exactly one task
+        per call (the link pair makes two calls). The interpreter switches
+        threads every microsecond meanwhile, so the threads' Python steps
         interleave as finely as they can."""
         per_row = 2 if op is ad.cross_view_contrastive else 1  # block columns per row
         gate = ad.PAIRWISE_POOL_COLS
@@ -1383,7 +1395,9 @@ class TestPairwiseWorkspace:
         np.testing.assert_array_equal(out, ref)
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
-        assert bool(submitted) == (workers > 1 and case in ("uneven", "above-gate"))
+        pooled = workers > 1 and case in ("uneven", "above-gate")
+        calls = 1 if op is ad.cross_view_contrastive else 2
+        assert len(submitted) == (calls if pooled else 0)
 
     @pytest.mark.parametrize("op,bound_mib", [
         ("contrastive", 24.0),
@@ -1391,11 +1405,12 @@ class TestPairwiseWorkspace:
     ])
     def test_peak_of_forward_and_backward(self, op, bound_mib, monkeypatch):
         """At 2500 x 64 on two workers a forward and backward peaks at two
-        tile blocks (a 96 x 2n block is 3.7 MiB, 96 x n is 1.8 MiB), one
-        scratch of the same size or a d x 2n product per worker, and a few
-        embedding-sized arrays. With one 256-row workspace the peaks were
-        22.4 and 13.6 MiB; with a fresh block per tile (the previous one
-        still bound) and allocating tails, 29.5 and 18.3 MiB."""
+        tile blocks (a 96 x 2n block is 3.7 MiB, 96 x n is 1.8 MiB), a
+        scratch of the same size per lane for the link loss or a 2n x d
+        product and a 2n x d sum per lane for the contrastive one, and a
+        few embedding-sized arrays. With one 256-row workspace the peaks
+        were 22.4 and 13.6 MiB; with a fresh block per tile (the previous
+        one still bound) and allocating tails, 29.5 and 18.3 MiB."""
         monkeypatch.setattr(ad, "PAIRWISE_WORKERS", 2)
         a, b, _ = self.pairwise_problem(2500, 64, 52)
         n = 2500

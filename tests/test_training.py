@@ -628,9 +628,10 @@ def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
     """The traced benchmark run wraps the names in ``LAYER_HOOKS`` of
     ``perfbench/child.py``: each must exist, and each ``stmfg.training``
     name must be looked up through the module global by a default epoch,
-    or its span silently stays empty. ``perfbench/plateau.py`` calls
-    ``run_epoch`` and other ``stmfg.training`` names positionally: every
-    such call must bind to the current signature."""
+    or its span silently stays empty; ``Adam.step`` is wrapped too.
+    ``perfbench/plateau.py`` calls ``run_epoch``, ``Adam`` and other
+    ``stmfg.training`` names: every such call must bind to the current
+    signature."""
     source, plateau = load_perfbench("plateau")
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom) and node.module == "stmfg.training"
@@ -639,6 +640,7 @@ def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in imported]
     assert sum(call.func.id == "run_epoch" for call in calls) == 2
+    assert any(call.func.id == "Adam" for call in calls)
     assert plateau.run_epoch is training.run_epoch
     for call in calls:
         signature = inspect.signature(getattr(training, call.func.id))
@@ -649,6 +651,7 @@ def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
     _, child = load_perfbench("child")
     for module, attr, *_ in child.LAYER_HOOKS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    assert callable(getattr(training.Adam, "step", None))
 
     hooked = {attr for module, attr, *_ in child.LAYER_HOOKS if module == "stmfg.training"}
     assert hooked  # the training stages are traced
