@@ -11,19 +11,21 @@ and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
 gradient ever flows into graph structure or counts. Each op checks its
 own operands: shapes (the counts against the decoded shape too),
 domains, and that the link loss's adjacency is symmetric with a zero
-diagonal. The ZINB target keeps each row block's positive entries as a
-packed bit mask and their counts; the ZINB node allocates one workspace
-per call, sized by its largest row block, runs every block in it in
-place, in five block planes, with the mask expanded into entry positions
-in one of them, and drops it on return; each head entry takes a single
-exp, shared by an activation and the derivative it needs.
+diagonal. The ZINB target keeps each tile's positive entries as a packed
+bit mask and their counts; the ZINB node allocates one workspace per lane
+per call, sized by its largest tile, runs every tile in it in place, in
+five tile planes, with the mask expanded into entry positions in one of
+them, and drops it on return; each head entry takes a single exp, shared
+by an activation and the derivative it needs.
 
 Each fused loss node forms its value and gradients in one pass; its
-backward hands the gradients on, scaled by the upstream gradient. The two
-pairwise nodes walk fixed row tiles in two fixed lanes, tile i in lane
-i mod 2; each lane sums its own tiles and lane 0's sums are added to lane
-1's, so the bits do not depend on whether a wide block runs lane 1 on a
-second thread. The ZINB node runs its blocks on the calling thread.
+backward hands the gradients on, scaled by the upstream gradient. The
+three fused loss nodes deal their steps to two fixed lanes: the pairwise
+nodes walk fixed row tiles, tile i in lane i mod 2, and the ZINB node
+walks its target's row blocks, split at 2048 genes and more into two gene
+halves, one per lane. Each lane sums its own steps and lane 0's sums are
+added to lane 1's, so the bits do not depend on whether a wide call runs
+lane 1 on a second thread.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -58,17 +60,21 @@ NORM_EPS = 1e-12
 # the bits of a result never depend on that count.
 PAIRWISE_TILE = 96
 
-# Threads the pairwise tiles run on, the calling thread included: at most
-# two, and no more than the process may use. At d = 64 two 96-row
-# workspaces hold what one 256-row workspace did.
-PAIRWISE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                       else os.cpu_count() or 1)
+# Threads the two lanes of a fused node run on, the calling thread
+# included: at most two, and no more than the process may use. At d = 64
+# two 96-row pairwise workspaces hold what one 256-row workspace did.
+LANE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
-# A pairwise call whose block is narrower than this many columns runs on
-# the calling thread alone, so a run of fewer than 1024 spots starts no
-# thread. On a 2-vCPU VM a pooled call at 1800 columns ran 1.2-1.5x faster
-# while the second vCPU was free and 4-14% slower while it was not.
-PAIRWISE_POOL_COLS = 2048
+# A fused node runs both lanes on the calling thread when its block is
+# narrower than this many columns: a pairwise block of fewer (2n for the
+# contrastive node, n for the link node), or a ZINB target of fewer genes,
+# which then keeps one gene lane. So a run of fewer than 1024 spots at
+# fewer than 2048 genes starts no thread. On a 2-vCPU VM a pooled pairwise
+# call at 1800 columns ran 1.2-1.5x faster while the second vCPU was free
+# and 4-14% slower while it was not; two gene lanes at 200 genes ran the
+# ZINB node about 10% slower even inline.
+LANE_POOL_COLS = 2048
 
 # Rows per step of the fused ZINB decoder node: a block holds at most
 # ZINB_ROW_BLOCK rows and at most ZINB_BLOCK_ENTRIES entries (at least one
@@ -379,6 +385,38 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
+# two fixed lanes
+
+
+def _lanes(work: tuple[Sequence, Sequence], wide: bool, workspace: Callable[[], tuple],
+           body: Callable[..., float]) -> float:
+    """Run each lane's ``work`` in order, lane k over ``work[k]``, as
+    ``total = body(total, item, k, *space)`` from a total of zero, and
+    return lane 0's total plus lane 1's.
+
+    With LANE_WORKERS above one, a ``wide`` call and work in lane 1, lane 1
+    is one pool task, run in a copy of the caller's context (so numpy's
+    error state holds there too), and each lane owns a ``workspace()``;
+    otherwise the calling thread runs lane 0 and then lane 1 in one.
+    ``body`` writes only its own outputs or its lane's own sums, so every
+    bit is the same at any worker count.
+    """
+
+    def lane(k, space):
+        total = 0.0
+        for item in work[k]:
+            total = body(total, item, k, *space)
+        return total
+
+    if LANE_WORKERS > 1 and wide and work[1]:
+        with ThreadPoolExecutor(1) as pool:
+            second = pool.submit(contextvars.copy_context().run, lane, 1, workspace())
+            return lane(0, workspace()) + second.result()
+    space = workspace()
+    return lane(0, space) + lane(1, space)
+
+
+# ---------------------------------------------------------------------------
 # fused pairwise losses
 #
 # Both ops reduce all-pairs cosine similarities of row-normalized
@@ -387,35 +425,11 @@ class SparseMatrix:
 # O(tile * n) and backward is one scaling.
 
 
-def _lanes(rows: int, cols: int, workspace: Callable[[int], tuple],
-           body: Callable[..., float]) -> float:
-    """Run ``body(span, lane, *space)`` over the PAIRWISE_TILE-row spans of
-    ``rows`` rows of a ``cols``-wide block, span i in lane i mod 2, and
-    return the sum of the results: each lane's in span order, then lane 0's
-    plus lane 1's.
-
-    With PAIRWISE_WORKERS above one, a block at least PAIRWISE_POOL_COLS
-    wide and more than one span, lane 1 is one pool task, run in a copy of
-    the caller's context (so numpy's error state holds there too), and
-    each lane owns a ``workspace(tile_rows)``; otherwise the calling thread
-    runs lane 0 and then lane 1 in one. ``body`` writes only its own rows
-    or its lane's own sums, so every bit is the same at any worker count.
-    """
+def _row_tiles(rows: int) -> tuple[list[slice], list[slice]]:
+    """The PAIRWISE_TILE-row spans of ``rows`` rows in their two lanes,
+    span i in lane i mod 2."""
     spans = [slice(r0, min(r0 + PAIRWISE_TILE, rows)) for r0 in range(0, rows, PAIRWISE_TILE)]
-    size = min(PAIRWISE_TILE, rows)
-
-    def lane(k, space):
-        total = 0.0
-        for span in spans[k::2]:
-            total += body(span, k, *space)
-        return total
-
-    if PAIRWISE_WORKERS > 1 and cols >= PAIRWISE_POOL_COLS and len(spans) > 1:
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(contextvars.copy_context().run, lane, 1, workspace(size))
-            return lane(0, workspace(size)) + second.result()
-    space = workspace(size)
-    return lane(0, space) + lane(1, space)
+    return spans[0::2], spans[1::2]
 
 
 def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
@@ -457,7 +471,7 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     # G^T y product on contiguous operands.
     gy_t = [np.zeros_like(y_t), np.zeros_like(y_t)]
 
-    def tile(span, lane, block_buf, prod):
+    def tile(total, span, lane, block_buf, prod):
         rows = np.arange(span.stop - span.start)
         own = rows + span.start
         part = y[span]
@@ -474,10 +488,11 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         g = gy_t[lane]
         g[:, span] += (w[:, None] * (block @ y)).T
         g += np.matmul((part * w[:, None]).T, block, out=prod)
-        return np.sum(np.log(den) - (s_pos - m))
+        return total + np.sum(np.log(den) - (s_pos - m))
 
-    total = _lanes(items, items, lambda size: (np.empty((size, items)), np.empty_like(y_t)),
-                   tile)
+    size = min(PAIRWISE_TILE, items)
+    total = _lanes(_row_tiles(items), items >= LANE_POOL_COLS,
+                   lambda: (np.empty((size, items)), np.empty_like(y_t)), tile)
     del y_t
     gy_t[0] += gy_t[1]
     gy = np.ascontiguousarray(gy_t[0].T)
@@ -522,7 +537,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
     u_t = np.ascontiguousarray(u.T)
     gu = np.zeros_like(u)
 
-    def tile(span, lane, block_buf, scratch_buf):
+    def tile(total, span, lane, block_buf, scratch_buf):
         rows = np.arange(span.stop - span.start)
         block = np.matmul(u[span], u_t, out=block_buf[:rows.size])
         scratch = scratch_buf[:rows.size]
@@ -531,9 +546,11 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         part = np.log1p(block, out=scratch).sum()
         block /= np.add(1.0, block, out=scratch)  # sigmoid(s), still zero on the diagonal
         gu[span] += block @ u
-        return part
+        return total + part
 
-    total = _lanes(n, n, lambda size: (np.empty((size, n)), np.empty((size, n))), tile)
+    size = min(PAIRWISE_TILE, n)
+    total = _lanes(_row_tiles(n), n >= LANE_POOL_COLS,
+                   lambda: (np.empty((size, n)), np.empty((size, n))), tile)
     del u_t
 
     adj_u = adj.csr() @ u
@@ -556,17 +573,23 @@ class ZinbTarget:
     nonnegative, and integer when ``require_integer`` (without it the
     factorial term generalizes to lgamma(x + 1), which admits the
     non-integer targets produced by preprocessing). It holds the matrix's
-    ``shape``; its ``blocks``, one per ZINB_ROW_BLOCK rows, or fewer so that
-    a block holds at most ZINB_BLOCK_ENTRIES entries, each ``(start, stop,
-    mask, x_pos)`` with rows start:stop's positive entries as a packed bit
-    mask (``np.packbits``, one bit per entry in row-major order) and the
-    positive counts themselves, in that order; and ``log_x_fact``, sum
-    lgamma(x + 1), which a zero count adds nothing to. The constants take
-    about 0.44 count-sized buffers at 58% zeros; the decoder node expands a
-    block's mask into entry positions when it reaches the block.
+    ``shape``; its ``lanes``, the tiles of the node's two fixed lanes; and
+    ``log_x_fact``, sum lgamma(x + 1), which a zero count adds nothing to.
+
+    A row block holds ZINB_ROW_BLOCK rows, or fewer so that it holds at
+    most ZINB_BLOCK_ENTRIES entries. With at least LANE_POOL_COLS genes
+    each block is two tiles, genes [0, ceil(genes / 2)) in lane 0 and the
+    rest in lane 1; with fewer it is one tile in lane 0 and lane 1 is
+    empty. A lane lists its tiles in row order, each ``(start, stop, lo,
+    hi, mask, x_pos)`` with the positive entries of rows start:stop and
+    genes lo:hi as a packed bit mask (``np.packbits``, one bit per entry in
+    row-major order) and the positive counts themselves, in that order.
+    The constants take about 0.44 count-sized buffers at 58% zeros; the
+    decoder node expands a tile's mask into entry positions when it reaches
+    the tile.
     """
 
-    __slots__ = ("shape", "blocks", "log_x_fact")
+    __slots__ = ("shape", "lanes", "log_x_fact")
 
     def __init__(self, counts, require_integer: bool = True):
         counts = np.asarray(counts, dtype=np.float64)
@@ -583,15 +606,19 @@ class ZinbTarget:
         self.shape = counts.shape
         n, genes = counts.shape
         rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // genes))
-        self.blocks = []
+        half = (genes + 1) // 2 if genes >= LANE_POOL_COLS else genes
+        self.lanes = ([], [])
         self.log_x_fact = 0.0
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            flat = np.ravel(counts[start:stop])
-            positive = flat != 0
-            x_pos = flat[positive]
-            self.log_x_fact += _gammaln(x_pos + 1.0).sum()
-            self.blocks.append((start, stop, np.packbits(positive), x_pos))
+            for tiles, lo, hi in ((self.lanes[0], 0, half), (self.lanes[1], half, genes)):
+                if lo == hi:
+                    continue
+                flat = np.ravel(counts[start:stop, lo:hi])
+                positive = flat != 0
+                x_pos = flat[positive]
+                self.log_x_fact += _gammaln(x_pos + 1.0).sum()
+                tiles.append((start, stop, lo, hi, np.packbits(positive), x_pos))
 
 
 # Bits of a count mask unpacked at a time, a multiple of 8 so that every
@@ -732,28 +759,34 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         mu    = exp(clamp(hidden w + b, +-MEAN_LOGIT_CLAMP))
         theta = softplus(hidden w + b) + DISPERSION_FLOOR.
 
-    Each block of rows forms its pre-activations, the likelihood and its
-    gradients chained through the activations (zero where the unclamped
-    pre-activation is past a clamp), folded into the hidden-row, weight
-    and bias gradients: no n-by-genes array is ever formed.
+    Each tile of the target's lanes forms its pre-activations, the
+    likelihood and its gradients chained through the activations (zero
+    where the unclamped pre-activation is past a clamp), folded into the
+    hidden-row, weight and bias gradients: no n-by-genes array is ever
+    formed.
 
-    The call allocates one workspace up front, sized by the largest block,
-    and every block writes into it in place: five block planes, seven rows
-    of scratch for the positive and zero entries (which also take each
-    head's hidden-by-genes weight-gradient term once the likelihood is
-    done), and three boolean planes. The dropout and mean planes each hold
-    a pre-activation, then the activation, then the gradient, with the
-    entries inside the clamp kept as a boolean plane; the dispersion's
-    pre-activation plane ends as sigmoid(pre-activation), softplus's
-    derivative, while theta and then its gradient take a plane of their
-    own. The fifth plane is the exp scratch; once the activations are
-    formed it takes the block's entry positions, expanded from its count
-    mask, positive ones first. The workspace is dropped on return; the
+    The tiles run in ``_lanes``, each lane's in row order. A lane writes
+    only its own genes' columns of the head weight and bias gradients, and
+    sums its own loss and its own hidden-row gradient, lane 1's in an
+    array of its own that is then added to lane 0's; so the bits depend on
+    the target's lanes, never on the worker count. A lane's workspace is
+    sized by the largest tile and every tile writes into it in place: five
+    tile planes, seven rows of scratch for the positive and zero entries
+    (which also take each head's hidden-by-genes weight-gradient term once
+    the likelihood is done), and three boolean planes. The dropout and mean
+    planes each hold a pre-activation, then the activation, then the
+    gradient, with the entries inside the clamp kept as a boolean plane;
+    the dispersion's pre-activation plane ends as sigmoid(pre-activation),
+    softplus's derivative, while theta and then its gradient take a plane
+    of their own. The fifth plane is the exp scratch; once the activations
+    are formed it takes the tile's entry positions, expanded from its count
+    mask, positive ones first. The workspaces are dropped on return; the
     backward closure holds only the leaf gradients. Each head entry takes
     one exp: with e = exp(-|c|), sigmoid(c) is where(c >= 0, 1, e) / (1 + e),
     and softplus(c) = log1p(e) + max(c, 0) keeps its e for sigmoid(c), its
     derivative. The in-place steps keep the operation order of the plain
-    array expressions, so values and gradients are bitwise the same.
+    array expressions, grouped by lane, so values and gradients are bitwise
+    the same.
     """
     for w, b in heads:
         if w.rows != hidden.cols or b.data.shape != (1, w.cols) or w.cols != heads[0][0].cols:
@@ -764,27 +797,32 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     if target.shape != (hidden.rows, genes):
         raise DimensionError(f"zinb_decoder_nll: decoded ({hidden.rows}, {genes}) "
                              f"vs counts {target.shape}")
-    blocks = target.blocks
+    lanes = target.lanes
     coef = -1.0 / (hidden.rows * genes)
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves]
+    g_hidden = (g_leaves[0], np.zeros(hidden.data.shape) if lanes[1] else None)
 
-    rows = max(stop - start for start, stop, *_ in blocks)
-    planes = np.empty((5, rows, genes))
-    branch = max(max(x.size, (stop - start) * genes - x.size) for start, stop, _, x in blocks)
-    scratch = np.empty(max(7 * branch, hidden.cols * genes))
-    sub = scratch[:7 * branch].reshape(7, branch)
-    gram = scratch[:hidden.cols * genes].reshape(hidden.cols, genes)
-    bool_planes = np.empty((3, rows * genes), dtype=bool)
+    tiles = lanes[0] + lanes[1]
+    size = max((stop - start) * (hi - lo) for start, stop, lo, hi, *_ in tiles)
+    branch = max(max(x.size, (stop - start) * (hi - lo) - x.size)
+                 for start, stop, lo, hi, _, x in tiles)
+    width = max(hi - lo for _, _, lo, hi, *_ in tiles)
 
-    total = 0.0
-    for start, stop, mask, x in blocks:
+    def workspace():
+        return (np.empty((5, size)), np.empty(max(7 * branch, hidden.cols * width)),
+                np.empty((3, size), dtype=bool))
+
+    def tile(total, item, lane, planes, scratch, bool_planes):
+        start, stop, lo, hi, mask, x = item
+        cols = slice(lo, hi)
         h = hidden.data[start:stop]
-        p, m, t, pre_t, e = planes[:, :stop - start]
-        flags, keep_p, keep_m = (b[:p.size].reshape(p.shape) for b in bool_planes)
+        shape = (stop - start, hi - lo)
+        p, m, t, pre_t, e = planes[:, :shape[0] * shape[1]].reshape(5, *shape)
+        flags, keep_p, keep_m = (b[:p.size].reshape(shape) for b in bool_planes)
         for (w, b), pre in zip(heads, (p, m, pre_t)):
-            np.matmul(h, w.data, out=pre)
-            pre += b.data
+            np.matmul(h, w.data[:, cols], out=pre)
+            pre += b.data[:, cols]
         # the gradient passes where the pre-activation is within its clamp
         np.less_equal(np.abs(p, out=e), DROPOUT_LOGIT_CLAMP, out=keep_p)
         np.less_equal(np.abs(m, out=e), MEAN_LOGIT_CLAMP, out=keep_m)
@@ -801,18 +839,25 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         t += np.maximum(pre_t, 0.0, out=pre_t)
         t += DISPERSION_FLOOR
         _sigmoid_into(pre_t, e, flags)  # sigmoid(pre_t), softplus's derivative
-        # e is free from here on and holds exactly the block's entries
+        # e is free from here on and holds exactly the tile's entries
         positions = e.reshape(-1).view(np.intp)
         _mask_positions(mask, p.size, x.size, positions)
         total = _zinb_block(total, (p, m, t), positions[:x.size], x, positions[x.size:],
-                            coef, sub, bool_planes[0])
+                            coef, scratch[:7 * branch].reshape(7, branch), bool_planes[0])
         p *= keep_p
         m *= keep_m
         t *= pre_t  # now sigmoid(pre_t)
+        gram = scratch[:hidden.cols * shape[1]].reshape(hidden.cols, shape[1])
         for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], (p, m, t)):
-            g_w += np.matmul(h.T, g, out=gram)
-            g_b += g.sum(axis=0, keepdims=True)
-        g_leaves[0][start:stop] = p @ w_p.data.T + m @ w_m.data.T + t @ w_t.data.T
+            g_w[:, cols] += np.matmul(h.T, g, out=gram)
+            g_b[:, cols] += g.sum(axis=0, keepdims=True)
+        g_hidden[lane][start:stop] = (p @ w_p.data[:, cols].T + m @ w_m.data[:, cols].T
+                                      + t @ w_t.data[:, cols].T)
+        return total
+
+    total = _lanes(lanes, genes >= LANE_POOL_COLS, workspace, tile)
+    if lanes[1]:
+        g_leaves[0] += g_hidden[1]
     return _fused_loss(coef * (total - target.log_x_fact), leaves, g_leaves)
 
 

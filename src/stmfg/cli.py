@@ -189,6 +189,9 @@ def _prepare(args, cfg: TrainConfig, pipeline: PipelineSettings):
     if not args.expression or not args.coords:
         raise ContractError("--expression and --coords are required")
     dataset = load_dataset(args.expression, args.coords, args.labels)
+    if cfg.knn_k >= dataset.n_spots:
+        raise ContractError(f"knn_k={cfg.knn_k} must be less than the number of spots, "
+                            f"{dataset.n_spots}")
     dataset = preprocess(dataset, min_spots=pipeline.min_spots, n_hvg=pipeline.n_hvg)
     if cfg.zinb_target != "counts":
         # only the counts target reads the raw matrix after preprocessing

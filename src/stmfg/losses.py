@@ -14,12 +14,13 @@ the single-spot case is exactly zero.
 
 The ZINB term is one fused node too (``zinb_decoder_nll``), from the
 decoder's hidden layer on: per block of rows (at most ``ZINB_ROW_BLOCK``
-rows and ``ZINB_BLOCK_ENTRIES`` entries) it applies the three heads, runs
-lgamma and digamma on the positive counts only and the mixture on the
-zero counts only, and chains the closed-form gradients through the heads
-in the same pass. Its count constants (checks, each block's bit mask of
-positive entries and their counts, sum lgamma(x + 1)) live in an
-``autodiff.ZinbTarget``, which training builds once per run.
+rows and ``ZINB_BLOCK_ENTRIES`` entries), split into two gene halves from
+2048 genes on, it applies the three heads, runs lgamma and digamma on the
+positive counts only and the mixture on the zero counts only, and chains
+the closed-form gradients through the heads in the same pass. Its count
+constants (checks, each tile's bit mask of positive entries and their
+counts, sum lgamma(x + 1)) live in an ``autodiff.ZinbTarget``, which
+training builds once per run.
 
 The engine's ops check their own operands (shapes, the temperature, the
 counts against the decoded shape, the adjacency's zero diagonal), so the

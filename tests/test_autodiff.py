@@ -251,13 +251,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def count_blocks(target):
-    """Each block of ``target`` as (start, stop, pos, x, zero): the flat
-    positions within the block of its positive and of its zero counts,
-    ascending, and the positive counts."""
-    for start, stop, mask, x in target.blocks:
-        positive = np.unpackbits(mask, count=(stop - start) * target.shape[1]).astype(bool)
-        yield start, stop, np.flatnonzero(positive), x, np.flatnonzero(~positive)
+def count_tiles(target):
+    """Each tile of ``target``, lane 0's and then lane 1's, in row order,
+    as (lane, start, stop, lo, hi, pos, x, zero): the flat positions within
+    the tile of its positive and of its zero counts, ascending, and the
+    positive counts. Each tile's genes are its lane's half of ``gene_lanes``."""
+    lanes = gene_lanes(target.shape[1])
+    for lane, tiles in enumerate(target.lanes):
+        for start, stop, lo, hi, mask, x in tiles:
+            assert (lo, hi) == lanes[lane]
+            positive = np.unpackbits(mask, count=(stop - start) * (hi - lo)).astype(bool)
+            yield lane, start, stop, lo, hi, np.flatnonzero(positive), x, np.flatnonzero(~positive)
 
 
 def _zinb_block(total: float, pi: np.ndarray, mu: np.ndarray, theta: np.ndarray,
@@ -325,15 +329,16 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
     want_grad = any(tensor.requires_grad for tensor in leaves)
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
-    total = 0.0
-    for start, stop, pos, x, zero in count_blocks(target):
+    sums = [0.0, 0.0]
+    g_hidden = [np.zeros(hidden.data.shape), np.zeros(hidden.data.shape)]
+    for lane, start, stop, lo, hi, pos, x, zero in count_tiles(target):
         h = hidden.data[start:stop]
-        pre_p, pre_m, pre_t = (h @ w.data + b.data for w, b in heads)
+        pre_p, pre_m, pre_t = (h @ w.data[:, lo:hi] + b.data[:, lo:hi] for w, b in heads)
         p = _sigmoid(np.clip(pre_p, -ad.DROPOUT_LOGIT_CLAMP, ad.DROPOUT_LOGIT_CLAMP))
         m = np.exp(np.clip(pre_m, -ad.MEAN_LOGIT_CLAMP, ad.MEAN_LOGIT_CLAMP))
         t = np.where(pre_t > 0.0, pre_t + np.log1p(np.exp(-np.abs(pre_t))),
                      np.log1p(np.exp(-np.abs(pre_t)))) + ad.DISPERSION_FLOOR
-        total, grads = _zinb_block(total, p, m, t, pos, x, zero, coef, want_grad)
+        sums[lane], grads = _zinb_block(sums[lane], p, m, t, pos, x, zero, coef, want_grad)
         if not want_grad:
             continue
         g_p, g_m, g_t = grads
@@ -344,9 +349,13 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
         g_m *= np.abs(pre_m) <= ad.MEAN_LOGIT_CLAMP
         g_t *= _sigmoid(pre_t)
         for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
-            g_w += h.T @ g
-            g_b += g.sum(axis=0, keepdims=True)
-        g_leaves[0][start:stop] = g_p @ w_p.data.T + g_m @ w_m.data.T + g_t @ w_t.data.T
+            g_w[:, lo:hi] += h.T @ g
+            g_b[:, lo:hi] += g.sum(axis=0, keepdims=True)
+        g_hidden[lane][start:stop] = (g_p @ w_p.data[:, lo:hi].T + g_m @ w_m.data[:, lo:hi].T
+                                      + g_t @ w_t.data[:, lo:hi].T)
+    total = sums[0] + sums[1]
+    if want_grad:
+        g_leaves[0] = g_hidden[0] + g_hidden[1]
 
     def backward_fn(g, accum):
         for tensor, grad in zip(leaves, g_leaves):
@@ -408,14 +417,15 @@ def zinb_mean_nll(pi, mu, theta, target):
     coef = -1.0 / pi.data.size
     want_grad = pi.requires_grad or mu.requires_grad or theta.requires_grad
     grads = [np.empty(pi.data.shape) for _ in range(3)] if want_grad else None
-    total = 0.0
-    for start, stop, pos, x, zero in count_blocks(target):
-        total, block_grads = _zinb_block(
-            total, *(t.data[start:stop] for t in (pi, mu, theta)), pos, x, zero, coef,
-            want_grad)
+    sums = [0.0, 0.0]
+    for lane, start, stop, lo, hi, pos, x, zero in count_tiles(target):
+        sums[lane], block_grads = _zinb_block(
+            sums[lane], *(t.data[start:stop, lo:hi] for t in (pi, mu, theta)), pos, x, zero,
+            coef, want_grad)
         if want_grad:
             for grad, block_grad in zip(grads, block_grads):
-                grad[start:stop] = block_grad
+                grad[start:stop, lo:hi] = block_grad
+    total = sums[0] + sums[1]
 
     def backward_fn(g, accum):
         for t, grad in zip((pi, mu, theta), grads):
@@ -493,6 +503,16 @@ def lane_order(rows):
     tile i is in lane i mod 2, and lane 0's tiles come first, in order."""
     starts = list(range(0, rows, ad.PAIRWISE_TILE))
     return [(lane, r0) for lane in (0, 1) for r0 in starts[lane::2]]
+
+
+def gene_lanes(genes):
+    """(lo, hi) of each gene lane of a ``genes``-wide ZINB target: from
+    ad.LANE_POOL_COLS genes on, the first ceil(genes / 2) genes in lane 0
+    and the rest in lane 1; below it, every gene in lane 0."""
+    if genes < ad.LANE_POOL_COLS:
+        return [(0, genes)]
+    half = (genes + 1) // 2
+    return [(0, half), (half, genes)]
 
 
 def allocating_cross_view_contrastive(a, b, tau):
@@ -1087,7 +1107,7 @@ class TestZinbDecoderNll:
             target = ad.ZinbTarget(counts)
         else:
             target = ad.ZinbTarget(np.log1p(0.37 * counts), require_integer=False)
-        layout = [(pos.size, zero.size) for _, _, pos, _, zero in count_blocks(target)]
+        layout = [(pos.size, zero.size) for *_, pos, _, zero in count_tiles(target)]
         assert all((a + b) % 8 for a, b in layout)
         if block < 4:
             assert layout[0][0] == 0 and layout[-2][1] == 0
@@ -1124,7 +1144,7 @@ class TestZinbDecoderNll:
         pi[0, :3], mu[0, :3], theta[0, :3] = 0.0, 1e6, 1000.0
         counts = rng.poisson(1.5, shape).astype(float)
         counts[0, :3] = 0.0
-        ((_, _, pos, x, zero),) = count_blocks(ad.ZinbTarget(counts))
+        ((*_, pos, x, zero),) = count_tiles(ad.ZinbTarget(counts))
         coef = -1.0 / pi.size
         want_total, want = _zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, True)
         want[0] *= pi
@@ -1155,23 +1175,25 @@ class TestZinbDecoderNll:
         return counts, target, hidden, heads
 
     def test_count_constants_are_compact(self):
-        """Each block keeps one bit per entry and its positive counts, so the
+        """Each tile keeps one bit per entry and its positive counts, so the
         constants held for a run take at most half a count-sized buffer
         (about 0.44 at 58% zeros; 0.92 with int32 indices of both kinds).
-        The counts rebuilt from the blocks are the counts."""
+        The counts rebuilt from the two gene lanes' tiles are the counts."""
         counts, target, _, _ = self.wide_problem()
-        held = sum(mask.nbytes + x.nbytes for _, _, mask, x in target.blocks)
+        held = sum(mask.nbytes + x.nbytes for tiles in target.lanes for *_, mask, x in tiles)
         assert held <= 0.5 * counts.nbytes, f"constants {held / counts.nbytes:.2f} buffers"
+        assert [len(tiles) for tiles in target.lanes] == [11, 11]
         rebuilt = np.full(counts.shape, np.nan)
-        for start, stop, pos, x, zero in count_blocks(target):
-            block = rebuilt[start:stop].reshape(-1)
-            block[pos], block[zero] = x, 0.0
+        for _, start, stop, lo, hi, pos, x, zero in count_tiles(target):
+            tile = np.full((stop - start) * (hi - lo), np.nan)
+            tile[pos], tile[zero] = x, 0.0
+            rebuilt[start:stop, lo:hi] = tile.reshape(stop - start, hi - lo)
         np.testing.assert_array_equal(rebuilt, counts)
 
     def test_wide_problem_matches_allocating_reference_bitwise(self):
-        """At 900 x 3000 (87-row blocks, each mask expanded in eight chunks,
-        the last one partial) the value and all seven gradients are bitwise
-        the reference's."""
+        """At 900 x 3000 (87-row blocks of two 1500-gene tiles, each mask
+        expanded in four chunks, the last one partial) the value and all
+        seven gradients are bitwise the reference's, grouped by gene lane."""
         _, target, hidden, heads = self.wide_problem()
         leaves = [hidden] + [t for head in heads for t in head]
         results = []
@@ -1202,13 +1224,18 @@ class TestZinbDecoderNll:
         assert peak <= 5.5 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
         assert held <= leaf_bytes + 2**20, f"held {held / counts.nbytes:.2f} buffers"
 
-    def test_forward_peak_under_the_entry_budget(self):
-        """At 3000 genes the entry budget makes 87-row blocks, so the
-        workspace of one forward with gradients, five block planes, and the
-        leaf gradients stay within 1.7 count-sized buffers (1.99 with ten
-        block planes and a fresh weight-gradient term per block)."""
+    def test_forward_peak_under_the_entry_budget(self, monkeypatch):
+        """At 3000 genes the entry budget makes 87-row blocks of two
+        1500-gene tiles, so one forward with gradients on two workers, a
+        workspace of five tile planes per lane, lane 1's hidden-row
+        gradient and the leaf gradients, stays within 1.7 count-sized
+        buffers (1.99 with ten block planes and a fresh weight-gradient term
+        per block; 1.40 with one lane of 3000-gene blocks)."""
+        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
         counts, target, hidden, heads = self.wide_problem()
-        assert {stop - start for start, stop, *_ in target.blocks[:-1]} == {87}
+        for tiles in target.lanes:
+            assert {stop - start for start, stop, *_ in tiles[:-1]} == {87}
+            assert {hi - lo for _, _, lo, hi, *_ in tiles} == {1500}
         loss, peak = traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads, target))
         assert np.isfinite(loss.item())
         assert peak <= 1.7 * counts.nbytes, f"peak {peak / counts.nbytes:.2f} buffers"
@@ -1227,7 +1254,7 @@ class TestZinbDecoderNll:
         for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
             monkeypatch.setattr(ad, "ZINB_BLOCK_ENTRIES", entries)
             target = ad.ZinbTarget(counts)
-            layouts.append([stop - start for start, stop, *_ in target.blocks])
+            layouts.append([stop - start for start, stop, *_ in target.lanes[0]])
             leaves = [tensor(hidden)] + [tensor(v) for pair in zip(ws, bs) for v in pair]
             loss = ad.zinb_decoder_nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])),
                                        target)
@@ -1245,7 +1272,7 @@ class TestZinbDecoderNll:
         budget over the gene count, and one row past the budget."""
         for n, genes, rows in ((300, 200, 256), (300, 1024, 256), (300, 1025, 255),
                                (300, 3000, 87), (2, 2**18, 1), (2, 2**18 + 1, 1)):
-            blocks = ad.ZinbTarget(np.zeros((n, genes))).blocks
+            blocks = ad.ZinbTarget(np.zeros((n, genes))).lanes[0]
             assert [stop - start for start, stop, *_ in blocks][0] == rows, genes
 
     def test_shape_contracts(self):
@@ -1312,6 +1339,28 @@ class TestDigammaBackstop:
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-12)
 
 
+def run_on_workers(monkeypatch, workers, fn):
+    """``fn()`` on ``workers`` lane workers, with the interpreter switching
+    threads every microsecond, so the threads' Python steps interleave as
+    finely as they can; returns its result and the tasks submitted to the
+    lane pool meanwhile."""
+    monkeypatch.setattr(ad, "LANE_WORKERS", workers)
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn(), submitted
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestPairwiseWorkspace:
     """Both pairwise ops against their allocating bodies, and the peak of
     one call with its workspace."""
@@ -1366,31 +1415,16 @@ class TestPairwiseWorkspace:
         cases, so the pooled path runs on any host; it runs exactly when
         the call has more than one tile, a block at least as wide as the
         gate and more than one worker, and then submits exactly one task
-        per call (the link pair makes two calls). The interpreter switches
-        threads every microsecond meanwhile, so the threads' Python steps
-        interleave as finely as they can."""
+        per call (the link pair makes two calls)."""
         per_row = 2 if op is ad.cross_view_contrastive else 1  # block columns per row
-        gate = ad.PAIRWISE_POOL_COLS
+        gate = ad.LANE_POOL_COLS
         n = {"uneven": 300, "single-tile": 40, "below-gate": gate // per_row - 24,
              "above-gate": gate // per_row + 24}[case]
         if case in ("uneven", "single-tile"):
-            monkeypatch.setattr(ad, "PAIRWISE_POOL_COLS", 0)
-        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", workers)
-        submitted = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(*args, **kwargs)
-
-        monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+            monkeypatch.setattr(ad, "LANE_POOL_COLS", 0)
         a, b, adj = self.pairwise_problem(n, 8, 53)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out, grads = self.run_pair(op, a, b, adj, 0.7)
-        finally:
-            sys.setswitchinterval(interval)
+        (out, grads), submitted = run_on_workers(
+            monkeypatch, workers, lambda: self.run_pair(op, a, b, adj, 0.7))
         ref, ref_grads = self.run_pair(reference, a, b, adj, 0.7)
         np.testing.assert_array_equal(out, ref)
         for got, want in zip(grads, ref_grads):
@@ -1411,7 +1445,7 @@ class TestPairwiseWorkspace:
         few embedding-sized arrays. With one 256-row workspace the peaks
         were 22.4 and 13.6 MiB; with a fresh block per tile (the previous
         one still bound) and allocating tails, 29.5 and 18.3 MiB."""
-        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", 2)
+        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
         a, b, _ = self.pairwise_problem(2500, 64, 52)
         n = 2500
         ring = np.arange(n)
@@ -1423,6 +1457,46 @@ class TestPairwiseWorkspace:
         _, peak = traced_peak(lambda: ad.backward(loss()))
         assert za.grad is not None
         assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+class TestZinbLanes:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["one-gene", "below-gate", "at-gate", "above-gate",
+                                      "single-block"])
+    def test_bitwise_at_any_worker_count(self, case, workers, monkeypatch):
+        """Value and the seven gradients of the ZINB node are bitwise those
+        of the allocating reference grouped by gene lane, at 1, 2 and 3
+        workers: with one gene (lane 1 empty), one gene below the gate (one
+        lane), exactly the gate and an odd count above it (two halves, the
+        first one gene wider), each over three row blocks, and over a single
+        row block. The pool runs exactly when the target has two gene lanes
+        and more than one worker, and then takes one task per call."""
+        gate = ad.LANE_POOL_COLS
+        n, genes = {"one-gene": (600, 1), "below-gate": (300, gate - 1),
+                    "at-gate": (300, gate), "above-gate": (300, gate + 3),
+                    "single-block": (40, gate + 3)}[case]
+        rng = np.random.default_rng(54)
+        target = ad.ZinbTarget(rng.poisson(1.5, (n, genes)))
+        blocks = 1 if case == "single-block" else 3
+        lanes = gene_lanes(genes)
+        assert [len(tiles) for tiles in target.lanes] == [blocks, blocks if len(lanes) == 2 else 0]
+        hidden = rng.uniform(0.0, 1.0, (n, 8))
+        params = [rng.normal(0.0, 0.3, shape)
+                  for _ in range(3) for shape in ((8, genes), (1, genes))]
+
+        def run(nll):
+            leaves = [tensor(hidden)] + [tensor(v) for v in params]
+            loss = nll(leaves[0], list(zip(leaves[1::2], leaves[2::2])), target)
+            ad.backward(ad.scale(loss, 0.7))
+            return loss.data, [t.grad for t in leaves]
+
+        (out, grads), submitted = run_on_workers(monkeypatch, workers,
+                                                 lambda: run(ad.zinb_decoder_nll))
+        ref, ref_grads = run(allocating_zinb_decoder_nll)
+        np.testing.assert_array_equal(out, ref)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_array_equal(got, want)
+        assert len(submitted) == (1 if workers > 1 and genes >= gate else 0)
 
 
 class TestCosineLinkLoss:

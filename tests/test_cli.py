@@ -282,6 +282,20 @@ class TestRun:
         written = {p.name for p in out.iterdir()}
         assert written == {"manifest.json"}  # no loss log, checkpoint or table
 
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_knn_at_spot_count_names_knn_k(self, synth_dir, tmp_path, capsys, command):
+        """--knn at the spot count exits 3 before preprocessing, naming
+        knn_k and the spot count, not a bare k that reads like the
+        cluster count."""
+        out = tmp_path / command
+        flags = ["--seeds", "0"] if command != "run" else []
+        code = main([command, *data_flags(synth_dir), "--out", str(out), *FAST, *flags,
+                     "--knn", "64"])
+        assert code == 3
+        assert ("contract error: knn_k=64 must be less than the number of spots, 64"
+                in capsys.readouterr().err)
+        assert {p.name for p in out.iterdir()} == {"manifest.json"}  # no loss log
+
     @pytest.mark.parametrize("command,flags", [
         ("ablate", ["--seeds", "-1"]),
         ("sweep", ["--seeds", "0,-1"]),

@@ -379,11 +379,25 @@ class TestNumericalAbort:
         them overflows, the worker's included, and the typed error is all
         that surfaces."""
         monkeypatch.setattr(ad, "PAIRWISE_TILE", 16)
-        monkeypatch.setattr(ad, "PAIRWISE_WORKERS", 2)
-        monkeypatch.setattr(ad, "PAIRWISE_POOL_COLS", 0)
+        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
+        monkeypatch.setattr(ad, "LANE_POOL_COLS", 0)
         ds, graphs = small_problem()
         with pytest.raises(NumericError, match="component 'cl'"):
             train(ds, graphs, small_config(epochs=1, tau=1e-308))
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_a_zinb_worker_lane_prints_no_warning(self, monkeypatch):
+        """The ZINB node's lane 1 runs pooled under train()'s error state:
+        at 2048 genes and more the target has two gene lanes, and after one
+        step at lr 1e90 the encoder and decoder layers stay finite (about
+        1e90 per layer) while every head product overflows, the worker
+        lane's included; the typed error is all that surfaces."""
+        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
+        ds, graphs = small_problem(genes=ad.LANE_POOL_COLS + 1)
+        assert all(ad.ZinbTarget(ds.preprocessed, require_integer=False).lanes)
+        with pytest.raises(NumericError, match="component 'zinb'"):
+            train(ds, graphs, small_config(epochs=2, lr=1e90))
 
 
 class TestEpochMemory:
@@ -561,7 +575,7 @@ def test_entry_budget_keeps_training_bits_at_300_genes(monkeypatch):
     budget gives the loss table and embedding bytes of the row-cap-only
     layout (the budget patched out), over 324 spots: two blocks."""
     ds, graphs = small_problem(n_side=18, genes=300)
-    blocks = ad.ZinbTarget(ds.preprocessed, require_integer=False).blocks
+    blocks = ad.ZinbTarget(ds.preprocessed, require_integer=False).lanes[0]
     assert [stop - start for start, stop, *_ in blocks] == [256, 68]
     runs = []
     for entries in (ad.ZINB_BLOCK_ENTRIES, 2**40):
