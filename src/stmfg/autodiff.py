@@ -22,10 +22,12 @@ Each fused loss node forms its value and gradients in one pass; its
 backward hands the gradients on, scaled by the upstream gradient. The
 three fused loss nodes deal their steps to two fixed lanes: the pairwise
 nodes walk fixed row tiles, tile i in lane i mod 2, and the ZINB node
-walks its target's row blocks, split at 2048 genes and more into two gene
-halves, one per lane. Each lane sums its own steps and lane 0's sums are
-added to lane 1's, so the bits do not depend on whether a wide call runs
-lane 1 on a second thread.
+walks its target's row blocks, each cut into two halves, one per lane: by
+rows when the target has fewer than a third as many genes as rows, by
+genes otherwise. Each lane sums its own steps and lane 0's sums are added
+to lane 1's, so the bits do not depend on whether lane 1 runs on a second
+thread, which it does whenever it has work and the process may use two
+CPUs.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -61,20 +63,13 @@ NORM_EPS = 1e-12
 PAIRWISE_TILE = 96
 
 # Threads the two lanes of a fused node run on, the calling thread
-# included: at most two, and no more than the process may use. At d = 64
-# two 96-row pairwise workspaces hold what one 256-row workspace did.
+# included: at most two, and no more than the process may use. Lane 1 runs
+# on the second thread whenever it has work, at any block width: at 900
+# spots and 200 genes that took the median epoch on a 2-vCPU VM from 98 to
+# 79 ms. At d = 64 two 96-row pairwise workspaces hold what one 256-row
+# workspace did.
 LANE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-
-# A fused node runs both lanes on the calling thread when its block is
-# narrower than this many columns: a pairwise block of fewer (2n for the
-# contrastive node, n for the link node), or a ZINB target of fewer genes,
-# which then keeps one gene lane. So a run of fewer than 1024 spots at
-# fewer than 2048 genes starts no thread. On a 2-vCPU VM a pooled pairwise
-# call at 1800 columns ran 1.2-1.5x faster while the second vCPU was free
-# and 4-14% slower while it was not; two gene lanes at 200 genes ran the
-# ZINB node about 10% slower even inline.
-LANE_POOL_COLS = 2048
 
 # Rows per step of the fused ZINB decoder node: a block holds at most
 # ZINB_ROW_BLOCK rows and at most ZINB_BLOCK_ENTRIES entries (at least one
@@ -388,18 +383,18 @@ class SparseMatrix:
 # two fixed lanes
 
 
-def _lanes(work: tuple[Sequence, Sequence], wide: bool, workspace: Callable[[], tuple],
+def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
            body: Callable[..., float]) -> float:
     """Run each lane's ``work`` in order, lane k over ``work[k]``, as
     ``total = body(total, item, k, *space)`` from a total of zero, and
     return lane 0's total plus lane 1's.
 
-    With LANE_WORKERS above one, a ``wide`` call and work in lane 1, lane 1
-    is one pool task, run in a copy of the caller's context (so numpy's
-    error state holds there too), and each lane owns a ``workspace()``;
-    otherwise the calling thread runs lane 0 and then lane 1 in one.
-    ``body`` writes only its own outputs or its lane's own sums, so every
-    bit is the same at any worker count.
+    With LANE_WORKERS above one and work in lane 1, lane 1 is one pool
+    task, run in a copy of the caller's context (so numpy's error state
+    holds there too), and each lane owns a ``workspace()``; otherwise the
+    calling thread runs lane 0 and then lane 1 in one. ``body`` writes only
+    its own outputs or its lane's own sums, so every bit is the same at any
+    worker count.
     """
 
     def lane(k, space):
@@ -408,7 +403,7 @@ def _lanes(work: tuple[Sequence, Sequence], wide: bool, workspace: Callable[[], 
             total = body(total, item, k, *space)
         return total
 
-    if LANE_WORKERS > 1 and wide and work[1]:
+    if LANE_WORKERS > 1 and work[1]:
         with ThreadPoolExecutor(1) as pool:
             second = pool.submit(contextvars.copy_context().run, lane, 1, workspace())
             return lane(0, workspace()) + second.result()
@@ -491,8 +486,8 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
         return total + np.sum(np.log(den) - (s_pos - m))
 
     size = min(PAIRWISE_TILE, items)
-    total = _lanes(_row_tiles(items), items >= LANE_POOL_COLS,
-                   lambda: (np.empty((size, items)), np.empty_like(y_t)), tile)
+    total = _lanes(_row_tiles(items), lambda: (np.empty((size, items)), np.empty_like(y_t)),
+                   tile)
     del y_t
     gy_t[0] += gy_t[1]
     gy = np.ascontiguousarray(gy_t[0].T)
@@ -549,8 +544,7 @@ def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
         return total + part
 
     size = min(PAIRWISE_TILE, n)
-    total = _lanes(_row_tiles(n), n >= LANE_POOL_COLS,
-                   lambda: (np.empty((size, n)), np.empty((size, n))), tile)
+    total = _lanes(_row_tiles(n), lambda: (np.empty((size, n)), np.empty((size, n))), tile)
     del u_t
 
     adj_u = adj.csr() @ u
@@ -577,11 +571,15 @@ class ZinbTarget:
     ``log_x_fact``, sum lgamma(x + 1), which a zero count adds nothing to.
 
     A row block holds ZINB_ROW_BLOCK rows, or fewer so that it holds at
-    most ZINB_BLOCK_ENTRIES entries. With at least LANE_POOL_COLS genes
-    each block is two tiles, genes [0, ceil(genes / 2)) in lane 0 and the
-    rest in lane 1; with fewer it is one tile in lane 0 and lane 1 is
-    empty. A lane lists its tiles in row order, each ``(start, stop, lo,
-    hi, mask, x_pos)`` with the positive entries of rows start:stop and
+    most ZINB_BLOCK_ENTRIES entries, and is cut into two tiles, lane 0's
+    the first half rounded up and lane 1's the rest. ``by_rows`` tells the
+    cut: by rows when 3 genes < n, where lane 1 keeps its own copy of the
+    head weight and bias gradients (3 x hidden x genes values), and by
+    genes otherwise, where it keeps its own n-by-hidden hidden-row
+    gradient, so that the copy is the smaller of the two. An empty half (a
+    one-row block, a single gene) is no tile. A lane lists its tiles in row
+    order, each ``(start, stop, lo, hi, mask, x_pos)`` with the positive
+    entries of rows start:stop and
     genes lo:hi as a packed bit mask (``np.packbits``, one bit per entry in
     row-major order) and the positive counts themselves, in that order.
     The constants take about 0.44 count-sized buffers at 58% zeros; the
@@ -589,7 +587,7 @@ class ZinbTarget:
     the tile.
     """
 
-    __slots__ = ("shape", "lanes", "log_x_fact")
+    __slots__ = ("shape", "by_rows", "lanes", "log_x_fact")
 
     def __init__(self, counts, require_integer: bool = True):
         counts = np.asarray(counts, dtype=np.float64)
@@ -606,13 +604,19 @@ class ZinbTarget:
         self.shape = counts.shape
         n, genes = counts.shape
         rows = min(ZINB_ROW_BLOCK, max(1, ZINB_BLOCK_ENTRIES // genes))
-        half = (genes + 1) // 2 if genes >= LANE_POOL_COLS else genes
+        self.by_rows = 3 * genes < n
         self.lanes = ([], [])
         self.log_x_fact = 0.0
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            for tiles, lo, hi in ((self.lanes[0], 0, half), (self.lanes[1], half, genes)):
-                if lo == hi:
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            if self.by_rows:
+                mid = (r0 + r1 + 1) // 2
+                halves = ((r0, mid, 0, genes), (mid, r1, 0, genes))
+            else:
+                mid = (genes + 1) // 2
+                halves = ((r0, r1, 0, mid), (r0, r1, mid, genes))
+            for tiles, (start, stop, lo, hi) in zip(self.lanes, halves):
+                if start == stop or lo == hi:
                     continue
                 flat = np.ravel(counts[start:stop, lo:hi])
                 positive = flat != 0
@@ -765,15 +769,18 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     hidden-row, weight and bias gradients: no n-by-genes array is ever
     formed.
 
-    The tiles run in ``_lanes``, each lane's in row order. A lane writes
-    only its own genes' columns of the head weight and bias gradients, and
-    sums its own loss and its own hidden-row gradient, lane 1's in an
-    array of its own that is then added to lane 0's; so the bits depend on
-    the target's lanes, never on the worker count. A lane's workspace is
-    sized by the largest tile and every tile writes into it in place: five
-    tile planes, seven rows of scratch for the positive and zero entries
-    (which also take each head's hidden-by-genes weight-gradient term once
-    the likelihood is done), and three boolean planes. The dropout and mean
+    The tiles run in ``_lanes``, each lane's in row order, and each lane
+    sums its own loss. Under a row cut a lane writes only its own rows of
+    the hidden-row gradient and sums its own head weight and bias
+    gradients; under a gene cut it writes only its own genes' columns of
+    the head gradients and sums its own hidden-row gradient. Lane 1 keeps
+    the sums of its own in arrays that are then added to lane 0's, so the
+    bits depend on the target's lanes, never on the worker count. A lane's
+    workspace is sized by the largest tile, half a block, and every tile
+    writes into it in place: five tile planes, seven rows of scratch for
+    the positive and zero entries (which also take each head's
+    hidden-by-genes weight-gradient term once the likelihood is done), and
+    three boolean planes. The dropout and mean
     planes each hold a pre-activation, then the activation, then the
     gradient, with the entries inside the clamp kept as a boolean plane;
     the dispersion's pre-activation plane ends as sigmoid(pre-activation),
@@ -801,7 +808,10 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
     coef = -1.0 / (hidden.rows * genes)
     leaves = (hidden,) + tuple(tensor for head in heads for tensor in head)
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves]
-    g_hidden = (g_leaves[0], np.zeros(hidden.data.shape) if lanes[1] else None)
+    # lane 1 keeps its own copy of the gradients both lanes write to: the
+    # head gradients under a row cut, the hidden-row gradient under a gene cut
+    own = [bool(lanes[1]) and (i > 0) == target.by_rows for i in range(len(leaves))]
+    g_lanes = (g_leaves, [np.zeros_like(g) if mine else g for g, mine in zip(g_leaves, own)])
 
     tiles = lanes[0] + lanes[1]
     size = max((stop - start) * (hi - lo) for start, stop, lo, hi, *_ in tiles)
@@ -848,16 +858,21 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
         m *= keep_m
         t *= pre_t  # now sigmoid(pre_t)
         gram = scratch[:hidden.cols * shape[1]].reshape(hidden.cols, shape[1])
-        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], (p, m, t)):
+        g_hidden, *g_heads = g_lanes[lane]
+        for g_w, g_b, g in zip(g_heads[0::2], g_heads[1::2], (p, m, t)):
             g_w[:, cols] += np.matmul(h.T, g, out=gram)
             g_b[:, cols] += g.sum(axis=0, keepdims=True)
-        g_hidden[lane][start:stop] = (p @ w_p.data[:, cols].T + m @ w_m.data[:, cols].T
-                                      + t @ w_t.data[:, cols].T)
+        # summed in place: a half-block product is too small for numpy to
+        # reuse its temporaries, and both lanes hold theirs at once
+        g_rows = np.matmul(p, w_p.data[:, cols].T, out=g_hidden[start:stop])
+        g_rows += m @ w_m.data[:, cols].T
+        g_rows += t @ w_t.data[:, cols].T
         return total
 
-    total = _lanes(lanes, genes >= LANE_POOL_COLS, workspace, tile)
-    if lanes[1]:
-        g_leaves[0] += g_hidden[1]
+    total = _lanes(lanes, workspace, tile)
+    for g, g_second, mine in zip(g_leaves, g_lanes[1], own):
+        if mine:
+            g += g_second
     return _fused_loss(coef * (total - target.log_x_fact), leaves, g_leaves)
 
 

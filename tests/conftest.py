@@ -3,8 +3,10 @@
 import csv
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,6 +45,28 @@ def traced_held(fn):
     finally:
         tracemalloc.stop()
     return out, held
+
+
+def run_on_workers(monkeypatch, workers, fn):
+    """``fn()`` on ``workers`` lane workers, with the interpreter switching
+    threads every microsecond, so the threads' Python steps interleave as
+    finely as they can; returns its result and the tasks submitted to the
+    lane pool meanwhile."""
+    monkeypatch.setattr(ad, "LANE_WORKERS", workers)
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn(), submitted
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def grad_check(f, x, eps: float) -> float:

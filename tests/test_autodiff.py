@@ -4,9 +4,7 @@ densify-and-multiply oracle for the sparse product."""
 
 import ast
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +17,7 @@ from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DimensionError, DomainError
 
-from conftest import grad_check, traced_held, traced_peak
+from conftest import grad_check, run_on_workers, traced_held, traced_peak
 
 
 def tensor(data, grad=True):
@@ -255,11 +253,11 @@ def count_tiles(target):
     """Each tile of ``target``, lane 0's and then lane 1's, in row order,
     as (lane, start, stop, lo, hi, pos, x, zero): the flat positions within
     the tile of its positive and of its zero counts, ascending, and the
-    positive counts. Each tile's genes are its lane's half of ``gene_lanes``."""
-    lanes = gene_lanes(target.shape[1])
+    positive counts. The tiles are those of ``zinb_lanes``."""
+    assert ([[tile[:4] for tile in tiles] for tiles in target.lanes]
+            == zinb_lanes(*target.shape))
     for lane, tiles in enumerate(target.lanes):
         for start, stop, lo, hi, mask, x in tiles:
-            assert (lo, hi) == lanes[lane]
             positive = np.unpackbits(mask, count=(stop - start) * (hi - lo)).astype(bool)
             yield lane, start, stop, lo, hi, np.flatnonzero(positive), x, np.flatnonzero(~positive)
 
@@ -330,7 +328,8 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
     g_leaves = [np.zeros(tensor.data.shape) for tensor in leaves] if want_grad else None
 
     sums = [0.0, 0.0]
-    g_hidden = [np.zeros(hidden.data.shape), np.zeros(hidden.data.shape)]
+    # every lane sums its own gradients, lane 0's then plus lane 1's
+    g_lanes = [[np.zeros(tensor.data.shape) for tensor in leaves] for _ in range(2)]
     for lane, start, stop, lo, hi, pos, x, zero in count_tiles(target):
         h = hidden.data[start:stop]
         pre_p, pre_m, pre_t = (h @ w.data[:, lo:hi] + b.data[:, lo:hi] for w, b in heads)
@@ -348,14 +347,15 @@ def allocating_zinb_decoder_nll(hidden, heads, target):
         g_m *= m
         g_m *= np.abs(pre_m) <= ad.MEAN_LOGIT_CLAMP
         g_t *= _sigmoid(pre_t)
-        for g_w, g_b, g in zip(g_leaves[1::2], g_leaves[2::2], grads):
+        g_hidden, *g_heads = g_lanes[lane]
+        for g_w, g_b, g in zip(g_heads[0::2], g_heads[1::2], grads):
             g_w[:, lo:hi] += h.T @ g
             g_b[:, lo:hi] += g.sum(axis=0, keepdims=True)
-        g_hidden[lane][start:stop] = (g_p @ w_p.data[:, lo:hi].T + g_m @ w_m.data[:, lo:hi].T
-                                      + g_t @ w_t.data[:, lo:hi].T)
+        g_hidden[start:stop] = (g_p @ w_p.data[:, lo:hi].T + g_m @ w_m.data[:, lo:hi].T
+                                + g_t @ w_t.data[:, lo:hi].T)
     total = sums[0] + sums[1]
     if want_grad:
-        g_leaves[0] = g_hidden[0] + g_hidden[1]
+        g_leaves = [mine + theirs for mine, theirs in zip(*g_lanes)]
 
     def backward_fn(g, accum):
         for tensor, grad in zip(leaves, g_leaves):
@@ -505,14 +505,26 @@ def lane_order(rows):
     return [(lane, r0) for lane in (0, 1) for r0 in starts[lane::2]]
 
 
-def gene_lanes(genes):
-    """(lo, hi) of each gene lane of a ``genes``-wide ZINB target: from
-    ad.LANE_POOL_COLS genes on, the first ceil(genes / 2) genes in lane 0
-    and the rest in lane 1; below it, every gene in lane 0."""
-    if genes < ad.LANE_POOL_COLS:
-        return [(0, genes)]
-    half = (genes + 1) // 2
-    return [(0, half), (half, genes)]
+def zinb_lanes(n, genes):
+    """The tiles (start, stop, lo, hi) of an ``n``-by-``genes`` ZINB target
+    in its two lanes: each row block (ad.ZINB_ROW_BLOCK rows, or fewer to
+    hold at most ad.ZINB_BLOCK_ENTRIES entries) is cut in two, lane 0
+    taking the first half rounded up; by rows when 3 genes < n, by genes
+    otherwise. An empty half is no tile."""
+    rows = min(ad.ZINB_ROW_BLOCK, max(1, ad.ZINB_BLOCK_ENTRIES // genes))
+    lanes = [[], []]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        if 3 * genes < n:
+            cut = r0 + math.ceil((r1 - r0) / 2)
+            halves = [(r0, cut, 0, genes), (cut, r1, 0, genes)]
+        else:
+            cut = math.ceil(genes / 2)
+            halves = [(r0, r1, 0, cut), (r0, r1, cut, genes)]
+        for tiles, (start, stop, lo, hi) in zip(lanes, halves):
+            if start < stop and lo < hi:
+                tiles.append((start, stop, lo, hi))
+    return lanes
 
 
 def allocating_cross_view_contrastive(a, b, tau):
@@ -1144,7 +1156,9 @@ class TestZinbDecoderNll:
         pi[0, :3], mu[0, :3], theta[0, :3] = 0.0, 1e6, 1000.0
         counts = rng.poisson(1.5, shape).astype(float)
         counts[0, :3] = 0.0
-        ((*_, pos, x, zero),) = count_tiles(ad.ZinbTarget(counts))
+        flat = counts.ravel()
+        pos, zero = np.flatnonzero(flat != 0), np.flatnonzero(flat == 0)
+        x = flat[pos]
         coef = -1.0 / pi.size
         want_total, want = _zinb_block(0.5, pi, mu, theta, pos, x, zero, coef, True)
         want[0] *= pi
@@ -1339,28 +1353,6 @@ class TestDigammaBackstop:
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-12)
 
 
-def run_on_workers(monkeypatch, workers, fn):
-    """``fn()`` on ``workers`` lane workers, with the interpreter switching
-    threads every microsecond, so the threads' Python steps interleave as
-    finely as they can; returns its result and the tasks submitted to the
-    lane pool meanwhile."""
-    monkeypatch.setattr(ad, "LANE_WORKERS", workers)
-    submitted = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        return fn(), submitted
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestPairwiseWorkspace:
     """Both pairwise ops against their allocating bodies, and the peak of
     one call with its workspace."""
@@ -1410,18 +1402,15 @@ class TestPairwiseWorkspace:
     def test_bitwise_at_any_worker_count(self, op, reference, case, workers, monkeypatch):
         """Value and gradients are bitwise those of the serial allocating
         body at 1, 2 and 3 workers: with a last tile shorter than the rest,
-        with a single tile, and on both sides of the column gate. The
-        worker count is set here and the gate lifted for the first two
-        cases, so the pooled path runs on any host; it runs exactly when
-        the call has more than one tile, a block at least as wide as the
-        gate and more than one worker, and then submits exactly one task
-        per call (the link pair makes two calls)."""
+        with a single tile, and 24 rows either side of a 2048-column block
+        (2n for the contrastive op, n for the link op), the width below
+        which both lanes once ran on the calling thread. The worker count is
+        set here, so the pooled path runs on any host; it runs exactly when
+        the call has more than one tile and more than one worker, and then
+        submits exactly one task per call (the link pair makes two calls)."""
         per_row = 2 if op is ad.cross_view_contrastive else 1  # block columns per row
-        gate = ad.LANE_POOL_COLS
-        n = {"uneven": 300, "single-tile": 40, "below-gate": gate // per_row - 24,
-             "above-gate": gate // per_row + 24}[case]
-        if case in ("uneven", "single-tile"):
-            monkeypatch.setattr(ad, "LANE_POOL_COLS", 0)
+        n = {"uneven": 300, "single-tile": 40, "below-gate": 2048 // per_row - 24,
+             "above-gate": 2048 // per_row + 24}[case]
         a, b, adj = self.pairwise_problem(n, 8, 53)
         (out, grads), submitted = run_on_workers(
             monkeypatch, workers, lambda: self.run_pair(op, a, b, adj, 0.7))
@@ -1429,7 +1418,7 @@ class TestPairwiseWorkspace:
         np.testing.assert_array_equal(out, ref)
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
-        pooled = workers > 1 and case in ("uneven", "above-gate")
+        pooled = workers > 1 and case != "single-tile"
         calls = 1 if op is ad.cross_view_contrastive else 2
         assert len(submitted) == (calls if pooled else 0)
 
@@ -1462,24 +1451,28 @@ class TestPairwiseWorkspace:
 class TestZinbLanes:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", ["one-gene", "below-gate", "at-gate", "above-gate",
-                                      "single-block"])
+                                      "single-block", "rows-below-edge", "genes-at-edge",
+                                      "one-row-tail", "lane-1-empty"])
     def test_bitwise_at_any_worker_count(self, case, workers, monkeypatch):
         """Value and the seven gradients of the ZINB node are bitwise those
-        of the allocating reference grouped by gene lane, at 1, 2 and 3
-        workers: with one gene (lane 1 empty), one gene below the gate (one
-        lane), exactly the gate and an odd count above it (two halves, the
-        first one gene wider), each over three row blocks, and over a single
-        row block. The pool runs exactly when the target has two gene lanes
-        and more than one worker, and then takes one task per call."""
-        gate = ad.LANE_POOL_COLS
-        n, genes = {"one-gene": (600, 1), "below-gate": (300, gate - 1),
-                    "at-gate": (300, gate), "above-gate": (300, gate + 3),
-                    "single-block": (40, gate + 3)}[case]
+        of the allocating reference grouped by lane, at 1, 2 and 3 workers.
+        Row cuts: one gene over three row blocks, 3 genes one less than the
+        rows, and a one-row last block that gives lane 1 nothing. Gene cuts:
+        3 genes exactly the rows, and 2047, 2048 and 2051 genes (2048 is the
+        width from which targets were once cut in two) over three row blocks
+        and over a single one. A single gene on two rows leaves lane 1
+        empty. The pool runs exactly when lane 1 has tiles and there is more
+        than one worker, and then takes one task per call."""
+        n, genes, by_rows = {
+            "one-gene": (600, 1, True), "below-gate": (300, 2047, False),
+            "at-gate": (300, 2048, False), "above-gate": (300, 2051, False),
+            "single-block": (40, 2051, False), "rows-below-edge": (301, 100, True),
+            "genes-at-edge": (300, 100, False), "one-row-tail": (257, 20, True),
+            "lane-1-empty": (2, 1, False)}[case]
         rng = np.random.default_rng(54)
         target = ad.ZinbTarget(rng.poisson(1.5, (n, genes)))
-        blocks = 1 if case == "single-block" else 3
-        lanes = gene_lanes(genes)
-        assert [len(tiles) for tiles in target.lanes] == [blocks, blocks if len(lanes) == 2 else 0]
+        assert target.by_rows == by_rows
+        assert bool(target.lanes[1]) == (case != "lane-1-empty")
         hidden = rng.uniform(0.0, 1.0, (n, 8))
         params = [rng.normal(0.0, 0.3, shape)
                   for _ in range(3) for shape in ((8, genes), (1, genes))]
@@ -1496,7 +1489,58 @@ class TestZinbLanes:
         np.testing.assert_array_equal(out, ref)
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
-        assert len(submitted) == (1 if workers > 1 and genes >= gate else 0)
+        assert len(submitted) == (1 if workers > 1 and target.lanes[1] else 0)
+
+    @pytest.mark.parametrize("n, genes, by_rows", [
+        (301, 100, True), (300, 100, False), (299, 100, False), (4, 1, True), (3, 1, False),
+        (900, 200, True), (2500, 200, True), (900, 3000, False), (7, 5, False),
+    ])
+    def test_tiles_cover_each_entry_once_in_half_blocks(self, n, genes, by_rows):
+        """The cut is by rows exactly when 3 genes < n. The tiles cover
+        every entry exactly once, and each is half its row block along the
+        cut, lane 0's rounded up: ceil(rows / 2) or floor(rows / 2) rows of
+        every gene, or every row of ceil(genes / 2) or floor(genes / 2)
+        genes."""
+        target = ad.ZinbTarget(np.ones((n, genes)))
+        assert target.by_rows == by_rows
+        block = min(ad.ZINB_ROW_BLOCK, max(1, ad.ZINB_BLOCK_ENTRIES // genes))
+        cover = np.zeros((n, genes), dtype=int)
+        for lane, tiles in enumerate(target.lanes):
+            for start, stop, lo, hi, _, x in tiles:
+                cover[start:stop, lo:hi] += 1
+                assert x.size == (stop - start) * (hi - lo)
+                r0 = start // block * block
+                rows = min(block, n - r0)
+                half = [(stop - start, rows), (hi - lo, genes)]
+                cut, whole = half if by_rows else half[::-1]
+                assert whole[0] == whole[1]
+                assert cut[0] == (cut[1] + 1 - lane) // 2
+                assert (start == r0) == (lane == 0 or not by_rows)
+        np.testing.assert_array_equal(cover, 1)
+
+    def test_two_worker_peak_at_900_by_200(self, monkeypatch):
+        """At 900 x 200 with a 128-wide hidden layer the target is cut by
+        rows and each lane's workspace is half a 256-row block, so one
+        forward on two workers peaks within the single lane's peak on whole
+        blocks (5.58 MiB on this problem before the row cut) plus lane 1's
+        own head weight and bias gradients (0.59 MiB); measured 5.90-6.03
+        MiB. Lane 1 sums its hidden-row products in place: with fresh
+        half-block temporaries in both lanes the peak was 6.11-6.42 MiB."""
+        rng = np.random.default_rng(7)
+        n, genes, width = 900, 200, 128
+        counts = rng.poisson(1.5, (n, genes)).astype(float)
+        counts[rng.random((n, genes)) < 0.3] = 0.0
+        target = ad.ZinbTarget(counts)
+        assert target.by_rows
+        hidden = tensor(rng.uniform(0.0, 1.0, (n, width)))
+        heads = [(tensor(rng.normal(0.0, 0.05, (width, genes))), tensor(np.zeros((1, genes))))
+                 for _ in range(3)]
+        lane_copy = 3 * (width * genes + genes) * 8
+        (loss, peak), submitted = run_on_workers(
+            monkeypatch, 2, lambda: traced_peak(lambda: ad.zinb_decoder_nll(hidden, heads,
+                                                                            target)))
+        assert np.isfinite(loss.item()) and len(submitted) == 1
+        assert peak <= 5.58 * 2**20 + lane_copy, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCosineLinkLoss:

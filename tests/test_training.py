@@ -17,6 +17,7 @@ import pytest
 from stmfg import autodiff as ad
 from stmfg import training
 from stmfg.autodiff import Tensor
+from stmfg.cli import ABLATION_VARIANTS
 from stmfg.data import Dataset, generate_synthetic, preprocess
 from stmfg.errors import ContractError, NumericError
 from stmfg.graphs import build_graph_pair
@@ -24,8 +25,10 @@ from stmfg.losses import LossBreakdown
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
-from conftest import grad_check, traced_held, traced_peak
+from conftest import grad_check, run_on_workers, traced_held, traced_peak
 from test_autodiff import (
+    allocating_cosine_link_loss,
+    allocating_cross_view_contrastive,
     allocating_zinb_decoder_nll,
     hadamard,
     propagate_first_graph_conv,
@@ -379,25 +382,82 @@ class TestNumericalAbort:
         them overflows, the worker's included, and the typed error is all
         that surfaces."""
         monkeypatch.setattr(ad, "PAIRWISE_TILE", 16)
-        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
-        monkeypatch.setattr(ad, "LANE_POOL_COLS", 0)
         ds, graphs = small_problem()
-        with pytest.raises(NumericError, match="component 'cl'"):
-            train(ds, graphs, small_config(epochs=1, tau=1e-308))
 
+        def run():
+            with pytest.raises(NumericError, match="component 'cl'"):
+                train(ds, graphs, small_config(epochs=1, tau=1e-308))
+
+        _, submitted = run_on_workers(monkeypatch, 2, run)
+        assert submitted
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_in_a_zinb_worker_lane_prints_no_warning(self, monkeypatch):
         """The ZINB node's lane 1 runs pooled under train()'s error state:
-        at 2048 genes and more the target has two gene lanes, and after one
-        step at lr 1e90 the encoder and decoder layers stay finite (about
-        1e90 per layer) while every head product overflows, the worker
-        lane's included; the typed error is all that surfaces."""
-        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
-        ds, graphs = small_problem(genes=ad.LANE_POOL_COLS + 1)
-        assert all(ad.ZinbTarget(ds.preprocessed, require_integer=False).lanes)
-        with pytest.raises(NumericError, match="component 'zinb'"):
-            train(ds, graphs, small_config(epochs=2, lr=1e90))
+        the 64 x 16 target is cut by rows, and after one step at lr 1e90 the
+        encoder and decoder layers stay finite (about 1e90 per layer) while
+        every head product overflows, the worker lane's included; the typed
+        error is all that surfaces."""
+        ds, graphs = small_problem(genes=16)
+        target = ad.ZinbTarget(ds.preprocessed, require_integer=False)
+        assert target.by_rows and all(target.lanes)
+
+        def run():
+            with pytest.raises(NumericError, match="component 'zinb'"):
+                train(ds, graphs, small_config(epochs=2, lr=1e90))
+
+        _, submitted = run_on_workers(monkeypatch, 2, run)
+        assert submitted
+
+
+# One epoch's configurations: each ablation variant, and the switches and
+# depth that change which fused nodes an epoch builds.
+EPOCH_CONFIGS = {**ABLATION_VARIANTS, "cl_all_layers": {"contrastive_layers": "all"},
+                 "no_fusion_l2": {"fusion_l2": False}, "counts_target": {"zinb_target": "counts"},
+                 "three_layers": {"hidden_dims": (8, 6, 4)}}
+
+
+@pytest.mark.parametrize("genes", [12, 40], ids=["zinb-row-cut", "zinb-gene-cut"])
+@pytest.mark.parametrize("config", list(EPOCH_CONFIGS))
+def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
+    """One epoch's four loss terms and every trainable gradient are bitwise
+    the same at 1, 2 and 3 lane workers, and equal to the epoch built on
+    the serial allocating references of the three fused nodes. On 100
+    spots every fused node has lane-1 work: 200 contrastive items and 100
+    link rows are more than one 96-row tile, and the ZINB target is cut by
+    rows at 12 genes and by genes at 40. On more than one worker each
+    fused node the epoch builds submits lane 1 once."""
+    ds, graphs = small_problem(n_side=10, genes=genes)
+    cfg = small_config(**EPOCH_CONFIGS[config])
+    target, is_counts = training._reconstruction_target(ds, cfg)
+    assert ad.ZinbTarget(target, require_integer=is_counts).by_rows == (genes == 12)
+    x = Tensor(ds.preprocessed)
+    contrastive_calls = len(cfg.hidden_dims) if cfg.contrastive_layers == "all" else 1
+    nodes = ((not cfg.disable_zinb) + (not cfg.disable_reg)
+             + (0 if cfg.disable_cl else contrastive_calls))
+
+    def epoch():
+        params = ModelParams.initialize(np.random.default_rng(cfg.seed),
+                                        [x.cols, *cfg.hidden_dims], recon_width=x.cols,
+                                        decoder_hidden=cfg.decoder_hidden)
+        total, breakdown, _ = run_epoch(x, target, is_counts, graphs, params, cfg)
+        ad.backward(total)
+        tensors = trainable_tensors(params, cfg)
+        assert all(t.grad is not None for t in tensors)
+        losses = [breakdown.zinb, breakdown.cl, breakdown.reg, breakdown.total]
+        return [v.hex() for v in losses], [t.grad.tobytes() for t in tensors]
+
+    runs = []
+    for workers in (1, 2, 3):
+        result, submitted = run_on_workers(monkeypatch, workers, epoch)
+        assert len(submitted) == (nodes if workers > 1 else 0)
+        runs.append(result)
+    for name, reference in (("zinb_decoder_nll", allocating_zinb_decoder_nll),
+                            ("cross_view_contrastive", allocating_cross_view_contrastive),
+                            ("cosine_link_loss", allocating_cosine_link_loss)):
+        monkeypatch.setattr(ad, name, reference)
+    want = epoch()
+    assert all(run == want for run in runs)
 
 
 class TestEpochMemory:
