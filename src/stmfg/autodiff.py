@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Everything is rank-2: scalars are 1x1, row vectors 1xd. The op set is
-exactly what the package calls: each ReLU layer of the encoder and the
-decoder is one ``graph_conv`` node, the attention step, the pairwise
-losses and the ZINB decoder heads with their likelihood are fused nodes,
-and ``add`` and ``scale`` weigh and sum the 1x1 loss terms. Every node has
-a closed-form gradient and forms no n-by-n or n-by-genes intermediate.
+exactly what the package calls: each encoder layer's two view
+convolutions are one ``graph_conv_views`` node with an output per view,
+the decoder's ReLU hidden layer is one ``graph_conv`` node, the attention
+step, the pairwise losses and the ZINB decoder heads with their
+likelihood are fused nodes, and ``add`` and ``scale`` weigh and sum the
+1x1 loss terms. Every node has a closed-form gradient and forms no n-by-n
+or n-by-genes intermediate.
 Graph adjacency enters as a constant sparse operator (`SparseMatrix`)
 and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
 gradient ever flows into graph structure or counts. Each op checks its
@@ -19,28 +21,36 @@ them, and drops it on return; each head entry takes a single exp, shared
 by an activation and the derivative it needs.
 
 Each fused loss node forms its value and gradients in one pass; its
-backward hands the gradients on, scaled by the upstream gradient. The
-three fused loss nodes deal their steps to two fixed lanes: the pairwise
-nodes walk fixed row tiles, tile i in lane i mod 2, and the ZINB node
-walks its target's row blocks, each cut into two halves, one per lane: by
-rows when the target has fewer than a third as many genes as rows, by
-genes otherwise. Each lane sums its own steps and lane 0's sums are added
-to lane 1's, so the bits do not depend on whether lane 1 runs on a second
-thread, which it does whenever it has work and the process may use two
-CPUs.
+backward hands the gradients on, scaled by the upstream gradient. Work
+that splits without regrouping a sum runs on two fixed lanes (``_lanes``):
+the pairwise nodes walk fixed row tiles, tile i in lane i mod 2; the ZINB
+node walks its target's row blocks, each cut into two halves, one per
+lane: by rows when the target has fewer than a third as many genes as
+rows, by genes otherwise; the two-view convolution runs the spatial view
+in lane 0 and the feature view's dense products in lane 1, forward and
+backward; and
+training's Adam step updates the first half of each parameter in lane 0
+and the rest in lane 1. Each lane sums its own steps and lane 0's sums are
+added to lane 1's, so the bits do not depend on whether lane 1 runs on a
+second thread, which it does whenever both lanes have work and the
+process may use two CPUs.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
 into ``.grad`` with a single addition, which keeps repeated passes
 exactly additive; an op output's total is dropped once its closure has
-used it, so a kept trace holds its activations and no gradients.
-Resetting gradients is explicit (``zero_grad``).
+used it, so a kept trace holds its activations and no gradients. An op
+with several outputs runs its closure once, after the walk has passed
+every output the loss reaches, and the lanes of its backward return
+their gradients for the calling thread to fold in. Resetting gradients is
+explicit (``zero_grad``).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -62,12 +72,14 @@ NORM_EPS = 1e-12
 # the bits of a result never depend on that count.
 PAIRWISE_TILE = 96
 
-# Threads the two lanes of a fused node run on, the calling thread
-# included: at most two, and no more than the process may use. Lane 1 runs
-# on the second thread whenever it has work, at any block width: at 900
-# spots and 200 genes that took the median epoch on a 2-vCPU VM from 98 to
-# 79 ms. At d = 64 two 96-row pairwise workspaces hold what one 256-row
-# workspace did.
+# Threads the two lanes run on, the calling thread included: at most two,
+# and no more than the process may use. The lanes take the fused loss
+# nodes' tiles, an encoder layer's spatial and feature views and the
+# halves of each Adam update; lane 1 runs on the second thread whenever
+# both lanes have work, at any block width: for the loss nodes alone, at
+# 900 spots and 200 genes, that took the median epoch on a 2-vCPU VM from
+# 98 to 79 ms. At d = 64 two 96-row pairwise workspaces hold what one
+# 256-row workspace did.
 LANE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 
@@ -94,6 +106,7 @@ __all__ = [
     "Tensor",
     "SparseMatrix",
     "graph_conv",
+    "graph_conv_views",
     "add",
     "scale",
     "view_attention",
@@ -190,6 +203,67 @@ def _fused_loss(value: float, leaves: Sequence[Tensor],
 # graph convolution
 
 
+class _OutputOf:
+    """The ``_backward`` of output ``index`` of an op with several outputs.
+    The op's one closure ``fn(grads, accum)`` takes a gradient per output,
+    None where none reached it. ``backward`` hands it every reached
+    output's gradient in one call; called alone, an output passes on its
+    own gradient only."""
+
+    __slots__ = ("fn", "index", "outputs")
+
+    def __init__(self, fn, index: int, outputs: int):
+        self.fn, self.index, self.outputs = fn, index, outputs
+
+    def __call__(self, g: np.ndarray, accum: Callable) -> None:
+        grads = [None] * self.outputs
+        grads[self.index] = g
+        self.fn(grads, accum)
+
+
+def _conv_view(x: Tensor, w: Tensor, adj: "SparseMatrix | None", bias: Tensor | None,
+               op: str):
+    """Check one convolution's operands; return its propagation as CSR,
+    or None for a dense layer."""
+    if adj is not None and adj.n != x.rows:
+        raise DimensionError(f"{op}: operator n={adj.n} vs tensor rows={x.rows}")
+    if x.cols != w.rows:
+        raise DimensionError(f"{op}: {x.data.shape} @ {w.data.shape}")
+    if bias is not None and bias.data.shape != (1, w.cols):
+        raise DimensionError(f"{op}: bias {bias.data.shape} for width {w.cols}")
+    return None if adj is None else adj.csr()
+
+
+def _propagate_relu(pre: np.ndarray, csr, bias: Tensor | None) -> np.ndarray:
+    """relu(csr pre + bias) from the dense product ``pre``, in place where
+    it can be; ``csr`` None is no propagation."""
+    if csr is not None:
+        pre = csr @ pre
+    if bias is not None:
+        pre += bias.data
+    return np.maximum(pre, 0.0, out=pre)
+
+
+def _unpropagate(g: np.ndarray, out: np.ndarray, csr) -> np.ndarray:
+    """The gradient of a bias-free convolution's dense product from the
+    gradient ``g`` of its output ``out``."""
+    g = g * (out > 0.0)
+    return g if csr is None else csr.T @ g
+
+
+def _product_grads(g: np.ndarray, x: Tensor, w: Tensor, g_w: np.ndarray | None = None,
+                   g_x: np.ndarray | None = None) -> tuple:
+    """The ``(tensor, gradient)`` pairs of ``w`` and then ``x`` that require
+    one, from the gradient ``g`` of the product x w; a gradient is written
+    into ``g_w`` or ``g_x`` when given."""
+    grads = ()
+    if w.requires_grad:
+        grads += ((w, np.matmul(x.data.T, g, out=g_w)),)
+    if x.requires_grad:
+        grads += ((x, np.matmul(g, w.data.T, out=g_x)),)
+    return grads
+
+
 def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
                bias: Tensor | None = None) -> Tensor:
     """One ReLU layer relu(adj (x w) + bias) as one node; with ``adj`` None
@@ -198,19 +272,8 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
     and no array as wide as ``x`` is formed. The ReLU runs in place and
     backward reads its mask from the output (out > 0 exactly where the
     pre-activation is), so the node holds its output and nothing more."""
-    if adj is not None and adj.n != x.rows:
-        raise DimensionError(f"graph_conv: operator n={adj.n} vs tensor rows={x.rows}")
-    if x.cols != w.rows:
-        raise DimensionError(f"graph_conv: {x.data.shape} @ {w.data.shape}")
-    if bias is not None and bias.data.shape != (1, w.cols):
-        raise DimensionError(f"graph_conv: bias {bias.data.shape} for width {w.cols}")
-    csr = None if adj is None else adj.csr()
-    pre = x.data @ w.data
-    if csr is not None:
-        pre = csr @ pre
-    if bias is not None:
-        pre += bias.data
-    out_data = np.maximum(pre, 0.0, out=pre)
+    csr = _conv_view(x, w, adj, bias, "graph_conv")
+    out_data = _propagate_relu(x.data @ w.data, csr, bias)
 
     def backward_fn(g, accum):
         g = g * (out_data > 0.0)
@@ -218,13 +281,59 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
             accum(bias, g.sum(axis=0, keepdims=True))
         if csr is not None:
             g = csr.T @ g
-        if w.requires_grad:
-            accum(w, x.data.T @ g)
-        if x.requires_grad:
-            accum(x, g @ w.data.T)
+        for tensor, grad in _product_grads(g, x, w):
+            accum(tensor, grad)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _from_op(out_data, parents, backward_fn)
+
+
+def graph_conv_views(spatial: tuple, feature: tuple) -> tuple[Tensor, Tensor]:
+    """The two view convolutions of an encoder layer, each ``(x, w, adj)``
+    a ``graph_conv`` without bias, as one node with an output per view:
+    returns (z_spatial, z_feature).
+
+    The views run in ``_lanes``, forward and backward: lane 0 runs the
+    spatial view and lane 1 the feature view's dense products. A second
+    thread keeps what it allocates in a heap of its own, which the calling
+    thread never reuses, so lane 1 writes only into arrays the calling
+    thread allocated, and the calling thread runs the feature view's
+    propagation and ReLU itself: after the lanes in forward, before them in
+    backward. Every view makes exactly the calls of its ``graph_conv``, and
+    backward hands on the spatial view's gradients before the feature
+    view's, so every bit is that of the two one-view nodes."""
+    (x_s, w_s, csr_s), (x_f, w_f, csr_f) = (
+        (x, w, _conv_view(x, w, adj, None, "graph_conv_views")) for x, w, adj in (spatial, feature))
+    pre_f = np.empty((x_f.rows, w_f.cols))
+
+    def forward(done, view, lane):
+        if view:
+            np.matmul(x_f.data, w_f.data, out=pre_f)
+            return done
+        return done + (_propagate_relu(x_s.data @ w_s.data, csr_s, None),)
+
+    (out_s,) = _lanes(([0], [1]), tuple, forward, ())
+    out_f = _propagate_relu(pre_f, csr_f, None)
+
+    def backward_fn(grads, accum):
+        g_s, g_f = grads
+        bufs = (None, None)
+        if g_f is not None:
+            g_f = _unpropagate(g_f, out_f, csr_f)
+            bufs = tuple(np.empty(t.data.shape) if t.requires_grad else None for t in (w_f, x_f))
+
+        def products(done, view, lane):
+            if view:
+                return done + _product_grads(g_f, x_f, w_f, *bufs)
+            return done + _product_grads(_unpropagate(g_s, out_s, csr_s), x_s, w_s)
+
+        work = ([0] if g_s is not None else [], [1] if g_f is not None else [])
+        for tensor, grad in _lanes(work, tuple, products, ()):
+            accum(tensor, grad)
+
+    parents = (x_s, w_s, x_f, w_f)
+    return tuple(_from_op(out, parents, _OutputOf(backward_fn, k, 2))
+                 for k, out in enumerate((out_s, out_f)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +493,13 @@ class SparseMatrix:
 
 
 def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
-           body: Callable[..., float]) -> float:
+           body: Callable, start=0.0):
     """Run each lane's ``work`` in order, lane k over ``work[k]``, as
-    ``total = body(total, item, k, *space)`` from a total of zero, and
-    return lane 0's total plus lane 1's.
+    ``total = body(total, item, k, *space)`` from ``start``, and return
+    lane 0's total plus lane 1's: a sum of floats, or lane 0's results
+    followed by lane 1's when ``start`` is an empty tuple.
 
-    With LANE_WORKERS above one and work in lane 1, lane 1 is one pool
+    With LANE_WORKERS above one and work in both lanes, lane 1 is one pool
     task, run in a copy of the caller's context (so numpy's error state
     holds there too), and each lane owns a ``workspace()``; otherwise the
     calling thread runs lane 0 and then lane 1 in one. ``body`` writes only
@@ -398,12 +508,12 @@ def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
     """
 
     def lane(k, space):
-        total = 0.0
+        total = start
         for item in work[k]:
             total = body(total, item, k, *space)
         return total
 
-    if LANE_WORKERS > 1 and work[1]:
+    if LANE_WORKERS > 1 and all(work):
         with ThreadPoolExecutor(1) as pool:
             second = pool.submit(contextvars.copy_context().run, lane, 1, workspace())
             return lane(0, workspace()) + second.result()
@@ -882,7 +992,9 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
 
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of ``loss`` into the ``.grad`` of every reachable
-    leaf, a requires_grad tensor that no op produced; op outputs keep none."""
+    leaf, a requires_grad tensor that no op produced; op outputs keep none.
+    An op with several outputs gets every reached output's gradient in one
+    call of its closure."""
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar, got {loss.data.shape}")
 
@@ -911,12 +1023,29 @@ def backward(loss: Tensor) -> None:
         buf = pending.get(key)
         pending[key] = contribution if buf is None else buf + contribution
 
+    # An op with several outputs runs its closure once, when the walk has
+    # passed the last of its outputs that the loss reaches; until then its
+    # outputs' gradients wait in ``stash``.
+    unpassed = Counter(id(node._backward.fn) for node in topo
+                       if isinstance(node._backward, _OutputOf))
+    stash: dict[int, list] = {}
+
     for node in reversed(topo):
         g = pending.pop(id(node), None)
-        if g is None:
+        step = node._backward
+        if isinstance(step, _OutputOf):
+            key = id(step.fn)
+            grads = stash.setdefault(key, [None] * step.outputs)
+            grads[step.index] = g
+            unpassed[key] -= 1
+            if not unpassed[key]:
+                del stash[key]
+                if any(grad is not None for grad in grads):
+                    step.fn(grads, accum)
+        elif g is None:
             continue
-        if node._backward is not None:
-            node._backward(g, accum)
+        elif step is not None:
+            step(g, accum)
         elif node.requires_grad:
             # Single += per pass: two passes double the gradient exactly.
             node.grad = g if node.grad is None else node.grad + g

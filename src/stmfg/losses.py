@@ -14,8 +14,9 @@ the single-spot case is exactly zero.
 
 The ZINB term is one fused node too (``zinb_decoder_nll``), from the
 decoder's hidden layer on: per block of rows (at most ``ZINB_ROW_BLOCK``
-rows and ``ZINB_BLOCK_ENTRIES`` entries), split into two gene halves from
-2048 genes on, it applies the three heads, runs lgamma and digamma on the
+rows and ``ZINB_BLOCK_ENTRIES`` entries), cut into two halves, one per
+engine lane, by rows when 3 genes < rows and by genes otherwise, it
+applies the three heads, runs lgamma and digamma on the
 positive counts only and the mixture on the zero counts only, and chains
 the closed-form gradients through the heads in the same pass. Its count
 constants (checks, each tile's bit mask of positive entries and their

@@ -3,11 +3,13 @@ parameters of the ZINB decoder that drives reconstruction.
 
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
-embeddings row-wise into the next layer's input. Each convolution is one
-engine node (``autodiff.graph_conv``) computing A (Z W), so the first
-layer reads the input X directly and its sparse products run on the layer
-width, never on the gene width; each attention step is one node too
-(``autodiff.view_attention``). A late-fusion variant
+embeddings row-wise into the next layer's input. A layer's two
+convolutions are one engine node (``autodiff.graph_conv_views``) with an
+output per view, each computing A (Z W), so the first layer reads the
+input X directly and its sparse products run on the layer width, never on
+the gene width; the node runs the spatial view and the feature view on
+the engine's two lanes, forward and backward. Each attention step is one
+node too (``autodiff.view_attention``). A late-fusion variant
 (each view encoded independently, one fusion at the output) backs the
 "w/o mf" ablation. The decoder's hidden layer
 is one ``graph_conv`` node without propagation; its three heads have no
@@ -149,8 +151,8 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
     last = params.n_layers - 1
     for i in range(params.n_layers):
         in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
-        z_s = ad.graph_conv(in_s, params.spatial_weights[i], spatial_norm)
-        z_f = ad.graph_conv(in_f, params.feature_weights[i], feature_norm)
+        z_s, z_f = ad.graph_conv_views((in_s, params.spatial_weights[i], spatial_norm),
+                                       (in_f, params.feature_weights[i], feature_norm))
         trace.spatial_embeddings.append(z_s)
         trace.feature_embeddings.append(z_f)
         if per_layer_fusion or i == last:

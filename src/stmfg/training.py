@@ -1,7 +1,9 @@
 """Full-batch Adam training of the combined objective.
 
 One run owns its model exclusively; everything is seeded and the loop is
-deterministic in single-threaded mode. Ablation switches drop a loss term
+deterministic at any lane-worker count, with BLAS threads pinned: the
+engine deals its work, the Adam halves included, to two fixed lanes by
+the data's shape alone. Ablation switches drop a loss term
 from the graph entirely (so it contributes neither value nor gradient) or
 swap per-layer fusion for a single output-level fusion.
 """
@@ -184,10 +186,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adam with bias correction; L2 weight decay is added to the gradient
-    before the moment updates (coupled form). A second moment that leaves
-    the finite range would freeze its parameter (every step exactly 0), so
-    the step raises ``NumericError`` naming it instead; ``names`` label the
-    parameters in that message (default: their positions)."""
+    before the moment updates (coupled form). A step runs on the engine's
+    two lanes in two phases, the moments of every parameter and then the
+    steps. A second moment that leaves the finite range would freeze its
+    parameter (every step exactly 0), so between the phases the step raises
+    ``NumericError`` naming the first such parameter instead, before any
+    parameter moves; ``names`` label the parameters in that message
+    (default: their positions)."""
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
                  names: list[str] | None = None):
@@ -199,6 +204,9 @@ class Adam:
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.t = 0
+        for p in self.params:
+            # the step writes each parameter through a flat view of its data
+            p.data = np.ascontiguousarray(p.data)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -209,32 +217,55 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        # One call-scoped scratch pair, sized by the largest parameter,
-        # holds every temporary of every update.
-        size = max((p.data.size for p in self.params), default=0)
-        scratch = (np.empty(size), np.empty(size))
+        # Every update is elementwise, so it is cut into two flat halves,
+        # one per engine lane: lane 0 takes the first half of each
+        # parameter's elements, rounded up, and lane 1 the rest.
+        halves = ([], [])
+        for p, m, v in zip(self.params, self.m, self.v):
+            flat = (p.data.reshape(-1), np.ravel(p.grad), m.reshape(-1), v.reshape(-1))
+            mid = (p.data.size + 1) // 2
+            halves[0].append(tuple(a[:mid] for a in flat))
+            halves[1].append(tuple(a[mid:] for a in flat))
+        # One call-scoped scratch pair per lane, half the largest parameter,
+        # holds every temporary of every update in that lane.
+        size = (max((p.data.size for p in self.params), default=0) + 1) // 2
+
+        # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+        # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
+        # operation, so every update is bitwise that of the expression.
+        def moments(peaks, half, _lane, a, b):
+            p, g, m, v = half
+            a, b = a[:p.size], b[:p.size]
+            if self.weight_decay != 0.0:
+                g = np.add(g, np.multiply(self.weight_decay, p, out=a), out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+            v *= ADAM_BETA2
+            v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
+            # v >= 0, and max propagates NaN: one reduction, no mask
+            return peaks + (v.max(initial=0.0),)
+
+        def steps(total, half, _lane, a, b):
+            p, _, m, v = half
+            a, b = a[:p.size], b[:p.size]
+            step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
+            denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+            p -= np.divide(step, denom, out=a)
+            return total
+
+        def workspace():
+            return np.empty(size), np.empty(size)
+
         # an overflow surfaces as the typed error below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, m, v, name in zip(self.params, self.m, self.v, self.names):
-                a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in scratch)
-                g = p.grad
-                if self.weight_decay != 0.0:
-                    g = np.add(g, np.multiply(self.weight_decay, p.data, out=a), out=a)
-                # The in-place form of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
-                # and p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), operation for
-                # operation, so every update is bitwise that of the expression.
-                m *= ADAM_BETA1
-                m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
-                v *= ADAM_BETA2
-                v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
-                # v >= 0, and max propagates NaN: one reduction, no mask
-                if not math.isfinite(v.max(initial=0.0)):
+            peaks = ad._lanes(halves, workspace, moments, ())
+            count = len(self.params)
+            for name, first, second in zip(self.names, peaks[:count], peaks[count:]):
+                if not (math.isfinite(first) and math.isfinite(second)):
                     raise NumericError(f"Adam step {self.t}: the second moment of {name} is "
                                        "not finite (its squared gradient, weight decay "
                                        "included, overflowed)")
-                step = np.multiply(self.lr, np.divide(m, bc1, out=a), out=a)
-                denom = np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-                p.data -= np.divide(step, denom, out=a)
+            ad._lanes(halves, workspace, steps)
 
     def zero_grad(self) -> None:
         ad.zero_grad(self.params)

@@ -811,12 +811,23 @@ def _op_cases():
         return wsum(rng, ad.graph_conv(x, w, random_sparse_symmetric(x.rows, rng), bias))
 
     case("graph_conv")(graph_conv_case)
+
+    # both weights depend on x, and the feature view reads x squared
+    def graph_conv_views_case(rng, x):
+        w_s, w_f = (matmul(Tensor(rng.uniform(-1, 1, (x.cols, x.rows))), x) for _ in range(2))
+        z_s, z_f = ad.graph_conv_views(
+            (x, w_s, random_sparse_symmetric(x.rows, rng)),
+            (hadamard(x, x), w_f, random_sparse_symmetric(x.rows, rng)))
+        return ad.add(wsum(rng, z_s), wsum(rng, z_f))
+
+    case("graph_conv_views")(graph_conv_views_case)
     return cases
 
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "graph_conv": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "graph_conv": [0.0], "graph_conv_views": [0.0], "leaky_relu": [0.0],
+         "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():
@@ -972,6 +983,107 @@ class TestGraphConv:
         for shape in ((2, 2), (1, 3), (2, 1)):
             with pytest.raises(DimensionError):
                 ad.graph_conv(x, w, bias=tensor(np.ones(shape)))
+
+
+class TestGraphConvViews:
+    """The two-view node against two reference chains, one per view."""
+
+    @staticmethod
+    def problem(shared, seed=45):
+        """Leaves of a layer over 30 spots, the views' inputs one tensor
+        (per-layer fusion) or two (late fusion), two graphs and two
+        upstream weights."""
+        rng = np.random.default_rng(seed)
+        x_s = rng.normal(size=(30, 5))
+        x_s[3] = 0.0  # a zero row: some outputs sit on the kink
+        x_f = x_s if shared else rng.normal(size=(30, 5))
+        return SimpleNamespace(
+            x_s=x_s, x_f=x_f, shared=shared, w_s=rng.normal(size=(5, 4)),
+            w_f=rng.normal(size=(5, 4)), adj_s=random_sparse_symmetric(30, rng),
+            adj_f=random_sparse_symmetric(30, rng),
+            up_s=Tensor(rng.uniform(-1, 1, (30, 4))), up_f=Tensor(rng.uniform(-1, 1, (30, 4))))
+
+    @staticmethod
+    def run(pr, fused, views=("s", "f")):
+        """Outputs and the leaves' gradients of a loss over the outputs of
+        ``views``; ``fused`` runs the two-view node, else two reference
+        chains. Also returns the node's closure calls, each a list of which
+        outputs' gradients it was handed."""
+        x_s = tensor(pr.x_s)
+        x_f = x_s if pr.shared else tensor(pr.x_f)
+        w_s, w_f = tensor(pr.w_s), tensor(pr.w_f)
+        calls = []
+        if fused:
+            z_s, z_f = ad.graph_conv_views((x_s, w_s, pr.adj_s), (x_f, w_f, pr.adj_f))
+            fn = z_s._backward.fn
+            assert z_f._backward.fn is fn
+
+            def counted(grads, accum):
+                calls.append([g is not None for g in grads])
+                fn(grads, accum)
+
+            z_s._backward.fn = z_f._backward.fn = counted
+        else:
+            z_s = reference_graph_conv(x_s, w_s, pr.adj_s)
+            z_f = reference_graph_conv(x_f, w_f, pr.adj_f)
+        terms = {"s": sum_all(hadamard(pr.up_s, z_s)), "f": sum_all(hadamard(pr.up_f, z_f))}
+        loss = terms[views[0]]
+        for view in views[1:]:
+            loss = ad.add(loss, terms[view])
+        ad.backward(loss)
+        leaves = [x_s, w_s, w_f] + ([] if pr.shared else [x_f])
+        return [z_s.data, z_f.data], [t.grad for t in leaves], calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-input", "two-inputs"])
+    def test_matches_two_reference_chains_bitwise(self, shared, workers, monkeypatch):
+        """Both outputs and every gradient are bitwise those of one
+        reference chain per view, at 1, 2 and 3 workers, with the views
+        reading one input (its gradient a sum over both views) or one input
+        each. The closure runs once, with both outputs' gradients; on more
+        than one worker the forward and the backward each submit lane 1
+        once."""
+        pr = self.problem(shared)
+        (outs, grads, calls), submitted = run_on_workers(
+            monkeypatch, workers, lambda: self.run(pr, fused=True))
+        ref_outs, ref_grads, _ = self.run(pr, fused=False)
+        assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
+        for got, want in zip(outs + grads, ref_outs + ref_grads):
+            np.testing.assert_array_equal(got, want)
+        assert calls == [[True, True]]
+        assert len(submitted) == (2 if workers > 1 else 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_loss_reaching_the_spatial_view_only(self, workers, monkeypatch):
+        """A loss over the spatial output alone runs the closure once, with
+        no feature gradient: the feature weight gets none, and the shared
+        input only the spatial view's. The backward has no lane-1 work, so
+        only the forward submits."""
+        pr = self.problem(shared=True)
+        (outs, grads, calls), submitted = run_on_workers(
+            monkeypatch, workers, lambda: self.run(pr, fused=True, views=("s",)))
+        ref_outs, ref_grads, _ = self.run(pr, fused=False, views=("s",))
+        assert calls == [[True, False]]
+        x_grad, w_s_grad, w_f_grad = grads
+        assert w_f_grad is None and ref_grads[2] is None
+        np.testing.assert_array_equal(x_grad, ref_grads[0])
+        np.testing.assert_array_equal(w_s_grad, ref_grads[1])
+        assert len(submitted) == (1 if workers > 1 else 0)
+
+    def test_outputs_are_separate_tensors_with_shared_parents(self):
+        pr = self.problem(shared=False)
+        x_s, x_f, w_s, w_f = (tensor(a) for a in (pr.x_s, pr.x_f, pr.w_s, pr.w_f))
+        z_s, z_f = ad.graph_conv_views((x_s, w_s, pr.adj_s), (x_f, w_f, pr.adj_f))
+        assert z_s is not z_f and z_s._parents == z_f._parents == (x_s, w_s, x_f, w_f)
+        assert (z_s._backward.index, z_f._backward.index) == (0, 1)
+
+    def test_dimension_errors(self):
+        x, w = tensor(np.ones((4, 3))), tensor(np.ones((3, 2)))
+        eye = SparseMatrix(4, range(4), range(4), np.ones(4))
+        for bad in ((x, w, SparseMatrix(5, [], [], [])), (x, tensor(np.ones((2, 2))), eye)):
+            for views in ((bad, (x, w, eye)), ((x, w, eye), bad)):
+                with pytest.raises(DimensionError, match="graph_conv_views"):
+                    ad.graph_conv_views(*views)
 
 
 class TestViewAttention:

@@ -91,27 +91,39 @@ class AllocatingAdam:
 
 
 class TestAdam:
-    def test_matches_allocating_step_bitwise_at_900x3000_shapes(self):
+    def test_matches_allocating_step_bitwise_at_900x3000_shapes(self, monkeypatch):
+        """Twenty steps on the default model's parameters at 3000 genes are
+        bitwise the allocating expression's at 1, 2 and 3 lane workers,
+        run side by side; on more than one worker each step submits lane 1
+        once per phase."""
         cfg = TrainConfig()
         dims = [3000, *cfg.hidden_dims]
-        mine = trainable_tensors(ModelParams.initialize(
-            np.random.default_rng(0), dims, 3000, cfg.decoder_hidden), cfg)
-        ref = trainable_tensors(ModelParams.initialize(
-            np.random.default_rng(0), dims, 3000, cfg.decoder_hidden), cfg)
-        opt = Adam(mine, lr=0.01, weight_decay=cfg.weight_decay)
+
+        def tensors():
+            return trainable_tensors(ModelParams.initialize(
+                np.random.default_rng(0), dims, 3000, cfg.decoder_hidden), cfg)
+
+        mine = {workers: tensors() for workers in (1, 2, 3)}
+        opts = {workers: Adam(params, lr=0.01, weight_decay=cfg.weight_decay)
+                for workers, params in mine.items()}
+        ref = tensors()
         ref_opt = AllocatingAdam(ref, lr=0.01, weight_decay=cfg.weight_decay)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            for p, q in zip(mine, ref):
-                p.grad = rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=p.data.shape)
-                q.grad = p.grad.copy()
-            opt.step()
+            for q in ref:
+                q.grad = rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=q.data.shape)
             ref_opt.step()
-            for p, q in zip(mine, ref):
-                np.testing.assert_array_equal(p.data, q.data)
-        for m, v, q_m, q_v in zip(opt.m, opt.v, ref_opt.m, ref_opt.v):
-            np.testing.assert_array_equal(m, q_m)
-            np.testing.assert_array_equal(v, q_v)
+            for workers, params in mine.items():
+                for p, q in zip(params, ref):
+                    p.grad = q.grad.copy()
+                _, submitted = run_on_workers(monkeypatch, workers, opts[workers].step)
+                assert len(submitted) == (2 if workers > 1 else 0)
+                for p, q in zip(params, ref):
+                    np.testing.assert_array_equal(p.data, q.data)
+        for opt in opts.values():
+            for m, v, q_m, q_v in zip(opt.m, opt.v, ref_opt.m, ref_opt.v):
+                np.testing.assert_array_equal(m, q_m)
+                np.testing.assert_array_equal(v, q_v)
 
     def test_first_step_is_one_learning_rate(self):
         p = Tensor([[2.0]], requires_grad=True)
@@ -136,15 +148,25 @@ class TestAdam:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("names,named", [(None, "parameter 1"), (["a", "b"], "b")])
-    def test_non_finite_second_moment_names_parameter(self, names, named):
+    def test_non_finite_second_moment_names_parameter(self, names, named, monkeypatch):
         """g*g overflowing would leave v = inf and freeze the parameter (its
-        steps exactly 0): the step refuses, and moves no parameter after it."""
-        p, q = Tensor([[1.0]], requires_grad=True), Tensor([[2.0, 3.0]], requires_grad=True)
-        p.grad, q.grad = np.array([[1.0]]), np.array([[1e200, 0.0]])
-        opt = Adam([p, q], lr=0.1, names=names)
-        with pytest.raises(NumericError, match=f"Adam step 1: the second moment of {named} "):
-            opt.step()
-        np.testing.assert_array_equal(q.data, [[2.0, 3.0]])
+        steps exactly 0): the step refuses and moves no parameter. On one
+        worker the overflow is in lane 0's half of the parameter, on two
+        only in lane 1's, which the second thread updates."""
+        for workers, q_grad in ((1, [[1e200, 0.0]]), (2, [[0.0, 1e200]])):
+            p, q = Tensor([[1.0]], requires_grad=True), Tensor([[2.0, 3.0]], requires_grad=True)
+            p.grad, q.grad = np.array([[1.0]]), np.array(q_grad)
+            opt = Adam([p, q], lr=0.1, names=names)
+
+            def step():
+                with pytest.raises(NumericError,
+                                   match=f"Adam step 1: the second moment of {named} "):
+                    opt.step()
+
+            _, submitted = run_on_workers(monkeypatch, workers, step)
+            assert len(submitted) == workers - 1
+            np.testing.assert_array_equal(p.data, [[1.0]])
+            np.testing.assert_array_equal(q.data, [[2.0, 3.0]])
 
     def test_names_must_match_parameters(self):
         with pytest.raises(ContractError):
@@ -420,13 +442,15 @@ EPOCH_CONFIGS = {**ABLATION_VARIANTS, "cl_all_layers": {"contrastive_layers": "a
 @pytest.mark.parametrize("genes", [12, 40], ids=["zinb-row-cut", "zinb-gene-cut"])
 @pytest.mark.parametrize("config", list(EPOCH_CONFIGS))
 def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
-    """One epoch's four loss terms and every trainable gradient are bitwise
-    the same at 1, 2 and 3 lane workers, and equal to the epoch built on
-    the serial allocating references of the three fused nodes. On 100
-    spots every fused node has lane-1 work: 200 contrastive items and 100
-    link rows are more than one 96-row tile, and the ZINB target is cut by
-    rows at 12 genes and by genes at 40. On more than one worker each
-    fused node the epoch builds submits lane 1 once."""
+    """One epoch's four loss terms, every trainable gradient and the
+    parameters after one Adam step are bitwise the same at 1, 2 and 3 lane
+    workers, and equal to the epoch built on the serial allocating
+    references of the three fused nodes. On 100 spots every fused node has
+    lane-1 work: 200 contrastive items and 100 link rows are more than one
+    96-row tile, and the ZINB target is cut by rows at 12 genes and by
+    genes at 40. On more than one worker each fused loss node the epoch
+    builds submits lane 1 once, each layer's view convolutions once
+    forward and once backward, and the Adam step once per phase."""
     ds, graphs = small_problem(n_side=10, genes=genes)
     cfg = small_config(**EPOCH_CONFIGS[config])
     target, is_counts = training._reconstruction_target(ds, cfg)
@@ -435,6 +459,7 @@ def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
     contrastive_calls = len(cfg.hidden_dims) if cfg.contrastive_layers == "all" else 1
     nodes = ((not cfg.disable_zinb) + (not cfg.disable_reg)
              + (0 if cfg.disable_cl else contrastive_calls))
+    submits = nodes + 2 * len(cfg.hidden_dims) + 2
 
     def epoch():
         params = ModelParams.initialize(np.random.default_rng(cfg.seed),
@@ -445,12 +470,14 @@ def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
         tensors = trainable_tensors(params, cfg)
         assert all(t.grad is not None for t in tensors)
         losses = [breakdown.zinb, breakdown.cl, breakdown.reg, breakdown.total]
-        return [v.hex() for v in losses], [t.grad.tobytes() for t in tensors]
+        grads = [t.grad.tobytes() for t in tensors]
+        Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay).step()
+        return [v.hex() for v in losses], grads, [t.data.tobytes() for t in tensors]
 
     runs = []
     for workers in (1, 2, 3):
         result, submitted = run_on_workers(monkeypatch, workers, epoch)
-        assert len(submitted) == (nodes if workers > 1 else 0)
+        assert len(submitted) == (submits if workers > 1 else 0)
         runs.append(result)
     for name, reference in (("zinb_decoder_nll", allocating_zinb_decoder_nll),
                             ("cross_view_contrastive", allocating_cross_view_contrastive),
@@ -660,13 +687,18 @@ def test_training_matches_allocating_zinb_reference(block, monkeypatch):
 
 
 def test_training_matches_graph_conv_reference(monkeypatch):
-    """Training with the fused ReLU layer and with its generic-op chain
-    patched in gives the same loss table and embedding bytes; with the
-    propagate-first chain, losses and embedding agree within 1e-12."""
+    """Training with the fused ReLU layers and with their generic-op chain
+    patched in, the encoder's view pairs as two chains each, gives the same
+    loss table and embedding bytes; with the propagate-first chain, losses
+    and embedding agree within 1e-12."""
     ds, graphs = small_problem()
     runs = []
-    for conv in (ad.graph_conv, reference_graph_conv, propagate_first_graph_conv):
+    for conv, views in ((ad.graph_conv, ad.graph_conv_views),
+                        (reference_graph_conv, None), (propagate_first_graph_conv, None)):
         monkeypatch.setattr(ad, "graph_conv", conv)
+        monkeypatch.setattr(ad, "graph_conv_views",
+                            views or (lambda spatial, feature, conv=conv:
+                                      (conv(*spatial), conv(*feature))))
         runs.append(train(ds, graphs, small_config(epochs=4)))
     fused, ref, old = runs
     assert fused.log.loss_table() == ref.log.loss_table()
@@ -743,12 +775,13 @@ def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
     assert called == hooked
 
 
-def test_default_epoch_builds_sixteen_engine_ops(monkeypatch):
-    """One default-config epoch calls the tensor ops of ad.__all__ 16 times,
-    counted as the benchmark counts them: four view convolutions, two
-    attention steps, the decoder's hidden layer, the ZINB, contrastive and
-    regularizer nodes, and six scale and add nodes that average the
-    regularizer and weigh and sum the three terms."""
+def test_default_epoch_builds_fourteen_engine_ops(monkeypatch):
+    """One default-config epoch calls the tensor ops of ad.__all__ 14 times,
+    counted as the benchmark counts them: two view-convolution nodes (one
+    per layer, an output per view), two attention steps, the decoder's
+    hidden layer, the ZINB, contrastive and regularizer nodes, and six
+    scale and add nodes that average the regularizer and weigh and sum the
+    three terms."""
     ds, graphs = small_problem()
     calls = []
 
@@ -763,10 +796,10 @@ def test_default_epoch_builds_sixteen_engine_ops(monkeypatch):
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(ad, name, counted(name, fn))
     default_epoch(ds, graphs)
-    assert len(calls) == 16
-    assert Counter(calls) == {"graph_conv": 5, "view_attention": 2, "zinb_decoder_nll": 1,
-                              "cross_view_contrastive": 1, "cosine_link_loss": 1,
-                              "scale": 4, "add": 2}
+    assert len(calls) == 14
+    assert Counter(calls) == {"graph_conv_views": 2, "graph_conv": 1, "view_attention": 2,
+                              "zinb_decoder_nll": 1, "cross_view_contrastive": 1,
+                              "cosine_link_loss": 1, "scale": 4, "add": 2}
 
 
 def test_forward_trace_holds_encoder_outputs_only():
