@@ -8,11 +8,12 @@ convolutions are one engine node (``autodiff.graph_conv_views``) with an
 output per view, each computing A (Z W), so the first layer reads the
 input X directly and its sparse products run on the layer width, never on
 the gene width; the node runs the spatial view and the feature view on
-the engine's two lanes, forward and backward. Each attention step is one
-node too (``autodiff.view_attention``). A late-fusion variant
-(each view encoded independently, one fusion at the output) backs the
-"w/o mf" ablation. The decoder's hidden layer
-is one ``graph_conv`` node without propagation; its three heads have no
+the engine's two lanes, forward and backward (the lanes that also take
+the fused loss nodes' tiles and the halves of each Adam update). Each
+attention step is one node too (``autodiff.view_attention``). A
+late-fusion variant (each view encoded independently, one fusion at the
+output) backs the "w/o mf" ablation. The decoder's hidden layer is one
+``graph_conv`` node without propagation; its three heads have no
 nodes of their own: the likelihood node applies them to the hidden layer
 (``zinb_decode``) block by block, and a trace holds encoder outputs only.
 """
