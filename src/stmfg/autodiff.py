@@ -2,12 +2,14 @@
 
 Everything is rank-2: scalars are 1x1, row vectors 1xd. The op set is
 exactly what the package calls: each encoder layer's two view
-convolutions are one ``graph_conv_views`` node with an output per view,
-the decoder's ReLU hidden layer is one ``graph_conv`` node, the attention
-step, the pairwise losses and the ZINB decoder heads with their
-likelihood are fused nodes, and ``add`` and ``scale`` weigh and sum the
-1x1 loss terms. Every node has a closed-form gradient and forms no n-by-n
-or n-by-genes intermediate.
+convolutions are one ``graph_conv_views`` node whose output stacks the
+two n-by-d views into one 2n-by-d tensor, spatial rows first, which the
+attention step and the contrastive loss read as it is; the decoder's ReLU
+hidden layer is one ``graph_conv`` node, the attention step, the pairwise
+losses and the ZINB decoder heads with their likelihood are fused nodes,
+and ``add`` and ``scale`` weigh and sum the 1x1 loss terms. Every node has
+one output and a closed-form gradient, and forms no n-by-n or n-by-genes
+intermediate.
 Graph adjacency enters as a constant sparse operator (`SparseMatrix`)
 and the ZINB counts as a constant `ZinbTarget`, built once per run, so no
 gradient ever flows into graph structure or counts. Each op checks its
@@ -28,29 +30,24 @@ node walks its target's row blocks, each cut into two halves, one per
 lane: by rows when the target has fewer than a third as many genes as
 rows, by genes otherwise; the two-view convolution runs the spatial view
 in lane 0 and the feature view's dense products in lane 1, forward and
-backward; and
-training's Adam step updates the first half of each parameter in lane 0
-and the rest in lane 1. Each lane sums its own steps and lane 0's sums are
-added to lane 1's, so the bits do not depend on whether lane 1 runs on a
-second thread, which it does whenever both lanes have work and the
-process may use two CPUs.
+backward; and training's Adam step updates the first half of each
+parameter in lane 0 and the rest in lane 1. Each lane sums its own steps
+and lane 0's sums are added to lane 1's, so the bits do not depend on
+whether lane 1 runs on a second thread, which it does whenever both lanes
+have work and the process may use two CPUs.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
 into ``.grad`` with a single addition, which keeps repeated passes
 exactly additive; an op output's total is dropped once its closure has
-used it, so a kept trace holds its activations and no gradients. An op
-with several outputs runs its closure once, after the walk has passed
-every output the loss reaches, and the lanes of its backward return
-their gradients for the calling thread to fold in. Resetting gradients is
-explicit (``zero_grad``).
+used it, so a kept trace holds its activations and no gradients.
+Resetting gradients is explicit (``zero_grad``).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -179,11 +176,6 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor
     return out
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def _fused_loss(value: float, leaves: Sequence[Tensor],
                 grads: Sequence[np.ndarray]) -> Tensor:
     """The 1x1 node of a fused loss whose gradients in ``leaves`` were
@@ -203,45 +195,15 @@ def _fused_loss(value: float, leaves: Sequence[Tensor],
 # graph convolution
 
 
-class _OutputOf:
-    """The ``_backward`` of output ``index`` of an op with several outputs.
-    The op's one closure ``fn(grads, accum)`` takes a gradient per output,
-    None where none reached it. ``backward`` hands it every reached
-    output's gradient in one call; called alone, an output passes on its
-    own gradient only."""
-
-    __slots__ = ("fn", "index", "outputs")
-
-    def __init__(self, fn, index: int, outputs: int):
-        self.fn, self.index, self.outputs = fn, index, outputs
-
-    def __call__(self, g: np.ndarray, accum: Callable) -> None:
-        grads = [None] * self.outputs
-        grads[self.index] = g
-        self.fn(grads, accum)
-
-
-def _conv_view(x: Tensor, w: Tensor, adj: "SparseMatrix | None", bias: Tensor | None,
-               op: str):
-    """Check one convolution's operands; return its propagation as CSR,
-    or None for a dense layer."""
-    if adj is not None and adj.n != x.rows:
-        raise DimensionError(f"{op}: operator n={adj.n} vs tensor rows={x.rows}")
-    if x.cols != w.rows:
-        raise DimensionError(f"{op}: {x.data.shape} @ {w.data.shape}")
-    if bias is not None and bias.data.shape != (1, w.cols):
-        raise DimensionError(f"{op}: bias {bias.data.shape} for width {w.cols}")
-    return None if adj is None else adj.csr()
-
-
-def _propagate_relu(pre: np.ndarray, csr, bias: Tensor | None) -> np.ndarray:
-    """relu(csr pre + bias) from the dense product ``pre``, in place where
-    it can be; ``csr`` None is no propagation."""
+def _propagate_relu(pre: np.ndarray, csr, bias: Tensor | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """relu(csr pre + bias) from the dense product ``pre``, written into
+    ``out``, or in place where it can be; ``csr`` None is no propagation."""
     if csr is not None:
         pre = csr @ pre
     if bias is not None:
         pre += bias.data
-    return np.maximum(pre, 0.0, out=pre)
+    return np.maximum(pre, 0.0, out=pre if out is None else out)
 
 
 def _unpropagate(g: np.ndarray, out: np.ndarray, csr) -> np.ndarray:
@@ -251,17 +213,13 @@ def _unpropagate(g: np.ndarray, out: np.ndarray, csr) -> np.ndarray:
     return g if csr is None else csr.T @ g
 
 
-def _product_grads(g: np.ndarray, x: Tensor, w: Tensor, g_w: np.ndarray | None = None,
-                   g_x: np.ndarray | None = None) -> tuple:
-    """The ``(tensor, gradient)`` pairs of ``w`` and then ``x`` that require
-    one, from the gradient ``g`` of the product x w; a gradient is written
-    into ``g_w`` or ``g_x`` when given."""
-    grads = ()
-    if w.requires_grad:
-        grads += ((w, np.matmul(x.data.T, g, out=g_w)),)
-    if x.requires_grad:
-        grads += ((x, np.matmul(g, w.data.T, out=g_x)),)
-    return grads
+def _product_grads(g: np.ndarray, x: np.ndarray, w: Tensor, x_grad: bool,
+                   g_w: np.ndarray | None = None, g_x: np.ndarray | None = None) -> tuple:
+    """The gradients of ``w`` and of ``x`` from the gradient ``g`` of the
+    product x w: None for ``w`` when it requires none and for ``x`` unless
+    ``x_grad``, and each written into ``g_w`` or ``g_x`` when given."""
+    return (np.matmul(x.T, g, out=g_w) if w.requires_grad else None,
+            np.matmul(g, w.data.T, out=g_x) if x_grad else None)
 
 
 def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
@@ -272,7 +230,13 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
     and no array as wide as ``x`` is formed. The ReLU runs in place and
     backward reads its mask from the output (out > 0 exactly where the
     pre-activation is), so the node holds its output and nothing more."""
-    csr = _conv_view(x, w, adj, bias, "graph_conv")
+    if adj is not None and adj.n != x.rows:
+        raise DimensionError(f"graph_conv: operator n={adj.n} vs tensor rows={x.rows}")
+    if x.cols != w.rows:
+        raise DimensionError(f"graph_conv: {x.data.shape} @ {w.data.shape}")
+    if bias is not None and bias.data.shape != (1, w.cols):
+        raise DimensionError(f"graph_conv: bias {bias.data.shape} for width {w.cols}")
+    csr = None if adj is None else adj.csr()
     out_data = _propagate_relu(x.data @ w.data, csr, bias)
 
     def backward_fn(g, accum):
@@ -281,17 +245,21 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
             accum(bias, g.sum(axis=0, keepdims=True))
         if csr is not None:
             g = csr.T @ g
-        for tensor, grad in _product_grads(g, x, w):
-            accum(tensor, grad)
+        for tensor, grad in zip((w, x), _product_grads(g, x.data, w, x.requires_grad)):
+            if grad is not None:
+                accum(tensor, grad)
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _from_op(out_data, parents, backward_fn)
 
 
-def graph_conv_views(spatial: tuple, feature: tuple) -> tuple[Tensor, Tensor]:
-    """The two view convolutions of an encoder layer, each ``(x, w, adj)``
-    a ``graph_conv`` without bias, as one node with an output per view:
-    returns (z_spatial, z_feature).
+def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
+    """The two view convolutions of an encoder layer, each ``(w, adj)`` a
+    bias-free ``graph_conv`` over n spots, as one node whose output stacks
+    the views: a 2n-by-d array, the spatial view's rows first and the
+    feature view's after them. ``x`` has n rows, which both views read
+    (per-layer fusion), or is such a 2n-row stack, each view reading its
+    own half (late fusion).
 
     The views run in ``_lanes``, forward and backward: lane 0 runs the
     spatial view and lane 1 the feature view's dense products. A second
@@ -299,41 +267,60 @@ def graph_conv_views(spatial: tuple, feature: tuple) -> tuple[Tensor, Tensor]:
     thread never reuses, so lane 1 writes only into arrays the calling
     thread allocated, and the calling thread runs the feature view's
     propagation and ReLU itself: after the lanes in forward, before them in
-    backward. Every view makes exactly the calls of its ``graph_conv``, and
-    backward hands on the spatial view's gradients before the feature
-    view's, so every bit is that of the two one-view nodes."""
-    (x_s, w_s, csr_s), (x_f, w_f, csr_f) = (
-        (x, w, _conv_view(x, w, adj, None, "graph_conv_views")) for x, w, adj in (spatial, feature))
-    pre_f = np.empty((x_f.rows, w_f.cols))
+    backward. Lane 0 writes its ReLU into the top half of the output. The
+    lanes write a stacked input's gradient into the halves of one buffer,
+    and a shared input's into two, which the calling thread then adds.
+    Each view makes exactly the calls of its ``graph_conv``, so every row
+    is bitwise that of the two one-view nodes."""
+    (w_s, adj_s), (w_f, adj_f) = spatial, feature
+    n = adj_s.n
+    if adj_f.n != n or x.rows not in (n, 2 * n):
+        raise DimensionError(f"graph_conv_views: operators n={adj_s.n} and n={adj_f.n} "
+                             f"vs input rows={x.rows}")
+    if not x.cols == w_s.rows == w_f.rows or w_s.cols != w_f.cols:
+        raise DimensionError(f"graph_conv_views: {x.data.shape} @ {w_s.data.shape} "
+                             f"and {w_f.data.shape}")
+    stacked = x.rows == 2 * n
+    x_s, x_f = (x.data[:n], x.data[n:]) if stacked else (x.data, x.data)
+    csr_s, csr_f = adj_s.csr(), adj_f.csr()
+    out_data = np.empty((2 * n, w_s.cols))
+    pre_f = np.empty((n, w_f.cols))
 
     def forward(done, view, lane):
         if view:
-            np.matmul(x_f.data, w_f.data, out=pre_f)
-            return done
-        return done + (_propagate_relu(x_s.data @ w_s.data, csr_s, None),)
+            np.matmul(x_f, w_f.data, out=pre_f)
+        else:
+            _propagate_relu(x_s @ w_s.data, csr_s, None, out_data[:n])
+        return done
 
-    (out_s,) = _lanes(([0], [1]), tuple, forward, ())
-    out_f = _propagate_relu(pre_f, csr_f, None)
+    _lanes(([0], [1]), tuple, forward, ())
+    _propagate_relu(pre_f, csr_f, None, out_data[n:])
 
-    def backward_fn(grads, accum):
-        g_s, g_f = grads
-        bufs = (None, None)
-        if g_f is not None:
-            g_f = _unpropagate(g_f, out_f, csr_f)
-            bufs = tuple(np.empty(t.data.shape) if t.requires_grad else None for t in (w_f, x_f))
+    def backward_fn(g, accum):
+        g_f = _unpropagate(g[n:], out_data[n:], csr_f)
+        x_grad = x.requires_grad
+        # Lane 0 allocates its own gradients once its temporaries are freed,
+        # which keeps the peak down, but for a stacked input's: one buffer
+        # takes both halves.
+        g_x = np.empty(x.data.shape) if x_grad and stacked else None
+        into = (np.empty(w_f.data.shape) if w_f.requires_grad else None,
+                None if not x_grad else g_x[n:] if stacked else np.empty(x.data.shape))
 
         def products(done, view, lane):
             if view:
-                return done + _product_grads(g_f, x_f, w_f, *bufs)
-            return done + _product_grads(_unpropagate(g_s, out_s, csr_s), x_s, w_s)
+                return done + _product_grads(g_f, x_f, w_f, x_grad, *into)
+            g_s = _unpropagate(g[:n], out_data[:n], csr_s)
+            return done + _product_grads(g_s, x_s, w_s, x_grad, None,
+                                         None if g_x is None else g_x[:n])
 
-        work = ([0] if g_s is not None else [], [1] if g_f is not None else [])
-        for tensor, grad in _lanes(work, tuple, products, ()):
-            accum(tensor, grad)
+        g_ws, g_xs, g_wf, g_xf = _lanes(([0], [1]), tuple, products, ())
+        if x_grad and not stacked:
+            g_x = np.add(g_xs, g_xf, out=g_xs)  # the shared input's two terms
+        for tensor, grad in ((w_s, g_ws), (w_f, g_wf), (x, g_x)):
+            if grad is not None:
+                accum(tensor, grad)
 
-    parents = (x_s, w_s, x_f, w_f)
-    return tuple(_from_op(out, parents, _OutputOf(backward_fn, k, 2))
-                 for k, out in enumerate((out_s, out_f)))
+    return _from_op(out_data, (x, w_s, w_f), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +328,8 @@ def graph_conv_views(spatial: tuple, feature: tuple) -> tuple[Tensor, Tensor]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
     out_data = a.data + b.data
 
     def backward_fn(g, accum):
@@ -387,21 +375,26 @@ def _through_row_norm(g: np.ndarray, x: np.ndarray, norm: np.ndarray) -> np.ndar
 # fused view attention
 
 
-def view_attention(zs: Tensor, zf: Tensor, w: Tensor, slope: float,
-                   l2: bool) -> tuple[Tensor, Tensor]:
-    """Row-wise attention over two n-by-d views: the weights m are a row
-    softmax of LeakyReLU(``slope``) logits [zs, zf] w, then divided by their
-    guarded row norms when ``l2``, and the fused rows are
-    m_0 zs + m_1 zf. Returns (fused, m); m is a constant tensor, so
-    gradients reach ``zs``, ``zf`` and ``w`` through the fused output only.
-    The node holds n-by-2 arrays besides its output; backward rebuilds the
-    concatenated views for the weight gradient instead of keeping them.
+def view_attention(z: Tensor, w: Tensor, slope: float, l2: bool) -> tuple[Tensor, Tensor]:
+    """Row-wise attention over the two n-by-d views stacked in ``z`` (the
+    output of ``graph_conv_views``), zs its top n rows and zf the rest: the
+    weights m are a row softmax of LeakyReLU(``slope``) logits [zs, zf] w,
+    then divided by their guarded row norms when ``l2``, and the fused rows
+    are m_0 zs + m_1 zf. Returns (fused, m); m is a constant with no
+    backward, so gradients reach ``z`` and ``w`` through the fused output
+    only. The logits take one n-by-2d column concatenation of the views, as
+    a split product would regroup its sums. The node holds n-by-2 arrays
+    besides its output; backward rebuilds the concatenation for the weight
+    gradient instead of keeping it.
     """
-    _same_shape(zs, zf, "view_attention")
-    if w.data.shape != (2 * zs.cols, 2):
-        raise DimensionError(f"view_attention: weight {w.data.shape} for width {zs.cols}")
+    if z.rows % 2:
+        raise DimensionError(f"view_attention: {z.rows} rows do not stack two views")
+    if w.data.shape != (2 * z.cols, 2):
+        raise DimensionError(f"view_attention: weight {w.data.shape} for width {z.cols}")
     slope = float(slope)
-    logits = np.concatenate([zs.data, zf.data], axis=1) @ w.data
+    n = z.rows // 2
+    zs, zf = z.data[:n], z.data[n:]
+    logits = np.concatenate([zs, zf], axis=1) @ w.data
     act = np.where(logits > 0.0, logits, slope * logits)
     e = np.exp(act - act.max(axis=1, keepdims=True))
     soft = e / e.sum(axis=1, keepdims=True)
@@ -410,26 +403,26 @@ def view_attention(zs: Tensor, zf: Tensor, w: Tensor, slope: float,
         m = soft / norm
     else:
         m = soft
-    out_data = m[:, 0:1] * zs.data + m[:, 1:2] * zf.data
+    out_data = m[:, 0:1] * zs + m[:, 1:2] * zf
 
     def backward_fn(g, accum):
-        gm = np.concatenate([(g * zs.data).sum(axis=1, keepdims=True),
-                             (g * zf.data).sum(axis=1, keepdims=True)], axis=1)
+        gm = np.concatenate([(g * zs).sum(axis=1, keepdims=True),
+                             (g * zf).sum(axis=1, keepdims=True)], axis=1)
         if l2:
             gm = _through_row_norm(gm, soft, norm)
         g_logits = soft * (gm - (gm * soft).sum(axis=1, keepdims=True))
         g_logits *= np.where(logits > 0.0, 1.0, slope)
         if w.requires_grad:
-            accum(w, np.concatenate([zs.data, zf.data], axis=1).T @ g_logits)
-        if zs.requires_grad or zf.requires_grad:
+            accum(w, np.concatenate([zs, zf], axis=1).T @ g_logits)
+        if z.requires_grad:
             g_both = g_logits @ w.data.T
-            d = zs.cols
-            if zs.requires_grad:
-                accum(zs, g * m[:, 0:1] + g_both[:, :d])
-            if zf.requires_grad:
-                accum(zf, g * m[:, 1:2] + g_both[:, d:])
+            g_z = np.empty(z.data.shape)
+            for k, rows in enumerate((slice(0, n), slice(n, 2 * n))):
+                g_view = np.multiply(g, m[:, k:k + 1], out=g_z[rows])
+                g_view += g_both[:, k * z.cols:(k + 1) * z.cols]
+            accum(z, g_z)
 
-    return _from_op(out_data, (zs, zf, w), backward_fn), _from_op(m, (), None)
+    return _from_op(out_data, (z, w), backward_fn), _from_op(m, (), None)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +530,14 @@ def _row_tiles(rows: int) -> tuple[list[slice], list[slice]]:
     return spans[0::2], spans[1::2]
 
 
-def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
-    """Inter-view contrastive loss of the paired rows of ``a`` and ``b``.
+def cross_view_contrastive(z: Tensor, tau: float) -> Tensor:
+    """Inter-view contrastive loss of the two n-by-d views stacked in ``z``
+    (the output of ``graph_conv_views``): row r of the top half and row
+    n + r are the same spot's two views.
 
-    With y = [a; b] row-normalized (guarded norms) and s = y y^T, item r
-    of the 2n items has the other view's row of the same spot as its
-    positive p(r), and every other item as a negative:
+    With y = ``z`` row-normalized (guarded norms) and s = y y^T, item r of
+    the 2n items has the other view's row of the same spot as its positive
+    p(r), and every other item as a negative:
 
         loss = -1/(2n) sum_r log(exp(s_rp / tau) / sum_{k != r} exp(s_rk / tau)).
 
@@ -553,22 +548,22 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     finite and positive.
 
     The tiles run in ``_lanes``, a lane's workspace one PAIRWISE_TILE-by-2n
-    block and one d-by-2n product; the gradient tail runs in place, one
-    view at a time. Each step keeps the operation order of the plain array
-    expressions, grouped by lane, so values and gradients are bitwise the
-    same.
+    block and one d-by-2n product; the gradient tail runs in place, over
+    all 2n rows at once. Each step keeps the operation order of the plain
+    array expressions, grouped by lane, so values and gradients are bitwise
+    the same.
     """
-    _same_shape(a, b, "cross_view_contrastive")
+    if z.rows % 2:
+        raise DimensionError(f"cross_view_contrastive: {z.rows} rows do not stack two views")
     tau = float(tau)
     if not (0.0 < tau < np.inf and np.isfinite(1.0 / tau)):
         raise DomainError(f"cross_view_contrastive: tau must be finite and positive, got {tau}")
-    n = a.rows
-    items = 2 * n
+    items = z.rows
+    n = items // 2
     inv_tau = 1.0 / tau
     coef = 1.0 / items
-    norms = np.concatenate([_guarded_norms(a.data), _guarded_norms(b.data)])
-    y = np.concatenate([a.data, b.data])
-    y /= norms
+    norms = _guarded_norms(z.data)
+    y = z.data / norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)  # p(r), an involution
     # dL/dy = G y + G^T y for G = dL/ds; each lane sums both halves of its
@@ -603,12 +598,11 @@ def cross_view_contrastive(a: Tensor, b: Tensor, tau: float) -> Tensor:
     gy = np.ascontiguousarray(gy_t[0].T)
     del gy_t
     # s_rp enters as the positive of both r and p(r) = p^-1(r)
-    for view, x, partner in ((slice(0, n), a.data, y[n:]), (slice(n, items), b.data, y[:n])):
-        g = gy[view]
-        g -= (2.0 * inv_tau) * partner
-        _through_row_norm(g, x, norms[view])
-        g *= coef
-    return _fused_loss(coef * total, (a, b), (gy[:n], gy[n:]))
+    gy[:n] -= (2.0 * inv_tau) * y[n:]
+    gy[n:] -= (2.0 * inv_tau) * y[:n]
+    _through_row_norm(gy, z.data, norms)
+    gy *= coef
+    return _fused_loss(coef * total, (z,), (gy,))
 
 
 def cosine_link_loss(z: Tensor, adj: "SparseMatrix") -> Tensor:
@@ -993,8 +987,7 @@ def zinb_decoder_nll(hidden: Tensor, heads: Sequence[tuple[Tensor, Tensor]],
 def backward(loss: Tensor) -> None:
     """Accumulate gradients of ``loss`` into the ``.grad`` of every reachable
     leaf, a requires_grad tensor that no op produced; op outputs keep none.
-    An op with several outputs gets every reached output's gradient in one
-    call of its closure."""
+    Each op's closure runs once, with its output's gradient total."""
     if loss.data.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar, got {loss.data.shape}")
 
@@ -1023,29 +1016,12 @@ def backward(loss: Tensor) -> None:
         buf = pending.get(key)
         pending[key] = contribution if buf is None else buf + contribution
 
-    # An op with several outputs runs its closure once, when the walk has
-    # passed the last of its outputs that the loss reaches; until then its
-    # outputs' gradients wait in ``stash``.
-    unpassed = Counter(id(node._backward.fn) for node in topo
-                       if isinstance(node._backward, _OutputOf))
-    stash: dict[int, list] = {}
-
     for node in reversed(topo):
         g = pending.pop(id(node), None)
-        step = node._backward
-        if isinstance(step, _OutputOf):
-            key = id(step.fn)
-            grads = stash.setdefault(key, [None] * step.outputs)
-            grads[step.index] = g
-            unpassed[key] -= 1
-            if not unpassed[key]:
-                del stash[key]
-                if any(grad is not None for grad in grads):
-                    step.fn(grads, accum)
-        elif g is None:
+        if g is None:
             continue
-        elif step is not None:
-            step(g, accum)
+        if node._backward is not None:
+            node._backward(g, accum)
         elif node.requires_grad:
             # Single += per pass: two passes double the gradient exactly.
             node.grad = g if node.grad is None else node.grad + g

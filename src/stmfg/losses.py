@@ -37,15 +37,18 @@ from .autodiff import SparseMatrix, Tensor, ZinbTarget
 from .errors import ContractError
 
 
-def contrastive_loss(z_spatial: Tensor, z_feature: Tensor, tau: float) -> Tensor:
-    """Inter-view contrastive loss over paired spot embeddings.
+def contrastive_loss(z: Tensor, tau: float) -> Tensor:
+    """Inter-view contrastive loss over paired spot embeddings, the two
+    views stacked in ``z``: the spatial view's n rows, then the feature
+    view's.
 
     Each spot's two view embeddings form the positive pair; every other
     embedding in either view is a negative. Each anchor's denominator sums
     the exponentiated similarities to all embeddings but itself. The op
-    checks the view shapes and that ``tau`` is finite and positive.
+    checks that the rows stack two views and that ``tau`` is finite and
+    positive.
     """
-    return ad.cross_view_contrastive(z_spatial, z_feature, tau)
+    return ad.cross_view_contrastive(z, tau)
 
 
 def spatial_reg_loss(z: Tensor, spatial_adj: SparseMatrix) -> Tensor:

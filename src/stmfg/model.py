@@ -4,18 +4,21 @@ parameters of the ZINB decoder that drives reconstruction.
 The encoder alternates, for each layer: one graph convolution per view on
 the shared fused input, then an attention step that mixes the two view
 embeddings row-wise into the next layer's input. A layer's two
-convolutions are one engine node (``autodiff.graph_conv_views``) with an
-output per view, each computing A (Z W), so the first layer reads the
-input X directly and its sparse products run on the layer width, never on
-the gene width; the node runs the spatial view and the feature view on
-the engine's two lanes, forward and backward (the lanes that also take
-the fused loss nodes' tiles and the halves of each Adam update). Each
-attention step is one node too (``autodiff.view_attention``). A
-late-fusion variant (each view encoded independently, one fusion at the
-output) backs the "w/o mf" ablation. The decoder's hidden layer is one
-``graph_conv`` node without propagation; its three heads have no
-nodes of their own: the likelihood node applies them to the hidden layer
-(``zinb_decode``) block by block, and a trace holds encoder outputs only.
+convolutions are one engine node (``autodiff.graph_conv_views``) whose
+output stacks the views, 2n rows with the spatial view's first, each
+computing A (Z W), so the first layer reads the input X directly and its
+sparse products run on the layer width, never on the gene width; the
+node runs the spatial view and the feature view on the engine's two
+lanes, forward and backward (the lanes that also take the fused loss
+nodes' tiles and the halves of each Adam update). Each attention step is
+one node too (``autodiff.view_attention``), and it and the contrastive
+loss read the stack as it is. A late-fusion variant (each view encoded
+independently, the next layer reading each view's half of the stack, one
+fusion at the output) backs the "w/o mf" ablation. The decoder's hidden
+layer is one ``graph_conv`` node without propagation; its three heads
+have no nodes of their own: the likelihood node applies them to the
+hidden layer (``zinb_decode``) block by block, and a trace holds encoder
+outputs only.
 """
 
 from __future__ import annotations
@@ -128,11 +131,12 @@ DECODER_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name not in LAYE
 
 @dataclass
 class ForwardTrace:
-    """All intermediates from one encoder pass."""
+    """The intermediates of one encoder pass: per layer the two views, one
+    2n-by-d tensor whose top n rows are the spatial view and the rest the
+    feature view, and per fusion its constant weights."""
 
     embedding: Tensor
-    spatial_embeddings: list[Tensor] = field(default_factory=list)
-    feature_embeddings: list[Tensor] = field(default_factory=list)
+    views: list[Tensor] = field(default_factory=list)
     fusion_weights: list[Tensor] = field(default_factory=list)
 
 
@@ -143,22 +147,21 @@ def encode(x: Tensor, spatial_norm: SparseMatrix, feature_norm: SparseMatrix,
 
     With ``per_layer_fusion`` the fused output of each layer feeds both
     next-layer view convolutions; without it each view is encoded
-    independently from the input and a single fusion joins the outputs.
+    independently from the input, each layer's views reading their own
+    halves of the previous layer's stack, and a single fusion joins the
+    outputs.
     Each fusion is ``ad.view_attention`` with LeakyReLU ``slope``; with
     ``l2_after_softmax`` its weight rows have unit norm instead of unit sum.
     """
     trace = ForwardTrace(embedding=x)
-    z = z_s = z_f = x
+    z = x
     last = params.n_layers - 1
     for i in range(params.n_layers):
-        in_s, in_f = (z, z) if per_layer_fusion else (z_s, z_f)
-        z_s, z_f = ad.graph_conv_views((in_s, params.spatial_weights[i], spatial_norm),
-                                       (in_f, params.feature_weights[i], feature_norm))
-        trace.spatial_embeddings.append(z_s)
-        trace.feature_embeddings.append(z_f)
+        z = ad.graph_conv_views(z, (params.spatial_weights[i], spatial_norm),
+                                (params.feature_weights[i], feature_norm))
+        trace.views.append(z)
         if per_layer_fusion or i == last:
-            z, m = ad.view_attention(z_s, z_f, params.attention_weights[i], slope,
-                                     l2_after_softmax)
+            z, m = ad.view_attention(z, params.attention_weights[i], slope, l2_after_softmax)
             trace.fusion_weights.append(m)
     trace.embedding = z
     return trace

@@ -10,6 +10,7 @@ swap per-layer fusion for a single output-level fusion.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -324,17 +325,8 @@ def run_epoch(x: Tensor, target: np.ndarray | ad.ZinbTarget, target_is_counts: b
 
     cl_term = None
     if not cfg.disable_cl:
-        if cfg.contrastive_layers == "all":
-            layer_terms = [
-                contrastive_loss(zs, zf, cfg.tau)
-                for zs, zf in zip(trace.spatial_embeddings, trace.feature_embeddings)
-            ]
-            cl_term = layer_terms[0]
-            for t in layer_terms[1:]:
-                cl_term = ad.add(cl_term, t)
-        else:
-            cl_term = contrastive_loss(trace.spatial_embeddings[-1],
-                                       trace.feature_embeddings[-1], cfg.tau)
+        views = trace.views if cfg.contrastive_layers == "all" else trace.views[-1:]
+        cl_term = functools.reduce(ad.add, [contrastive_loss(z, cfg.tau) for z in views])
 
     reg_term = None
     if not cfg.disable_reg:

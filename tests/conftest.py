@@ -22,6 +22,12 @@ def pytest_configure(config):
                           os.path.join(tempfile.gettempdir(), "stmfg-hypothesis"))
 
 
+def stack(spatial, feature, requires_grad=False) -> ad.Tensor:
+    """Two n-row views as the one 2n-row tensor the engine's view ops
+    take: the spatial view's rows, then the feature view's."""
+    return ad.Tensor(np.concatenate([spatial, feature]), requires_grad=requires_grad)
+
+
 def traced_peak(fn):
     """Call ``fn()`` under ``tracemalloc``; return its result and the peak
     bytes traced during the call."""

@@ -27,7 +27,7 @@ from stmfg.losses import contrastive_loss, zinb_nll
 from stmfg.model import ModelParams
 from stmfg.training import TrainConfig, run_epoch, train
 
-from conftest import grad_check, zinb_pmf
+from conftest import grad_check, stack, zinb_pmf
 from test_autodiff import head_params, head_values
 from test_clustering import ari_pair_counting_oracle, nmi_entropy_oracle
 from test_graphs import brute_force_knn_edges, brute_force_radius_edges, edge_set
@@ -87,12 +87,12 @@ def test_criterion_2_contrastive_oracle():
         tau = taus[trial % 3]
         zs = rng.normal(size=(n, d))
         zf = rng.normal(size=(n, d))
-        got = contrastive_loss(Tensor(zs), Tensor(zf), tau).item()
+        got = contrastive_loss(stack(zs, zf), tau).item()
         want = contrastive_oracle(zs.tolist(), zf.tolist(), tau, eps=ad.NORM_EPS)
         worst = max(worst, abs(got - want))
         assert abs(got - want) < 1e-10
-    single = contrastive_loss(Tensor(rng.normal(size=(1, 4))),
-                              Tensor(rng.normal(size=(1, 4))), 0.5).item()
+    single = contrastive_loss(stack(rng.normal(size=(1, 4)), rng.normal(size=(1, 4))),
+                              0.5).item()
     assert single == 0.0
     report(2, f"50 instances within {worst:.1e} of the double loop; N=1 case exactly 0")
 
@@ -160,15 +160,15 @@ def test_criterion_5_fusion_invariants():
     worst_sum = worst_norm = 0.0
     for _ in range(10):
         n, d = int(rng.integers(3, 40)), int(rng.integers(2, 9))
-        zs = Tensor(rng.normal(size=(n, d)))
-        zf = Tensor(rng.normal(size=(n, d)))
+        zs = rng.normal(size=(n, d))
+        zf = rng.normal(size=(n, d))
         wa = Tensor(rng.normal(size=(2 * d, 2)))
-        _, pre = ad.view_attention(zs, zf, wa, 0.2, False)
+        _, pre = ad.view_attention(stack(zs, zf), wa, 0.2, False)
         worst_sum = max(worst_sum, float(np.abs(pre.data.sum(axis=1) - 1.0).max()))
-        fused, m = ad.view_attention(zs, zf, wa, 0.2, True)
+        fused, m = ad.view_attention(stack(zs, zf), wa, 0.2, True)
         worst_norm = max(worst_norm,
                          float(np.abs(np.linalg.norm(m.data, axis=1) - 1.0).max()))
-        expected = m.data[:, 0:1] * zs.data + m.data[:, 1:2] * zf.data
+        expected = m.data[:, 0:1] * zs + m.data[:, 1:2] * zf
         assert np.array_equal(fused.data, expected)
     assert worst_sum <= 1e-12
     assert worst_norm <= 1e-12

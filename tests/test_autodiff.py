@@ -17,7 +17,7 @@ from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
 from stmfg.errors import ContractError, DimensionError, DomainError
 
-from conftest import grad_check, run_on_workers, traced_held, traced_peak
+from conftest import grad_check, run_on_workers, stack, traced_held, traced_peak
 
 
 def tensor(data, grad=True):
@@ -186,6 +186,23 @@ def concat_cols(a, b):
             accum(a, g[:, :split])
         if b.requires_grad:
             accum(b, g[:, split:])
+
+    return ad._from_op(out_data, (a, b), backward_fn)
+
+
+def stack_rows(a, b):
+    """The rows of ``a`` and then those of ``b``: two views stacked as the
+    engine's view ops take them."""
+    if a.cols != b.cols:
+        raise DimensionError(f"stack_rows: widths {a.cols} and {b.cols} differ")
+    out_data = np.concatenate([a.data, b.data])
+    split = a.rows
+
+    def backward_fn(g, accum):
+        if a.requires_grad:
+            accum(a, g[:split])
+        if b.requires_grad:
+            accum(b, g[split:])
 
     return ad._from_op(out_data, (a, b), backward_fn)
 
@@ -478,7 +495,7 @@ def head_values(hidden, params):
 
 
 REFERENCE_OPS = ("matmul", "spmm", "relu", "broadcast_add", "sum_all", "hadamard",
-                 "leaky_relu", "concat_cols", "slice_cols", "col_broadcast_mul",
+                 "leaky_relu", "concat_cols", "stack_rows", "slice_cols", "col_broadcast_mul",
                  "row_l2_normalize", "softmax_rows", "sigmoid", "exp", "softplus", "clip",
                  "zinb_mean_nll")
 
@@ -527,16 +544,16 @@ def zinb_lanes(n, genes):
     return lanes
 
 
-def allocating_cross_view_contrastive(a, b, tau):
+def allocating_cross_view_contrastive(z, tau):
     """ad.cross_view_contrastive with a fresh block per tile, a fresh
     product per tile and an allocating gradient tail; every sum across
     tiles is grouped by lane, and lane 0's sum comes first."""
-    n = a.rows
-    items = 2 * n
+    items = z.rows
+    n = items // 2
     inv_tau = 1.0 / tau
     coef = 1.0 / items
-    norms = np.concatenate([ad._guarded_norms(a.data), ad._guarded_norms(b.data)])
-    y = np.concatenate([a.data, b.data]) / norms
+    norms = ad._guarded_norms(z.data)
+    y = z.data / norms
     y_t = np.ascontiguousarray(y.T)
     pos = np.roll(np.arange(items), n)
     gy_t = [np.zeros_like(y_t), np.zeros_like(y_t)]
@@ -560,13 +577,12 @@ def allocating_cross_view_contrastive(a, b, tau):
     total = sums[0] + sums[1]
     gy = (gy_t[0] + gy_t[1]).T
     gy -= (2.0 * inv_tau) * y[pos]
-    grad = coef * _allocating_through_row_norm(gy, np.concatenate([a.data, b.data]), norms)
+    grad = coef * _allocating_through_row_norm(gy, z.data, norms)
 
     def backward_fn(g, accum):
-        accum(a, _scaled(g, grad[:n]))
-        accum(b, _scaled(g, grad[n:]))
+        accum(z, _scaled(g, grad))
 
-    return ad._from_op(np.array([[coef * total]]), (a, b), backward_fn)
+    return ad._from_op(np.array([[coef * total]]), (z,), backward_fn)
 
 
 def allocating_cosine_link_loss(z, adj):
@@ -778,11 +794,13 @@ def _op_cases():
         lambda rng, x: wsum(rng, col_broadcast_mul(slice_cols(x, 0, 1), x)))
     case("row_l2_normalize")(lambda rng, x: wsum(rng, row_l2_normalize(x)))
     case("softmax_rows")(lambda rng, x: wsum(rng, softmax_rows(x)))
+    case("stack_rows")(lambda rng, x: wsum(rng, stack_rows(x, hadamard(x, x))))
     # both views depend on x, so the checks cover both gradient paths
     case("view_attention")(lambda rng, x: wsum(rng, ad.view_attention(
-        x, hadamard(x, x), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2, True)[0]))
+        stack_rows(x, hadamard(x, x)), Tensor(rng.uniform(-2, 2, (2 * x.cols, 2))), 0.2,
+        True)[0]))
     case("cross_view_contrastive")(
-        lambda rng, x: ad.cross_view_contrastive(x, hadamard(x, x), 0.5))
+        lambda rng, x: ad.cross_view_contrastive(stack_rows(x, hadamard(x, x)), 0.5))
     case("cosine_link_loss")(
         lambda rng, x: ad.cosine_link_loss(x, random_sparse_symmetric(x.rows, rng)))
     # pi, mu and theta all depend on x; the counts mix zeros and positives
@@ -812,22 +830,23 @@ def _op_cases():
 
     case("graph_conv")(graph_conv_case)
 
-    # both weights depend on x, and the feature view reads x squared
-    def graph_conv_views_case(rng, x):
+    # both weights depend on x; the views read x, whose rows are the spots
+    # (per-layer fusion) or stack two views of half as many (late fusion)
+    def graph_conv_views_case(stacked, rng, x):
+        spots = x.rows // 2 if stacked else x.rows
         w_s, w_f = (matmul(Tensor(rng.uniform(-1, 1, (x.cols, x.rows))), x) for _ in range(2))
-        z_s, z_f = ad.graph_conv_views(
-            (x, w_s, random_sparse_symmetric(x.rows, rng)),
-            (hadamard(x, x), w_f, random_sparse_symmetric(x.rows, rng)))
-        return ad.add(wsum(rng, z_s), wsum(rng, z_f))
+        return wsum(rng, ad.graph_conv_views(x, (w_s, random_sparse_symmetric(spots, rng)),
+                                             (w_f, random_sparse_symmetric(spots, rng))))
 
-    case("graph_conv_views")(graph_conv_views_case)
+    case("graph_conv_views")(lambda rng, x: graph_conv_views_case(False, rng, x))
+    case("graph_conv_views-stacked")(lambda rng, x: graph_conv_views_case(True, rng, x))
     return cases
 
 
 OP_CASES = _op_cases()
 
-KINKS = {"relu": [0.0], "graph_conv": [0.0], "graph_conv_views": [0.0], "leaky_relu": [0.0],
-         "clip": [-1.5, 1.5]}
+KINKS = {"relu": [0.0], "graph_conv": [0.0], "graph_conv_views": [0.0],
+         "graph_conv_views-stacked": [0.0], "leaky_relu": [0.0], "clip": [-1.5, 1.5]}
 
 
 def test_every_registered_op_is_covered():
@@ -835,7 +854,8 @@ def test_every_registered_op_is_covered():
         "NORM_EPS", "Tensor", "SparseMatrix", "backward", "zero_grad",
     }
     assert not registered & set(REFERENCE_OPS)
-    assert registered == set(OP_CASES) - set(REFERENCE_OPS)
+    # a case name is its op's, or the op's and a variant after a hyphen
+    assert registered == {name.split("-")[0] for name in OP_CASES} - set(REFERENCE_OPS)
 
 
 def test_every_registered_name_has_a_package_caller():
@@ -873,7 +893,7 @@ def _constant_inputs(rng):
     target = ad.ZinbTarget(rng.poisson(1.5, (5, 4)))
     return {
         "contrastive": (ad.cross_view_contrastive, allocating_cross_view_contrastive,
-                        (a, b, 0.4)),
+                        (stack(a.data, b.data), 0.4)),
         "link": (ad.cosine_link_loss, allocating_cosine_link_loss, (a, adj)),
         "zinb": (ad.zinb_decoder_nll, allocating_zinb_decoder_nll, (hidden, heads, target)),
     }
@@ -989,101 +1009,73 @@ class TestGraphConvViews:
     """The two-view node against two reference chains, one per view."""
 
     @staticmethod
-    def problem(shared, seed=45):
-        """Leaves of a layer over 30 spots, the views' inputs one tensor
-        (per-layer fusion) or two (late fusion), two graphs and two
-        upstream weights."""
+    def problem(stacked, seed=45):
+        """Leaves of a layer over 30 spots, the views reading one 30-row
+        input (per-layer fusion) or each its half of a 60-row stack (late
+        fusion), two graphs and the upstream weights of the stacked
+        output."""
         rng = np.random.default_rng(seed)
         x_s = rng.normal(size=(30, 5))
         x_s[3] = 0.0  # a zero row: some outputs sit on the kink
-        x_f = x_s if shared else rng.normal(size=(30, 5))
+        x_f = rng.normal(size=(30, 5)) if stacked else x_s
         return SimpleNamespace(
-            x_s=x_s, x_f=x_f, shared=shared, w_s=rng.normal(size=(5, 4)),
+            x_s=x_s, x_f=x_f, stacked=stacked, w_s=rng.normal(size=(5, 4)),
             w_f=rng.normal(size=(5, 4)), adj_s=random_sparse_symmetric(30, rng),
             adj_f=random_sparse_symmetric(30, rng),
-            up_s=Tensor(rng.uniform(-1, 1, (30, 4))), up_f=Tensor(rng.uniform(-1, 1, (30, 4))))
+            up=stack(rng.uniform(-1, 1, (30, 4)), rng.uniform(-1, 1, (30, 4))))
 
     @staticmethod
-    def run(pr, fused, views=("s", "f")):
-        """Outputs and the leaves' gradients of a loss over the outputs of
-        ``views``; ``fused`` runs the two-view node, else two reference
-        chains. Also returns the node's closure calls, each a list of which
-        outputs' gradients it was handed."""
+    def run(pr, fused):
+        """The stacked output and the leaves' gradients of a loss over it;
+        ``fused`` runs the two-view node on the input, else two reference
+        chains on the input's halves, their outputs row-stacked."""
         x_s = tensor(pr.x_s)
-        x_f = x_s if pr.shared else tensor(pr.x_f)
+        x_f = tensor(pr.x_f) if pr.stacked else x_s
         w_s, w_f = tensor(pr.w_s), tensor(pr.w_f)
-        calls = []
         if fused:
-            z_s, z_f = ad.graph_conv_views((x_s, w_s, pr.adj_s), (x_f, w_f, pr.adj_f))
-            fn = z_s._backward.fn
-            assert z_f._backward.fn is fn
-
-            def counted(grads, accum):
-                calls.append([g is not None for g in grads])
-                fn(grads, accum)
-
-            z_s._backward.fn = z_f._backward.fn = counted
+            x = stack_rows(x_s, x_f) if pr.stacked else x_s
+            z = ad.graph_conv_views(x, (w_s, pr.adj_s), (w_f, pr.adj_f))
         else:
-            z_s = reference_graph_conv(x_s, w_s, pr.adj_s)
-            z_f = reference_graph_conv(x_f, w_f, pr.adj_f)
-        terms = {"s": sum_all(hadamard(pr.up_s, z_s)), "f": sum_all(hadamard(pr.up_f, z_f))}
-        loss = terms[views[0]]
-        for view in views[1:]:
-            loss = ad.add(loss, terms[view])
-        ad.backward(loss)
-        leaves = [x_s, w_s, w_f] + ([] if pr.shared else [x_f])
-        return [z_s.data, z_f.data], [t.grad for t in leaves], calls
+            z = stack_rows(reference_graph_conv(x_s, w_s, pr.adj_s),
+                           reference_graph_conv(x_f, w_f, pr.adj_f))
+        ad.backward(sum_all(hadamard(pr.up, z)))
+        leaves = [x_s, w_s, w_f] + ([x_f] if pr.stacked else [])
+        return z.data, [t.grad for t in leaves]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("shared", [True, False], ids=["one-input", "two-inputs"])
-    def test_matches_two_reference_chains_bitwise(self, shared, workers, monkeypatch):
-        """Both outputs and every gradient are bitwise those of one
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-input", "two-inputs"])
+    def test_matches_two_reference_chains_bitwise(self, stacked, workers, monkeypatch):
+        """The stacked output and every gradient are bitwise those of one
         reference chain per view, at 1, 2 and 3 workers, with the views
-        reading one input (its gradient a sum over both views) or one input
-        each. The closure runs once, with both outputs' gradients; on more
-        than one worker the forward and the backward each submit lane 1
-        once."""
-        pr = self.problem(shared)
-        (outs, grads, calls), submitted = run_on_workers(
+        reading one n-row input (its gradient a sum over both views) or
+        each its half of a 2n-row stack (its gradient the two halves). On
+        more than one worker the forward and the backward each submit lane
+        1 once."""
+        pr = self.problem(stacked)
+        (out, grads), submitted = run_on_workers(
             monkeypatch, workers, lambda: self.run(pr, fused=True))
-        ref_outs, ref_grads, _ = self.run(pr, fused=False)
-        assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
-        for got, want in zip(outs + grads, ref_outs + ref_grads):
+        ref_out, ref_grads = self.run(pr, fused=False)
+        assert out.shape == (60, 4) and out.flags.c_contiguous
+        assert (out[:30] == 0.0).any() and (out[:30] > 0.0).any()
+        np.testing.assert_array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
-        assert calls == [[True, True]]
         assert len(submitted) == (2 if workers > 1 else 0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_loss_reaching_the_spatial_view_only(self, workers, monkeypatch):
-        """A loss over the spatial output alone runs the closure once, with
-        no feature gradient: the feature weight gets none, and the shared
-        input only the spatial view's. The backward has no lane-1 work, so
-        only the forward submits."""
-        pr = self.problem(shared=True)
-        (outs, grads, calls), submitted = run_on_workers(
-            monkeypatch, workers, lambda: self.run(pr, fused=True, views=("s",)))
-        ref_outs, ref_grads, _ = self.run(pr, fused=False, views=("s",))
-        assert calls == [[True, False]]
-        x_grad, w_s_grad, w_f_grad = grads
-        assert w_f_grad is None and ref_grads[2] is None
-        np.testing.assert_array_equal(x_grad, ref_grads[0])
-        np.testing.assert_array_equal(w_s_grad, ref_grads[1])
-        assert len(submitted) == (1 if workers > 1 else 0)
-
-    def test_outputs_are_separate_tensors_with_shared_parents(self):
-        pr = self.problem(shared=False)
-        x_s, x_f, w_s, w_f = (tensor(a) for a in (pr.x_s, pr.x_f, pr.w_s, pr.w_f))
-        z_s, z_f = ad.graph_conv_views((x_s, w_s, pr.adj_s), (x_f, w_f, pr.adj_f))
-        assert z_s is not z_f and z_s._parents == z_f._parents == (x_s, w_s, x_f, w_f)
-        assert (z_s._backward.index, z_f._backward.index) == (0, 1)
-
     def test_dimension_errors(self):
+        """Operators over different spot counts, a weight that does not
+        take the input's width, views of different widths, and an input
+        whose rows are neither n nor 2n are refused, naming the op."""
         x, w = tensor(np.ones((4, 3))), tensor(np.ones((3, 2)))
         eye = SparseMatrix(4, range(4), range(4), np.ones(4))
-        for bad in ((x, w, SparseMatrix(5, [], [], [])), (x, tensor(np.ones((2, 2))), eye)):
-            for views in ((bad, (x, w, eye)), ((x, w, eye), bad)):
+        for bad in ((w, SparseMatrix(5, [], [], [])), (tensor(np.ones((2, 2))), eye),
+                    (tensor(np.ones((3, 1))), eye)):
+            for views in ((bad, (w, eye)), ((w, eye), bad)):
                 with pytest.raises(DimensionError, match="graph_conv_views"):
-                    ad.graph_conv_views(*views)
+                    ad.graph_conv_views(x, *views)
+        for rows in (3, 5, 12):
+            with pytest.raises(DimensionError, match="graph_conv_views"):
+                ad.graph_conv_views(tensor(np.ones((rows, 3))), (w, eye), (w, eye))
 
 
 class TestViewAttention:
@@ -1100,7 +1092,7 @@ class TestViewAttention:
 
         def loss(x):
             args = {k: x if k == which else Tensor(v) for k, v in inputs.items()}
-            fused, _ = ad.view_attention(args["zs"], args["zf"], args["w"], 0.2, l2)
+            fused, _ = ad.view_attention(stack_rows(args["zs"], args["zf"]), args["w"], 0.2, l2)
             return sum_all(hadamard(weight, fused))
 
         assert grad_check(loss, tensor(inputs[which]), 1e-6) < 1e-5
@@ -1111,7 +1103,9 @@ class TestViewAttention:
         inputs = [rng.normal(size=s) for s in ((7, 3), (7, 3), (6, 2))]
         weight = Tensor(rng.uniform(-1, 1, (7, 3)))
         outs, grads = [], []
-        for attend in (ad.view_attention, unfused_view_attention):
+        fused_attention = (lambda zs, zf, w, slope, l2:
+                           ad.view_attention(stack_rows(zs, zf), w, slope, l2))
+        for attend in (fused_attention, unfused_view_attention):
             leaves = [tensor(v) for v in inputs]
             fused, m = attend(*leaves, 0.2, l2)
             ad.backward(sum_all(hadamard(weight, fused)))
@@ -1128,16 +1122,18 @@ class TestViewAttention:
         n-by-128 concatenated views are rebuilt in backward, not held."""
         rng = np.random.default_rng(35)
         n, d = 2500, 64
-        zs, zf, w = (tensor(rng.normal(size=s)) for s in ((n, d), (n, d), (2 * d, 2)))
-        (fused, _), held = traced_held(lambda: ad.view_attention(zs, zf, w, 0.2, l2))
+        z = stack(rng.normal(size=(n, d)), rng.normal(size=(n, d)), requires_grad=True)
+        w = tensor(rng.normal(size=(2 * d, 2)))
+        (fused, _), held = traced_held(lambda: ad.view_attention(z, w, 0.2, l2))
         assert held <= 1.2 * fused.data.nbytes, f"held {held / fused.data.nbytes:.2f} outputs"
 
     def test_weights_are_constant(self):
         rng = np.random.default_rng(32)
-        zs, zf, w = (tensor(rng.normal(size=s)) for s in ((5, 2), (5, 2), (4, 2)))
-        fused, m = ad.view_attention(zs, zf, w, 0.2, True)
-        assert fused.requires_grad and fused._parents == (zs, zf, w)
-        assert not m.requires_grad and m._parents == ()
+        z = stack(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), requires_grad=True)
+        w = tensor(rng.normal(size=(4, 2)))
+        fused, m = ad.view_attention(z, w, 0.2, True)
+        assert fused.requires_grad and fused._parents == (z, w)
+        assert not m.requires_grad and m._parents == () and m._backward is None
 
 
 class TestZinbDecoderNll:
@@ -1479,11 +1475,12 @@ class TestPairwiseWorkspace:
 
     @staticmethod
     def run_pair(op, a, b, adj, upstream):
-        leaves = [tensor(a), tensor(b)]
         if op in (ad.cosine_link_loss, allocating_cosine_link_loss):
+            leaves = [tensor(a), tensor(b)]
             out = ad.add(op(leaves[0], adj), op(leaves[1], adj))
         else:
-            out = op(leaves[0], leaves[1], 0.3)
+            leaves = [stack(a, b, requires_grad=True)]
+            out = op(leaves[0], 0.3)
         ad.backward(ad.scale(out, upstream))
         return out.data, [t.grad for t in leaves]
 
@@ -1552,11 +1549,11 @@ class TestPairwiseWorkspace:
         ring = np.arange(n)
         adj = SparseMatrix(n, np.concatenate([ring, (ring + 1) % n]),
                            np.concatenate([(ring + 1) % n, ring]), np.ones(2 * n))
-        za, zb = tensor(a), tensor(b)
-        loss = {"contrastive": lambda: ad.cross_view_contrastive(za, zb, 0.5),
-                "link": lambda: ad.cosine_link_loss(za, adj)}[op]
+        z = {"contrastive": stack(a, b, requires_grad=True), "link": tensor(a)}[op]
+        loss = {"contrastive": lambda: ad.cross_view_contrastive(z, 0.5),
+                "link": lambda: ad.cosine_link_loss(z, adj)}[op]
         _, peak = traced_peak(lambda: ad.backward(loss()))
-        assert za.grad is not None
+        assert z.grad is not None
         assert peak <= bound_mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 

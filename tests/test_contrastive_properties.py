@@ -11,8 +11,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stmfg import autodiff as ad  # noqa: E402
-from stmfg.autodiff import Tensor  # noqa: E402
 
+from conftest import stack  # noqa: E402
 from test_losses import contrastive_oracle  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -40,13 +40,12 @@ def paired_views(draw):
 @given(paired_views())
 def test_value_and_gradients_are_finite(views):
     zs_data, zf_data, tau = views
-    zs = Tensor(zs_data, requires_grad=True)
-    zf = Tensor(zf_data, requires_grad=True)
-    loss = ad.cross_view_contrastive(zs, zf, tau)
+    z = stack(zs_data, zf_data, requires_grad=True)
+    loss = ad.cross_view_contrastive(z, tau)
     ad.backward(loss)
     value = loss.item()
     assert np.isfinite(value) and value >= 0.0
-    assert np.isfinite(zs.grad).all() and np.isfinite(zf.grad).all()
+    assert np.isfinite(z.grad).all()
     if zs_data.shape[0] == 1:
         assert value == 0.0
 
@@ -55,6 +54,6 @@ def test_value_and_gradients_are_finite(views):
 @given(paired_views().filter(lambda views: views[2] >= 0.1))
 def test_matches_masked_double_loop(views):
     zs, zf, tau = views
-    got = ad.cross_view_contrastive(Tensor(zs), Tensor(zf), tau).item()
+    got = ad.cross_view_contrastive(stack(zs, zf), tau).item()
     want = contrastive_oracle(zs.tolist(), zf.tolist(), tau, eps=ad.NORM_EPS)
     assert abs(got - want) < 1e-10

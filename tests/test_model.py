@@ -21,7 +21,7 @@ from stmfg.model import (
     zinb_decode,
 )
 
-from conftest import grad_check, traced_peak
+from conftest import grad_check, stack, traced_peak
 from test_autodiff import head_values
 from test_losses import zinb_oracle
 
@@ -85,55 +85,56 @@ class TestAttentionFuse:
 
     def test_equal_views_scale_rowwise(self):
         rng = np.random.default_rng(1)
-        z = Tensor(rng.normal(size=(5, 3)))
+        z = rng.normal(size=(5, 3))
         wa = Tensor(rng.normal(size=(6, 2)))
-        fused, m = ad.view_attention(z, z, wa, 0.2, True)
-        expected = (m.data[:, 0:1] + m.data[:, 1:2]) * z.data
+        fused, m = ad.view_attention(stack(z, z), wa, 0.2, True)
+        expected = (m.data[:, 0:1] + m.data[:, 1:2]) * z
         np.testing.assert_allclose(fused.data, expected, atol=1e-14)
 
     def test_equal_column_logits_give_equal_weights(self):
         rng = np.random.default_rng(2)
-        z = Tensor(rng.normal(size=(4, 3)))
+        z = rng.normal(size=(4, 3))
         col = rng.normal(size=(6, 1))
         wa = Tensor(np.concatenate([col, col], axis=1))
-        _, m = ad.view_attention(z, z, wa, 0.2, True)
+        _, m = ad.view_attention(stack(z, z), wa, 0.2, True)
         np.testing.assert_allclose(m.data, np.full((4, 2), 1 / np.sqrt(2)), atol=1e-12)
 
     def test_zero_attention_weight(self):
         rng = np.random.default_rng(3)
-        zs = Tensor(rng.normal(size=(4, 3)))
-        zf = Tensor(rng.normal(size=(4, 3)))
-        _, m = ad.view_attention(zs, zf, Tensor(np.zeros((6, 2))), 0.2, True)
+        z = stack(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        _, m = ad.view_attention(z, Tensor(np.zeros((6, 2))), 0.2, True)
         np.testing.assert_allclose(m.data, np.full((4, 2), 1 / np.sqrt(2)), atol=1e-12)
-        _, m = ad.view_attention(zs, zf, Tensor(np.zeros((6, 2))), 0.2, False)
+        _, m = ad.view_attention(z, Tensor(np.zeros((6, 2))), 0.2, False)
         np.testing.assert_array_equal(m.data, np.full((4, 2), 0.5))
 
     def test_matches_entrywise_loop_oracle(self):
         rng = np.random.default_rng(4)
-        zs = Tensor(rng.normal(size=(4, 3)))
-        zf = Tensor(rng.normal(size=(4, 3)))
+        zs = rng.normal(size=(4, 3))
+        zf = rng.normal(size=(4, 3))
         wa = Tensor(rng.normal(size=(6, 2)))
-        fused, m = ad.view_attention(zs, zf, wa, 0.2, True)
+        fused, m = ad.view_attention(stack(zs, zf), wa, 0.2, True)
         for i in range(4):
             for j in range(3):
-                expected = m.data[i, 0] * zs.data[i, j] + m.data[i, 1] * zf.data[i, j]
+                expected = m.data[i, 0] * zs[i, j] + m.data[i, 1] * zf[i, j]
                 assert fused.data[i, j] == expected  # identical arithmetic path
 
     def test_softmax_and_l2_invariants(self):
         rng = np.random.default_rng(5)
-        zs = Tensor(rng.normal(size=(30, 4)))
-        zf = Tensor(rng.normal(size=(30, 4)))
+        z = stack(rng.normal(size=(30, 4)), rng.normal(size=(30, 4)))
         wa = Tensor(rng.normal(size=(8, 2)))
-        _, m_no_l2 = ad.view_attention(zs, zf, wa, 0.2, False)
+        _, m_no_l2 = ad.view_attention(z, wa, 0.2, False)
         np.testing.assert_allclose(m_no_l2.data.sum(axis=1), 1.0, atol=1e-12)
-        _, m = ad.view_attention(zs, zf, wa, 0.2, True)
+        _, m = ad.view_attention(z, wa, 0.2, True)
         np.testing.assert_allclose(np.linalg.norm(m.data, axis=1), 1.0, atol=1e-12)
         assert (m.data > 0).all()
 
     def test_shape_contract(self):
-        with pytest.raises(ContractError):
-            ad.view_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))),
-                              Tensor(np.ones((3, 2))), 0.2, True)
+        """A weight that is not (2d, 2), or an odd row count, which stacks
+        no two views, is refused, naming the op."""
+        for z, w in ((np.ones((6, 2)), np.ones((3, 2))), (np.ones((6, 2)), np.ones((4, 3))),
+                     (np.ones((5, 2)), np.ones((4, 2)))):
+            with pytest.raises(ContractError, match="view_attention"):
+                ad.view_attention(Tensor(z), Tensor(w), 0.2, True)
 
 
 class TestEncode:
@@ -146,8 +147,7 @@ class TestEncode:
         params.attention_weights[0] = Tensor(np.zeros((6, 2)), requires_grad=True)
         eye = identity_sparse(5)
         trace = encode(x, eye, eye, params)
-        np.testing.assert_array_equal(trace.spatial_embeddings[0].data, x.data)
-        np.testing.assert_array_equal(trace.feature_embeddings[0].data, x.data)
+        np.testing.assert_array_equal(trace.views[0].data, np.concatenate([x.data, x.data]))
         np.testing.assert_allclose(trace.embedding.data, np.sqrt(2.0) * x.data, atol=1e-9)
 
     def test_two_layer_trace_matches_loop_oracle(self):
@@ -163,7 +163,7 @@ class TestEncode:
         oracle = encode_oracle(feats, pair.spatial_norm.to_dense(),
                                pair.feature_norm.to_dense(), params)
         np.testing.assert_allclose(trace.embedding.data, oracle, atol=1e-12)
-        assert len(trace.spatial_embeddings) == 2
+        assert len(trace.views) == 2
         assert len(trace.fusion_weights) == 2
 
     def test_views_differ_when_graphs_differ(self):
@@ -175,8 +175,7 @@ class TestEncode:
         pair = build_graph_pair(coords, feats, radius=5.0, k=3)
         params = make_params(rng, [5, 4], 5)
         trace = encode(Tensor(feats), pair.spatial_norm, pair.feature_norm, params)
-        assert not np.allclose(trace.spatial_embeddings[0].data,
-                               trace.feature_embeddings[0].data)
+        assert not np.allclose(trace.views[0].data[:12], trace.views[0].data[12:])
 
     def test_late_fusion_uses_final_attention_once(self):
         rng = np.random.default_rng(9)
@@ -194,7 +193,7 @@ class TestEncode:
         for i in range(2):
             zs = np.maximum(pair.spatial_norm.to_dense() @ zs
                             @ params.spatial_weights[i].data, 0.0)
-        np.testing.assert_allclose(trace.spatial_embeddings[-1].data, zs, atol=1e-12)
+        np.testing.assert_allclose(trace.views[-1].data[:10], zs, atol=1e-12)
 
     @pytest.mark.parametrize("per_layer_fusion", [True, False])
     def test_first_layer_reads_fortran_input(self, per_layer_fusion):
@@ -212,12 +211,12 @@ class TestEncode:
         trace = encode(x, pair.spatial_norm, pair.feature_norm, params,
                        per_layer_fusion=per_layer_fusion)
         for norm, w, got in ((pair.spatial_norm, params.spatial_weights[0],
-                              trace.spatial_embeddings[0]),
+                              trace.views[0].data[:11]),
                              (pair.feature_norm, params.feature_weights[0],
-                              trace.feature_embeddings[0])):
-            assert (got.data > 0.0).any()
-            np.testing.assert_array_equal(got.data, np.maximum(norm.csr() @ (feats @ w.data), 0.0))
-            np.testing.assert_allclose(got.data, np.maximum((norm.csr() @ feats) @ w.data, 0.0),
+                              trace.views[0].data[11:])):
+            assert (got > 0.0).any()
+            np.testing.assert_array_equal(got, np.maximum(norm.csr() @ (feats @ w.data), 0.0))
+            np.testing.assert_allclose(got, np.maximum((norm.csr() @ feats) @ w.data, 0.0),
                                        rtol=1e-12, atol=1e-14)
         assert x.data is feats
 

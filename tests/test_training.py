@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import tracemalloc
+import types
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,7 @@ from test_autodiff import (
     hadamard,
     propagate_first_graph_conv,
     reference_graph_conv,
+    stack_rows,
 )
 
 
@@ -450,7 +452,9 @@ def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
     96-row tile, and the ZINB target is cut by rows at 12 genes and by
     genes at 40. On more than one worker each fused loss node the epoch
     builds submits lane 1 once, each layer's view convolutions once
-    forward and once backward, and the Adam step once per phase."""
+    forward and once backward, and the Adam step once per phase. Every
+    node of the epoch's graph has a plain closure of its own: no op has
+    several outputs."""
     ds, graphs = small_problem(n_side=10, genes=genes)
     cfg = small_config(**EPOCH_CONFIGS[config])
     target, is_counts = training._reconstruction_target(ds, cfg)
@@ -466,6 +470,9 @@ def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
                                         [x.cols, *cfg.hidden_dims], recon_width=x.cols,
                                         decoder_hidden=cfg.decoder_hidden)
         total, breakdown, _ = run_epoch(x, target, is_counts, graphs, params, cfg)
+        closures = [t._backward for t in reachable([total]) if t._backward is not None]
+        assert all(isinstance(fn, types.FunctionType) for fn in closures)
+        assert len({id(fn) for fn in closures}) == len(closures)
         ad.backward(total)
         tensors = trainable_tensors(params, cfg)
         assert all(t.grad is not None for t in tensors)
@@ -594,8 +601,7 @@ def reachable(roots):
 
 
 def trace_tensors(trace):
-    return [trace.embedding, *trace.spatial_embeddings, *trace.feature_embeddings,
-            *trace.fusion_weights]
+    return [trace.embedding, *trace.views, *trace.fusion_weights]
 
 
 class TestLeafGradients:
@@ -688,17 +694,17 @@ def test_training_matches_allocating_zinb_reference(block, monkeypatch):
 
 def test_training_matches_graph_conv_reference(monkeypatch):
     """Training with the fused ReLU layers and with their generic-op chain
-    patched in, the encoder's view pairs as two chains each, gives the same
-    loss table and embedding bytes; with the propagate-first chain, losses
-    and embedding agree within 1e-12."""
+    patched in, the encoder's view pairs as two chains each, their outputs
+    row-stacked, gives the same loss table and embedding bytes; with the
+    propagate-first chain, losses and embedding agree within 1e-12."""
     ds, graphs = small_problem()
     runs = []
     for conv, views in ((ad.graph_conv, ad.graph_conv_views),
                         (reference_graph_conv, None), (propagate_first_graph_conv, None)):
         monkeypatch.setattr(ad, "graph_conv", conv)
         monkeypatch.setattr(ad, "graph_conv_views",
-                            views or (lambda spatial, feature, conv=conv:
-                                      (conv(*spatial), conv(*feature))))
+                            views or (lambda x, spatial, feature, conv=conv:
+                                      stack_rows(conv(x, *spatial), conv(x, *feature))))
         runs.append(train(ds, graphs, small_config(epochs=4)))
     fused, ref, old = runs
     assert fused.log.loss_table() == ref.log.loss_table()
@@ -778,10 +784,10 @@ def test_benchmark_layer_hooks_resolve_and_run(monkeypatch):
 def test_default_epoch_builds_fourteen_engine_ops(monkeypatch):
     """One default-config epoch calls the tensor ops of ad.__all__ 14 times,
     counted as the benchmark counts them: two view-convolution nodes (one
-    per layer, an output per view), two attention steps, the decoder's
-    hidden layer, the ZINB, contrastive and regularizer nodes, and six
-    scale and add nodes that average the regularizer and weigh and sum the
-    three terms."""
+    per layer, its output the two views stacked), two attention steps, the
+    decoder's hidden layer, the ZINB, contrastive and regularizer nodes,
+    and six scale and add nodes that average the regularizer and weigh and
+    sum the three terms."""
     ds, graphs = small_problem()
     calls = []
 
@@ -804,4 +810,4 @@ def test_default_epoch_builds_fourteen_engine_ops(monkeypatch):
 
 def test_forward_trace_holds_encoder_outputs_only():
     names = set(ForwardTrace.__dataclass_fields__)
-    assert names == {"embedding", "spatial_embeddings", "feature_embeddings", "fusion_weights"}
+    assert names == {"embedding", "views", "fusion_weights"}
