@@ -11,8 +11,10 @@ File formats (all UTF-8, LF, headers required):
               (excluded from metric computation)
 Floats in emitted files are printed with 17 significant digits so a
 save/load round trip is lossless for 64-bit values. CSV cells are read
-with the csv module; a written cell holding a comma, a quote or a line
-break (LF or CR) is quoted, with its quotes doubled.
+with the csv module, except the data lines of a dense expression file,
+which ``np.loadtxt`` reads when they hold no quote or NUL (see
+``_load_dense_expression``); a written cell holding a comma, a quote or a
+line break (LF or CR) is quoted, with its quotes doubled.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from .errors import ContractError, DataError
@@ -132,7 +133,54 @@ def _float_cell(raw: str, where: str) -> float:
         raise DataError(f"{where}: not a number: {raw!r}") from None
 
 
+def _numeric_rows(fh, spot_ids: list[str]):
+    """The data lines of an open dense CSV past its header, each without
+    its id, for ``np.loadtxt``; each id, stripped, goes to ``spot_ids``.
+    A line the csv module might split otherwise (one holding a quote or a
+    NUL, longer than its field limit, or without a comma) or one that is
+    only an id and a comma, which ``np.loadtxt`` would skip, raises
+    ``ValueError``."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if line in ("\n", "\r\n", "\r"):
+            continue
+        spot, comma, rest = line.partition(",")
+        if (not comma or '"' in line or "\0" in line or len(line) > limit
+                or not rest.rstrip("\r\n")):
+            raise ValueError("not a plain numeric line")
+        spot_ids.append(spot.strip())
+        yield rest
+
+
 def _load_dense_expression(path) -> tuple[list[str], list[str], np.ndarray]:
+    """Read the header with the csv module, then the data lines with
+    ``np.loadtxt`` straight into one float64 array, streamed from the open
+    file. A file the csv module might read otherwise (see
+    ``_numeric_rows``), one ``np.loadtxt`` cannot parse (a cell spelt
+    ``1_0`` or with non-ASCII digits, a ragged row, a byte that is not
+    UTF-8), or one without data rows goes whole through
+    ``_csv_dense_expression``, which gives the same values or names the
+    bad line."""
+    with _open_csv(path) as fh:
+        header = next(_csv_rows(fh, path), None)
+        if header is not None and len(header) > 1:
+            spot_ids = []
+            rows = _numeric_rows(fh, spot_ids)
+            try:
+                # a file without data rows never reaches np.loadtxt, which
+                # would warn that the input contained no data
+                first = next(rows, None)
+                if first is not None:
+                    values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                        comments=None, dtype=np.float64, ndmin=2)
+                    if values.shape == (len(spot_ids), len(header) - 1):
+                        return spot_ids, [g.strip() for g in header[1:]], values
+            except ValueError:
+                pass
+    return _csv_dense_expression(path)
+
+
+def _csv_dense_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     """Stream the CSV one row at a time; each row's cells go through the
     builtin ``float`` straight into a float64 row, and only a row that
     fails is rescanned cell by cell to name the bad cell. Line numbers
@@ -175,6 +223,9 @@ def _load_mtx_expression(path) -> tuple[list[str], list[str], np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
+    # imported here, so a run on a dense CSV does not pay for the module
+    import scipy.io
+
     try:
         matrix = scipy.io.mmread(path)
     except Exception as exc:

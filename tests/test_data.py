@@ -29,8 +29,12 @@ from conftest import load_embeddings, traced_peak
 
 
 def per_cell_expression_reference(path):
-    """The dense-CSV parser that read the whole file, then converted one
-    cell per call: the values and messages the streaming parser keeps."""
+    """The dense-CSV parser that read the whole file with the csv module,
+    then converted one cell per call with ``float``: the values and
+    messages the loader keeps, whether ``np.loadtxt`` or its csv path reads
+    the file. A cell over the csv module's field limit raises the module's
+    own ``csv.Error`` here; the loader gives its text in a ``DataError``
+    naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
 
@@ -52,6 +56,18 @@ def per_cell_expression_reference(path):
         spot_ids.append(row[0].strip())
         values.append([float_cell(c, f"{path} line {r}") for c in row[1:]])
     return spot_ids, gene_ids, np.array(values, dtype=np.float64)
+
+
+def parse_outcome(load, path):
+    """What ``load(path)`` gives: ids, genes, shape and value bytes, the
+    ``DataError`` text, or a bare ``csv.Error`` marker."""
+    try:
+        spots, genes, values = load(path)
+    except DataError as exc:
+        return "DataError", str(exc)
+    except csv.Error:
+        return "csv.Error",
+    return spots, genes, values.shape, values.tobytes()
 
 
 @pytest.fixture
@@ -286,6 +302,109 @@ class TestDenseCsvParser:
         with pytest.raises(DataError) as got:
             _load_dense_expression(expr)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_plain_numeric_csv_skips_the_csv_path(self, tmp_path, monkeypatch, ending):
+        """Plain numeric lines, blank ones between them, load without the
+        csv path, as the per-cell parse reads them."""
+
+        def refuse(path):
+            raise AssertionError(f"{path} went through the csv path")
+
+        monkeypatch.setattr(data, "_csv_dense_expression", refuse)
+        expr = tmp_path / "plain.csv"
+        expr.write_bytes(ending.join(["spot_id,gA,gB,gC", "s1,0,3.5,1e400", "",
+                                      " s2 ,1e-3,-0.0, 7 ", "s#3,nan,5e-324,2", ""]).encode())
+        spots, genes, values = _load_dense_expression(expr)
+        ref_spots, ref_genes, ref_values = per_cell_expression_reference(expr)
+        assert (spots, genes) == (ref_spots, ref_genes) == (["s1", "s2", "s#3"], ["gA", "gB", "gC"])
+        assert values.shape == (3, 3) and values.tobytes() == ref_values.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "spot_id,gA\r\ns1,\r\ns2,\r\n",
+        'spot_id,gA\n"s1",2\n',
+        "spot_id,gA\ns1,2\x00\n",
+        "spot_id,gA,gB\r\r\n\r",
+    ], ids=["only-id-and-comma", "quoted-id", "nul-cell", "header-and-blank-crs"])
+    def test_lines_np_loadtxt_would_read_otherwise(self, tmp_path, text):
+        """Lines that np.loadtxt would skip, or split otherwise than the csv
+        module, are read as the per-cell parse reads them, without a warning
+        (np.loadtxt warns on input with no data)."""
+        expr = tmp_path / "edge.csv"
+        expr.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(_load_dense_expression, expr) == parse_outcome(
+            per_cell_expression_reference, expr)
+
+    def test_differential_against_per_cell_parse(self, tmp_path):
+        """Derandomized files built from LF, CRLF and lone-CR endings,
+        blank and whitespace-only lines, a BOM, quoted ids and cells, NULs,
+        ``#`` in ids, the cells ``1_0``, ``nan``, ``-0.0``, ``5e-324``,
+        ``1e400`` and an Arabic-Indic digit, a cell over the csv field
+        limit, ragged rows, lines without a comma and header-only files
+        load as the per-cell parse reads them: the same ids, genes and
+        value bytes, or the same ``DataError`` text; where the reference
+        lets the csv module's error through, a ``DataError`` naming a line.
+        None warns."""
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        plain = st.sampled_from(["0", "3", "2.5", " 4 ", "nan", "-0.0", "5e-324", "1e400",
+                                 "-inf", "12"])
+        # "{huge}" stands for a cell over the field limit until the file is written
+        odd = st.sampled_from(["1_0", "\u0663", '"6"', "x", "", "1\x00", "{huge}"])
+        ids = st.sampled_from(["s", " s ", '"s"', '"s,q"', "s#", "s\x00", "\ufeffs"])
+        endings = st.sampled_from(["\n", "\r\n", "\r"])
+
+        @st.composite
+        def csv_texts(draw):
+            genes = draw(st.integers(1, 3))
+            lines = [draw(st.sampled_from(["", "\ufeff"]))
+                     + ",".join(["spot_id", *(f"g{j}" for j in range(genes))])]
+            for i in range(draw(st.integers(0, 4))):
+                width = draw(st.sampled_from([genes] * 12 + [genes - 1, genes + 1, 0]))
+                cells = [draw(odd if draw(st.integers(0, 19)) == 0 else plain)
+                         for _ in range(width)]
+                spot = draw(ids) if draw(st.integers(0, 9)) == 0 else "s"
+                lines.append(",".join([f"{spot}{i}", *cells]))
+                lines.extend(draw(st.lists(st.sampled_from(["", "", "", "  ", "\t"]),
+                                           max_size=1)))
+            return "".join(line + draw(endings) for line in lines)
+
+        expr = tmp_path / "drawn.csv"
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+        @given(csv_texts())
+        def check(text):
+            huge = "9" * (csv.field_size_limit() + 1)
+            expr.write_bytes(text.replace("{huge}", huge).encode("utf-8"))
+            want = parse_outcome(per_cell_expression_reference, expr)
+            got = parse_outcome(_load_dense_expression, expr)
+            if want[0] == "csv.Error":
+                # the reference reads every row before converting one; the
+                # loader converts as it reads, so it may name an earlier row
+                assert got[0] == "DataError" and got[1].startswith(f"{expr} line ")
+            else:
+                assert got == want
+
+        check()
+
+    def test_load_peak_below_one_and_a_half_counts_arrays(self, tmp_path):
+        """The data lines go through np.loadtxt into one float64 array, so
+        the load peaks near one counts array (1.23 at 400 x 2000; 2.06 when
+        rows were parsed to a list of arrays and stacked)."""
+        rng = np.random.default_rng(4)
+        n, g = 400, 2000
+        ds = Dataset(counts=rng.poisson(2.0, size=(n, g)).astype(np.float64),
+                     coords=np.column_stack([np.arange(n), np.zeros(n)]).astype(np.float64),
+                     spot_ids=[f"s{i:03d}" for i in range(n)],
+                     gene_ids=[f"g{j:04d}" for j in range(g)])
+        write_expression_csv(ds, tmp_path / "expr.csv")
+        write_coords_csv(ds, tmp_path / "coords.csv")
+        loaded, peak = traced_peak(lambda: load_dataset(tmp_path / "expr.csv",
+                                                        tmp_path / "coords.csv"))
+        np.testing.assert_array_equal(loaded.counts, ds.counts)
+        assert peak < 1.5 * ds.counts.nbytes, f"peak {peak / ds.counts.nbytes:.2f} arrays"
 
     def test_load_peak_below_three_counts_arrays(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -97,7 +97,8 @@ class TestAdam:
         """Twenty steps on the default model's parameters at 3000 genes are
         bitwise the allocating expression's at 1, 2 and 3 lane workers,
         run side by side; on more than one worker each step submits lane 1
-        once per phase."""
+        once per phase (the one-lane size gate is lowered to 0)."""
+        monkeypatch.setattr(training, "ADAM_POOL_MIN_VALUES", 0)
         cfg = TrainConfig()
         dims = [3000, *cfg.hidden_dims]
 
@@ -127,6 +128,38 @@ class TestAdam:
                 np.testing.assert_array_equal(m, q_m)
                 np.testing.assert_array_equal(v, q_v)
 
+    def test_small_parameters_step_in_one_lane_bitwise(self, monkeypatch):
+        """Below ADAM_POOL_MIN_VALUES values (the default model at 200
+        genes holds about 154k) a step on two workers submits no pool task,
+        and three steps leave parameters and moments bitwise those of the
+        two-lane step."""
+        cfg = TrainConfig()
+        dims = [200, *cfg.hidden_dims]
+
+        def steps(gate):
+            monkeypatch.setattr(training, "ADAM_POOL_MIN_VALUES", gate)
+            params = trainable_tensors(ModelParams.initialize(
+                np.random.default_rng(0), dims, 200, cfg.decoder_hidden), cfg)
+            opt = Adam(params, lr=0.01, weight_decay=cfg.weight_decay)
+            rng = np.random.default_rng(1)
+
+            def run():
+                for _ in range(3):
+                    for p in params:
+                        p.grad = rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=p.data.shape)
+                    opt.step()
+
+            _, submitted = run_on_workers(monkeypatch, 2, run)
+            return (sum(p.data.size for p in params), len(submitted),
+                    [a.tobytes() for a in (*(p.data for p in params), *opt.m, *opt.v)])
+
+        gate = training.ADAM_POOL_MIN_VALUES
+        values, one_lane, want = steps(gate)
+        _, pooled, got = steps(0)
+        assert values < gate
+        assert (one_lane, pooled) == (0, 6)
+        assert got == want
+
     def test_first_step_is_one_learning_rate(self):
         p = Tensor([[2.0]], requires_grad=True)
         p.grad = np.array([[1.0]])
@@ -154,7 +187,9 @@ class TestAdam:
         """g*g overflowing would leave v = inf and freeze the parameter (its
         steps exactly 0): the step refuses and moves no parameter. On one
         worker the overflow is in lane 0's half of the parameter, on two
-        only in lane 1's, which the second thread updates."""
+        only in lane 1's, which the second thread updates (the one-lane size
+        gate is lowered to 0)."""
+        monkeypatch.setattr(training, "ADAM_POOL_MIN_VALUES", 0)
         for workers, q_grad in ((1, [[1e200, 0.0]]), (2, [[0.0, 1e200]])):
             p, q = Tensor([[1.0]], requires_grad=True), Tensor([[2.0, 3.0]], requires_grad=True)
             p.grad, q.grad = np.array([[1.0]]), np.array(q_grad)
@@ -452,9 +487,11 @@ def test_epoch_bitwise_at_any_worker_count(config, genes, monkeypatch):
     96-row tile, and the ZINB target is cut by rows at 12 genes and by
     genes at 40. On more than one worker each fused loss node the epoch
     builds submits lane 1 once, each layer's view convolutions once
-    forward and once backward, and the Adam step once per phase. Every
+    forward and once backward, and the Adam step once per phase, its
+    one-lane size gate lowered to 0. Every
     node of the epoch's graph has a plain closure of its own: no op has
     several outputs."""
+    monkeypatch.setattr(training, "ADAM_POOL_MIN_VALUES", 0)
     ds, graphs = small_problem(n_side=10, genes=genes)
     cfg = small_config(**EPOCH_CONFIGS[config])
     target, is_counts = training._reconstruction_target(ds, cfg)
