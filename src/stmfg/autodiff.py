@@ -33,8 +33,8 @@ in lane 0 and the feature view's dense products in lane 1, forward and
 backward; and training's Adam step updates the first half of each
 parameter in lane 0 and the rest in lane 1. Each lane sums its own steps
 and lane 0's sums are added to lane 1's, so the bits do not depend on
-whether lane 1 runs on a second thread, which it does whenever both lanes
-have work and the process may use two CPUs.
+whether lane 1 runs on the process's one worker thread, which it does
+whenever both lanes have work and the process may use two CPUs.
 
 `backward` computes one gradient total per tensor per pass. It folds a
 leaf's total (a tensor that requires gradients and is no op's output)
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -73,10 +73,10 @@ PAIRWISE_TILE = 96
 # and no more than the process may use. The lanes take the fused loss
 # nodes' tiles, an encoder layer's spatial and feature views and the
 # halves of each Adam update; lane 1 runs on the second thread whenever
-# both lanes have work, at any block width: for the loss nodes alone, at
-# 900 spots and 200 genes, that took the median epoch on a 2-vCPU VM from
-# 98 to 79 ms. At d = 64 two 96-row pairwise workspaces hold what one
-# 256-row workspace did.
+# both lanes have work, at any block width or parameter size: for the
+# loss nodes alone, at 900 spots and 200 genes, that took the median epoch
+# on a 2-vCPU VM from 98 to 79 ms. At d = 64 two 96-row pairwise
+# workspaces hold what one 256-row workspace did.
 LANE_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
 
@@ -195,22 +195,15 @@ def _fused_loss(value: float, leaves: Sequence[Tensor],
 # graph convolution
 
 
-def _propagate_relu(pre: np.ndarray, csr, bias: Tensor | None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """relu(csr pre + bias) from the dense product ``pre``, written into
-    ``out``, or in place where it can be; ``csr`` None is no propagation."""
-    if csr is not None:
-        pre = csr @ pre
-    if bias is not None:
-        pre += bias.data
-    return np.maximum(pre, 0.0, out=pre if out is None else out)
+def _propagate_relu(pre: np.ndarray, csr, out: np.ndarray) -> np.ndarray:
+    """relu(csr pre) from the dense product ``pre``, written into ``out``."""
+    return np.maximum(csr @ pre, 0.0, out=out)
 
 
 def _unpropagate(g: np.ndarray, out: np.ndarray, csr) -> np.ndarray:
-    """The gradient of a bias-free convolution's dense product from the
+    """The gradient of a propagated convolution's dense product from the
     gradient ``g`` of its output ``out``."""
-    g = g * (out > 0.0)
-    return g if csr is None else csr.T @ g
+    return csr.T @ (g * (out > 0.0))
 
 
 def _product_grads(g: np.ndarray, x: np.ndarray, w: Tensor, x_grad: bool,
@@ -222,29 +215,24 @@ def _product_grads(g: np.ndarray, x: np.ndarray, w: Tensor, x_grad: bool,
             np.matmul(g, w.data.T, out=g_x) if x_grad else None)
 
 
-def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
-               bias: Tensor | None = None) -> Tensor:
-    """One ReLU layer relu(adj (x w) + bias) as one node; with ``adj`` None
-    the layer is dense, and the constant ``adj`` gets no gradient. The
-    dense product comes first, so the sparse one runs on the narrow side
-    and no array as wide as ``x`` is formed. The ReLU runs in place and
-    backward reads its mask from the output (out > 0 exactly where the
-    pre-activation is), so the node holds its output and nothing more."""
-    if adj is not None and adj.n != x.rows:
-        raise DimensionError(f"graph_conv: operator n={adj.n} vs tensor rows={x.rows}")
+def graph_conv(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """One dense ReLU layer relu(x w + bias) as one node. The ReLU runs in
+    place and backward reads its mask from the output (out > 0 exactly
+    where the pre-activation is), so the node holds its output and nothing
+    more."""
     if x.cols != w.rows:
         raise DimensionError(f"graph_conv: {x.data.shape} @ {w.data.shape}")
     if bias is not None and bias.data.shape != (1, w.cols):
         raise DimensionError(f"graph_conv: bias {bias.data.shape} for width {w.cols}")
-    csr = None if adj is None else adj.csr()
-    out_data = _propagate_relu(x.data @ w.data, csr, bias)
+    out_data = x.data @ w.data
+    if bias is not None:
+        out_data += bias.data
+    np.maximum(out_data, 0.0, out=out_data)
 
     def backward_fn(g, accum):
         g = g * (out_data > 0.0)
         if bias is not None and bias.requires_grad:
             accum(bias, g.sum(axis=0, keepdims=True))
-        if csr is not None:
-            g = csr.T @ g
         for tensor, grad in zip((w, x), _product_grads(g, x.data, w, x.requires_grad)):
             if grad is not None:
                 accum(tensor, grad)
@@ -254,8 +242,8 @@ def graph_conv(x: Tensor, w: Tensor, adj: "SparseMatrix | None" = None,
 
 
 def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
-    """The two view convolutions of an encoder layer, each ``(w, adj)`` a
-    bias-free ``graph_conv`` over n spots, as one node whose output stacks
+    """The two view convolutions of an encoder layer, each ``(w, adj)`` the
+    layer relu(adj (x w)) over n spots, as one node whose output stacks
     the views: a 2n-by-d array, the spatial view's rows first and the
     feature view's after them. ``x`` has n rows, which both views read
     (per-layer fusion), or is such a 2n-row stack, each view reading its
@@ -270,8 +258,9 @@ def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
     backward. Lane 0 writes its ReLU into the top half of the output. The
     lanes write a stacked input's gradient into the halves of one buffer,
     and a shared input's into two, which the calling thread then adds.
-    Each view makes exactly the calls of its ``graph_conv``, so every row
-    is bitwise that of the two one-view nodes."""
+    The dense product comes first, so the sparse one runs on the narrow
+    side and no array as wide as ``x`` is formed; each view's rows are
+    bitwise those of its relu(adj (x w)) chain."""
     (w_s, adj_s), (w_f, adj_f) = spatial, feature
     n = adj_s.n
     if adj_f.n != n or x.rows not in (n, 2 * n):
@@ -290,11 +279,11 @@ def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
         if view:
             np.matmul(x_f, w_f.data, out=pre_f)
         else:
-            _propagate_relu(x_s @ w_s.data, csr_s, None, out_data[:n])
+            _propagate_relu(x_s @ w_s.data, csr_s, out_data[:n])
         return done
 
     _lanes(([0], [1]), tuple, forward, ())
-    _propagate_relu(pre_f, csr_f, None, out_data[n:])
+    _propagate_relu(pre_f, csr_f, out_data[n:])
 
     def backward_fn(g, accum):
         g_f = _unpropagate(g[n:], out_data[n:], csr_f)
@@ -485,6 +474,17 @@ class SparseMatrix:
 # two fixed lanes
 
 
+def _start_lane_pool() -> None:
+    """Lane 1's worker, one for the process; its thread starts on the first
+    pooled call. A forked child has no copy of it and takes a new one."""
+    global _LANE_POOL
+    _LANE_POOL = ThreadPoolExecutor(1)
+
+
+_start_lane_pool()
+os.register_at_fork(after_in_child=_start_lane_pool)
+
+
 def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
            body: Callable, start=0.0):
     """Run each lane's ``work`` in order, lane k over ``work[k]``, as
@@ -492,12 +492,14 @@ def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
     lane 0's total plus lane 1's: a sum of floats, or lane 0's results
     followed by lane 1's when ``start`` is an empty tuple.
 
-    With LANE_WORKERS above one and work in both lanes, lane 1 is one pool
-    task, run in a copy of the caller's context (so numpy's error state
-    holds there too), and each lane owns a ``workspace()``; otherwise the
-    calling thread runs lane 0 and then lane 1 in one. ``body`` writes only
-    its own outputs or its lane's own sums, so every bit is the same at any
-    worker count.
+    With LANE_WORKERS above one and work in both lanes, lane 1 is one task
+    on the lane-1 worker, run in a copy of the caller's context (so numpy's
+    error state holds there too), and each lane owns a ``workspace()``;
+    otherwise the calling thread runs lane 0 and then lane 1 in one.
+    ``body`` writes only its own outputs or its lane's own sums, so every
+    bit is the same at any worker count. Lane 1 writes into the caller's
+    arrays, so the call ends only once lane 1 has; a lane-1 body that
+    called ``_lanes`` would wait on itself.
     """
 
     def lane(k, space):
@@ -507,9 +509,12 @@ def _lanes(work: tuple[Sequence, Sequence], workspace: Callable[[], tuple],
         return total
 
     if LANE_WORKERS > 1 and all(work):
-        with ThreadPoolExecutor(1) as pool:
-            second = pool.submit(contextvars.copy_context().run, lane, 1, workspace())
-            return lane(0, workspace()) + second.result()
+        second = _LANE_POOL.submit(contextvars.copy_context().run, lane, 1, workspace())
+        try:
+            first = lane(0, workspace())
+        finally:
+            wait((second,))
+        return first + second.result()
     space = workspace()
     return lane(0, space) + lane(1, space)
 

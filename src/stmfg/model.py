@@ -15,7 +15,7 @@ one node too (``autodiff.view_attention``), and it and the contrastive
 loss read the stack as it is. A late-fusion variant (each view encoded
 independently, the next layer reading each view's half of the stack, one
 fusion at the output) backs the "w/o mf" ablation. The decoder's hidden
-layer is one ``graph_conv`` node without propagation; its three heads
+layer is one dense ``graph_conv`` node; its three heads
 have no nodes of their own: the likelihood node applies them to the
 hidden layer (``zinb_decode``) block by block, and a trace holds encoder
 outputs only.

@@ -2,8 +2,8 @@
 
 One run owns its model exclusively; everything is seeded and the loop is
 deterministic at any lane-worker count, with BLAS threads pinned: the
-engine deals its work, the Adam halves included, to two fixed lanes by
-the data's shape alone. Ablation switches drop a loss term
+engine deals its work, every Adam step's halves included, to two fixed
+lanes by the data's shape alone. Ablation switches drop a loss term
 from the graph entirely (so it contributes neither value nor gradient) or
 swap per-layer fusion for a single output-level fusion.
 """
@@ -184,27 +184,17 @@ class TrainLog:
 # Adam's moment decay rates and the guard added to the step's denominator.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-# Parameter values below which a step runs both halves in one lane, on the
-# calling thread, where the pool task costs more than the second half
-# saves. In-process sweeps at 1 BLAS thread on a 2-vCPU VM, over the
-# default model's parameters at 200 to 3000 genes: one lane was faster in
-# all 7 sweeps up to 670k values (1.6 against 2.0 ms at 154k, 200 genes)
-# and in 7 of 9 at 990k; at 1.95M (3000 genes) the two lanes were 1.4-1.8x
-# faster in 3 of 9 sweeps and 4-5% slower in 6.
-ADAM_POOL_MIN_VALUES = 1_000_000
-
 
 class Adam:
     """Adam with bias correction; L2 weight decay is added to the gradient
     before the moment updates (coupled form). A step runs in two phases,
     the moments of every parameter and then the steps, each on the
-    engine's two lanes, or in one lane on the calling thread when the
-    parameters hold fewer than ADAM_POOL_MIN_VALUES values. A second
-    moment that leaves the finite range would freeze its
-    parameter (every step exactly 0), so between the phases the step raises
-    ``NumericError`` naming the first such parameter instead, before any
-    parameter moves; ``names`` label the parameters in that message
-    (default: their positions)."""
+    engine's two lanes, whatever the parameters' size. A second moment
+    that leaves the finite range would freeze its parameter (every step
+    exactly 0), so between the phases the step raises ``NumericError``
+    naming the first such parameter instead, before any parameter moves;
+    ``names`` label the parameters in that message (default: their
+    positions)."""
 
     def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
                  names: list[str] | None = None):
@@ -238,8 +228,6 @@ class Adam:
             mid = (p.data.size + 1) // 2
             halves[0].append(tuple(a[:mid] for a in flat))
             halves[1].append(tuple(a[mid:] for a in flat))
-        if sum(p.data.size for p in self.params) < ADAM_POOL_MIN_VALUES:
-            halves = (halves[0] + halves[1], [])
         # One call-scoped scratch pair per lane, half the largest parameter,
         # holds every temporary of every update in that lane.
         size = (max((p.data.size for p in self.params), default=0) + 1) // 2

@@ -57,16 +57,15 @@ def run_on_workers(monkeypatch, workers, fn):
     """``fn()`` on ``workers`` lane workers, with the interpreter switching
     threads every microsecond, so the threads' Python steps interleave as
     finely as they can; returns its result and the tasks submitted to the
-    lane pool meanwhile."""
+    process's lane pool meanwhile."""
     monkeypatch.setattr(ad, "LANE_WORKERS", workers)
-    submitted = []
+    pool, submitted = ad._LANE_POOL, []
 
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
+    def submit(*args, **kwargs):
+        submitted.append(args)
+        return ThreadPoolExecutor.submit(pool, *args, **kwargs)
 
-    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(pool, "submit", submit)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -4,7 +4,12 @@ densify-and-multiply oracle for the sparse product."""
 
 import ast
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +20,10 @@ from scipy.special import gammaln as _gammaln
 
 from stmfg import autodiff as ad
 from stmfg.autodiff import SparseMatrix, Tensor
+from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError, DimensionError, DomainError
+from stmfg.graphs import build_graph_pair
+from stmfg.training import TrainConfig, train
 
 from conftest import grad_check, run_on_workers, stack, traced_held, traced_peak
 
@@ -48,12 +56,13 @@ def random_sparse_symmetric(n, rng, density=0.3):
 
 
 # ---------------------------------------------------------------------------
-# Unfused reference of ad.graph_conv: the generic ops a ReLU layer was built
-# from before it became one engine node. The fused op must reproduce the
-# chains relu(spmm(A, matmul(z, w))), relu(matmul(z, w)) and
-# relu(broadcast_add(matmul(z, w), b)) bitwise, value and gradients, and
-# agree within 1e-12 with the propagate-first order relu(matmul(spmm(A, z), w))
-# that it used before.
+# Unfused reference of the ReLU layers: the generic ops a layer was built
+# from before it became an engine node. The dense ad.graph_conv must
+# reproduce the chains relu(matmul(z, w)) and relu(broadcast_add(matmul(z,
+# w), b)) bitwise, value and gradients; each view of ad.graph_conv_views
+# must reproduce relu(spmm(A, matmul(z, w))) bitwise and agree within 1e-12
+# with the propagate-first order relu(matmul(spmm(A, z), w)) that the
+# encoder used before.
 
 
 def matmul(a, b):
@@ -826,7 +835,7 @@ def _op_cases():
     def graph_conv_case(rng, x):
         w = matmul(Tensor(rng.uniform(-1, 1, (x.cols, x.rows))), x)
         bias = matmul(Tensor(rng.uniform(-1, 1, (1, x.rows))), x)
-        return wsum(rng, ad.graph_conv(x, w, random_sparse_symmetric(x.rows, rng), bias))
+        return wsum(rng, ad.graph_conv(x, w, bias))
 
     case("graph_conv")(graph_conv_case)
 
@@ -883,6 +892,131 @@ def test_every_registered_name_has_a_package_caller():
     assert private - referenced == set()
 
 
+def test_package_constructs_one_thread_pool_and_no_other_thread():
+    """The package constructs one ThreadPoolExecutor, the lanes' worker, in
+    autodiff.py, and no thread or process of any other kind: it imports
+    neither threading nor multiprocessing."""
+    pools, others = [], []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            others += [(path.name, module) for module in modules
+                       if module.split(".")[0] in ("threading", "_thread", "multiprocessing")]
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ThreadPoolExecutor":
+                    pools.append(path.name)
+                elif name in ("Thread", "Process", "ProcessPoolExecutor"):
+                    others.append((path.name, name))
+    assert pools == ["autodiff.py"]
+    assert others == []
+
+
+def _add(total, item, lane):
+    return total + item
+
+
+class TestLaneWorker:
+    """Lane 1's one worker thread for the process: its identity, the
+    caller's wait for it, its errors, and a forked child's own worker."""
+
+    def test_one_thread_across_calls_and_trainings(self, monkeypatch):
+        """Lane 1 runs on one thread, never the caller's, over repeated
+        calls and two trainings on two workers; lane 0 runs on the
+        caller's."""
+        ds = preprocess(generate_synthetic(8, 2, 12, seed=0, dropout=0.3, dispersion=2.0),
+                        min_spots=1, n_hvg=12)
+        graphs = build_graph_pair(ds.coords, ds.preprocessed, radius=550.0, k=4)
+        cfg = TrainConfig(epochs=2, hidden_dims=(8, 4), decoder_hidden=8, seed=0)
+        threads = ([], [])
+        lanes = ad._lanes
+
+        def recording(work, workspace, body, start=0.0):
+            def traced(total, item, lane, *space):
+                threads[lane].append(threading.current_thread())
+                return body(total, item, lane, *space)
+
+            return lanes(work, workspace, traced, start)
+
+        monkeypatch.setattr(ad, "_lanes", recording)
+
+        def run():
+            for _ in range(5):
+                assert ad._lanes(([1.0], [2.0]), tuple, _add) == 3.0
+            return [train(ds, graphs, cfg).log.loss_table() for _ in range(2)]
+
+        tables, submitted = run_on_workers(monkeypatch, 2, run)
+        assert tables[0] == tables[1]
+        assert len(submitted) > 5 and len(threads[1]) >= len(submitted)
+        assert all(t is threading.current_thread() for t in threads[0])
+        assert all(t is threads[1][0] for t in threads[1])
+        assert threads[1][0] is not threading.current_thread()
+
+    def test_lane_zero_error_waits_for_lane_one(self, monkeypatch):
+        """When lane 0 raises, lane 1 has finished by the time the error
+        reaches the caller: it writes into the caller's arrays."""
+        finished = []
+
+        def body(total, item, lane):
+            if lane == 0:
+                raise ValueError("lane 0 failed")
+            time.sleep(0.2)
+            finished.append(item)
+            return total
+
+        def call():
+            with pytest.raises(ValueError, match="lane 0 failed"):
+                ad._lanes(([0], [1]), tuple, body)
+            return list(finished)
+
+        seen, submitted = run_on_workers(monkeypatch, 2, call)
+        assert len(submitted) == 1 and seen == [1]
+
+    def test_lane_one_error_propagates_and_pooling_goes_on(self, monkeypatch):
+        """An error in lane 1 reaches the caller, and the next call still
+        runs lane 1 on the worker."""
+
+        def body(total, item, lane):
+            if item == "bad":
+                raise ValueError("lane 1 failed")
+            return total + (threading.current_thread(),)
+
+        def calls():
+            with pytest.raises(ValueError, match="lane 1 failed"):
+                ad._lanes(([0], ["bad"]), tuple, body, ())
+            return ad._lanes(([0], [1]), tuple, body, ())
+
+        (first, second), submitted = run_on_workers(monkeypatch, 2, calls)
+        assert len(submitted) == 2
+        assert first is threading.current_thread() and second is not first
+
+    def test_forked_child_pools(self, monkeypatch):
+        """A child forked after the parent's worker started finishes a
+        pooled call within five seconds: the fork gives it no copy of the
+        worker thread, so it starts its own."""
+        monkeypatch.setattr(ad, "LANE_WORKERS", 2)
+        assert ad._lanes(([1.0], [1.0]), tuple, _add) == 2.0
+        with warnings.catch_warnings():
+            # forking a process that runs threads is what is tested here
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(5)  # a task that never runs ends the child
+                code = 0 if ad._lanes(([1.0], [1.0]), tuple, _add) == 2.0 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 def _constant_inputs(rng):
     """A call of each fused loss node on inputs that require no gradient."""
     a, b = Tensor(rng.normal(size=(7, 3))), Tensor(rng.normal(size=(7, 3)))
@@ -926,63 +1060,35 @@ def test_op_gradients_match_finite_differences(name):
 
 
 class TestGraphConv:
-    """The fused ReLU layer against its generic-op chain: bitwise value and
-    gradients with the propagation and the bias each given or omitted, and
-    within 1e-12 of the propagate-first chain."""
+    """The dense ReLU layer against its generic-op chain: bitwise value and
+    gradients with the bias given or omitted."""
 
-    @staticmethod
-    def run_conv(conv, z, w, b, adj, with_bias, weight):
-        leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
-        out = conv(leaves[0], leaves[1], adj, leaves[2] if with_bias else None)
-        ad.backward(sum_all(hadamard(weight, out)))
-        return out.data, [t.grad for t in leaves]
-
-    @pytest.mark.parametrize("propagate,with_bias", [(True, False), (False, False),
-                                                     (False, True), (True, True)])
-    def test_matches_reference_chain_bitwise(self, propagate, with_bias):
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_reference_chain_bitwise(self, with_bias):
         rng = np.random.default_rng(41)
         z = rng.normal(size=(9, 4))
-        z[2] = 0.0  # without propagation or bias a zero row sits on the kink
+        z[2] = 0.0  # without a bias a zero row sits on the kink
         w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
-        adj = random_sparse_symmetric(9, rng) if propagate else None
         weight = Tensor(rng.uniform(-1, 1, (9, 3)))
-        (out, grads), (ref, ref_grads), (old, old_grads) = (
-            self.run_conv(conv, z, w, b, adj, with_bias, weight)
-            for conv in (ad.graph_conv, reference_graph_conv, propagate_first_graph_conv))
-        assert (out == 0.0).any() and (out > 0.0).any()
-        np.testing.assert_array_equal(out, ref)
-        for got, want in zip(grads, ref_grads):
+        outs, grads = [], []
+        for conv in (ad.graph_conv, reference_graph_conv):
+            leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
+            out = conv(*leaves[:2], bias=leaves[2] if with_bias else None)
+            ad.backward(sum_all(hadamard(weight, out)))
+            outs.append(out.data)
+            grads.append([t.grad for t in leaves])
+        assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
+        np.testing.assert_array_equal(outs[0], outs[1])
+        for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_allclose(out, old, rtol=1e-12, atol=1e-14)
-        for got, want in zip(grads, old_grads):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-
-    def test_wide_input_forms_no_wide_array(self):
-        """At 400 x 4096 into 8 columns, a propagated layer's forward and
-        backward allocate under a fifth of the input's bytes: the sparse
-        products run on the 8 output columns, never on the 4096 input ones."""
-        rng = np.random.default_rng(43)
-        n, width = 400, 4096
-        adj = random_sparse_symmetric(n, rng, density=0.02)
-        x = Tensor(np.asfortranarray(rng.normal(size=(n, width))))
-        w = tensor(rng.normal(size=(width, 8)))
-
-        def layer():
-            ad.backward(sum_all(ad.graph_conv(x, w, adj)))
-
-        _, peak = traced_peak(layer)
-        assert peak < x.data.nbytes / 5, f"peak {peak / x.data.nbytes:.3f} inputs"
 
     def test_holds_only_its_output(self):
         """At 2500 spots the node keeps its output and nothing beside it:
         the ReLU runs in place and backward masks on the output."""
         rng = np.random.default_rng(44)
         n = 2500
-        ring = np.arange(n)
-        adj = SparseMatrix(n, np.concatenate([ring, (ring + 1) % n]),
-                           np.concatenate([(ring + 1) % n, ring]), np.full(2 * n, 0.5))
         x, w, b = (tensor(rng.normal(size=s)) for s in ((n, 32), (32, 64), (1, 64)))
-        out, held = traced_held(lambda: ad.graph_conv(x, w, adj, b))
+        out, held = traced_held(lambda: ad.graph_conv(x, w, b))
         assert held <= 1.1 * out.data.nbytes, f"held {held / out.data.nbytes:.2f} outputs"
 
     def test_constant_input_gets_no_gradient(self):
@@ -996,8 +1102,6 @@ class TestGraphConv:
 
     def test_dimension_errors(self):
         x, w = tensor(np.ones((4, 3))), tensor(np.ones((3, 2)))
-        with pytest.raises(DimensionError):
-            ad.graph_conv(x, w, SparseMatrix(5, [], [], []))
         with pytest.raises(DimensionError):
             ad.graph_conv(x, tensor(np.ones((2, 2))))
         for shape in ((2, 2), (1, 3), (2, 1)):
@@ -1025,19 +1129,18 @@ class TestGraphConvViews:
             up=stack(rng.uniform(-1, 1, (30, 4)), rng.uniform(-1, 1, (30, 4))))
 
     @staticmethod
-    def run(pr, fused):
-        """The stacked output and the leaves' gradients of a loss over it;
-        ``fused`` runs the two-view node on the input, else two reference
-        chains on the input's halves, their outputs row-stacked."""
+    def run(pr, chain=None):
+        """The stacked output and the leaves' gradients of a loss over it:
+        the two-view node on the input, or with ``chain`` two such chains
+        on the input's halves, their outputs row-stacked."""
         x_s = tensor(pr.x_s)
         x_f = tensor(pr.x_f) if pr.stacked else x_s
         w_s, w_f = tensor(pr.w_s), tensor(pr.w_f)
-        if fused:
+        if chain is None:
             x = stack_rows(x_s, x_f) if pr.stacked else x_s
             z = ad.graph_conv_views(x, (w_s, pr.adj_s), (w_f, pr.adj_f))
         else:
-            z = stack_rows(reference_graph_conv(x_s, w_s, pr.adj_s),
-                           reference_graph_conv(x_f, w_f, pr.adj_f))
+            z = stack_rows(chain(x_s, w_s, pr.adj_s), chain(x_f, w_f, pr.adj_f))
         ad.backward(sum_all(hadamard(pr.up, z)))
         leaves = [x_s, w_s, w_f] + ([x_f] if pr.stacked else [])
         return z.data, [t.grad for t in leaves]
@@ -1052,15 +1155,41 @@ class TestGraphConvViews:
         more than one worker the forward and the backward each submit lane
         1 once."""
         pr = self.problem(stacked)
-        (out, grads), submitted = run_on_workers(
-            monkeypatch, workers, lambda: self.run(pr, fused=True))
-        ref_out, ref_grads = self.run(pr, fused=False)
+        (out, grads), submitted = run_on_workers(monkeypatch, workers, lambda: self.run(pr))
+        ref_out, ref_grads = self.run(pr, reference_graph_conv)
         assert out.shape == (60, 4) and out.flags.c_contiguous
         assert (out[:30] == 0.0).any() and (out[:30] > 0.0).any()
         np.testing.assert_array_equal(out, ref_out)
         for got, want in zip(grads, ref_grads):
             np.testing.assert_array_equal(got, want)
         assert len(submitted) == (2 if workers > 1 else 0)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-input", "two-inputs"])
+    def test_within_rounding_of_propagate_first_chains(self, stacked):
+        """The output and every gradient agree within 1e-12 with the
+        propagate-first chains relu((A x) w), equal in exact arithmetic."""
+        pr = self.problem(stacked)
+        (out, grads), (old, old_grads) = (self.run(pr, chain)
+                                          for chain in (None, propagate_first_graph_conv))
+        np.testing.assert_allclose(out, old, rtol=1e-12, atol=1e-14)
+        for got, want in zip(grads, old_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_wide_input_forms_no_wide_array(self):
+        """At 400 x 4096 into 8 columns, a layer's forward and backward
+        allocate under a fifth of the input's bytes: the sparse products run
+        on the 8 output columns, never on the 4096 input ones."""
+        rng = np.random.default_rng(43)
+        n, width = 400, 4096
+        adj_s, adj_f = (random_sparse_symmetric(n, rng, density=0.02) for _ in range(2))
+        x = Tensor(np.asfortranarray(rng.normal(size=(n, width))))
+        w_s, w_f = (tensor(rng.normal(size=(width, 8))) for _ in range(2))
+
+        def layer():
+            ad.backward(sum_all(ad.graph_conv_views(x, (w_s, adj_s), (w_f, adj_f))))
+
+        _, peak = traced_peak(layer)
+        assert peak < x.data.nbytes / 5, f"peak {peak / x.data.nbytes:.3f} inputs"
 
     def test_dimension_errors(self):
         """Operators over different spot counts, a weight that does not

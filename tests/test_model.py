@@ -57,27 +57,33 @@ def encode_oracle(x, a_s, a_f, params, slope=0.2):
 
 
 class TestGcnLayer:
+    """The encoder's two propagated views (``ad.graph_conv_views``), the
+    spatial view's rows first."""
+
     def test_identity_propagation(self):
         z = Tensor([[1.0, 2.0], [0.5, 3.0]])
         w = Tensor(np.eye(2))
-        out = ad.graph_conv(z, w, identity_sparse(2))
-        np.testing.assert_array_equal(out.data, z.data)
+        out = ad.graph_conv_views(z, (w, identity_sparse(2)), (w, identity_sparse(2)))
+        np.testing.assert_array_equal(out.data, np.concatenate([z.data, z.data]))
 
     def test_zero_input(self):
         rng = np.random.default_rng(0)
-        out = ad.graph_conv(Tensor(np.zeros((3, 4))), Tensor(rng.normal(size=(4, 2))),
-                            identity_sparse(3))
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+        views = [(Tensor(rng.normal(size=(4, 2))), identity_sparse(3)) for _ in range(2)]
+        out = ad.graph_conv_views(Tensor(np.zeros((3, 4))), *views)
+        np.testing.assert_array_equal(out.data, np.zeros((6, 2)))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
         from stmfg.graphs import build_spatial_graph, normalize_adjacency
 
-        a = normalize_adjacency(build_spatial_graph(rng.uniform(0, 10, (8, 2)), 4.0))
+        a_s, a_f = (normalize_adjacency(build_spatial_graph(rng.uniform(0, 10, (8, 2)), 4.0))
+                    for _ in range(2))
         z = Tensor(rng.normal(size=(8, 5)))
-        w = Tensor(rng.normal(size=(5, 3)))
-        oracle = np.maximum(a.to_dense() @ z.data @ w.data, 0.0)
-        np.testing.assert_allclose(ad.graph_conv(z, w, a).data, oracle, atol=1e-12)
+        w_s, w_f = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(5, 3)))
+        oracle = np.concatenate([np.maximum(a.to_dense() @ z.data @ w.data, 0.0)
+                                 for a, w in ((a_s, w_s), (a_f, w_f))])
+        np.testing.assert_allclose(ad.graph_conv_views(z, (w_s, a_s), (w_f, a_f)).data,
+                                   oracle, atol=1e-12)
 
 
 class TestAttentionFuse:
