@@ -2,15 +2,18 @@
 symmetric GCN normalization of both.
 
 The radius graph comes from a k-d tree (``scipy.spatial.cKDTree``), so
-no n-by-n distance array is formed. The KNN graph is exact: one GEMM
-gives the n-by-n cosine similarity matrix, a partition finds each row's
-k-th largest similarity, and only the columns at or above it are sorted.
-That matrix is the one n-by-n array the build holds: the partition and
-its survivor mask run over ``KNN_ROW_CHUNK`` rows at a time.
+no n-by-n distance array is formed. The KNN graph is exact brute force
+over row blocks of at most ``KNN_BLOCK_ENTRIES`` similarities: a block's
+product with every spot, a partition to each row's k-th largest
+similarity, and only the columns at or above it kept, with their values,
+before the next block; one sort of the survivors finishes. No n-by-n
+array is formed once n exceeds one block's rows.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +25,15 @@ from .errors import ContractError
 DEFAULT_RADIUS = 550.0
 DEFAULT_KNN_K = 15
 
-# Rows per step of the KNN selection: a step's partition copy and
-# survivor mask are KNN_ROW_CHUNK-by-n.
-KNN_ROW_CHUNK = 256
+# Similarities per block of the KNN build: a block holds
+# max(1, KNN_BLOCK_ENTRIES // n) rows, so up to 2**20 spots its product
+# and partition copy are at most 8 MiB each and its survivor mask 1 MiB.
+# Up to 1024 spots one block covers every row, and its product
+# ``unit[0:n] @ unit.T`` is the same symmetric (SYRK) call as
+# ``unit @ unit.T``. Past that the blocks are GEMMs, whose values can
+# differ from the symmetric product's in the last place; the selection is
+# exact on the values each block holds.
+KNN_BLOCK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,8 @@ def _binary_symmetric(n: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatri
 def build_spatial_graph(coords, radius: float) -> SparseMatrix:
     """Connect spots whose Euclidean distance is at most ``radius``."""
     pts = _as_coords(coords)
-    if radius <= 0:
-        raise ContractError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ContractError(f"radius must be positive and finite, got {radius}")
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
     return _binary_symmetric(pts.shape[0], pairs[:, 0], pairs[:, 1])
 
@@ -75,27 +84,30 @@ def build_feature_graph(x, k: int) -> SparseMatrix:
     if not np.isfinite(feats).all():
         raise ContractError("features must be finite")
     n = feats.shape[0]
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ContractError(f"k must be an integer, got {k!r}")
     if not 1 <= k < n:
         raise ContractError(f"need 1 <= k < n, got k={k}, n={n}")
 
     norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True) + NORM_EPS)
     unit = feats / norms
-    neg = unit @ unit.T
-    np.negative(neg, out=neg)
-    np.fill_diagonal(neg, np.inf)
     # Every column at or below a row's k-th smallest negated similarity
     # survives (boundary ties included, so each row keeps at least k);
     # sorting survivors by (row, value, column) and keeping the first k
     # per row picks what a stable sort of the whole row picks.
-    rows, cols = [], []
-    for r0 in range(0, n, KNN_ROW_CHUNK):
-        chunk = neg[r0:r0 + KNN_ROW_CHUNK]
-        kth = np.partition(chunk, k - 1, axis=1)[:, [k - 1]]
-        r, c = np.nonzero(chunk <= kth)
+    step = max(1, KNN_BLOCK_ENTRIES // n)
+    rows, cols, vals = [], [], []
+    for r0 in range(0, n, step):
+        neg = unit[r0:r0 + step] @ unit.T
+        np.negative(neg, out=neg)
+        np.fill_diagonal(neg[:, r0:], np.inf)  # block row i is spot r0 + i
+        kth = np.partition(neg, k - 1, axis=1)[:, [k - 1]]
+        r, c = np.nonzero(neg <= kth)
         rows.append(r + r0)
         cols.append(c)
+        vals.append(neg[r, c])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, neg[rows, cols], rows))
+    order = np.lexsort((cols, np.concatenate(vals), rows))
     per_row = np.bincount(rows, minlength=n)
     first = np.cumsum(per_row) - per_row
     picked = cols[order[(first[:, None] + np.arange(k)).ravel()]]

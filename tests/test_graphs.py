@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from stmfg import graphs
 from stmfg.autodiff import NORM_EPS
 from stmfg.data import generate_synthetic, preprocess
 from stmfg.errors import ContractError
 from stmfg.graphs import (
-    KNN_ROW_CHUNK,
     _binary_symmetric,
     build_feature_graph,
     build_graph_pair,
@@ -60,17 +60,28 @@ def brute_force_knn_edges(feats, k):
     return edges
 
 
-def argsort_feature_graph(feats, k):
-    """The KNN graph by a full stable argsort of every similarity row: the
-    selection ``build_feature_graph`` must reproduce exactly."""
-    n = feats.shape[0]
+def unit_rows(feats):
+    """The rows of ``feats`` scaled to unit length, as the build scales them."""
     norms = np.sqrt((feats * feats).sum(axis=1, keepdims=True) + NORM_EPS)
-    unit = feats / norms
-    sims = unit @ unit.T
+    return feats / norms
+
+
+def argsort_graph(sims, k):
+    """The KNN graph by a full stable argsort of every row of the n-by-n
+    similarity matrix ``sims``, its diagonal left out."""
+    n = sims.shape[0]
+    sims = sims.copy()
     np.fill_diagonal(sims, -np.inf)
     # Stable sort on descending similarity keeps ascending-index tie order.
     ranked = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     return _binary_symmetric(n, np.repeat(np.arange(n), k), ranked.ravel())
+
+
+def argsort_feature_graph(feats, k):
+    """The KNN graph by a full stable argsort of every similarity row: the
+    selection ``build_feature_graph`` must reproduce exactly."""
+    unit = unit_rows(feats)
+    return argsort_graph(unit @ unit.T, k)
 
 
 def assert_same_csr(a, b):
@@ -96,6 +107,12 @@ class TestSpatialGraph:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ContractError):
             build_spatial_graph([(0, 0), (1, 1)], 0.0)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf])
+    def test_non_finite_or_negative_radius_rejected(self, radius):
+        # a NaN radius used to give an empty graph, an infinite one to link every pair
+        with pytest.raises(ContractError, match="radius must be positive and finite"):
+            build_spatial_graph([(0, 0), (1, 1), (5, 5)], radius)
 
     def test_matches_brute_force_pair_scan(self):
         rng = np.random.default_rng(42)
@@ -164,6 +181,17 @@ class TestFeatureGraph:
         with pytest.raises(ContractError):
             build_feature_graph(np.ones((4, 2)), 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3"])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to reach numpy's partition as a TypeError, True to act as k = 1
+        with pytest.raises(ContractError, match="k must be an integer"):
+            build_feature_graph(np.eye(4), k)
+
+    def test_numpy_integer_k_accepted(self):
+        feats = np.random.default_rng(3).normal(size=(12, 4))
+        assert_same_csr(build_feature_graph(feats, np.int64(3)),
+                        argsort_feature_graph(feats, 3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         # a NaN row used to link to itself at k = 1, an inf row to give a graph
@@ -186,33 +214,60 @@ class TestFeatureGraph:
         assert not any(r == c for r, c in edge_set(a))
 
     @pytest.mark.parametrize("k", [1, 7, 40])
-    def test_matches_argsort_across_row_chunks(self, k):
-        """At 600 spots the selection runs in three row chunks; runs of
-        tied and zero rows straddle both chunk edges, and every row still
-        selects what the full stable argsort selects."""
+    def test_matches_argsort_across_row_chunks(self, k, monkeypatch):
+        """With a budget of 256 rows a block, 600 spots run in three row
+        blocks; runs of tied and zero rows straddle both block edges, and
+        every row still selects what the full stable argsort selects."""
         rng = np.random.default_rng(13)
         n = 600
-        assert n > 2 * KNN_ROW_CHUNK
+        monkeypatch.setattr(graphs, "KNN_BLOCK_ENTRIES", 256 * n)
+        block = graphs.KNN_BLOCK_ENTRIES // n
+        assert n > 2 * block
         x = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-        for edge in (KNN_ROW_CHUNK, 2 * KNN_ROW_CHUNK):
+        for edge in (block, 2 * block):
             x[edge - 3:edge + 3] = x[edge - 4]
             x[[edge - 5, edge + 4]] = 0.0
         assert_same_csr(build_feature_graph(x, k), argsort_feature_graph(x, k))
 
     def test_peak_holds_one_similarity_matrix(self):
         """At 1500 spots the build's traced peak stays under 1.5 n-by-n
-        float64 arrays: the GEMM's result is the only whole one."""
+        float64 arrays; it runs in three row blocks and forms no whole
+        n-by-n array."""
         rng = np.random.default_rng(12)
         n = 1500
         feats = rng.normal(size=(n, 16))
         _, peak = traced_peak(lambda: build_feature_graph(feats, 15))
         assert peak <= 1.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n-by-n arrays"
 
-    def test_matches_argsort_on_synthetic_2500_spots(self):
-        ds = preprocess(generate_synthetic(50, 5, 200, seed=1, dropout=0.3,
-                                           dispersion=2.0))
-        assert_same_csr(build_feature_graph(ds.preprocessed, 15),
-                        argsort_feature_graph(ds.preprocessed, 15))
+    def test_peak_well_under_one_similarity_matrix_across_blocks(self):
+        """At 3000 spots the build runs in nine row blocks; its traced
+        peak, a block's product and partition copy, stays under 0.3 n-by-n
+        float64 arrays."""
+        rng = np.random.default_rng(14)
+        n = 3000
+        assert n > graphs.KNN_BLOCK_ENTRIES // n
+        feats = rng.normal(size=(n, 16))
+        _, peak = traced_peak(lambda: build_feature_graph(feats, 15))
+        assert peak <= 0.3 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n-by-n arrays"
+
+    def test_matches_argsort_on_synthetic_2500_spots(self, synthetic_2500):
+        assert_same_csr(build_feature_graph(synthetic_2500, 15),
+                        argsort_feature_graph(synthetic_2500, 15))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    def test_synthetic_2500_spots_at_any_block_size(self, synthetic_2500, block_rows,
+                                                    monkeypatch):
+        n = synthetic_2500.shape[0]
+        monkeypatch.setattr(graphs, "KNN_BLOCK_ENTRIES", block_rows * n)
+        assert_same_csr(build_feature_graph(synthetic_2500, 15),
+                        argsort_feature_graph(synthetic_2500, 15))
+
+
+@pytest.fixture(scope="module")
+def synthetic_2500():
+    """The preprocessed features of a 50 x 50 synthetic tissue, 200 genes."""
+    return preprocess(generate_synthetic(50, 5, 200, seed=1, dropout=0.3,
+                                         dispersion=2.0)).preprocessed
 
 
 class TestNormalizeAdjacency:

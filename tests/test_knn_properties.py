@@ -1,6 +1,7 @@
 """Property tests of the KNN graph on tie-heavy inputs: small integer
 features with duplicated and all-zero rows and every k from 1 to n - 1.
-The selection must equal the full stable argsort's, array for array.
+The selection must equal the full stable argsort's, array for array,
+whatever the row blocks of the build.
 Examples are derandomized and no example database is kept, so the suite
 is deterministic and leaves no files behind."""
 
@@ -11,9 +12,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from stmfg import graphs  # noqa: E402
 from stmfg.graphs import build_feature_graph  # noqa: E402
 
-from test_graphs import argsort_feature_graph, assert_same_csr  # noqa: E402
+from test_graphs import (  # noqa: E402
+    argsort_feature_graph,
+    argsort_graph,
+    assert_same_csr,
+    unit_rows,
+)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -38,3 +45,23 @@ def tied_features(draw):
 def test_matches_full_argsort(case):
     x, k = case
     assert_same_csr(build_feature_graph(x, k), argsort_feature_graph(x, k))
+
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+@DETERMINISTIC
+@given(case=tied_features())
+def test_matches_full_argsort_at_any_block_size(block_rows, case):
+    """Built in blocks of ``block_rows`` rows, the graph is the full stable
+    argsort of the blocks' own products. The products, not the one-block
+    reference, are the oracle: a row block's GEMM and the whole matrix's
+    SYRK can round a tied pair differently, even a pair of duplicate
+    spots."""
+    x, k = case
+    n = x.shape[0]
+    unit = unit_rows(x)
+    sims = np.vstack([unit[r0:r0 + block_rows] @ unit.T for r0 in range(0, n, block_rows)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "KNN_BLOCK_ENTRIES", block_rows * n)
+        got = build_feature_graph(x, k)
+    assert_same_csr(got, argsort_graph(sims, k))
