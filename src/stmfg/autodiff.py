@@ -28,9 +28,9 @@ that splits without regrouping a sum runs on two fixed lanes (``_lanes``):
 the pairwise nodes walk fixed row tiles, tile i in lane i mod 2; the ZINB
 node walks its target's row blocks, each cut into two halves, one per
 lane: by rows when the target has fewer than a third as many genes as
-rows, by genes otherwise; the two-view convolution runs the spatial view
-in lane 0 and the feature view's dense products in lane 1, forward and
-backward; and training's Adam step updates the first half of each
+rows, by genes otherwise; the two-view convolution runs view v's dense
+products in lane v, forward and backward, and its sparse products on the
+calling thread; and training's Adam step updates the first half of each
 parameter in lane 0 and the rest in lane 1. Each lane sums its own steps
 and lane 0's sums are added to lane 1's, so the bits do not depend on
 whether lane 1 runs on the process's one worker thread, which it does
@@ -71,7 +71,7 @@ PAIRWISE_TILE = 96
 
 # Threads the two lanes run on, the calling thread included: at most two,
 # and no more than the process may use. The lanes take the fused loss
-# nodes' tiles, an encoder layer's spatial and feature views and the
+# nodes' tiles, an encoder layer's two views' dense products and the
 # halves of each Adam update; lane 1 runs on the second thread whenever
 # both lanes have work, at any block width or parameter size: for the
 # loss nodes alone, at 900 spots and 200 genes, that took the median epoch
@@ -195,17 +195,6 @@ def _fused_loss(value: float, leaves: Sequence[Tensor],
 # graph convolution
 
 
-def _propagate_relu(pre: np.ndarray, csr, out: np.ndarray) -> np.ndarray:
-    """relu(csr pre) from the dense product ``pre``, written into ``out``."""
-    return np.maximum(csr @ pre, 0.0, out=out)
-
-
-def _unpropagate(g: np.ndarray, out: np.ndarray, csr) -> np.ndarray:
-    """The gradient of a propagated convolution's dense product from the
-    gradient ``g`` of its output ``out``."""
-    return csr.T @ (g * (out > 0.0))
-
-
 def _product_grads(g: np.ndarray, x: np.ndarray, w: Tensor, x_grad: bool,
                    g_w: np.ndarray | None = None, g_x: np.ndarray | None = None) -> tuple:
     """The gradients of ``w`` and of ``x`` from the gradient ``g`` of the
@@ -215,30 +204,28 @@ def _product_grads(g: np.ndarray, x: np.ndarray, w: Tensor, x_grad: bool,
             np.matmul(g, w.data.T, out=g_x) if x_grad else None)
 
 
-def graph_conv(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def graph_conv(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """One dense ReLU layer relu(x w + bias) as one node. The ReLU runs in
     place and backward reads its mask from the output (out > 0 exactly
     where the pre-activation is), so the node holds its output and nothing
     more."""
     if x.cols != w.rows:
         raise DimensionError(f"graph_conv: {x.data.shape} @ {w.data.shape}")
-    if bias is not None and bias.data.shape != (1, w.cols):
+    if bias.data.shape != (1, w.cols):
         raise DimensionError(f"graph_conv: bias {bias.data.shape} for width {w.cols}")
     out_data = x.data @ w.data
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
     np.maximum(out_data, 0.0, out=out_data)
 
     def backward_fn(g, accum):
         g = g * (out_data > 0.0)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             accum(bias, g.sum(axis=0, keepdims=True))
         for tensor, grad in zip((w, x), _product_grads(g, x.data, w, x.requires_grad)):
             if grad is not None:
                 accum(tensor, grad)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _from_op(out_data, parents, backward_fn)
+    return _from_op(out_data, (x, w, bias), backward_fn)
 
 
 def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
@@ -249,18 +236,16 @@ def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
     (per-layer fusion), or is such a 2n-row stack, each view reading its
     own half (late fusion).
 
-    The views run in ``_lanes``, forward and backward: lane 0 runs the
-    spatial view and lane 1 the feature view's dense products. A second
-    thread keeps what it allocates in a heap of its own, which the calling
-    thread never reuses, so lane 1 writes only into arrays the calling
-    thread allocated, and the calling thread runs the feature view's
-    propagation and ReLU itself: after the lanes in forward, before them in
-    backward. Lane 0 writes its ReLU into the top half of the output. The
-    lanes write a stacked input's gradient into the halves of one buffer,
-    and a shared input's into two, which the calling thread then adds.
-    The dense product comes first, so the sparse one runs on the narrow
-    side and no array as wide as ``x`` is formed; each view's rows are
-    bitwise those of its relu(adj (x w)) chain."""
+    Lane v runs view v's dense products (``_lanes``), into arrays the
+    calling thread allocated (a second thread keeps what it allocates in a
+    heap of its own, which the calling thread never reuses), and the
+    calling thread runs every sparse product: the propagations and ReLUs
+    after the lanes in forward, the unpropagations before them in
+    backward. A shared input's gradient is
+    the spatial view's term plus the feature view's. The dense product
+    comes first, so the sparse one runs on the narrow side and no array as
+    wide as ``x`` is formed; each view's rows are bitwise those of its
+    relu(adj (x w)) chain."""
     (w_s, adj_s), (w_f, adj_f) = spatial, feature
     n = adj_s.n
     if adj_f.n != n or x.rows not in (n, 2 * n):
@@ -270,42 +255,39 @@ def graph_conv_views(x: Tensor, spatial: tuple, feature: tuple) -> Tensor:
         raise DimensionError(f"graph_conv_views: {x.data.shape} @ {w_s.data.shape} "
                              f"and {w_f.data.shape}")
     stacked = x.rows == 2 * n
-    x_s, x_f = (x.data[:n], x.data[n:]) if stacked else (x.data, x.data)
-    csr_s, csr_f = adj_s.csr(), adj_f.csr()
+    xs = (x.data[:n], x.data[n:]) if stacked else (x.data, x.data)
+    ws, csrs = (w_s, w_f), (adj_s.csr(), adj_f.csr())
+    rows = (slice(0, n), slice(n, 2 * n))
     out_data = np.empty((2 * n, w_s.cols))
-    pre_f = np.empty((n, w_f.cols))
+    pre = [np.empty((n, w_s.cols)), np.empty((n, w_f.cols))]
 
-    def forward(done, view, lane):
-        if view:
-            np.matmul(x_f, w_f.data, out=pre_f)
-        else:
-            _propagate_relu(x_s @ w_s.data, csr_s, out_data[:n])
-        return done
+    def products(total, v, lane):
+        np.matmul(xs[v], ws[v].data, out=pre[v])
+        return total
 
-    _lanes(([0], [1]), tuple, forward, ())
-    _propagate_relu(pre_f, csr_f, out_data[n:])
+    _lanes(([0], [1]), tuple, products)
+    for v in (0, 1):
+        np.maximum(csrs[v] @ pre[v], 0.0, out=out_data[rows[v]])
+        pre[v] = None
 
     def backward_fn(g, accum):
-        g_f = _unpropagate(g[n:], out_data[n:], csr_f)
         x_grad = x.requires_grad
-        # Lane 0 allocates its own gradients once its temporaries are freed,
-        # which keeps the peak down, but for a stacked input's: one buffer
-        # takes both halves.
         g_x = np.empty(x.data.shape) if x_grad and stacked else None
-        into = (np.empty(w_f.data.shape) if w_f.requires_grad else None,
-                None if not x_grad else g_x[n:] if stacked else np.empty(x.data.shape))
+        g_pre, g_w, g_xv = [None, None], [None, None], [None, None]
+        for v in (1, 0):
+            g_pre[v] = csrs[v].T @ (g[rows[v]] * (out_data[rows[v]] > 0.0))
+            g_w[v] = np.empty(ws[v].data.shape) if ws[v].requires_grad else None
+            if x_grad:
+                g_xv[v] = g_x[rows[v]] if stacked else np.empty(x.data.shape)
 
-        def products(done, view, lane):
-            if view:
-                return done + _product_grads(g_f, x_f, w_f, x_grad, *into)
-            g_s = _unpropagate(g[:n], out_data[:n], csr_s)
-            return done + _product_grads(g_s, x_s, w_s, x_grad, None,
-                                         None if g_x is None else g_x[:n])
+        def grads(total, v, lane):
+            _product_grads(g_pre[v], xs[v], ws[v], x_grad, g_w[v], g_xv[v])
+            return total
 
-        g_ws, g_xs, g_wf, g_xf = _lanes(([0], [1]), tuple, products, ())
+        _lanes(([0], [1]), tuple, grads)
         if x_grad and not stacked:
-            g_x = np.add(g_xs, g_xf, out=g_xs)  # the shared input's two terms
-        for tensor, grad in ((w_s, g_ws), (w_f, g_wf), (x, g_x)):
+            g_x = np.add(*g_xv, out=g_xv[0])  # the shared input's two terms
+        for tensor, grad in ((w_s, g_w[0]), (w_f, g_w[1]), (x, g_x)):
             if grad is not None:
                 accum(tensor, grad)
 

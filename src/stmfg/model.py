@@ -8,9 +8,10 @@ convolutions are one engine node (``autodiff.graph_conv_views``) whose
 output stacks the views, 2n rows with the spatial view's first, each
 computing A (Z W), so the first layer reads the input X directly and its
 sparse products run on the layer width, never on the gene width; the
-node runs the spatial view and the feature view on the engine's two
-lanes, forward and backward (the lanes that also take the fused loss
-nodes' tiles and the halves of each Adam update). Each attention step is
+node runs each view's dense products in its own lane of the engine's
+two, forward and backward, and every sparse product on the calling
+thread (the lanes also take the fused loss nodes' tiles and the halves
+of each Adam update). Each attention step is
 one node too (``autodiff.view_attention``), and it and the contrastive
 loss read the stack as it is. A late-fusion variant (each view encoded
 independently, the next layer reading each view's half of the stack, one

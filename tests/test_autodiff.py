@@ -1061,22 +1061,23 @@ def test_op_gradients_match_finite_differences(name):
 
 class TestGraphConv:
     """The dense ReLU layer against its generic-op chain: bitwise value and
-    gradients with the bias given or omitted."""
+    gradients."""
 
-    @pytest.mark.parametrize("with_bias", [False, True])
-    def test_matches_reference_chain_bitwise(self, with_bias):
+    def test_matches_reference_chain_bitwise(self):
         rng = np.random.default_rng(41)
         z = rng.normal(size=(9, 4))
-        z[2] = 0.0  # without a bias a zero row sits on the kink
+        z[2] = 0.0
         w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        b[0, 0] = 0.0  # the zero row's first pre-activation sits on the kink
         weight = Tensor(rng.uniform(-1, 1, (9, 3)))
         outs, grads = [], []
         for conv in (ad.graph_conv, reference_graph_conv):
-            leaves = [tensor(z), tensor(w)] + ([tensor(b)] if with_bias else [])
-            out = conv(*leaves[:2], bias=leaves[2] if with_bias else None)
+            leaves = [tensor(z), tensor(w), tensor(b)]
+            out = conv(*leaves[:2], bias=leaves[2])
             ad.backward(sum_all(hadamard(weight, out)))
             outs.append(out.data)
             grads.append([t.grad for t in leaves])
+        assert outs[0][2, 0] == 0.0
         assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
         np.testing.assert_array_equal(outs[0], outs[1])
         for got, want in zip(*grads):
@@ -1094,16 +1095,17 @@ class TestGraphConv:
     def test_constant_input_gets_no_gradient(self):
         rng = np.random.default_rng(42)
         x, w = Tensor(rng.normal(size=(5, 3))), tensor(rng.normal(size=(3, 2)))
-        out = ad.graph_conv(x, w)
-        assert out._parents == (x, w)
+        b = tensor(rng.normal(size=(1, 2)))
+        out = ad.graph_conv(x, w, b)
+        assert out._parents == (x, w, b)
         ad.backward(sum_all(out))
-        assert x.grad is None and w.grad is not None
-        assert not ad.graph_conv(x, Tensor(w.data)).requires_grad
+        assert x.grad is None and w.grad is not None and b.grad is not None
+        assert not ad.graph_conv(x, Tensor(w.data), Tensor(b.data)).requires_grad
 
     def test_dimension_errors(self):
         x, w = tensor(np.ones((4, 3))), tensor(np.ones((3, 2)))
         with pytest.raises(DimensionError):
-            ad.graph_conv(x, tensor(np.ones((2, 2))))
+            ad.graph_conv(x, tensor(np.ones((2, 2))), tensor(np.ones((1, 2))))
         for shape in ((2, 2), (1, 3), (2, 1)):
             with pytest.raises(DimensionError):
                 ad.graph_conv(x, w, bias=tensor(np.ones(shape)))
@@ -1190,6 +1192,38 @@ class TestGraphConvViews:
 
         _, peak = traced_peak(layer)
         assert peak < x.data.nbytes / 5, f"peak {peak / x.data.nbytes:.3f} inputs"
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-input", "two-inputs"])
+    def test_lanes_run_only_the_dense_products(self, stacked, monkeypatch):
+        """On one worker, so both lanes run inline, no lane body of the
+        forward or the backward allocates over 64 KiB at 500 spots, where
+        one n-by-d array takes 250 KiB: the lanes write their products into
+        the calling thread's arrays, and the calling thread runs the sparse
+        products."""
+        rng = np.random.default_rng(46)
+        n, width, d = 500, 32, 64
+        adj_s, adj_f = (random_sparse_symmetric(n, rng, density=0.02) for _ in range(2))
+        x = tensor(rng.normal(size=(2 * n if stacked else n, width)))
+        w_s, w_f = (tensor(rng.normal(size=(width, d))) for _ in range(2))
+        lanes, peaks = ad._lanes, []
+
+        def measured_lanes(work, workspace, body, *start):
+            def measured(total, item, lane, *space):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                total = body(total, item, lane, *space)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                return total
+
+            return lanes(work, workspace, measured, *start)
+
+        monkeypatch.setattr(ad, "LANE_WORKERS", 1)
+        monkeypatch.setattr(ad, "_lanes", measured_lanes)
+        traced_peak(lambda: ad.backward(sum_all(ad.graph_conv_views(x, (w_s, adj_s),
+                                                                     (w_f, adj_f)))))
+        assert len(peaks) == 4, "two lane bodies forward and two backward"
+        assert max(peaks) <= 64 * 1024, f"lane peaks {peaks} bytes"
+        assert x.grad is not None and w_s.grad is not None and w_f.grad is not None
 
     def test_dimension_errors(self):
         """Operators over different spot counts, a weight that does not
