@@ -1061,22 +1061,27 @@ def test_op_gradients_match_finite_differences(name):
 
 class TestGraphConv:
     """The dense ReLU layer against its generic-op chain: bitwise value and
-    gradients."""
+    gradients, with a fitted bias and with a zero one against the chain that
+    has no bias at all."""
 
-    def test_matches_reference_chain_bitwise(self):
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_reference_chain_bitwise(self, with_bias):
         rng = np.random.default_rng(41)
         z = rng.normal(size=(9, 4))
         z[2] = 0.0
         w, b = rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        if not with_bias:
+            b[:] = 0.0  # the zero row sits on the kink in every column
         b[0, 0] = 0.0  # the zero row's first pre-activation sits on the kink
         weight = Tensor(rng.uniform(-1, 1, (9, 3)))
         outs, grads = [], []
         for conv in (ad.graph_conv, reference_graph_conv):
             leaves = [tensor(z), tensor(w), tensor(b)]
-            out = conv(*leaves[:2], bias=leaves[2])
+            given = leaves[2] if with_bias or conv is ad.graph_conv else None
+            out = conv(*leaves[:2], bias=given)
             ad.backward(sum_all(hadamard(weight, out)))
             outs.append(out.data)
-            grads.append([t.grad for t in leaves])
+            grads.append([t.grad for t in (leaves if with_bias else leaves[:2])])
         assert outs[0][2, 0] == 0.0
         assert (outs[0] == 0.0).any() and (outs[0] > 0.0).any()
         np.testing.assert_array_equal(outs[0], outs[1])
