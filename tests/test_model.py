@@ -290,6 +290,45 @@ class TestZinbDecode:
             assert err < 1e-4, f"{name}: {err}"
 
 
+class TestInitialize:
+    """``initialize`` draws every weight Glorot-uniform from one generator
+    in checkpoint order and leaves the biases zero."""
+
+    # layer dims [6, 5, 4], recon width 7, decoder hidden 8
+    SHAPES = [("spatial_weights.0", (6, 5)), ("feature_weights.0", (6, 5)),
+              ("attention_weights.0", (10, 2)),
+              ("spatial_weights.1", (5, 4)), ("feature_weights.1", (5, 4)),
+              ("attention_weights.1", (8, 2)),
+              ("decoder_hidden_w", (4, 8)), ("decoder_hidden_b", (1, 8)),
+              ("dropout_w", (8, 7)), ("dropout_b", (1, 7)),
+              ("mean_w", (8, 7)), ("mean_b", (1, 7)),
+              ("dispersion_w", (8, 7)), ("dispersion_b", (1, 7))]
+
+    def test_draws_match_reference_in_checkpoint_order(self):
+        params = make_params(np.random.default_rng(20), [6, 5, 4], 7, decoder_hidden=8)
+        named = params.named_tensors()
+        assert [(name, t.data.shape) for name, t in named] == self.SHAPES
+        rng = np.random.default_rng(20)
+        for name, t in named:
+            if name.endswith("_b"):
+                continue
+            bound = np.sqrt(6.0 / sum(t.data.shape))
+            np.testing.assert_array_equal(t.data, rng.uniform(-bound, bound, t.data.shape),
+                                          err_msg=name)
+
+    def test_biases_zero_and_every_tensor_trainable(self):
+        params = make_params(np.random.default_rng(21), [6, 5, 4], 7, decoder_hidden=8)
+        for name, t in params.named_tensors():
+            assert t.requires_grad, name
+            if name.endswith("_b"):
+                assert t.data.shape[0] == 1, name
+                assert not t.data.any(), name
+
+    def test_needs_an_output_width(self):
+        with pytest.raises(ContractError):
+            make_params(np.random.default_rng(22), [6], 7)
+
+
 class TestCheckpoint:
     def test_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(14)
