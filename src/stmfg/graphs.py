@@ -75,8 +75,11 @@ def build_spatial_graph(coords, radius: float) -> SparseMatrix:
 def build_feature_graph(x, k: int) -> SparseMatrix:
     """Union-symmetrized cosine KNN over the rows of ``x``.
 
-    Ties in similarity are broken by ascending spot index; a spot is never
-    its own candidate.
+    Among equal computed similarities the lower spot index wins; a spot is
+    never its own candidate. Equal exact similarities need not compute
+    equal: up to 1024 spots the one block is a symmetric product (SYRK),
+    which can give two duplicate spots similarities one ulp apart, and then
+    the larger wins whatever the index.
     """
     feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2:

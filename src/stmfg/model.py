@@ -24,7 +24,6 @@ outputs only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SparseMatrix, Tensor
-from .errors import ContractError, DataError
+from .errors import ContractError
 
 DEFAULT_HIDDEN_DIMS = (128, 64)
 DEFAULT_DECODER_HIDDEN = 128
@@ -41,17 +40,13 @@ DEFAULT_LEAKY_SLOPE = 0.2
 CHECKPOINT_MAGIC = "stmfg-params v1"
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
 @dataclass
 class ModelParams:
     """Every learnable tensor, declared in checkpoint order: per encoder layer
     (the ``list[Tensor]`` fields) two view weights and the attention weight
     that fuses them; then the shared decoder hidden layer and its three ZINB
-    heads, each a weight and a bias. Everything else walks these fields."""
+    heads, each a weight and a bias. ``LAYER_FIELDS`` and ``DECODER_FIELDS``
+    name the two groups; ``named_tensors`` and the trainer walk them."""
 
     spatial_weights: list[Tensor]
     feature_weights: list[Tensor]
@@ -65,26 +60,6 @@ class ModelParams:
     dispersion_w: Tensor
     dispersion_b: Tensor
 
-    @staticmethod
-    def _layout(n_layers: int) -> list[tuple[str, str, int | None]]:
-        """``(name, field, layer)`` of every tensor in checkpoint order;
-        ``layer`` is None for a decoder tensor."""
-        return ([(f"{kind}.{i}", kind, i) for i in range(n_layers) for kind in LAYER_FIELDS]
-                + [(name, name, None) for name in DECODER_FIELDS])
-
-    @classmethod
-    def _build(cls, n_layers: int, make) -> "ModelParams":
-        """The parameters holding ``make(name, field, layer)``, called in
-        checkpoint order."""
-        values: dict = {kind: [] for kind in LAYER_FIELDS}
-        for name, kind, layer in cls._layout(n_layers):
-            t = Tensor(make(name, kind, layer), requires_grad=True)
-            if layer is None:
-                values[kind] = t
-            else:
-                values[kind].append(t)
-        return cls(**values)
-
     @classmethod
     def initialize(cls, rng: np.random.Generator, layer_dims: list[int],
                    recon_width: int,
@@ -96,34 +71,32 @@ class ModelParams:
         if len(layer_dims) < 2:
             raise ContractError("layer_dims needs an input width and at least one output width")
 
-        def make(_name, kind, layer):
-            shape = cls._shape(kind, layer, layer_dims, decoder_hidden, recon_width)
-            return np.zeros(shape) if kind.endswith("_b") else glorot(rng, *shape)
+        def weight(fan_in: int, fan_out: int) -> Tensor:
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
-        return cls._build(len(layer_dims) - 1, make)
+        def bias(width: int) -> Tensor:
+            return Tensor(np.zeros((1, width)), requires_grad=True)
 
-    @staticmethod
-    def _shape(kind: str, layer: int | None, layer_dims: list[int], decoder_hidden: int,
-               recon_width: int) -> tuple[int, int]:
-        """Shape of the tensor ``(kind, layer)`` of the layout for the
-        dimension chain ``layer_dims``, a decoder hidden layer
-        ``decoder_hidden`` wide and ``recon_width`` genes."""
-        if layer is None:  # the hidden layer, then the heads on its output
-            fan_in, width = ((layer_dims[-1], decoder_hidden)
-                             if kind.startswith("decoder_hidden")
-                             else (decoder_hidden, recon_width))
-            return (fan_in, width) if kind.endswith("_w") else (1, width)
-        d_out = layer_dims[layer + 1]
-        # the attention weight scores the concatenated view pair
-        return (2 * d_out, 2) if kind == "attention_weights" else (layer_dims[layer], d_out)
+        spatial, feature, attention = [], [], []
+        for d_in, d_out in zip(layer_dims, layer_dims[1:]):
+            spatial.append(weight(d_in, d_out))
+            feature.append(weight(d_in, d_out))
+            # the attention weight scores the concatenated view pair
+            attention.append(weight(2 * d_out, 2))
+        decoder = [weight(layer_dims[-1], decoder_hidden), bias(decoder_hidden)]
+        for _head in ("dropout", "mean", "dispersion"):
+            decoder += [weight(decoder_hidden, recon_width), bias(recon_width)]
+        return cls(spatial, feature, attention, *decoder)
 
     @property
     def n_layers(self) -> int:
         return len(self.spatial_weights)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, kind) if layer is None else getattr(self, kind)[layer])
-                for name, kind, layer in self._layout(self.n_layers)]
+        return ([(f"{kind}.{i}", getattr(self, kind)[i])
+                 for i in range(self.n_layers) for kind in LAYER_FIELDS]
+                + [(name, getattr(self, name)) for name in DECODER_FIELDS])
 
 
 LAYER_FIELDS = tuple(f.name for f in fields(ModelParams) if f.type == "list[Tensor]")
@@ -177,10 +150,11 @@ def zinb_decode(z: Tensor, params: ModelParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # checkpointing
 #
-# Plain-text container: a magic line, then for each tensor a header line
+# A written artifact; nothing in the package reads one back. Plain text: a
+# magic line, then for each tensor of ``named_tensors`` a header line
 # ``tensor <name> <rows> <cols>`` followed by one line per row of
 # space-separated floats printed with repr (shortest round-trip), so
-# 64-bit values survive save/load losslessly.
+# ``float()`` of the text gives back every 64-bit value exactly.
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -192,82 +166,3 @@ def save_checkpoint(params: ModelParams, path) -> None:
             fh.write(f"tensor {name} {t.rows} {t.cols}\n")
             for row in t.data:
                 fh.write(" ".join(map(repr, row.tolist())) + "\n")
-
-
-def _checkpoint_row(line: str, cols: int, where: str) -> list[float]:
-    try:
-        values = [float(v) for v in line.split()]
-    except ValueError:
-        raise DataError(f"{where}: not a number") from None
-    if len(values) != cols:
-        raise DataError(f"{where}: expected {cols} values, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        raise DataError(f"{where}: values must be finite")
-    return values
-
-
-def load_checkpoint(path) -> ModelParams:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    lines = text.splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a parameter checkpoint")
-    arrays: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        head = lines[i].split()
-        if len(head) != 4 or head[0] != "tensor":
-            raise DataError(f"{path}: bad header at line {i + 1}")
-        name = head[1]
-        if name in arrays:
-            raise DataError(f"{path} line {i + 1}: tensor {name} appears twice")
-        try:
-            rows, cols = int(head[2]), int(head[3])
-        except ValueError:
-            raise DataError(f"{path} line {i + 1}: tensor {name} has a non-integer shape") from None
-        block = lines[i + 1:i + 1 + rows]
-        if len(block) != rows:
-            raise DataError(f"{path}: truncated tensor {name}")
-        arr = np.array([_checkpoint_row(line, cols, f"{path} line {i + 2 + r}")
-                        for r, line in enumerate(block)])
-        if arr.shape != (rows, cols):
-            raise DataError(f"{path}: tensor {name} shape mismatch")
-        arrays[name] = arr
-        i += 1 + rows
-
-    n_layers = 0
-    while f"{LAYER_FIELDS[0]}.{n_layers}" in arrays:
-        n_layers += 1
-    if not n_layers:
-        raise DataError(f"{path}: no encoder layers found")
-
-    def present(name):
-        if name not in arrays:
-            raise DataError(f"{path}: missing tensor {name}")
-        return arrays[name]
-
-    # The chain the shapes must follow: the spatial view weights give the
-    # layer widths, the decoder hidden weight its width, the dropout head
-    # the gene width; every tensor, those included, is checked against it.
-    spatial = [present(f"{LAYER_FIELDS[0]}.{i}").shape for i in range(n_layers)]
-    layer_dims = [spatial[0][0], *(shape[1] for shape in spatial)]
-    decoder_hidden = present("decoder_hidden_w").shape[1]
-    recon_width = present("dropout_w").shape[1]
-
-    def take(name, kind, layer):
-        arr = present(name)
-        want = ModelParams._shape(kind, layer, layer_dims, decoder_hidden, recon_width)
-        if arr.shape != want:
-            raise DataError(f"{path}: tensor {name} is {arr.shape[0]}x{arr.shape[1]}, "
-                            f"the layer chain needs {want[0]}x{want[1]}")
-        return arrays.pop(name)
-
-    params = ModelParams._build(n_layers, take)
-    if arrays:
-        raise DataError(f"{path}: unexpected tensors {sorted(arrays)}")
-    return params

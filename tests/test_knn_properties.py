@@ -2,6 +2,11 @@
 features with duplicated and all-zero rows and every k from 1 to n - 1.
 The selection must equal the full stable argsort's, array for array,
 whatever the row blocks of the build.
+The rule both properties check is the build's own: ties between equal
+*computed* similarities go to the lower spot index. Each reference sorts
+the similarity rows as computed (the one-block symmetric product, or the
+blocks' own products), so duplicate spots that rounding puts one ulp
+apart are ordered by those values, not by index.
 Examples are derandomized and no example database is kept, so the suite
 is deterministic and leaves no files behind."""
 
