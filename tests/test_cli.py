@@ -4,13 +4,13 @@ replay, and the ablation/sweep tables."""
 import argparse
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from stmfg.autodiff import Tensor
-from stmfg.cli import _comma_floats, build_parser, main
+from stmfg.cli import PipelineSettings, _comma_floats, build_parser, main
 from stmfg.data import (load_dataset, preprocess, write_coords_csv, write_expression_csv,
                         write_labels_csv)
 from stmfg.graphs import build_graph_pair
@@ -599,6 +599,52 @@ class TestParser:
             args = parser.parse_args([command, "--out", "o", action.option_strings[0], value])
             want = float(value) if action.type is float else [float(value)]
             assert getattr(args, action.dest) == want, action.option_strings[0]
+
+    @staticmethod
+    def _subparser(command):
+        parser = build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+    SETTINGS = [*fields(TrainConfig), *fields(PipelineSettings)]
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_every_setting_has_exactly_one_flag(self, command):
+        dests = [a.dest for a in self._subparser(command)._actions]
+        for f in self.SETTINGS:
+            assert dests.count(f.name) == 1, f.name
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    @pytest.mark.parametrize("flag,value,field,want", [
+        ("--lambda", "0.5", "lam", 0.5),
+        ("--dims", "16,8", "hidden_dims", [16, 8]),
+        ("--knn", "7", "knn_k", 7),
+        ("--hvg", "100", "n_hvg", 100),
+        ("--no-fusion-l2", None, "fusion_l2", False),
+    ])
+    def test_irregular_spellings_parse_to_their_fields(self, command, flag, value, field,
+                                                       want):
+        argv = [command, "--out", "o", flag] + ([] if value is None else [value])
+        assert getattr(build_parser().parse_args(argv), field) == want
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    def test_bool_flags_set_the_opposite_of_the_default(self, command):
+        by_dest = {a.dest: a for a in self._subparser(command)._actions}
+        bools = [f for f in self.SETTINGS if f.type == "bool"]
+        assert len(bools) == 5
+        for f in bools:
+            flag = by_dest[f.name].option_strings[0]
+            args = build_parser().parse_args([command, "--out", "o", flag])
+            assert getattr(args, f.name) is (not f.default), flag
+            assert getattr(build_parser().parse_args([command, "--out", "o"]), f.name) is None
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+    @pytest.mark.parametrize("flag", ["--zinb-target", "--contrastive-layers"])
+    def test_bad_choice_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--out", "o", flag, "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_option_is_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
