@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import ContractError, DataError, NumericError, StmfgError
 from .graphs import build_graph_pair
-from .training import TrainConfig, check_field_types, train
+from .training import CHOICES, TrainConfig, check_field_types, check_minimums, train
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -67,10 +67,8 @@ class PipelineSettings:
         check_field_types(self)
         if self.clusters is not None and self.clusters < 2:
             raise ContractError(f"clusters must be >= 2, got {self.clusters}")
-        for name, least in (("restarts", 1), ("min_spots", 1), ("n_hvg", 1),
-                            ("checkpoint_every", 0)):
-            if getattr(self, name) < least:
-                raise ContractError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        check_minimums(self, (("restarts", 1), ("min_spots", 1), ("n_hvg", 1),
+                              ("checkpoint_every", 0)))
 
 
 PIPELINE_KEYS = tuple(f.name for f in fields(PipelineSettings))
@@ -91,35 +89,26 @@ def _add_io_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
+# The flags not spelt as their field's name with dashes for underscores.
+_FLAG_NAMES = {"lam": "--lambda", "hidden_dims": "--dims", "knn_k": "--knn", "n_hvg": "--hvg",
+               "fusion_l2": "--no-fusion-l2"}
+_FLAG_TYPES = {"float": float, "int": int, "int | None": int, "tuple[int, ...]": _comma_ints}
+_FLAG_HELP = {"hidden_dims": "hidden layer widths, e.g. 128,64"}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and one flag per settings field, whose dest is the
+    field's name; a bool flag sets the opposite of the field's default."""
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dims", dest="hidden_dims", type=_comma_ints,
-                   help="hidden layer widths, e.g. 128,64")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--knn", dest="knn_k", type=int)
-    p.add_argument("--decoder-hidden", dest="decoder_hidden", type=int)
-    p.add_argument("--leaky-slope", dest="leaky_slope", type=float)
-    p.add_argument("--no-fusion-l2", dest="fusion_l2", action="store_false", default=None)
-    p.add_argument("--contrastive-layers", dest="contrastive_layers",
-                   choices=("last", "all"))
-    p.add_argument("--zinb-target", dest="zinb_target", choices=("preprocessed", "counts"))
-    p.add_argument("--disable-fusion", action="store_true", default=None)
-    p.add_argument("--disable-cl", dest="disable_cl", action="store_true", default=None)
-    p.add_argument("--disable-reg", dest="disable_reg", action="store_true", default=None)
-    p.add_argument("--disable-zinb", dest="disable_zinb", action="store_true", default=None)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--min-spots", dest="min_spots", type=int)
-    p.add_argument("--hvg", dest="n_hvg", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    for f in [*fields(TrainConfig), *fields(PipelineSettings)]:
+        if f.type == "bool":
+            kind = {"action": "store_false" if f.default else "store_true"}
+        elif f.type == "str":
+            kind = {"choices": CHOICES[f.name]}
+        else:
+            kind = {"type": _FLAG_TYPES[f.type]}
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, default=None, help=_FLAG_HELP.get(f.name), **kind)
 
 
 def _load_config_file(path) -> dict:
@@ -231,9 +220,7 @@ def cmd_synth(args) -> int:
                             seed=args.seed, dropout=args.dropout,
                             dispersion=args.dispersion)
     _write_manifest(out_dir, "synth", params={
-        "n_side": args.n_side, "domains": args.domains, "genes": args.genes,
-        "seed": args.seed, "dropout": args.dropout, "dispersion": args.dispersion,
-    })
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "out")})
     write_expression_csv(ds, out_dir / "expression.csv")
     write_coords_csv(ds, out_dir / "coords.csv")
     write_labels_csv(ds, out_dir / "labels.csv")
@@ -343,12 +330,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, pipeline = _resolve(args)
-    grids = {
-        "alpha": args.alpha_grid or [cfg.alpha],
-        "lam": args.lambda_grid or [cfg.lam],
-        "gamma": args.gamma_grid or [cfg.gamma],
-        "tau": args.tau_grid or [cfg.tau],
-    }
+    grids = {}
+    for name, flag in (("alpha", "alpha"), ("lam", "lambda"), ("gamma", "gamma"), ("tau", "tau")):
+        values = getattr(args, f"{flag}_grid")
+        if values == []:
+            raise ContractError(f"sweep needs at least one value in --{flag}-grid")
+        grids[name] = values or [getattr(cfg, name)]
     cells = [dict(zip((*grids, "seed"), values))
              for values in itertools.product(*grids.values(), args.seeds)]
     runs = _score_grid(args, cfg, pipeline, cells, seeds=args.seeds, grids=grids)

@@ -72,6 +72,20 @@ def check_field_types(settings) -> None:
             raise ContractError(f"{f.name} must be {rule[1]}, got {value!r}")
 
 
+def check_minimums(settings, minimums) -> None:
+    """Check each ``(field, least)`` pair of ``minimums`` against the
+    dataclass instance ``settings``, in order."""
+    for name, least in minimums:
+        if getattr(settings, name) < least:
+            raise ContractError(f"{name} must be >= {least}, got {getattr(settings, name)}")
+
+
+# The values each str setting allows. contrastive_layers "all" sums the
+# term over every layer; zinb_target "counts" reconstructs the raw counts
+# of the kept genes.
+CHOICES = {"contrastive_layers": ("last", "all"), "zinb_target": ("preprocessed", "counts")}
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for one training run. Defaults follow the method's
@@ -92,8 +106,8 @@ class TrainConfig:
     decoder_hidden: int = DEFAULT_DECODER_HIDDEN
     leaky_slope: float = DEFAULT_LEAKY_SLOPE
     fusion_l2: bool = True
-    contrastive_layers: str = "last"  # or "all": sum the term over every layer
-    zinb_target: str = "preprocessed"  # or "counts": raw counts of the kept genes
+    contrastive_layers: str = "last"
+    zinb_target: str = "preprocessed"
     disable_fusion: bool = False
     disable_cl: bool = False
     disable_reg: bool = False
@@ -111,28 +125,21 @@ class TrainConfig:
             raise ContractError(f"tau must be positive with a finite reciprocal, got {self.tau}")
         if self.radius <= 0:
             raise ContractError(f"radius must be positive, got {self.radius}")
-        if self.knn_k < 1:
-            raise ContractError(f"knn_k must be >= 1, got {self.knn_k}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        check_minimums(self, (("knn_k", 1), ("seed", 0), ("epochs", 1), ("decoder_hidden", 1)))
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if min(self.alpha, self.lam, self.gamma) < 0:
             raise ContractError("loss weights must be nonnegative")
         if self.weight_decay < 0:
             raise ContractError("weight decay must be nonnegative")
-        if self.contrastive_layers not in ("last", "all"):
-            raise ContractError(f"contrastive_layers must be last|all, got {self.contrastive_layers}")
-        if self.zinb_target not in ("preprocessed", "counts"):
-            raise ContractError(f"zinb_target must be preprocessed|counts, got {self.zinb_target}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ContractError(f"{name} must be {'|'.join(allowed)}, "
+                                    f"got {getattr(self, name)}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ContractError(f"hidden widths must be one or more integers >= 1, "
                                 f"got {self.hidden_dims}")
-        if self.decoder_hidden < 1:
-            raise ContractError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
 
     def to_dict(self) -> dict:
         out = {}

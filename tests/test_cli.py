@@ -4,13 +4,15 @@ replay, and the ablation/sweep tables."""
 import argparse
 import csv
 import json
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stmfg.autodiff import Tensor
-from stmfg.cli import PipelineSettings, _comma_floats, build_parser, main
+from stmfg.cli import PipelineSettings, _comma_floats, _resolve, build_parser, main
 from stmfg.data import (load_dataset, preprocess, write_coords_csv, write_expression_csv,
                         write_labels_csv)
 from stmfg.graphs import build_graph_pair
@@ -47,6 +49,9 @@ class TestSynth:
                           synth_dir / "labels.csv")
         assert ds.n_spots == 64
         assert ds.n_domains == 2
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        assert manifest["params"] == {"n_side": 8, "domains": 2, "genes": 15, "seed": 3,
+                                      "dropout": 0.2, "dispersion": 2.0}
 
     def test_negative_seed_fails_before_manifest(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path), "--n-side", "8", "--domains", "2",
@@ -557,6 +562,18 @@ class TestSweep:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha-grid", "--lambda-grid", "--gamma-grid",
+                                      "--tau-grid"])
+    def test_empty_grid_is_contract_error(self, synth_dir, tmp_path, capsys, flag):
+        """A grid given but empty is refused, not replaced by the default."""
+        out = tmp_path / "sweep"
+        code = main(["sweep", *data_flags(synth_dir), "--out", str(out),
+                     "--seeds", "0", flag, ",", *FAST])
+        assert code == 3
+        assert (f"contract error: sweep needs at least one value in {flag}\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestOutputPath:
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
@@ -645,6 +662,16 @@ class TestParser:
             build_parser().parse_args([command, "--out", "o", flag, "bogus"])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_readme_defaults_are_the_defaults(self):
+        """The flags README.md quotes as the reference configuration parse
+        to the default TrainConfig."""
+        readme = Path(__file__).parents[1] / "README.md"
+        text = " ".join(readme.read_text(encoding="utf-8").split())
+        quoted = re.search(r"Defaults mirror the reference configuration: `([^`]+)`", text)
+        assert quoted is not None
+        args = build_parser().parse_args(["run", "--out", "o", *quoted.group(1).split()])
+        assert _resolve(args)[0] == TrainConfig()
 
     def test_unknown_option_is_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

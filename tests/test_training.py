@@ -211,6 +211,19 @@ class TestTrainConfig:
         with pytest.raises(ContractError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("value,message", [
+        ({"contrastive_layers": "every"}, "contrastive_layers must be last|all, got every"),
+        ({"zinb_target": "raw"}, "zinb_target must be preprocessed|counts, got raw"),
+        ({"knn_k": 0}, "knn_k must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"decoder_hidden": 0}, "decoder_hidden must be >= 1, got 0"),
+    ])
+    def test_message_names_the_field_and_value(self, value, message):
+        with pytest.raises(ContractError) as exc:
+            TrainConfig(**value)
+        assert str(exc.value) == message
+
     def test_zero_width_layer_rejected(self):
         # the fused pairwise losses accept zero-width embeddings, so the
         # width is checked where the configuration is built
