@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 import time
@@ -43,6 +44,9 @@ from .data import (
 from .errors import ContractError, DataError, NumericError, StmfgError
 from .graphs import build_graph_pair
 from .training import CHOICES, TrainConfig, check_field_types, check_minimums, train
+
+# The TrainConfig field and flag name of each --<flag>-grid of sweep.
+SWEEP_GRIDS = (("alpha", "alpha"), ("lam", "lambda"), ("gamma", "gamma"), ("tau", "tau"))
 
 ABLATION_VARIANTS = {
     "full": {},
@@ -75,11 +79,19 @@ PIPELINE_KEYS = tuple(f.name for f in fields(PipelineSettings))
 
 
 def _comma_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _comma_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _add_io_flags(p: argparse.ArgumentParser, labels_help: str) -> None:
@@ -125,8 +137,12 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-def _resolve(args, train_keys_from=None) -> tuple[TrainConfig, PipelineSettings]:
-    """Merge defaults < config file < explicit flags."""
+def _resolve(args, train_keys_from=None,
+             per_run=None) -> tuple[TrainConfig, PipelineSettings]:
+    """Merge defaults < config file < explicit flags. ``per_run`` maps each
+    setting that every run of the command sets to what sets it; such a
+    setting, given as a flag or a config key, would go unused, and is
+    refused."""
     merged: dict = {}
     if train_keys_from:
         merged.update(train_keys_from)
@@ -136,6 +152,10 @@ def _resolve(args, train_keys_from=None) -> tuple[TrainConfig, PipelineSettings]
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    for key, source in (per_run or {}).items():
+        if key in merged:
+            raise ContractError(f"{key} cannot be set for {args.command}: "
+                                f"every run takes it from {source}")
     pipeline = PipelineSettings(**{k: merged.pop(k) for k in PIPELINE_KEYS if k in merged})
     return TrainConfig.from_dict(merged), pipeline
 
@@ -307,7 +327,10 @@ def _write_table(path: Path, lines: list[str]) -> None:
 
 
 def cmd_ablate(args) -> int:
-    cfg, pipeline = _resolve(args)
+    variants = f"the variants ({', '.join(ABLATION_VARIANTS)})"
+    cfg, pipeline = _resolve(args, per_run={
+        "seed": "--seeds",
+        **{key: variants for overrides in ABLATION_VARIANTS.values() for key in overrides}})
     cells = [(variant, seed) for variant in ABLATION_VARIANTS for seed in args.seeds]
     runs = _score_grid(args, cfg, pipeline,
                        [{**ABLATION_VARIANTS[v], "seed": seed} for v, seed in cells],
@@ -329,13 +352,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, pipeline = _resolve(args)
+    given = {name: getattr(args, f"{flag}_grid") for name, flag in SWEEP_GRIDS}
+    cfg, pipeline = _resolve(args, per_run={
+        "seed": "--seeds",
+        **{name: f"--{flag}-grid" for name, flag in SWEEP_GRIDS if given[name] is not None}})
     grids = {}
-    for name, flag in (("alpha", "alpha"), ("lam", "lambda"), ("gamma", "gamma"), ("tau", "tau")):
-        values = getattr(args, f"{flag}_grid")
-        if values == []:
+    for name, flag in SWEEP_GRIDS:
+        if given[name] == []:
             raise ContractError(f"sweep needs at least one value in --{flag}-grid")
-        grids[name] = values or [getattr(cfg, name)]
+        grids[name] = given[name] or [getattr(cfg, name)]
     cells = [dict(zip((*grids, "seed"), values))
              for values in itertools.product(*grids.values(), args.seeds)]
     runs = _score_grid(args, cfg, pipeline, cells, seeds=args.seeds, grids=grids)
@@ -394,10 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid over loss weights/temperature")
     _add_io_flags(p_sweep, "ground-truth labels CSV (required)")
     p_sweep.add_argument("--seeds", type=_comma_ints, default=[0])
-    p_sweep.add_argument("--alpha-grid", dest="alpha_grid", type=_comma_floats)
-    p_sweep.add_argument("--lambda-grid", dest="lambda_grid", type=_comma_floats)
-    p_sweep.add_argument("--gamma-grid", dest="gamma_grid", type=_comma_floats)
-    p_sweep.add_argument("--tau-grid", dest="tau_grid", type=_comma_floats)
+    for _, flag in SWEEP_GRIDS:
+        p_sweep.add_argument(f"--{flag}-grid", dest=f"{flag}_grid", type=_comma_floats)
     _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
@@ -407,7 +430,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: point it at
+        # os.devnull, so that flush cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,8 @@ outputs only.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +37,7 @@ DEFAULT_HIDDEN_DIMS = (128, 64)
 DEFAULT_DECODER_HIDDEN = 128
 DEFAULT_LEAKY_SLOPE = 0.2
 
-CHECKPOINT_MAGIC = "stmfg-params v1"
+CHECKPOINT_MAGIC = "stmfg-params v2"
 
 
 @dataclass
@@ -150,19 +150,25 @@ def zinb_decode(z: Tensor, params: ModelParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # checkpointing
 #
-# A written artifact; nothing in the package reads one back. Plain text: a
-# magic line, then for each tensor of ``named_tensors`` a header line
-# ``tensor <name> <rows> <cols>`` followed by one line per row of
-# space-separated floats printed with repr (shortest round-trip), so
-# ``float()`` of the text gives back every 64-bit value exactly.
+# A written artifact; nothing in the package reads one back, ``np.load``
+# does. An uncompressed zip, the archive comment
+# ``CHECKPOINT_MAGIC``, holding one ``<name>.npy`` entry per tensor of
+# ``named_tensors``, in that order: each the tensor's float64 values as
+# ``np.lib.format`` writes them, so every 64-bit value reads back exactly.
+# Each entry's timestamp is fixed, where ``np.savez`` stamps the wall
+# clock, so the same parameters always give the same bytes.
+
+CHECKPOINT_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest date a zip entry can hold
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write the checkpoint one row at a time: the text of the whole
-    checkpoint, or of one tensor, is never held."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
+    """Write the checkpoint one tensor at a time: beyond the parameters,
+    at most one tensor's bytes are held."""
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+        archive.comment = CHECKPOINT_MAGIC.encode("ascii")
         for name, t in params.named_tensors():
-            fh.write(f"tensor {name} {t.rows} {t.cols}\n")
-            for row in t.data:
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+            entry = zipfile.ZipInfo(f"{name}.npy", date_time=CHECKPOINT_DATE)
+            # the entry's size is unknown when it opens; zip64, as in
+            # np.savez, lets it pass 2 GiB
+            with archive.open(entry, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, t.data, allow_pickle=False)

@@ -401,12 +401,12 @@ def train(dataset, graphs: GraphPair, cfg: TrainConfig,
             log.records.append(EpochRecord(epoch, breakdown, time.perf_counter() - started))
             if (checkpoint_dir is not None and checkpoint_every > 0
                     and epoch % checkpoint_every == 0):
-                save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.txt")
+                save_checkpoint(params, Path(checkpoint_dir) / f"params_epoch{epoch:05d}.npz")
 
         trace = forward(x, graphs, params, cfg)
     if not np.isfinite(trace.embedding.data).all():
         raise NumericError(f"non-finite final embedding after epoch {cfg.epochs}: "
                            "the last update left the finite range")
     if checkpoint_dir is not None:
-        save_checkpoint(params, Path(checkpoint_dir) / "params_final.txt")
+        save_checkpoint(params, Path(checkpoint_dir) / "params_final.npz")
     return TrainResult(params=params, trace=trace, log=log)

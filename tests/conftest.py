@@ -7,7 +7,6 @@ import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -133,20 +132,3 @@ def load_embeddings(path) -> tuple[list[str], np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     return [r[0] for r in rows], np.array([[float(v) for v in r[1:]] for r in rows])
-
-
-def read_checkpoint(path) -> list[tuple[str, np.ndarray]]:
-    """``(name, values)`` of each tensor of a checkpoint written by
-    ``model.save_checkpoint``, in file order, every value parsed by
-    ``float()``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "stmfg-params v1"
-    tensors, i = [], 1
-    while i < len(lines):
-        tag, name, rows, cols = lines[i].split()
-        assert tag == "tensor"
-        rows, cols = int(rows), int(cols)
-        block = [[float(v) for v in line.split()] for line in lines[i + 1:i + 1 + rows]]
-        tensors.append((name, np.array(block).reshape(rows, cols)))
-        i += 1 + rows
-    return tensors

@@ -4,13 +4,17 @@ replay, and the ablation/sweep tables."""
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stmfg
 from stmfg.autodiff import Tensor
 from stmfg.cli import PipelineSettings, _comma_floats, _resolve, build_parser, main
 from stmfg.data import (load_dataset, preprocess, write_coords_csv, write_expression_csv,
@@ -22,6 +26,15 @@ from conftest import load_embeddings
 
 FAST = ["--epochs", "2", "--dims", "8,4", "--decoder-hidden", "8",
         "--min-spots", "1", "--restarts", "3"]
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_run_artifacts() -> set[str]:
+    """The file names in the first column of README.md's Run artifacts table."""
+    section = README.read_text(encoding="utf-8").split("### Run artifacts", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    return set(re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE))
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +89,10 @@ class TestRun:
         code = main(["run", *data_flags(synth_dir), "--out", str(out),
                      *FAST, "--epochs", "1"])
         assert code == 0
-        for name in ("manifest.json", "loss_log.csv", "embeddings.csv",
-                     "labels.csv", "metrics.csv", "params_final.txt"):
-            assert (out / name).exists()
+        # every file README's table documents, and nothing else
+        documented = readme_run_artifacts()
+        assert {"loss_log.csv", "params_final.npz"} <= documented
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *documented}
         log_lines = (out / "loss_log.csv").read_text().splitlines()
         assert len(log_lines) == 2  # header + one epoch
         metrics = (out / "metrics.csv").read_text()
@@ -334,6 +348,40 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()  # refused before the manifest
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flags,setting,grid,replacement", [
+        ("ablate", ["--seed", "7"], {"seed": 7}, [], "--seeds"),
+        ("ablate", ["--disable-fusion"], {"disable_fusion": True}, [], "the variants"),
+        ("ablate", ["--disable-cl"], {"disable_cl": True}, [], "the variants"),
+        ("ablate", ["--disable-reg"], {"disable_reg": True}, [], "the variants"),
+        ("ablate", ["--disable-zinb"], {"disable_zinb": True}, [], "the variants"),
+        ("sweep", ["--seed", "7"], {"seed": 7}, [], "--seeds"),
+        ("sweep", ["--alpha", "2"], {"alpha": 2.0}, ["--alpha-grid", "1,2"], "--alpha-grid"),
+        ("sweep", ["--lambda", "0.5"], {"lam": 0.5}, ["--lambda-grid", "0.1"],
+         "--lambda-grid"),
+        ("sweep", ["--gamma", "0.5"], {"gamma": 0.5}, ["--gamma-grid", "0.1"], "--gamma-grid"),
+        ("sweep", ["--tau", "0.3"], {"tau": 0.3}, ["--tau-grid", "0.5,1"], "--tau-grid"),
+    ], ids=["ablate-seed", "ablate-fusion", "ablate-cl", "ablate-reg", "ablate-zinb",
+            "sweep-seed", "sweep-alpha", "sweep-lambda", "sweep-gamma", "sweep-tau"])
+    def test_setting_every_run_overrides_is_refused(self, synth_dir, tmp_path, capsys,
+                                                     command, flags, setting, grid,
+                                                     replacement, source):
+        """A setting that each ablation variant or sweep cell replaces would
+        go unused, or turn the full variant into another one: it is refused
+        before the manifest, naming what takes its place."""
+        if source == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(setting))
+            flags = ["--config", str(config)]
+        out = tmp_path / command
+        code = main([command, *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--seeds", "0,1", *grid, *flags])
+        assert code == 3
+        (key,) = setting
+        assert (f"contract error: {key} cannot be set for {command}: every run takes it "
+                f"from {replacement}" in capsys.readouterr().err)
+        assert not out.exists()  # refused before the manifest
+
     @pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
     def test_single_domain_labels_fail_before_training(self, synth_dir, tmp_path,
                                                         capsys, command):
@@ -555,6 +603,15 @@ class TestSweep:
         assert lines[0] == "alpha,lambda,gamma,tau,seed,ari,nmi"
         assert len(lines) == 1 + 2 * 2
 
+    def test_value_without_its_grid_is_the_single_grid_value(self, synth_dir, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(["sweep", *data_flags(synth_dir), "--out", str(out), "--seeds", "0",
+                     "--lambda-grid", "0.01", "--tau", "0.25", *FAST])
+        assert code == 0
+        rows = [line.split(",")[:5] for line in (out / "sweep.csv").read_text().splitlines()]
+        # alpha and gamma at their defaults, the one lambda, the --tau value
+        assert rows[1:] == [["1.0", "0.01", "0.01", "0.25", "0"]]
+
     def test_empty_seeds_is_contract_error(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"
         code = main(["sweep", *data_flags(synth_dir), "--out", str(out),
@@ -573,6 +630,26 @@ class TestSweep:
         assert (f"contract error: sweep needs at least one value in {flag}\n"
                 == capsys.readouterr().err)
         assert not out.exists()
+
+
+class TestClosedStdout:
+    def test_closed_pipe_ends_in_one_line(self, synth_dir, tmp_path):
+        """A reader that closes stdout after the first line, as ``| head -1``
+        does, leaves one error line on stderr and exit 1, not a traceback."""
+        src = str(Path(stmfg.__file__).parents[1])
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "stmfg", "ablate", *data_flags(synth_dir),
+                "--out", str(tmp_path / "ablate"), "--seeds", "0", *FAST]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as child:
+            first = child.stdout.readline()
+            child.stdout.close()  # four more variants train before the next line
+            err = child.stderr.read()
+            code = child.wait(timeout=300)
+        assert first.startswith(b"ablate full seed=0 ")
+        assert err == b"error: standard output was closed\n"
+        assert code == 1
 
 
 class TestOutputPath:
@@ -666,12 +743,23 @@ class TestParser:
     def test_readme_defaults_are_the_defaults(self):
         """The flags README.md quotes as the reference configuration parse
         to the default TrainConfig."""
-        readme = Path(__file__).parents[1] / "README.md"
-        text = " ".join(readme.read_text(encoding="utf-8").split())
+        text = " ".join(README.read_text(encoding="utf-8").split())
         quoted = re.search(r"Defaults mirror the reference configuration: `([^`]+)`", text)
         assert quoted is not None
         args = build_parser().parse_args(["run", "--out", "o", *quoted.group(1).split()])
         assert _resolve(args)[0] == TrainConfig()
+
+    @pytest.mark.parametrize("command,flag,value,kind", [
+        ("run", "--dims", "8,x", "integers"),
+        ("ablate", "--seeds", "0,z", "integers"),
+        ("sweep", "--lambda-grid", "0.1,y", "numbers"),
+    ])
+    def test_bad_list_names_the_list_expected(self, capsys, command, flag, value, kind):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--out", "o", flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected comma-separated {kind}, got {value!r}\n"
+                in capsys.readouterr().err)
 
     def test_unknown_option_is_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

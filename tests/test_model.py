@@ -1,9 +1,9 @@
 """Encoder/decoder tests: identity compositions, a hand-rolled dense loop
 oracle for the full forward pass, decoder closed forms, the initial
-parameters' draw order, and the checkpoint writer's text, read back
-losslessly by the tests' own reader."""
+parameters' draw order, and the checkpoint writer's archive, read back
+losslessly by ``np.load``."""
 
-from pathlib import Path
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from stmfg.model import (
     zinb_decode,
 )
 
-from conftest import grad_check, read_checkpoint, stack, traced_peak
+from conftest import grad_check, stack, traced_peak
 from test_autodiff import head_values
 from test_losses import zinb_oracle
 
@@ -330,51 +330,48 @@ class TestInitialize:
 
 
 class TestCheckpoint:
+    # bytes the writer may hold beyond its largest tensor: the zip's entry
+    # records and the .npy header
+    PEAK_ALLOWANCE = 64 * 1024
+
     def test_round_trip_is_lossless(self, tmp_path):
         params = make_params(np.random.default_rng(14), [6, 5, 4], 7, decoder_hidden=8)
         params.mean_b.data[0] = [5e-324, -0.0, 0.1, 1.0 / 3.0, 1e300, -1e-300, -2.5]
-        path = tmp_path / "params.txt"
+        path = tmp_path / "params.npz"
         save_checkpoint(params, path)
-        loaded = read_checkpoint(path)
-        assert [(name, values.shape) for name, values in loaded] == TestInitialize.SHAPES
-        for (name, t), (_, values) in zip(params.named_tensors(), loaded, strict=True):
-            kind, _, layer = name.partition(".")
-            assert t is (getattr(params, kind)[int(layer)] if layer else getattr(params, kind))
-            assert values.shape == t.data.shape and values.tobytes() == t.data.tobytes(), name
-
-    def test_text_matches_float_repr_per_value(self, tmp_path):
-        rng = np.random.default_rng(15)
-        params = make_params(rng, [6, 3], 4, decoder_hidden=3)
-        params.mean_b.data[0] = [5e-324, -0.0, 0.1, 1.0 / 3.0]
-        params.dispersion_b.data[0] = [1e300, -1e-300, -2.5, 0.0]
-        expected = ["stmfg-params v1"]
-        for name, t in params.named_tensors():
-            expected.append(f"tensor {name} {t.rows} {t.cols}")
-            expected += [" ".join(repr(float(v)) for v in row) for row in t.data]
-        path = tmp_path / "params.txt"
-        save_checkpoint(params, path)
-        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
-        assert "5e-324 -0.0 0.1 0.3333333333333333" in path.read_text(encoding="utf-8")
-
-    def test_streamed_bytes_equal_joined_text_and_peak_below_one_tensor(self, tmp_path):
-        """The row-by-row writer gives the bytes of the writer that joined
-        the whole text, and its traced peak stays below the text of its
-        largest tensor (a 32 x 3000 head)."""
-
-        def joined_checkpoint(params, path):
-            lines = [CHECKPOINT_MAGIC]
+        with np.load(path) as loaded:
+            assert [(name, loaded[name].shape) for name in loaded.files] == TestInitialize.SHAPES
             for name, t in params.named_tensors():
-                lines.append(f"tensor {name} {t.rows} {t.cols}")
-                for row in t.data.tolist():
-                    lines.append(" ".join(map(repr, row)))
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                kind, _, layer = name.partition(".")
+                assert t is (getattr(params, kind)[int(layer)] if layer else getattr(params, kind))
+                values = loaded[name]
+                assert values.dtype == np.dtype("<f8") and values.flags.c_contiguous, name
+                assert values.shape == t.data.shape and values.tobytes() == t.data.tobytes(), name
 
+    def test_entries_in_tensor_order_stored_and_dated_1980(self, tmp_path):
+        params = make_params(np.random.default_rng(15), [6, 3], 4, decoder_hidden=3)
+        path = tmp_path / "params.npz"
+        save_checkpoint(params, path)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.comment == b"stmfg-params v2" == CHECKPOINT_MAGIC.encode()
+            entries = archive.infolist()
+        assert [e.filename for e in entries] == [f"{n}.npy" for n, _ in params.named_tensors()]
+        for entry in entries:
+            assert entry.date_time == (1980, 1, 1, 0, 0, 0), entry.filename
+            assert entry.compress_type == zipfile.ZIP_STORED, entry.filename
+
+    def test_two_writes_give_the_same_bytes(self, tmp_path):
+        params = make_params(np.random.default_rng(16), [6, 5, 4], 7, decoder_hidden=8)
+        save_checkpoint(params, tmp_path / "a.npz")
+        save_checkpoint(params, tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_peak_below_largest_tensor_plus_allowance(self, tmp_path):
+        """The writer holds one tensor's bytes at a time: its traced peak
+        stays below its largest tensor (a 32 x 3000 head) plus a fixed
+        allowance, far below the 2.3 MB of all three heads."""
         params = make_params(np.random.default_rng(17), [20, 8, 4], 3000, decoder_hidden=32)
-        params.mean_b.data[0, :6] = [5e-324, -0.0, 0.1, 1e300, -1e-300, 0.0]
-        joined_checkpoint(params, tmp_path / "joined.txt")
-        _, peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "streamed.txt"))
-        want = (tmp_path / "joined.txt").read_bytes()
-        assert (tmp_path / "streamed.txt").read_bytes() == want
-        head_text = sum(len(" ".join(map(repr, row)).encode()) + 1
-                        for row in params.mean_w.data.tolist())
-        assert peak < head_text, f"peak {peak} B, one tensor's text {head_text} B"
+        _, peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "params.npz"))
+        largest = max(t.data.nbytes for _, t in params.named_tensors())
+        assert largest == params.mean_w.data.nbytes
+        assert peak < largest + self.PEAK_ALLOWANCE, f"peak {peak} B, largest tensor {largest} B"

@@ -26,7 +26,7 @@ from stmfg.losses import LossBreakdown
 from stmfg.model import ForwardTrace, ModelParams
 from stmfg.training import Adam, TrainConfig, run_epoch, train, trainable_tensors
 
-from conftest import grad_check, read_checkpoint, run_on_workers, traced_held, traced_peak
+from conftest import grad_check, run_on_workers, traced_held, traced_peak
 from test_autodiff import (
     allocating_cosine_link_loss,
     allocating_cross_view_contrastive,
@@ -310,14 +310,15 @@ class TestTrain:
         ds, graphs = small_problem()
         result = train(ds, graphs, small_config(epochs=4), checkpoint_dir=tmp_path,
                        checkpoint_every=2)
-        assert (tmp_path / "params_epoch00002.txt").exists()
-        final = tmp_path / "params_final.txt"
+        assert (tmp_path / "params_epoch00002.npz").exists()
+        final = tmp_path / "params_final.npz"
         # what train() returns is what it wrote, value for value
-        for (name, t), (read_name, values) in zip(result.params.named_tensors(),
-                                                  read_checkpoint(final), strict=True):
-            assert read_name == name
-            assert values.shape == t.data.shape and values.tobytes() == t.data.tobytes(), name
-        assert (tmp_path / "params_epoch00004.txt").read_bytes() == final.read_bytes()
+        with np.load(final) as loaded:
+            assert loaded.files == [name for name, _ in result.params.named_tensors()]
+            for name, t in result.params.named_tensors():
+                values = loaded[name]
+                assert values.shape == t.data.shape and values.tobytes() == t.data.tobytes(), name
+        assert (tmp_path / "params_epoch00004.npz").read_bytes() == final.read_bytes()
 
 
 class TestContrastiveAllLayers:
