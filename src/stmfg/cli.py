@@ -184,13 +184,16 @@ def _output_dir(path) -> Path:
     return out_dir
 
 
-def _pipeline_manifest(args, cfg: TrainConfig, pipeline: PipelineSettings) -> dict:
-    """The manifest fields of a command that trains: inputs and settings."""
+def _pipeline_manifest(args, cfg: TrainConfig, pipeline: PipelineSettings,
+                       per_run=()) -> dict:
+    """The manifest fields of a command that trains: inputs and settings.
+    The settings in ``per_run``, which every run sets for itself, are left
+    out of ``train``."""
     inputs = {"expression": args.expression, "coords": args.coords, "labels": args.labels}
     return {
         "inputs": {k: (str(Path(v).resolve()) if v else None) for k, v in inputs.items()},
         "pipeline": asdict(pipeline),
-        "train": cfg.to_dict(),
+        "train": {k: v for k, v in cfg.to_dict().items() if k not in per_run},
     }
 
 
@@ -297,11 +300,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
+def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings, per_run: dict,
                 cells: list[dict], **manifest_extra):
     """Check every cell's config, write the manifest and prepare the data
     once; the returned iterator trains and scores one run per cell of config
-    overrides, in order."""
+    overrides, in order. ``per_run`` names the settings the cells set."""
     if not cells:
         raise ContractError(f"{args.command} needs at least one seed (--seeds)")
     if pipeline.checkpoint_every:
@@ -309,7 +312,7 @@ def _score_grid(args, cfg: TrainConfig, pipeline: PipelineSettings,
                             f"no checkpoints; got {pipeline.checkpoint_every}")
     cell_cfgs = [TrainConfig.from_dict({**cfg.to_dict(), **cell}) for cell in cells]
     out_dir = _output_dir(args.out)
-    _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline),
+    _write_manifest(out_dir, args.command, **_pipeline_manifest(args, cfg, pipeline, per_run),
                     **manifest_extra)
 
     dataset, graphs = _prepare(args, cfg, pipeline)
@@ -328,11 +331,11 @@ def _write_table(path: Path, lines: list[str]) -> None:
 
 def cmd_ablate(args) -> int:
     variants = f"the variants ({', '.join(ABLATION_VARIANTS)})"
-    cfg, pipeline = _resolve(args, per_run={
-        "seed": "--seeds",
-        **{key: variants for overrides in ABLATION_VARIANTS.values() for key in overrides}})
+    per_run = {"seed": "--seeds",
+               **{key: variants for overrides in ABLATION_VARIANTS.values() for key in overrides}}
+    cfg, pipeline = _resolve(args, per_run=per_run)
     cells = [(variant, seed) for variant in ABLATION_VARIANTS for seed in args.seeds]
-    runs = _score_grid(args, cfg, pipeline,
+    runs = _score_grid(args, cfg, pipeline, per_run,
                        [{**ABLATION_VARIANTS[v], "seed": seed} for v, seed in cells],
                        seeds=args.seeds, variants=list(ABLATION_VARIANTS))
 
@@ -353,9 +356,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     given = {name: getattr(args, f"{flag}_grid") for name, flag in SWEEP_GRIDS}
-    cfg, pipeline = _resolve(args, per_run={
-        "seed": "--seeds",
-        **{name: f"--{flag}-grid" for name, flag in SWEEP_GRIDS if given[name] is not None}})
+    per_run = {"seed": "--seeds",
+               **{name: f"--{flag}-grid" for name, flag in SWEEP_GRIDS if given[name] is not None}}
+    cfg, pipeline = _resolve(args, per_run=per_run)
     grids = {}
     for name, flag in SWEEP_GRIDS:
         if given[name] == []:
@@ -363,7 +366,7 @@ def cmd_sweep(args) -> int:
         grids[name] = given[name] or [getattr(cfg, name)]
     cells = [dict(zip((*grids, "seed"), values))
              for values in itertools.product(*grids.values(), args.seeds)]
-    runs = _score_grid(args, cfg, pipeline, cells, seeds=args.seeds, grids=grids)
+    runs = _score_grid(args, cfg, pipeline, per_run, cells, seeds=args.seeds, grids=grids)
 
     lines = ["alpha,lambda,gamma,tau,seed,ari,nmi"]
     for c, scores in zip(cells, runs):

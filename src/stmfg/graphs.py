@@ -1,23 +1,25 @@
 """Spatial radius graph, expression-similarity KNN graph, and the
 symmetric GCN normalization of both.
 
-The radius graph comes from a k-d tree (``scipy.spatial.cKDTree``), so
-no n-by-n distance array is formed. The KNN graph is exact brute force
-over row blocks of at most ``KNN_BLOCK_ENTRIES`` similarities: a block's
-product with every spot, a partition to each row's k-th largest
-similarity, and only the columns at or above it kept, with their values,
-before the next block; one sort of the survivors finishes. No n-by-n
-array is formed once n exceeds one block's rows.
+The radius graph is found on a grid of square cells at least a radius
+wide: only spots in the same or adjacent cells are compared, each
+compared pair becomes an edge by the exact rule ``dx*dx + dy*dy <=
+radius*radius``, and no n-by-n array is formed. The KNN graph is exact
+brute force over row blocks of at most ``KNN_BLOCK_ENTRIES``
+similarities: a block's product with every spot, a partition to each
+row's k-th largest similarity, and only the columns at or above it kept,
+with their values, before the next block; one sort of the survivors
+finishes. No n-by-n array is formed once n exceeds one block's rows.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .autodiff import NORM_EPS, SparseMatrix
 from .errors import ContractError
@@ -34,6 +36,12 @@ DEFAULT_KNN_K = 15
 # differ from the symmetric product's in the last place; the selection is
 # exact on the values each block holds.
 KNN_BLOCK_ENTRIES = 2**20
+
+# No axis of the radius grid has more than GRID_CELLS cells, and each pass
+# of the radius build tests fewer than (RADIUS_PAIRS_PER_SPOT + 1) * n
+# candidate pairs.
+GRID_CELLS = 2**20
+RADIUS_PAIRS_PER_SPOT = 8
 
 
 @dataclass(frozen=True)
@@ -64,12 +72,65 @@ def _binary_symmetric(n: int, rows: np.ndarray, cols: np.ndarray) -> SparseMatri
 
 
 def build_spatial_graph(coords, radius: float) -> SparseMatrix:
-    """Connect spots whose Euclidean distance is at most ``radius``."""
+    """Connect spots i != j with ``dx*dx + dy*dy <= radius*radius``, where
+    dx and dy are their coordinate differences in float64.
+
+    Square cells ``max(radius * (1 + 2**-20), span / GRID_CELLS)`` wide
+    (``span`` the larger coordinate range) tile the slide, so that a pair
+    the rule links is never more than one cell apart under any rounding,
+    and no axis has more than ``GRID_CELLS`` cells. Each spot is compared
+    with the spots after it in its own cell and the one above, and with the
+    three cells to its right: every pair in adjacent cells once. Where spots
+    span more than ``GRID_CELLS`` radii the cells are wider than the radius
+    and the candidate work grows; otherwise it is a fixed multiple of the
+    spots plus the edges. Candidates are tested in passes of about
+    ``RADIUS_PAIRS_PER_SPOT`` per spot, so no n-by-n array is formed.
+    """
     pts = _as_coords(coords)
     if not 0 < radius < math.inf:
         raise ContractError(f"radius must be positive and finite, got {radius}")
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    return _binary_symmetric(pts.shape[0], pairs[:, 0], pairs[:, 1])
+    radius = float(radius)
+    r2 = radius * radius
+    if not sys.float_info.min <= r2 < math.inf:
+        raise ContractError(f"radius must be from about 1.49e-154 to 1.34e154, so that "
+                            f"its square is a finite normal float64; got {radius}")
+    lo = pts.min(axis=0)
+    x_range, y_range = (float(v) for v in pts.max(axis=0) - lo)
+    if not x_range * x_range + y_range * y_range < math.inf:
+        raise ContractError(f"coordinates span {x_range:g} by {y_range:g}, and the square "
+                            f"of that box's diagonal overflows float64: the diagonal must "
+                            f"be below about 1.34e154")
+    n = pts.shape[0]
+    width = max(radius * (1 + 2**-20), max(x_range, y_range) / GRID_CELLS)
+    cell = np.floor((pts - lo) / width).astype(np.int64)
+    stride = int(cell[:, 1].max()) + 2  # an empty row of cells above the top one
+    keys = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Range s < n holds the sorted spots after spot s in its cell and in the
+    # cell above; range n + s those in the three cells to its right, whose
+    # keys are consecutive. Candidate e of the concatenated ranges is
+    # sorted spot e + shift[r] of range r.
+    after = np.arange(1, n + 1)
+    right = np.searchsorted(keys, keys + stride - 1)
+    starts = np.concatenate([after, right])
+    lengths = np.concatenate([np.searchsorted(keys, keys + 2) - after,
+                              np.searchsorted(keys, keys + stride + 2) - right])
+    ends = np.cumsum(lengths)
+    shift = starts - (ends - lengths)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], RADIUS_PAIRS_PER_SPOT * n),
+                                     side="right"))
+    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for r0, r1 in zip(cuts, [*cuts[1:], 2 * n]):
+        count = lengths[r0:r1]
+        i = order[np.repeat(np.arange(r0, r1) % n, count)]
+        j = order[np.arange(ends[r0] - count[0], ends[r1 - 1]) + np.repeat(shift[r0:r1], count)]
+        d = pts[i] - pts[j]
+        d *= d
+        keep = d[:, 0] + d[:, 1] <= r2
+        rows.append(i[keep])
+        cols.append(j[keep])
+    return _binary_symmetric(n, np.concatenate(rows), np.concatenate(cols))
 
 
 def build_feature_graph(x, k: int) -> SparseMatrix:

@@ -185,6 +185,39 @@ class TestRun:
         assert code == 2
         assert "line 3: coordinates must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius,message", [
+        ("5.5e155", "radius must be from about 1.49e-154 to 1.34e154, so that its square "
+                    "is a finite normal float64; got 5.5e+155"),
+        ("5.5e152", "the square of that box's diagonal overflows float64: the diagonal "
+                    "must be below about 1.34e154"),
+    ], ids=["radius", "coordinates"])
+    def test_geometry_beyond_float64_is_contract_error(self, synth_dir, tmp_path, capsys,
+                                                       radius, message):
+        """On coordinates scaled by 1e153, a radius whose square overflows,
+        or a box whose squared diagonal does, exits 3 with one line, not a
+        traceback."""
+        header, *rows = (synth_dir / "coords.csv").read_text().splitlines()
+        scaled = tmp_path / "coords.csv"
+        scaled.write_text("\n".join([header] + [
+            f"{spot},{float(x) * 1e153!r},{float(y) * 1e153!r}"
+            for spot, x, y in (row.split(",") for row in rows)]) + "\n")
+        code = main(["run", "--expression", str(synth_dir / "expression.csv"),
+                     "--coords", str(scaled), "--labels", str(synth_dir / "labels.csv"),
+                     "--out", str(tmp_path / "run"), *FAST, "--radius", radius])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("contract error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_manifest_records_every_setting(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", *data_flags(synth_dir), "--out", str(out), *FAST,
+                     "--seed", "4", "--alpha", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["train"] == replace(
+            TrainConfig(), epochs=2, hidden_dims=(8, 4), decoder_hidden=8, seed=4,
+            alpha=2.0).to_dict()
+
     def test_numeric_abort_exit_code_and_manifest(self, synth_dir, tmp_path, monkeypatch):
         def poisoned(*args, **kwargs):
             t = Tensor([[1.0]])
@@ -578,6 +611,20 @@ class TestAblate:
         for v in variants:
             assert any(line.startswith(f"{v},mean,") for line in lines)
 
+    def test_manifest_leaves_out_what_each_run_sets(self, synth_dir, tmp_path):
+        """The seed and the four switches the variants set are recorded as
+        ``seeds`` and ``variants``, not as the defaults in ``train``."""
+        out = tmp_path / "ablate"
+        assert main(["ablate", *data_flags(synth_dir), "--out", str(out), "--seeds", "3",
+                     *FAST]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        per_run = {"seed", "disable_fusion", "disable_cl", "disable_reg", "disable_zinb"}
+        expected = replace(TrainConfig(), epochs=2, hidden_dims=(8, 4),
+                           decoder_hidden=8).to_dict()
+        assert manifest["train"] == {k: v for k, v in expected.items() if k not in per_run}
+        assert manifest["seeds"] == [3]
+        assert manifest["variants"] == ["full", "no_mf", "no_cl", "no_reg", "no_zinb"]
+
     def test_empty_seeds_is_contract_error(self, synth_dir, tmp_path):
         out = tmp_path / "ablate"
         code = main(["ablate", *data_flags(synth_dir), "--out", str(out),
@@ -611,6 +658,21 @@ class TestSweep:
         rows = [line.split(",")[:5] for line in (out / "sweep.csv").read_text().splitlines()]
         # alpha and gamma at their defaults, the one lambda, the --tau value
         assert rows[1:] == [["1.0", "0.01", "0.01", "0.25", "0"]]
+
+    def test_manifest_leaves_out_what_each_run_sets(self, synth_dir, tmp_path):
+        """The seed and the gridded alpha are recorded as ``seeds`` and
+        ``grids``; the weights without a grid stay in ``train``."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", *data_flags(synth_dir), "--out", str(out), "--seeds", "3",
+                     "--alpha-grid", "2,3", "--tau", "0.25", *FAST]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = replace(TrainConfig(), epochs=2, hidden_dims=(8, 4), decoder_hidden=8,
+                           tau=0.25).to_dict()
+        assert manifest["train"] == {k: v for k, v in expected.items()
+                                     if k not in ("seed", "alpha")}
+        assert manifest["seeds"] == [3]
+        assert manifest["grids"] == {"alpha": [2.0, 3.0], "lam": [expected["lam"]],
+                                     "gamma": [expected["gamma"]], "tau": [0.25]}
 
     def test_empty_seeds_is_contract_error(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"

@@ -1,10 +1,15 @@
 """Graph construction tests against brute-force pair-scan, exhaustive
-top-k, full-argsort and dense-formula oracles."""
+top-k, full-argsort and dense-formula oracles. The radius graph's property
+test is derandomized and keeps no example database, so the suite is
+deterministic and leaves no files behind."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stmfg import graphs
 from stmfg.autodiff import NORM_EPS
@@ -138,9 +143,12 @@ class TestSpatialGraph:
         for i, j in rng.integers(0, 40, (5, 2)):
             dist = float(np.hypot(*(coords[i] - coords[j])))
             for radius in (np.nextafter(dist, 0.0), dist, np.nextafter(dist, np.inf)):
-                if radius > 0:
+                if radius * radius >= sys.float_info.min:
                     assert edge_set(build_spatial_graph(coords, radius)) == \
                         brute_force_radius_edges(coords.tolist(), radius)
+                else:  # i == j: radius 0, or 5e-324, whose square is 0
+                    with pytest.raises(ContractError, match="radius must be"):
+                        build_spatial_graph(coords, radius)
 
     def test_translation_and_rotation_invariance(self):
         rng = np.random.default_rng(17)
@@ -152,6 +160,128 @@ class TestSpatialGraph:
                         [math.sin(theta), math.cos(theta)]])
         rotated = edge_set(build_spatial_graph(coords @ rot.T, 420))
         assert base == shifted == rotated
+
+    @pytest.mark.parametrize("radius", [1e-160, 1e-200, 2e154],
+                             ids=["square-subnormal", "square-zero", "square-infinite"])
+    def test_radius_whose_square_is_not_a_normal_float_is_refused(self, radius):
+        # at 2e154 radius*radius is inf, and the rule would link every pair
+        with pytest.raises(ContractError, match=r"radius must be from about 1\.49e-154 "
+                                                r"to 1\.34e154"):
+            build_spatial_graph([(0, 0), (1, 1), (5, 5)], radius)
+
+    def test_radii_at_the_limits_are_exact(self):
+        low, high = 2.0**-511, math.sqrt(sys.float_info.max)
+        assert low * low == sys.float_info.min and high * high < math.inf
+        coords = [(0.0, 0.0), (low, 0.0), (0.0, np.nextafter(low, 1.0))]
+        assert edge_set(build_spatial_graph(coords, low)) == {(0, 1), (1, 0)}
+        # any box the coordinate check accepts fits in the largest radius
+        coords = [(0.0, 0.0), (0.0, high), (1.0, 1.0)]
+        assert edge_set(build_spatial_graph(coords, high)) == \
+            brute_force_radius_edges(coords, high) == {(i, j) for i in range(3)
+                                                       for j in range(3) if i != j}
+
+    @pytest.mark.parametrize("coords", [[(0, 0), (1e154, 1e154)],
+                                        [(-1e154, 0), (1e154, 0)],
+                                        [(5, 5), (5, 1.4e154)]])
+    def test_coordinates_whose_squared_range_overflows_are_refused(self, coords):
+        with pytest.raises(ContractError, match="diagonal overflows float64: the diagonal "
+                                                "must be below about 1.34e154"):
+            build_spatial_graph(coords, 1.0)
+
+    def test_largest_coordinate_box_is_evaluated(self):
+        coords = [(0.0, 0.0), (9e153, 9e153), (9e153, 0.0)]
+        assert edge_set(build_spatial_graph(coords, 1.3e154)) == \
+            brute_force_radius_edges(coords, 1.3e154) == {(0, 1), (1, 0), (0, 2), (2, 0),
+                                                           (1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("pairs_per_spot", [1, 2])
+    def test_matches_brute_force_in_several_passes(self, pairs_per_spot, monkeypatch):
+        monkeypatch.setattr(graphs, "RADIUS_PAIRS_PER_SPOT", pairs_per_spot)
+        rng = np.random.default_rng(44)
+        coords = rng.integers(0, 12, (150, 2)).astype(float)
+        for radius in (1.0, 2.5, 40.0):
+            assert edge_set(build_spatial_graph(coords, radius)) == \
+                brute_force_radius_edges(coords.tolist(), radius)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_pair_at_the_radius_across_a_cell_boundary(self, axis):
+        """Spots 1 - 2**-53 and 2 differ by 1 after rounding, so radius 1
+        links them. In cells exactly a radius wide they would sit in cells 0
+        and 2, and never be compared."""
+        coords = np.zeros((3, 2))
+        coords[1:, axis] = [np.nextafter(1.0, 0.0), 2.0]
+        assert edge_set(build_spatial_graph(coords, 1.0)) == \
+            brute_force_radius_edges(coords.tolist(), 1.0) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+
+    @pytest.mark.parametrize("far", [1e9, 1e100])
+    def test_spots_spanning_more_than_grid_cells_radii(self, far):
+        """One spot ``far`` radii away widens the cells to ``far / 2**20``
+        radii, so the other 300 spots share a cell and are all compared."""
+        rng = np.random.default_rng(46)
+        coords = np.vstack([rng.uniform(0, 20, (300, 2)), [[far, far]]])
+        assert edge_set(build_spatial_graph(coords, 1.0)) == \
+            brute_force_radius_edges(coords.tolist(), 1.0)
+
+    @pytest.mark.parametrize("case", ["lattice", "one-cell", "wide-span"])
+    def test_peak_is_linear_in_spots_and_edges(self, case):
+        """The traced peak stays under 1 KiB a spot plus 96 B a stored edge:
+        on a 10,000-spot lattice (about 8 edges a spot), with every pair of
+        1,000 spots an edge, and with 3,000 spots compared in one wide cell
+        but few of them linked, where the passes bound the candidates."""
+        rng = np.random.default_rng(47)
+        if case == "lattice":
+            y, x = np.mgrid[0:100, 0:100]
+            coords, radius = np.column_stack([x.ravel(), y.ravel()]) * (550 / 1.5), 550.0
+        elif case == "one-cell":
+            coords, radius = rng.uniform(0, 1, (1000, 2)), 5.0
+        else:
+            coords, radius = np.vstack([rng.uniform(0, 100, (3000, 2)), [[1e9, 0.0]]]), 1.0
+        a, peak = traced_peak(lambda: build_spatial_graph(coords, radius))
+        assert peak <= 1024 * len(coords) + 96 * a.nnz, \
+            f"peak {peak} B for {len(coords)} spots and {a.nnz} edges"
+
+
+@st.composite
+def radius_cases(draw):
+    """Up to 30 spots and a radius. The spots lie in an 8 x 8 box, on
+    integers or not, scaled by 1e-150 to 1e150, or by 1e-4 to 1e11 around
+    +-1e12; some are duplicates and some share one x. The radius is a pair
+    distance or one of its float neighbours, wider than the whole slide, or
+    the scale times 1e-9 to 10 (below 2**-20 of the span, the cells are
+    capped at 2**20 an axis)."""
+    n = draw(st.integers(1, 30))
+    shift = draw(st.sampled_from([0.0, 1e12, -1e12]))
+    scale = 10.0 ** (draw(st.integers(-4, 11)) if shift else draw(st.integers(-150, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(0, 8, (n, 2))
+    if draw(st.booleans()):
+        pts = np.round(pts)
+    pts = pts * scale + shift
+    spot = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(spot, spot), max_size=4)):
+        pts[dst] = pts[src]
+    pts[draw(st.lists(spot, max_size=6)), 0] = pts[draw(spot), 0]
+    kind = draw(st.sampled_from(["pair", "below", "above", "wide", "scale"]))
+    i, j = draw(spot), draw(spot)
+    dx, dy = pts[i] - pts[j]
+    radius = math.sqrt(dx * dx + dy * dy) or scale
+    if kind == "below":
+        radius = float(np.nextafter(radius, 0.0))
+    elif kind == "above":
+        radius = float(np.nextafter(radius, math.inf))
+    elif kind == "wide":
+        radius = 2 * float(np.ptp(pts, axis=0).max()) + scale
+    elif kind == "scale":
+        radius = scale * 10.0 ** draw(st.integers(-9, 1))
+    return pts, max(radius, 2.0**-511)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(radius_cases())
+def test_radius_graph_matches_brute_force_property(case):
+    pts, radius = case
+    assert edge_set(build_spatial_graph(pts, radius)) == \
+        brute_force_radius_edges(pts.tolist(), radius)
 
 
 class TestFeatureGraph:

@@ -1,8 +1,11 @@
-"""Package-wide static checks: every module-level function and class of
+"""Package-wide checks: every module-level function and class of
 ``stmfg`` is used by the package or by the benchmark harness, not only by
-the tests."""
+the tests; and the CLI imports no scipy module it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +39,15 @@ def test_every_top_level_definition_is_used_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in used]
     assert not unused, f"defined in src/stmfg but used only by tests, if at all: {unused}"
+
+
+def test_cli_import_loads_neither_scipy_spatial_nor_scipy_linalg():
+    """Each costs resident memory in every run (together about 10 MiB),
+    and no command needs them."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, stmfg.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'spatial'], ['scipy', 'linalg'])))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "[]\n"
